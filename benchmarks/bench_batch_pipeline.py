@@ -35,7 +35,6 @@ import time
 from repro.common.errors import DesignError
 from repro.core import CryptoProvider, Scheme
 from repro.core.design import HomGroup, PhysicalDesign
-from repro.core.encdata import LRUCache
 from repro.core.loader import (
     ROW_ID_COLUMN,
     EncryptedLoader,
@@ -65,13 +64,6 @@ ENGINE_QUERIES = [
     "SELECT o_orderkey, o_price FROM orders WHERE o_price BETWEEN 100 AND 900 "
     "AND o_comment LIKE '%brown%' ORDER BY o_price LIMIT 50",
 ]
-
-
-def reset_caches(provider: CryptoProvider) -> None:
-    """Empty the memoization caches so scalar/batch timings start equal."""
-    provider._det_cache = LRUCache(provider.cache_size)
-    provider._ope_cache = LRUCache(provider.cache_size)
-    provider._ope_dec_cache = LRUCache(provider.cache_size)
 
 
 def build_design() -> PhysicalDesign:
@@ -251,12 +243,12 @@ def _scalar_decrypt_hom(provider, spec, value):
 def bench_load(db, provider, results: dict) -> None:
     design = build_design()
 
-    reset_caches(provider)
+    provider.reset_crypto_caches()
     start = time.perf_counter()
     scalar_server = scalar_load(db, provider, design)
     scalar_seconds = time.perf_counter() - start
 
-    reset_caches(provider)
+    provider.reset_crypto_caches()
     start = time.perf_counter()
     batch_server = EncryptedLoader(db, provider).load(design)
     batch_seconds = time.perf_counter() - start
@@ -382,13 +374,13 @@ def bench_client_decrypt(provider, num_rows: int, results: dict) -> None:
     result = ResultSet([spec.output_name or "hom" for spec in specs], server_rows)
     relation = RemoteRelation(alias="bench", query=None, specs=specs)
 
-    reset_caches(provider)
+    provider.reset_crypto_caches()
     start = time.perf_counter()
     scalar_columns, scalar_rows = scalar_decrypt_rows(provider, specs, result)
     scalar_seconds = time.perf_counter() - start
 
     executor = PlanExecutor(Database("bench_server"), provider)
-    reset_caches(provider)
+    provider.reset_crypto_caches()
     start = time.perf_counter()
     batch_columns, batch_rows = executor._decrypt_rows(relation, result)
     batch_seconds = time.perf_counter() - start

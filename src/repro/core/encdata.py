@@ -14,11 +14,17 @@ key.  Design choices that mirror the paper's prototype:
 * **Dates** encrypt as days-since-epoch through FFX/OPE.
 * **OPE on strings** order-preserves a fixed-length prefix (10 bytes);
   TPC-H's sorted string columns are distinguished within that prefix.
-* Encryption results are memoized per value — analytical columns repeat
-  values heavily, and the paper likewise caches repeated (de)cryptions
-  (§8.1 uses a 512-entry decryption cache).  Ours are LRU caches bounded
-  by ``cache_size`` so long-running loads cannot grow memory without
-  limit.
+* DET and OPE results are memoized per value in both directions —
+  analytical columns repeat values heavily, and the paper likewise caches
+  repeated (de)cryptions (§8.1 uses a 512-entry decryption cache).  Four
+  LRU caches, each bounded by ``cache_size`` so long-running loads cannot
+  grow memory without limit: plaintext→ciphertext for ``det_encrypt`` and
+  ``ope_encrypt``, ``(sql_type, ciphertext)``→plaintext for
+  ``det_decrypt`` and ``ope_decrypt``.  A decrypt cache never needs
+  invalidating under DML (the schemes are fixed permutations per key, so
+  a rewritten cell arrives as a different ciphertext), stores a plaintext
+  only after its decrypt succeeded, and reveals nothing: it lives with
+  the keys on the trusted client.
 
 Batch APIs
 ----------
@@ -31,7 +37,8 @@ client-side result decryption are throughput-bound (§8, Fig. 7).
 
 The OPE and FFX batch paths go further than loop hoisting: LRU misses are
 **deduplicated per batch** (a low-cardinality column decrypts each value
-once per RowBlock) and handed to the ciphers' own column APIs —
+once per RowBlock; ``det_decrypt_batch`` deduplicates before it even asks
+the LRU) and handed to the ciphers' own column APIs —
 :meth:`~repro.crypto.ope.OpeCipher.decrypt_batch`'s shared-tree descent
 computes every shared tree pivot once per batch, and
 :meth:`~repro.crypto.ffx.FFXInteger.decrypt_batch` loops Feistel rounds
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import datetime
 import threading
+from bisect import bisect_right
 from typing import Sequence
 
 from repro.common.errors import CryptoError, DomainError
@@ -197,6 +205,7 @@ class CryptoProvider:
         self._det_cache = LRUCache(cache_size)
         self._ope_cache = LRUCache(cache_size)
         self._ope_dec_cache = LRUCache(cache_size)
+        self._det_dec_cache = LRUCache(cache_size)
 
     # -- worker pool -------------------------------------------------------------
 
@@ -268,6 +277,7 @@ class CryptoProvider:
         """
         return {
             "det_encrypt": self._det_cache.stats(),
+            "det_decrypt": self._det_dec_cache.stats(),
             "ope_encrypt": self._ope_cache.stats(),
             "ope_decrypt": self._ope_dec_cache.stats(),
             "ope_pivots_int": self._ope_int.cache_stats(),
@@ -283,6 +293,7 @@ class CryptoProvider:
         Counters survive the reset.
         """
         self._det_cache.clear()
+        self._det_dec_cache.clear()
         self._ope_cache.clear()
         self._ope_dec_cache.clear()
         for cipher in (self._ope_int, self._ope_date, self._ope_str):
@@ -409,82 +420,97 @@ class CryptoProvider:
     def det_decrypt(self, ciphertext: object, sql_type: str) -> object:
         if ciphertext is None:
             return None
+        key = (sql_type, ciphertext)
+        cached = self._det_dec_cache.get(key)
+        if cached is None:
+            # Stored only once the decrypt succeeded: a corrupt ciphertext
+            # raises every time it is presented.
+            cached = self._det_decrypt_uncached(ciphertext, sql_type)
+            self._det_dec_cache.put(key, cached)
+        return cached
+
+    def _det_decrypt_uncached(self, ciphertext: object, sql_type: str) -> object:
         if sql_type in ("int", "bool"):
             plain = self._det_int.decrypt(ciphertext)
             return bool(plain) if sql_type == "bool" else plain
         if sql_type == "date":
             return _EPOCH + datetime.timedelta(days=self._det_date.decrypt(ciphertext))
         if sql_type == "text":
-            return self._det_decrypt_text(ciphertext)
+            if isinstance(ciphertext, int):
+                length = _short_text_length(ciphertext)
+                ffx = self._det_short_text[length]
+                inner = ffx.decrypt(ciphertext - _OFFSETS[length])
+                return inner.to_bytes(length, "big").decode("utf-8")
+            return self._det_str.decrypt(ciphertext).decode("utf-8")
         raise DomainError(f"DET cannot decrypt type {sql_type!r}")
-
-    def _det_decrypt_text(self, ciphertext: object) -> str:
-        if isinstance(ciphertext, int):
-            length = 1
-            while ciphertext >= _OFFSETS[length + 1]:
-                length += 1
-            ffx = self._det_short_text[length]
-            inner = ffx.decrypt(ciphertext - _OFFSETS[length])
-            return inner.to_bytes(length, "big").decode("utf-8")
-        return self._det_str.decrypt(ciphertext).decode("utf-8")
 
     def det_decrypt_batch(self, ciphertexts: Sequence, sql_type: str) -> list:
         """Element-wise :meth:`det_decrypt` with one type dispatch.
 
-        Integer-backed types ride the FFX column APIs (distinct values
-        decrypt once per batch); text partitions into per-length FFX
-        columns plus the wide-block fallback, deduplicated per batch.
+        The column deduplicates first, so the decrypt LRU is consulted
+        once per distinct ciphertext; the misses ride the FFX column APIs
+        (text partitions into per-length FFX columns plus the wide-block
+        fallback) and are stored once the whole column decrypted.
         """
         if not isinstance(ciphertexts, list):
             ciphertexts = list(ciphertexts)
         sharded = self._sharded("det_decrypt", ciphertexts, sql_type)
         if sharded is not None:
             return sharded
+        get = self._det_dec_cache.get
+        # ciphertext -> plaintext for this column; None maps to None.
+        plains: dict = dict.fromkeys(ciphertexts)
+        misses = []
+        for ciphertext in plains:
+            if ciphertext is not None:
+                cached = get((sql_type, ciphertext))
+                if cached is None:
+                    misses.append(ciphertext)
+                else:
+                    plains[ciphertext] = cached
+        if misses:
+            put = self._det_dec_cache.put
+            decrypted = self._det_decrypt_column(misses, sql_type)
+            for ciphertext, plain in zip(misses, decrypted):
+                put((sql_type, ciphertext), plain)
+                plains[ciphertext] = plain
+        return [plains[ciphertext] for ciphertext in ciphertexts]
+
+    def _det_decrypt_column(self, ciphertexts: list, sql_type: str) -> list:
+        """Decrypt distinct, non-``None`` ciphertexts of one SQL type."""
         if sql_type in ("int", "bool"):
             plains = self._det_int.decrypt_batch(ciphertexts)
             if sql_type == "bool":
-                return [None if p is None else bool(p) for p in plains]
+                return [bool(p) for p in plains]
             return plains
         if sql_type == "date":
             epoch = _EPOCH
             delta = datetime.timedelta
             return [
-                None if p is None else epoch + delta(days=p)
+                epoch + delta(days=p)
                 for p in self._det_date.decrypt_batch(ciphertexts)
             ]
         if sql_type == "text":
-            return self._det_decrypt_text_batch(ciphertexts)
+            return self._det_decrypt_text_column(ciphertexts)
         raise DomainError(f"DET cannot decrypt type {sql_type!r}")
 
-    def _det_decrypt_text_batch(self, ciphertexts: list) -> list:
+    def _det_decrypt_text_column(self, ciphertexts: list) -> list:
         out: list = [None] * len(ciphertexts)
-        # length -> inner FFX ciphertext -> indices holding it
-        short_groups: dict[int, dict[int, list[int]]] = {}
-        wide_groups: dict[bytes, list[int]] = {}
-        for idx, ciphertext in enumerate(ciphertexts):
-            if ciphertext is None:
-                continue
-            if isinstance(ciphertext, int):
-                length = 1
-                while ciphertext >= _OFFSETS[length + 1]:
-                    length += 1
-                short_groups.setdefault(length, {}).setdefault(
-                    ciphertext - _OFFSETS[length], []
-                ).append(idx)
-            else:
-                wide_groups.setdefault(ciphertext, []).append(idx)
-        for length, groups in short_groups.items():
-            distinct = list(groups)
-            inners = self._det_short_text[length].decrypt_batch(distinct)
-            for inner_ct, plain_int in zip(distinct, inners):
-                text = plain_int.to_bytes(length, "big").decode("utf-8")
-                for idx in groups[inner_ct]:
-                    out[idx] = text
+        # length -> (positions, inner FFX ciphertexts)
+        short: dict[int, tuple[list[int], list[int]]] = {}
         decrypt_wide = self._det_str.decrypt
-        for ciphertext, idxs in wide_groups.items():
-            text = decrypt_wide(ciphertext).decode("utf-8")
-            for idx in idxs:
-                out[idx] = text
+        for idx, ciphertext in enumerate(ciphertexts):
+            if isinstance(ciphertext, int):
+                length = _short_text_length(ciphertext)
+                idxs, inners = short.setdefault(length, ([], []))
+                idxs.append(idx)
+                inners.append(ciphertext - _OFFSETS[length])
+            else:
+                out[idx] = decrypt_wide(ciphertext).decode("utf-8")
+        for length, (idxs, inners) in short.items():
+            plain_ints = self._det_short_text[length].decrypt_batch(inners)
+            for idx, plain_int in zip(idxs, plain_ints):
+                out[idx] = plain_int.to_bytes(length, "big").decode("utf-8")
         return out
 
     # -- OPE ---------------------------------------------------------------------
@@ -782,6 +808,15 @@ class CryptoProvider:
         if scheme == "plain":
             return list(ciphertexts)
         raise DomainError(f"no direct decryption for scheme {scheme!r}")
+
+
+def _short_text_length(ciphertext: int) -> int:
+    """Plaintext byte length of a short-text DET ciphertext: the index of
+    the ``_OFFSETS`` band it falls in."""
+    length = bisect_right(_OFFSETS, ciphertext) - 1
+    if not 1 <= length <= _SHORT_TEXT_BYTES:
+        raise CryptoError("corrupt DET ciphertext")
+    return length
 
 
 def _type_tag(value: object) -> str:

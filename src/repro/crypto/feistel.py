@@ -15,12 +15,13 @@ Two PRPs are built here:
 Ten rounds are used; four suffice for a strong PRP by Luby–Rackoff, the
 extra rounds cover the unbalanced small-domain cases.
 
-Round keys are held as :class:`~repro.crypto.prf.KeyedPRF` pad-state
-templates, so each round function costs two SHA-256 compressions instead
-of four; :meth:`IntegerPRP.encrypt_batch` / :meth:`IntegerPRP.decrypt_batch`
-additionally loop **rounds over the whole column** — one round-key/width
-setup per round per batch instead of per value — which is what the FFX
-and DET column paths ride.
+Round keys are held as :class:`~repro.crypto.prf.KeyedPRF` pad states, so
+each round function costs two SHA-256 compressions instead of four.
+:class:`IntegerPRP` computes every round — scalar or batch, encrypt or
+decrypt — in one kernel, :meth:`IntegerPRP._round_column`, which loops a
+round **over the whole column** with the round key, widths and shift bound
+once and no Python-level call per value; that is what the FFX and DET
+column paths ride.
 """
 
 from __future__ import annotations
@@ -94,69 +95,73 @@ class IntegerPRP:
             for i in range(_ROUNDS)
         ]
 
-    def _f(self, i: int, value: int, out_bits: int) -> int:
-        return self._round_prfs[i].digest_int(
-            value.to_bytes(self._msg_bytes, "big"), out_bits
-        )
+    def _round_column(
+        self, i: int, inputs: Sequence[int], masks: Sequence[int], out_bits: int
+    ) -> list[int]:
+        """Round ``i`` over a column: ``masks[j] ^ F_i(inputs[j])``, with
+        ``F_i`` the round PRF truncated to its top ``out_bits`` bits.
+
+        The one place Feistel rounds are computed.  Everything that is
+        constant across the column — the round key's two HMAC pad states,
+        the message width, the truncation shift — is bound once, and the
+        loop body is C-level calls only: two state copies, two updates,
+        two digests.  Bit-identical to ``digest_int`` per value.
+        """
+        keyed = self._round_prfs[i]
+        msg_bytes = self._msg_bytes
+        if out_bits > 256:  # A half wider than one digest: counter mode.
+            digest_int = keyed.digest_int
+            return [
+                mask ^ digest_int(value.to_bytes(msg_bytes, "big"), out_bits)
+                for value, mask in zip(inputs, masks)
+            ]
+        inner_copy = keyed._inner.copy
+        outer_copy = keyed._outer.copy
+        from_bytes = int.from_bytes
+        # digest_int's message is the value followed by a zero 4-byte
+        # counter: one wider to_bytes of the shifted value builds both.
+        width = msg_bytes + 4
+        shift = 256 - out_bits
+        out: list[int] = []
+        append = out.append
+        for value, mask in zip(inputs, masks):
+            inner = inner_copy()
+            inner.update((value << 32).to_bytes(width, "big"))
+            outer = outer_copy()
+            outer.update(inner.digest())
+            append(mask ^ (from_bytes(outer.digest(), "big") >> shift))
+        return out
 
     def encrypt(self, value: int) -> int:
-        self._check(value)
-        l_bits, r_bits = self._left_bits, self._right_bits
-        left = value >> r_bits
-        right = value & ((1 << r_bits) - 1)
-        for i in range(_ROUNDS):
-            left, right = right, left ^ self._f(i, right, l_bits)
-            l_bits, r_bits = r_bits, l_bits
-        return (left << r_bits) | right
+        return self.encrypt_batch((value,))[0]
 
     def decrypt(self, value: int) -> int:
-        self._check(value)
-        l_bits, r_bits = self._left_bits, self._right_bits
-        left = value >> r_bits
-        right = value & ((1 << r_bits) - 1)
-        for i in reversed(range(_ROUNDS)):
-            prev_l, prev_r = r_bits, l_bits
-            prev_right = left
-            prev_left = right ^ self._f(i, prev_right, prev_l)
-            left, right = prev_left, prev_right
-            l_bits, r_bits = prev_l, prev_r
-        return (left << r_bits) | right
+        return self.decrypt_batch((value,))[0]
 
     def encrypt_batch(self, values: Sequence[int]) -> list[int]:
-        """Column-wise :meth:`encrypt`: rounds loop over the whole batch."""
+        """Column-wise encryption: rounds loop over the whole batch."""
         for value in values:
             self._check(value)
         l_bits, r_bits = self._left_bits, self._right_bits
         mask = (1 << r_bits) - 1
-        msg_bytes = self._msg_bytes
         lefts = [value >> r_bits for value in values]
         rights = [value & mask for value in values]
         for i in range(_ROUNDS):
-            digest_int = self._round_prfs[i].digest_int
-            out_bits = l_bits
-            rights, lefts = [
-                left ^ digest_int(right.to_bytes(msg_bytes, "big"), out_bits)
-                for left, right in zip(lefts, rights)
-            ], rights
+            lefts, rights = rights, self._round_column(i, rights, lefts, l_bits)
             l_bits, r_bits = r_bits, l_bits
         return [(left << r_bits) | right for left, right in zip(lefts, rights)]
 
     def decrypt_batch(self, values: Sequence[int]) -> list[int]:
-        """Column-wise :meth:`decrypt`: rounds loop over the whole batch."""
+        """Column-wise decryption: rounds loop over the whole batch."""
         for value in values:
             self._check(value)
         l_bits, r_bits = self._left_bits, self._right_bits
         mask = (1 << r_bits) - 1
-        msg_bytes = self._msg_bytes
         lefts = [value >> r_bits for value in values]
         rights = [value & mask for value in values]
         for i in reversed(range(_ROUNDS)):
-            digest_int = self._round_prfs[i].digest_int
-            out_bits = r_bits  # Width of the round's recovered left half.
-            lefts, rights = [
-                right ^ digest_int(left.to_bytes(msg_bytes, "big"), out_bits)
-                for left, right in zip(lefts, rights)
-            ], lefts
+            # r_bits is the width of the left half this round recovers.
+            lefts, rights = self._round_column(i, lefts, rights, r_bits), lefts
             l_bits, r_bits = r_bits, l_bits
         return [(left << r_bits) | right for left, right in zip(lefts, rights)]
 

@@ -8,19 +8,24 @@ and the CRT-vs-textbook Paillier decryption split.
 
 from __future__ import annotations
 
+import concurrent.futures
 import datetime
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CryptoProvider
 from repro.core.encdata import (
+    _OFFSETS,
     _SHORT_TEXT_BYTES,
     DEFAULT_CACHE_SIZE,
     INT_BOUND,
     LRUCache,
+    _short_text_length,
 )
-from repro.common.errors import DomainError
+from repro.common.errors import CryptoError, DomainError
 from repro.crypto.paillier import generate_keypair
 from repro.testkit import MASTER_KEY
 
@@ -58,6 +63,18 @@ def prov() -> CryptoProvider:
     return CryptoProvider(MASTER_KEY, paillier_bits=256)
 
 
+@pytest.fixture(scope="module")
+def thrashing(prov) -> CryptoProvider:
+    """Same keys, one-entry caches: nearly every lookup misses and evicts."""
+    return CryptoProvider(
+        MASTER_KEY,
+        paillier_bits=256,
+        cache_size=1,
+        workers=1,
+        paillier_keys=(prov.paillier_public, prov.paillier_private),
+    )
+
+
 class TestDetBatch:
     @pytest.mark.parametrize(
         "values", [_sample_ints(40), _sample_dates(25), _sample_texts()],
@@ -83,6 +100,193 @@ class TestDetBatch:
         values = [True, False, None, True]
         cts = prov.det_encrypt_batch(values)
         assert prov.det_decrypt_batch(cts, "bool") == values
+
+
+class TestGoldenCiphertexts:
+    """Ciphertexts under ``MASTER_KEY``, computed before the PRF moved off
+    ``hmac.py`` and the Feistel rounds into one kernel.  The server stores
+    these and the benchmark's plan pins embed them: none may ever move."""
+
+    DET = [
+        (0, 33710309873044),
+        (1, 99365835580773),
+        (-1, -38932923207063),
+        (42, 67609857945892),
+        (INT_BOUND - 1, 59329338926475),
+        (-INT_BOUND, -54709951562898),
+        (True, 99365835580773),
+        (False, 33710309873044),
+        (datetime.date(1970, 1, 1), 5741),
+        (datetime.date(1995, 3, 15), 13913),
+        ("A", 172),
+        ("BRASS", 1021938201190),
+        ("héllo", 121581836279760),
+        ("abcdefghijkl", 73751486081614995190707368128),
+        ("", bytes.fromhex("f27215fac884036368e20d83cf6b5ac4")),
+        ("thirteen byte", bytes.fromhex("c68f8b0f3ad720b2d8028f93dffe0fd6")),
+        (
+            "a much longer comment string than twelve bytes",
+            bytes.fromhex(
+                "cd51ec91a1984c89ae6b6fac6bcc5950e02d143e6a89cc9fd69b221e6b2e2f"
+                "8b16afcadb4e9935daec7e42a31e7a74"
+            ),
+        ),
+    ]
+    OPE = [
+        (0, 9223371715229830230),
+        (42, 9223371715232572339),
+        (-1, 9223371715229813801),
+        (datetime.date(1970, 1, 1), 323970),
+        (datetime.date(1995, 3, 15), 614113794),
+        ("BRASS", 80177543188503077351496525),
+    ]
+
+    def test_det(self):
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        plains = [plain for plain, _ in self.DET]
+        golden = [ciphertext for _, ciphertext in self.DET]
+        assert prov.det_encrypt_batch(plains) == golden
+        prov.reset_crypto_caches()
+        assert [prov.det_encrypt(plain) for plain in plains] == golden
+        for plain, ciphertext in self.DET:
+            sql_type = {bool: "bool", int: "int", str: "text"}.get(type(plain), "date")
+            assert prov.det_decrypt(ciphertext, sql_type) == plain
+
+    def test_ope(self):
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        plains = [plain for plain, _ in self.OPE]
+        golden = [ciphertext for _, ciphertext in self.OPE]
+        assert prov.ope_encrypt_batch(plains) == golden
+        prov.reset_crypto_caches()
+        assert [prov.ope_encrypt(plain) for plain in plains] == golden
+
+
+_DET_COLUMNS = st.one_of(
+    st.tuples(
+        st.just("int"),
+        st.lists(st.one_of(st.none(), st.integers(-300, 300)), max_size=40),
+    ),
+    st.tuples(
+        st.just("bool"), st.lists(st.one_of(st.none(), st.booleans()), max_size=12)
+    ),
+    st.tuples(
+        st.just("date"),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.dates(datetime.date(1992, 1, 1), datetime.date(1992, 3, 1)),
+            ),
+            max_size=40,
+        ),
+    ),
+    st.tuples(
+        st.just("text"),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.text("abé", max_size=6),  # empty and short: AES block, FFX
+                st.text("xy", min_size=13, max_size=20),  # wide block
+            ),
+            max_size=40,
+        ),
+    ),
+)
+
+
+class TestDetDecryptCache:
+    """The ciphertext→plaintext LRU is transparent: whatever its state or
+    size, scalar and batch decryption return the same column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_DET_COLUMNS)
+    def test_scalar_batch_and_thrashing_cache_agree(self, prov, thrashing, column):
+        sql_type, values = column
+        cts = prov.det_encrypt_batch(values)
+        assert prov.det_decrypt_batch(cts, sql_type) == values
+        assert [prov.det_decrypt(c, sql_type) for c in cts] == values
+        assert thrashing.det_decrypt_batch(cts, sql_type) == values
+        assert [thrashing.det_decrypt(c, sql_type) for c in cts] == values
+        assert len(thrashing._det_dec_cache) <= 1
+
+    def test_cold_warm_and_reset_agree(self):
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        for values, sql_type in [
+            (_sample_ints(40), "int"),
+            (_sample_dates(25), "date"),
+            (_sample_texts(), "text"),
+        ]:
+            if sql_type == "int":
+                values = [v for v in values if not isinstance(v, bool)]
+            cts = prov.det_encrypt_batch(values)
+            before = prov.cache_stats()["det_decrypt"]
+            cold = prov.det_decrypt_batch(cts, sql_type)
+            mid = prov.cache_stats()["det_decrypt"]
+            warm = prov.det_decrypt_batch(cts, sql_type)
+            after = prov.cache_stats()["det_decrypt"]
+            assert mid.misses > before.misses and mid.hits == before.hits
+            assert after.misses == mid.misses and after.hits > mid.hits
+            prov.reset_crypto_caches()
+            assert prov.cache_stats()["det_decrypt"].entries == 0
+            assert cold == warm == prov.det_decrypt_batch(cts, sql_type) == values
+
+    def test_sql_types_do_not_collide(self, prov):
+        # One integer is a valid ciphertext of all four types; each must
+        # decrypt under its own type whichever was cached first.
+        ciphertext = prov.det_encrypt("A")
+        expected = {
+            sql_type: prov._det_decrypt_uncached(ciphertext, sql_type)
+            for sql_type in ("int", "bool", "date", "text")
+        }
+        assert expected["text"] == "A"
+        assert len({repr(plain) for plain in expected.values()}) == 4
+        for order in (("int", "bool", "date", "text"), ("text", "date", "bool", "int")):
+            prov.reset_crypto_caches()
+            for _ in range(2):  # Second pass is served from the cache.
+                for sql_type in order:
+                    got = prov.det_decrypt(ciphertext, sql_type)
+                    assert got == expected[sql_type]
+                    assert type(got) is type(expected[sql_type])
+                    assert prov.det_decrypt_batch([ciphertext], sql_type) == [got]
+
+    def test_corrupt_short_text_raises_and_is_not_cached(self, prov):
+        good = prov.det_encrypt("BRASS")
+        for corrupt in (_OFFSETS[-1] + 5, _OFFSETS[-1], 0, -7):
+            for _ in range(2):  # A cached failure would not raise twice.
+                with pytest.raises(CryptoError):
+                    prov.det_decrypt(corrupt, "text")
+                with pytest.raises(CryptoError):
+                    prov.det_decrypt_batch([good, corrupt], "text")
+        too_wide = prov._det_int.hi + 1
+        for _ in range(2):
+            with pytest.raises(CryptoError):
+                prov.det_decrypt_batch([prov.det_encrypt(7), too_wide], "int")
+        # The band edges themselves are valid lengths 1 and 12.
+        assert _short_text_length(_OFFSETS[1]) == 1
+        assert _short_text_length(_OFFSETS[-1] - 1) == _SHORT_TEXT_BYTES
+        assert prov.det_decrypt_batch([good], "text") == ["BRASS"]
+
+    def test_threads_sharing_one_provider(self):
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, cache_size=64, workers=1)
+        columns = [
+            ([v for v in _sample_ints(200) if not isinstance(v, bool)], "int"),
+            (_sample_dates(200), "date"),
+            (_sample_texts() * 4, "text"),
+        ]
+        encrypted = [
+            (prov.det_encrypt_batch(values), sql_type, values)
+            for values, sql_type in columns
+        ]
+        prov.reset_crypto_caches()
+
+        def decrypt_all(_):
+            return [prov.det_decrypt_batch(cts, t) for cts, t, _ in encrypted]
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(decrypt_all, range(12)))
+        for result in results:
+            assert result == [values for _, _, values in encrypted]
+        stats = prov.cache_stats()["det_decrypt"]
+        assert stats.entries <= stats.capacity
 
 
 class TestOpeBatch:
@@ -204,6 +408,11 @@ class TestBoundedCaches:
         # Correctness survives eviction: re-encrypting gives the same
         # ciphertexts (DET is deterministic) even though nothing is cached.
         assert prov.det_encrypt_batch(values) == first
+        assert prov.det_decrypt_batch(first, "int") == values
+        stats = prov.cache_stats()["det_decrypt"]
+        assert stats.evictions == 100 - 16
+        assert stats.entries <= stats.capacity == 16
+        assert prov.det_decrypt_batch(first, "int") == values
         cts = prov.ope_encrypt_batch(values[:40])
         assert len(prov._ope_cache) <= 16
         assert prov.ope_decrypt_batch(cts, "int") == values[:40]

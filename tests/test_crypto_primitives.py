@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +13,42 @@ from hypothesis import strategies as st
 from repro.common.errors import CryptoError
 from repro.crypto.aes import AES128
 from repro.crypto.feistel import FeistelPRP, IntegerPRP
-from repro.crypto.prf import PRFStream, derive_key, prf, prf_int
+from repro.crypto.prf import KeyedPRF, PRFStream, derive_key, prf, prf_int
 from repro.crypto.primes import generate_prime, is_probable_prime
+from repro.testkit import MASTER_KEY
 
 KEY = b"0123456789abcdef"
+
+
+def _hmac_int(key: bytes, message: bytes, nbits: int) -> int:
+    """Counter-mode integer PRF written against the stdlib ``hmac`` — the
+    reference :class:`KeyedPRF` and the Feistel round kernel must match."""
+    nbytes = (nbits + 7) // 8
+    out = b""
+    counter = 0
+    while len(out) < nbytes:
+        out += hmac.new(
+            key, message + counter.to_bytes(4, "big"), hashlib.sha256
+        ).digest()
+        counter += 1
+    return int.from_bytes(out[:nbytes], "big") >> (nbytes * 8 - nbits)
+
+
+def _reference_prp_encrypt(
+    key: bytes, nbits: int, value: int, tweak: bytes = b""
+) -> int:
+    """:class:`IntegerPRP` as one value-at-a-time loop over stdlib HMAC."""
+    msg_bytes = (nbits + 7) // 8 + 1
+    l_bits, r_bits = nbits - nbits // 2, nbits // 2
+    left, right = value >> r_bits, value & ((1 << r_bits) - 1)
+    for i in range(10):
+        round_key = hmac.new(
+            key, b"feistel-int|%d|%d|" % (nbits, i) + tweak, hashlib.sha256
+        ).digest()
+        f = _hmac_int(round_key, right.to_bytes(msg_bytes, "big"), l_bits)
+        left, right = right, left ^ f
+        l_bits, r_bits = r_bits, l_bits
+    return (left << r_bits) | right
 
 
 class TestPrf:
@@ -41,6 +77,51 @@ class TestPrf:
     def test_derive_key_rejects_empty_master(self):
         with pytest.raises(CryptoError):
             derive_key(b"", "x")
+
+
+class TestKeyedPRFBitIdentity:
+    """The pad-state PRF is HMAC-SHA256, bit for bit."""
+
+    # Keys past 64 bytes take HMAC's pre-hash branch.
+    @given(st.binary(min_size=1, max_size=200), st.binary(max_size=300))
+    @settings(max_examples=200)
+    def test_digest_is_hmac_sha256(self, key, message):
+        expected = hmac.new(key, message, hashlib.sha256).digest()
+        assert KeyedPRF(key).digest(message) == expected
+        assert prf(key, message) == expected
+
+    @given(st.binary(max_size=40), st.integers(min_value=1, max_value=600))
+    @settings(max_examples=200)
+    def test_digest_int_is_counter_mode_hmac(self, message, nbits):
+        expected = _hmac_int(KEY, message, nbits)
+        assert KeyedPRF(KEY).digest_int(message, nbits) == expected
+        assert prf_int(KEY, message, nbits) == expected
+
+    def test_block_boundary_keys(self):
+        for size in (63, 64, 65, 128):
+            key = bytes(range(size))
+            assert KeyedPRF(key).digest(b"m") == hmac.new(
+                key, b"m", hashlib.sha256
+            ).digest()
+
+    def test_pickles_by_key(self):
+        keyed = KeyedPRF(KEY)
+        assert pickle.dumps(keyed).count(KEY) == 1
+        clone = pickle.loads(pickle.dumps(keyed))
+        assert clone.key == KEY
+        assert clone.digest(b"m") == keyed.digest(b"m")
+        assert clone.digest_int(b"m", 300) == keyed.digest_int(b"m", 300)
+
+    def test_rejects_empty_key(self):
+        with pytest.raises(CryptoError):
+            KeyedPRF(b"")
+
+    def test_stream_blocks_are_hmac(self):
+        expected = b"".join(
+            hmac.new(KEY, b"tw" + n.to_bytes(8, "big"), hashlib.sha256).digest()
+            for n in range(3)
+        )
+        assert PRFStream(KEY, b"tw").next_bytes(96) == expected
 
 
 class TestPrfStream:
@@ -134,6 +215,18 @@ class TestFeistelPRP:
         with pytest.raises(CryptoError):
             FeistelPRP(KEY).encrypt(b"x")
 
+    def test_golden_vector(self):
+        # Computed before the PRF moved off hmac.py; wide DET ciphertexts
+        # on the server depend on it.
+        prp = FeistelPRP(MASTER_KEY, b"tw")
+        plain = b"The quick brown fox jumps over the lazy dog"
+        golden = bytes.fromhex(
+            "4f7bcb05da4dc964d176ce542da6e1bb24a42b9cc1c522a9033200128806e4db"
+            "03eddff034630ee63037b6"
+        )
+        assert prp.encrypt(plain) == golden
+        assert prp.decrypt(golden) == plain
+
 
 class TestIntegerPRP:
     @pytest.mark.parametrize("nbits", [2, 3, 5, 8, 13, 31, 64, 127])
@@ -156,3 +249,31 @@ class TestIntegerPRP:
             prp.encrypt(256)
         with pytest.raises(CryptoError):
             prp.encrypt(-1)
+        with pytest.raises(CryptoError):
+            prp.decrypt_batch([3, 256])
+
+    # 513+ bits puts a half past one digest: the kernel's counter-mode leg.
+    @pytest.mark.parametrize("nbits", [2, 3, 17, 48, 96, 511, 512, 513, 600])
+    def test_round_kernel_matches_reference_loop(self, nbits):
+        prp = IntegerPRP(KEY, nbits, tweak=b"t")
+        top = (1 << nbits) - 1
+        values = [0, 1, top, top // 3, top // 7, 1, 0]
+        expected = [_reference_prp_encrypt(KEY, nbits, v, b"t") for v in values]
+        assert prp.encrypt_batch(values) == expected
+        assert [prp.encrypt(v) for v in values] == expected
+        assert prp.decrypt_batch(expected) == values
+        assert [prp.decrypt(c) for c in expected] == values
+
+    def test_golden_vectors(self):
+        # Computed before the round kernel landed.
+        assert IntegerPRP(MASTER_KEY, 17, tweak=b"t").encrypt(99999) == 62126
+        assert IntegerPRP(MASTER_KEY, 48).encrypt((1 << 47) + 12345) == 270215181451007
+        assert IntegerPRP(MASTER_KEY, 2).encrypt(3) == 0
+        wide = IntegerPRP(MASTER_KEY, 600)
+        golden = int(
+            "1995206330091657396135798575037457624490070401234047285988236121"
+            "3632596957314859446576554448472865408209731454654357525154585904"
+            "54118138376276381595325844638486182310779734760634620"
+        )
+        assert wide.encrypt(12345678901234567890) == golden
+        assert wide.decrypt(golden) == 12345678901234567890

@@ -246,6 +246,23 @@ class TestDmlOracle:
                 expected.rows
             ), sql
 
+    def test_update_is_visible_through_a_warm_decrypt_cache(self, provider, dml_design):
+        # The DET decrypt LRU maps ciphertext -> plaintext, so a rewritten
+        # cell arrives as a different ciphertext: nothing to invalidate.
+        client = make_client(provider, dml_design)
+        probe = "SELECT o_orderkey, o_price, o_status FROM orders WHERE o_orderkey = 7"
+        (before,) = client.execute(probe).rows
+        warm = provider.cache_stats()["det_decrypt"]
+        assert client.execute(probe).rows == [before]
+        assert provider.cache_stats()["det_decrypt"].hits > warm.hits
+        client.execute(
+            "UPDATE orders SET o_price = o_price + 37, o_status = 'SHIPPED' "
+            "WHERE o_orderkey = 7"
+        )
+        assert client.execute(probe).rows == [(7, before[1] + 37, "SHIPPED")]
+        client.execute("DELETE FROM orders WHERE o_orderkey = 7")
+        assert client.execute(probe).rows == []
+
     def test_dml_ledger_charges_transfer(self, provider, dml_design):
         client = make_client(provider, dml_design)
         outcome = client.execute(

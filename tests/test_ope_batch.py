@@ -202,6 +202,7 @@ class TestProviderBatchEquivalence:
         stats = prov.cache_stats()
         assert set(stats) == {
             "det_encrypt",
+            "det_decrypt",
             "ope_encrypt",
             "ope_decrypt",
             "ope_pivots_int",
