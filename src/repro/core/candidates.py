@@ -8,7 +8,7 @@ operational schemes (DET equality, OPE order, HOM groups, SEARCH tags).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.core.design import EncEntry, HomGroup, PhysicalDesign, TechniqueFlags
 from repro.core.encset import Pair, Unit
@@ -18,6 +18,8 @@ from repro.sql import ast
 
 COLUMNAR_ROWS_PER_CT = 64
 MAX_POWERSET_UNITS = 10
+
+Priced = TypeVar("Priced")
 
 
 def base_design_for_plain(plain_db: Database) -> PhysicalDesign:
@@ -167,3 +169,45 @@ def unit_subsets(units: list[Unit]) -> Iterator[tuple[Unit, ...]]:
     for r in range(len(head) + 1):
         for combo in combinations(head, r):
             yield tuple(combo) + tail
+
+
+def effective_pairs(unit: Unit, base: PhysicalDesign) -> frozenset[Pair]:
+    """The unit's pairs that change a candidate built on ``base``: its HOM
+    pairs plus the non-HOM pairs whose entry the base does not already
+    hold.  The base carries a DET copy of nearly every column (§7), so a
+    DET-on-a-base-column unit usually contributes nothing."""
+    return frozenset(
+        pair
+        for pair in unit.pairs
+        if pair.scheme is Scheme.HOM
+        or EncEntry(pair.table, pair.expr_sql, pair.scheme) not in base.entries
+    )
+
+
+def priced_candidates(
+    units: list[Unit],
+    base: PhysicalDesign,
+    flags: TechniqueFlags,
+    price: Callable[[PhysicalDesign], Priced],
+    loaded: PhysicalDesign | None = None,
+) -> Iterator[tuple[tuple[Unit, ...], PhysicalDesign, Priced]]:
+    """The §6.2 search: every subset :func:`unit_subsets` enumerates (minus
+    those mixing packing variants of one value), with its candidate design
+    and ``price(candidate)`` — computed once per *distinct* candidate.
+
+    :func:`build_candidate` sorts the pair set, so the union of a subset's
+    effective pairs determines its candidate exactly (entries and
+    hom-group order); later subsets with the same union reuse the first
+    one's design and price.  The memo lives for this one search.
+    """
+    effective = {unit: effective_pairs(unit, base) for unit in units}
+    memo: dict[frozenset[Pair], tuple[PhysicalDesign, Priced]] = {}
+    for subset in unit_subsets(units):
+        if conflicting_hom_variants(subset):
+            continue  # Per-row and columnar are alternatives, not a pair.
+        key = frozenset().union(*(effective[unit] for unit in subset))
+        hit = memo.get(key)
+        if hit is None:
+            candidate = build_candidate(base, subset, flags, loaded)
+            hit = memo[key] = (candidate, price(candidate))
+        yield subset, *hit

@@ -477,7 +477,8 @@ class MonomiClient:
             f"(server {planned.cost.server_seconds:.4f}s, "
             f"net {planned.cost.transfer_seconds:.4f}s, "
             f"client {planned.cost.client_seconds:.4f}s); "
-            f"{planned.candidates_tried} candidate plans"
+            f"{planned.candidates_tried} candidate plans priced "
+            f"({planned.subsets_tried} unit subsets)"
         )
         return header + "\n" + planned.plan.explain()
 

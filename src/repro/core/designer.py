@@ -4,8 +4,8 @@ Given a representative workload over a plaintext database sample:
 
 1. extract each query's EncSet units (§6.2 step 1, §6.3 pruning);
 2. for every unit subset, build the candidate design, run Algorithm 1, and
-   price the plan with the cost model (§6.2 steps 2-3) — sizing candidate
-   tables analytically, since nothing is loaded yet;
+   price the plan with the cost model (§6.2 steps 2-3) — once per distinct
+   candidate, sizing its tables analytically, since nothing is loaded yet;
 3. either take the union of each query's best subset (the unconstrained
    algorithm of §6.2), or solve the §6.5 ILP under a space budget
    ``S × plainsize``.
@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from repro.common.errors import InfeasibleDesignError, PlanningError, UnsupportedQueryError
 from repro.common.ledger import NetworkModel
 from repro.core.candidates import (
+    COLUMNAR_ROWS_PER_CT,
+    _loaded_group_for,
     base_design_for_plain,
-    build_candidate,
-    unit_subsets,
+    priced_candidates,
 )
 from repro.core.cost import MonomiCostModel
 from repro.core.design import (
@@ -85,37 +86,35 @@ class Designer:
         self.sizer = DesignSizer(plain_db, provider)
         self.extractor = EncSetExtractor(self.schemas, flags)
         self._base = base_design_for_plain(plain_db)
-        self._candidate_cache: dict[int, list[CandidatePlan]] = {}
+        self._candidate_cache: dict[ast.Select, list[CandidatePlan]] = {}
 
     # -- candidate enumeration (§6.2 steps 2-3) ---------------------------------
 
     def candidates_for(self, query: ast.Select) -> list[CandidatePlan]:
-        key = id(query)
-        if key in self._candidate_cache:
-            return self._candidate_cache[key]
+        if query in self._candidate_cache:
+            return self._candidate_cache[query]
         units = [u for u in self.extractor.extract(query) if self._unit_loadable(u)]
         # Space-expensive units must be *choices* (enumerable head), not
         # forced inclusions: order by projected size, largest first.
         units.sort(key=self._unit_size_estimate, reverse=True)
-        out: list[CandidatePlan] = []
-        for subset in unit_subsets(units):
-            if self._conflicting_hom_variants(subset):
-                continue  # Per-row and columnar are alternatives, not a pair.
-            candidate = build_candidate(self._base, subset, self.flags)
-            cost = self._plan_cost(query, candidate)
-            if cost is None:
-                continue
-            out.append(
-                CandidatePlan(
-                    subset=subset,
-                    cost=cost,
-                    design=candidate,
-                    item_keys=frozenset(self._item_keys(subset, candidate)),
-                )
+        out = [
+            CandidatePlan(
+                subset=subset,
+                cost=cost,
+                design=candidate,
+                item_keys=frozenset(self._item_keys(subset, candidate)),
             )
+            for subset, candidate, cost in priced_candidates(
+                units,
+                self._base,
+                self.flags,
+                lambda candidate: self._plan_cost(query, candidate),
+            )
+            if cost is not None
+        ]
         if not out:
             raise PlanningError("query admits no feasible design candidates")
-        self._candidate_cache[key] = out
+        self._candidate_cache[query] = out
         return out
 
     def _plan_cost(self, query: ast.Select, candidate: PhysicalDesign) -> float | None:
@@ -147,15 +146,7 @@ class Designer:
             return None
         return model.plan_cost(plan).total_seconds
 
-    @staticmethod
-    def _conflicting_hom_variants(subset: tuple[Unit, ...]) -> bool:
-        from repro.core.candidates import conflicting_hom_variants
-
-        return conflicting_hom_variants(subset)
-
     def _unit_size_estimate(self, unit: Unit) -> float:
-        from repro.core.candidates import COLUMNAR_ROWS_PER_CT
-
         total = 0.0
         for pair in unit.pairs:
             if pair.scheme is Scheme.HOM:
@@ -170,8 +161,6 @@ class Designer:
         return total
 
     def _item_keys(self, subset: tuple[Unit, ...], candidate: PhysicalDesign):
-        from repro.core.candidates import _loaded_group_for
-
         keys: list = []
         for unit in subset:
             for pair in unit.pairs:
@@ -319,8 +308,6 @@ class Designer:
                 if low is None or low < 0:
                     return False
                 if pair.variant == "col":
-                    from repro.core.candidates import COLUMNAR_ROWS_PER_CT
-
                     probe = HomGroup(
                         pair.table, (pair.expr_sql,), COLUMNAR_ROWS_PER_CT
                     )

@@ -2,8 +2,8 @@
 
 Given a physical design (§6.2 step 2-3): compute the query's EncSet units,
 enumerate the power set of the units available in the design (with §6.3
-pruning), run Algorithm 1 for each subset, price each plan with the cost
-model (§6.4), and keep the cheapest.
+pruning), run Algorithm 1 once per distinct candidate design the subsets
+build, price each plan with the cost model (§6.4), and keep the cheapest.
 
 With ``optimizing_planner`` off this degrades to the Execution-Greedy
 strategy the paper compares against (§8.3): use every available scheme,
@@ -18,8 +18,7 @@ from repro.common.errors import PlanningError, UnsupportedQueryError
 from repro.core.candidates import (
     base_design_for_loaded,
     build_candidate,
-    conflicting_hom_variants,
-    unit_subsets,
+    priced_candidates,
     usable_units,
 )
 from repro.core.cost import CostBreakdown, MonomiCostModel
@@ -36,7 +35,8 @@ class PlannedQuery:
     plan: SplitPlan
     cost: CostBreakdown
     chosen_units: tuple[Unit, ...]
-    candidates_tried: int
+    candidates_tried: int  # Distinct feasible candidate designs priced.
+    subsets_tried: int = 1  # Unit subsets the search walked to find them.
 
 
 class Planner:
@@ -71,22 +71,31 @@ class Planner:
                 raise PlanningError("query has no feasible plan under this design")
             return PlannedQuery(plan, self.cost_model.plan_cost(plan), tuple(units), 1)
 
-        best: PlannedQuery | None = None
         tried = 0
-        for subset in unit_subsets(units):
-            if conflicting_hom_variants(subset):
-                continue
-            plan = self._plan_with(query, subset)
+
+        def price(candidate: PhysicalDesign):
+            nonlocal tried
+            plan = self._plan_on(query, candidate)
             if plan is None:
-                continue
+                return None
             tried += 1
-            cost = self.cost_model.plan_cost(plan)
-            if best is None or cost.total_seconds < best.cost.total_seconds:
-                best = PlannedQuery(plan, cost, subset, tried)
+            return plan, self.cost_model.plan_cost(plan)
+
+        best: tuple[SplitPlan, CostBreakdown, tuple[Unit, ...]] | None = None
+        subsets = 0
+        for subset, _, priced in priced_candidates(
+            units, self._base, self.flags, price, loaded=self.design
+        ):
+            subsets += 1
+            if priced is None:
+                continue
+            plan, cost = priced
+            # Strict <: the first subset in enumeration order keeps a tie.
+            if best is None or cost.total_seconds < best[1].total_seconds:
+                best = (plan, cost, subset)
         if best is None:
             raise PlanningError("query has no feasible plan under this design")
-        best.candidates_tried = tried
-        return best
+        return PlannedQuery(*best, tried, subsets)
 
     def plan_with_units(
         self, query: ast.Select, units: tuple[Unit, ...]
@@ -113,6 +122,9 @@ class Planner:
 
     def _plan_with(self, query: ast.Select, subset: tuple[Unit, ...]) -> SplitPlan | None:
         candidate = build_candidate(self._base, subset, self.flags, loaded=self.design)
+        return self._plan_on(query, candidate)
+
+    def _plan_on(self, query: ast.Select, candidate: PhysicalDesign) -> SplitPlan | None:
         try:
             return generate_query_plan(
                 query,

@@ -326,7 +326,6 @@ def rebind_plan(
     plan = _substitute_plan(anchored.plan, subs)
     # The cost breakdown was priced for the anchor's literals; the shape
     # (and therefore the breakdown's structure) is identical, so it is
-    # carried over as the best available estimate.
-    return PlannedQuery(
-        plan, anchored.cost, anchored.chosen_units, anchored.candidates_tried
-    )
+    # carried over as the best available estimate, with the anchor's
+    # search counts.
+    return replace(anchored, plan=plan)

@@ -83,7 +83,10 @@ class TestPlannerChoices:
             small_db, SALES_WORKLOAD, master_key=MASTER_KEY, paillier_bits=384
         )
         planned = client.planner.plan(normalize_query(parse(SALES_WORKLOAD[0])))
-        assert planned.candidates_tried >= 2
+        # Three usable units, eight subsets; both DET units are already in
+        # the base, so the subsets build two distinct candidates.
+        assert planned.subsets_tried == 8
+        assert planned.candidates_tried == 2
 
     def test_greedy_flag_disables_enumeration(self, small_db):
         flags = TechniqueFlags.execution_greedy()
@@ -97,7 +100,7 @@ class TestPlannerChoices:
             space_budget=None,
         )
         planned = client.planner.plan(normalize_query(parse(SALES_WORKLOAD[0])))
-        assert planned.candidates_tried == 1
+        assert planned.candidates_tried == planned.subsets_tried == 1
 
     def test_manual_design_is_usable(self, small_db):
         design = base_design_for_plain(small_db)

@@ -7,6 +7,8 @@ sales database, plus property-based random queries.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +132,7 @@ def test_explain_mentions_remote_sql(sales_client):
     text = sales_client.explain(SALES_WORKLOAD[0])
     assert "RemoteSQL" in text
     assert "estimated cost" in text
+    assert re.search(r"\d+ candidate plans priced \(\d+ unit subsets\)", text)
 
 
 def test_space_overhead_reported(sales_client):
