@@ -203,6 +203,8 @@ class MonomiClient:
             from repro.core.dml import DmlExecutor
 
             self._dml = DmlExecutor(self)
+            # The planner's memoized column maxima follow the mirror.
+            self._dml.listeners.append(self._designer)
         return self._dml
 
     @property

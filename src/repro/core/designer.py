@@ -20,6 +20,7 @@ lets designs generalize to unseen queries (Figure 8).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -45,7 +46,9 @@ from repro.core.schemes import Scheme
 from repro.core.sizer import DesignSizer
 from repro.core.splitter import generate_query_plan
 from repro.engine.catalog import Database
-from repro.sql import ast
+from repro.engine.eval import EvalContext, Scope, compile_expr
+from repro.engine.table import Table, ValueCounter
+from repro.sql import ast, parse_expression
 
 
 @dataclass
@@ -68,6 +71,38 @@ class DesignResult:
         return sum(self.per_query_cost)
 
 
+class _ExprMax:
+    """The maximum of one integer expression over a mirror table.
+
+    A table nobody writes costs one scan and one int.  The first write
+    builds a :class:`ValueCounter` (from the mirror, which already holds
+    that write); later writes move it by their own rows only.
+    """
+
+    def __init__(self, table: Table, expr_sql: str) -> None:
+        scope = Scope([(table.name, c) for c in table.schema.column_names])
+        self._fn = compile_expr(parse_expression(expr_sql), scope, EvalContext())
+        self._table = table
+        self._counter: ValueCounter | None = None
+        self.best = max(self._values(table.rows), default=None)
+
+    def _values(self, rows):
+        for row in rows:
+            value = self._fn(row)
+            if isinstance(value, int) and not isinstance(value, bool):
+                yield value
+
+    def apply(self, inserted, deleted) -> None:
+        if self._counter is None:
+            self._counter = ValueCounter(self._values(self._table.rows))
+        else:
+            for value in self._values(inserted):
+                self._counter.add(value)
+            for value in self._values(deleted):
+                self._counter.remove(value)
+        self.best = self._counter.high
+
+
 class Designer:
     def __init__(
         self,
@@ -87,6 +122,10 @@ class Designer:
         self.extractor = EncSetExtractor(self.schemas, flags)
         self._base = base_design_for_plain(plain_db)
         self._candidate_cache: dict[ast.Select, list[CandidatePlan]] = {}
+        # Planning threads fill the memo while a DML thread's listener call
+        # walks it (the service holds different locks for the two).
+        self._max_memo: dict[tuple[str, str], _ExprMax] = {}
+        self._max_lock = threading.Lock()
 
     # -- candidate enumeration (§6.2 steps 2-3) ---------------------------------
 
@@ -280,22 +319,25 @@ class Designer:
 
     def stats_max(self, table: str, expr_sql: str) -> int | None:
         """Maximum value of an expression over the plaintext sample (§5.4's
-        ``m``)."""
-        from repro.engine.eval import Env, EvalContext, Scope, evaluate
-        from repro.sql import parse_expression
+        ``m``).  Scanned once per ``(table, expr_sql)``; :meth:`on_change`
+        keeps the answer exact under DML."""
+        key = (table, expr_sql)
+        with self._max_lock:
+            entry = self._max_memo.get(key)
+            if entry is None:
+                tbl = self.plain_db.tables.get(table)
+                if tbl is None:
+                    return None
+                entry = self._max_memo[key] = _ExprMax(tbl, expr_sql)
+            return entry.best
 
-        tbl = self.plain_db.tables.get(table)
-        if tbl is None:
-            return None
-        expr = parse_expression(expr_sql)
-        scope = Scope([(table, c) for c in tbl.schema.column_names])
-        ctx = EvalContext()
-        best: int | None = None
-        for row in tbl.rows:
-            value = evaluate(expr, Env(scope, row), ctx)
-            if isinstance(value, int) and not isinstance(value, bool):
-                best = value if best is None else max(best, value)
-        return best
+    def on_change(self, table: str, inserted, deleted) -> None:
+        """DML listener hook (see :class:`~repro.core.dml.DmlExecutor`):
+        the mirror already holds the statement's effect."""
+        with self._max_lock:
+            for (name, _), entry in self._max_memo.items():
+                if name == table:
+                    entry.apply(inserted, deleted)
 
     def _unit_loadable(self, unit: Unit) -> bool:
         """Homomorphic packing needs non-negative integers (§5.3's layout

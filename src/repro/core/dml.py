@@ -22,13 +22,31 @@ Three states stay in lockstep per statement:
   the planner's statistics.
 
 UPDATE/DELETE cannot re-derive stored ciphertexts client-side (RND is
-randomized), so they first fetch the encrypted rows, decrypt one fetchable
-copy per column (DET preferred, then RND, then OPE — ``complete_design``
-guarantees one exists), evaluate the predicate on plaintext, and echo the
-exact fetched tuples back to the backend.  All writes retry under the
-transient-fault policy: inserts resume from the watermark, deletes and
-replaces are state-idempotent, and homomorphic patches carry a dedup token
-so a lost ack never applies a delta twice.
+randomized), so they address rows by the exact tuples the server stores —
+and fetch only the ones the statement can touch.  Each conjunct of the
+WHERE that ``ServerRewriter.rewrite_predicate`` accepts over the client's
+design *and* that ciphertexts decide exactly (DET equality, OPE order on
+integers and dates — not SEARCH's word containment, not OPE's 10-byte text
+prefix) becomes a filter on stored columns with encrypted constants and
+runs on the server, the way a SELECT's would.  That filter only narrows
+the fetch: the whole WHERE is evaluated here, on plaintext, over the
+candidates that came back, so a write touches exactly the rows the
+plaintext statement touches.  A column of a candidate is decrypted only if
+the WHERE reads it or the row turns out to be affected (one fetchable copy
+per column: DET preferred, then RND, then OPE — ``complete_design``
+guarantees one exists); affected rows are decrypted whole, because the
+mirror, the listeners and the hom deltas need them whole.  A statement
+without a WHERE, or with one the design cannot serve, is the same path
+with an empty server predicate.  A write reveals what a SELECT with the
+pushed conjuncts reveals, plus the write itself
+(``docs/security-model.md``).
+
+An UPDATE then re-encrypts only the design entries whose expression reads
+an assigned column and echoes every other fetched ciphertext — the hom row
+id included — back verbatim.  All writes retry under the transient-fault
+policy: inserts resume from the watermark, deletes and replaces are
+state-idempotent, and homomorphic patches carry a dedup token so a lost
+ack never applies a delta twice.
 """
 
 from __future__ import annotations
@@ -41,7 +59,9 @@ from repro.common.errors import ConfigError, DesignError, UnsupportedQueryError
 from repro.common.ledger import CostLedger
 from repro.common.retry import RetryPolicy, retry_call
 from repro.core.loader import EncryptedLoader, complete_design, insert_rows_idempotent
+from repro.core.rewrite import BindingContext, ServerRewriter
 from repro.core.schemes import Scheme
+from repro.core.typing import infer_type
 from repro.crypto.packing import PackedLayout
 from repro.engine.eval import EvalContext, Scope, compile_expr
 from repro.engine.executor import ResultSet
@@ -111,14 +131,10 @@ class DmlExecutor:
                 # row_ids continue from the hom files' row space, which
                 # never shrinks under DELETE (slots are zeroed, not
                 # compacted) — the table's row count is NOT the base.
-                base = self.backend.hom_file_info(hom_groups[0].file_name)[
-                    "num_rows"
-                ]
+                base = self.backend.hom_file_info(hom_groups[0].file_name)["num_rows"]
                 enc_rows = [
                     row + (rid,)
-                    for row, rid in zip(
-                        enc_rows, range(base, base + len(new_rows))
-                    )
+                    for row, rid in zip(enc_rows, range(base, base + len(new_rows)))
                 ]
                 patches = [
                     self._hom_insert_patch(group, new_rows, base, scope)
@@ -171,9 +187,7 @@ class DmlExecutor:
     # -- UPDATE ----------------------------------------------------------------
 
     def _update(self, stmt: ast.Update, ledger: CostLedger) -> int:
-        plain, entries, exprs, hom_groups, enc_schema, scope = self._layout(
-            stmt.table
-        )
+        plain, entries, exprs, hom_groups, enc_schema, scope = self._layout(stmt.table)
         names = list(plain.schema.column_names)
         for a in stmt.assignments:
             if a.column not in names:
@@ -181,9 +195,9 @@ class DmlExecutor:
                     f"unknown column {a.column!r} in UPDATE {stmt.table!r}"
                 )
         stored, plain_rows = self._fetch_decrypted(
-            stmt.table, plain, entries, exprs, enc_schema, ledger
+            stmt.table, plain, entries, exprs, enc_schema, ledger, stmt.where
         )
-        matched = self._matched(stmt.where, scope, plain_rows)
+        matched = [i for i, row in enumerate(plain_rows) if row is not None]
         if not matched:
             return 0
         ctx = EvalContext()
@@ -200,18 +214,33 @@ class DmlExecutor:
             candidate = tuple(out)
             plain._validate(candidate)
             new_plain.append(candidate)
+        # Only the design entries that read an assigned column can change;
+        # every other cell goes back as the ciphertext that was fetched
+        # (the row id, last when the table has hom files, among them).
+        assigned = {a.column for a in stmt.assignments}
+        changed = [
+            pos
+            for pos, expr in enumerate(exprs)
+            if assigned & {c.name for c in ast.find_columns(expr)}
+        ]
         with ledger.timing_client():
-            new_enc = self._encrypt_rows(new_plain, entries, exprs, scope)
+            fresh = self._encrypt_rows(
+                new_plain,
+                [entries[pos] for pos in changed],
+                [exprs[pos] for pos in changed],
+                scope,
+            )
+            new_enc: list[tuple] = []
+            for i, cells in zip(matched, fresh):
+                row = list(stored[i])
+                for pos, cell in zip(changed, cells):
+                    row[pos] = cell
+                new_enc.append(tuple(row))
             patches = []
             if hom_groups:
                 row_ids = [stored[i][-1] for i in matched]
-                new_enc = [
-                    row + (rid,) for row, rid in zip(new_enc, row_ids)
-                ]
                 patches = [
-                    self._hom_delta_patch(
-                        group, old_plain, new_plain, row_ids, scope
-                    )
+                    self._hom_delta_patch(group, old_plain, new_plain, row_ids, scope)
                     for group in hom_groups
                 ]
         pairs = [(stored[i], new) for i, new in zip(matched, new_enc)]
@@ -231,13 +260,11 @@ class DmlExecutor:
     # -- DELETE ----------------------------------------------------------------
 
     def _delete(self, stmt: ast.Delete, ledger: CostLedger) -> int:
-        plain, entries, exprs, hom_groups, enc_schema, scope = self._layout(
-            stmt.table
-        )
+        plain, entries, exprs, hom_groups, enc_schema, scope = self._layout(stmt.table)
         stored, plain_rows = self._fetch_decrypted(
-            stmt.table, plain, entries, exprs, enc_schema, ledger
+            stmt.table, plain, entries, exprs, enc_schema, ledger, stmt.where
         )
-        matched = self._matched(stmt.where, scope, plain_rows)
+        matched = [i for i, row in enumerate(plain_rows) if row is not None]
         if not matched:
             return 0
         old_enc = [stored[i] for i in matched]
@@ -268,10 +295,7 @@ class DmlExecutor:
     def _layout(self, table_name: str):
         if table_name not in self.plain_db.tables:
             raise ConfigError(f"unknown table {table_name!r}")
-        plain, entries, exprs, hom_groups, enc_schema, scope = (
-            self._loader._table_layout(table_name, self.design)
-        )
-        return plain, entries, exprs, hom_groups, enc_schema, scope
+        return self._loader._table_layout(table_name, self.design)
 
     def _encrypt_rows(self, plain_rows, entries, exprs, scope) -> list[tuple]:
         """Columnar encrypt: one compiled expression + one batch-crypto
@@ -287,19 +311,28 @@ class DmlExecutor:
         return [() for _ in plain_rows]
 
     def _fetch_decrypted(
-        self, table_name, plain, entries, exprs, enc_schema, ledger
-    ) -> tuple[list[tuple], list[tuple]]:
-        """Fetch every stored encrypted row plus a decrypted plaintext view.
+        self, table_name, plain, entries, exprs, enc_schema, ledger, where=None
+    ) -> tuple[list[tuple], list[tuple | None]]:
+        """Fetch the stored rows that can satisfy ``where`` and decrypt the
+        ones that do.
 
-        The stored tuples are the backend's exact representation — RND is
-        not reproducible client-side, so deletes/replaces must echo these
-        values back verbatim to identify rows.
+        Returns ``(stored, plain_rows)``, aligned: ``stored`` holds the
+        candidates the server's share of the predicate let through, as
+        the backend's exact tuples (RND is not reproducible client-side,
+        so deletes/replaces echo these values back verbatim to identify
+        rows); ``plain_rows[i]`` is the whole plaintext row when candidate
+        ``i`` satisfies ``where``, else None.  The whole WHERE is
+        evaluated here on plaintext, pushed conjuncts included — the
+        server's share only narrows what is fetched, it never decides what
+        is written.  A column is decrypted for every candidate only if the
+        WHERE reads it, otherwise for the accepted rows only.  Without a
+        WHERE every row comes back whole.
         """
+        pushed = self._server_predicate(table_name, plain.schema, entries, exprs, where)
         query = ast.Select(
-            items=tuple(
-                ast.SelectItem(ast.Column(c.name)) for c in enc_schema.columns
-            ),
+            items=tuple(ast.SelectItem(ast.Column(c.name)) for c in enc_schema.columns),
             from_items=(ast.TableName(table_name),),
+            where=pushed,
         )
         result = retry_call(
             lambda: self.backend.execute(query),
@@ -311,17 +344,86 @@ class DmlExecutor:
         ledger.server_bytes_scanned += self.backend.table_bytes(table_name)
         ledger.add_transfer(result.byte_size(), self.network)
         with ledger.timing_client():
-            decrypted: list[list] = []
-            for col in plain.schema.columns:
+            columns = plain.schema.columns
+
+            def decrypt(col, rows) -> list:
                 pos, entry = self._fetchable_entry(entries, exprs, col.name)
-                column = [row[pos] for row in stored]
-                decrypted.append(
-                    self.provider.decrypt_batch(
-                        column, entry.scheme.value, col.type
-                    )
+                return self.provider.decrypt_batch(
+                    [row[pos] for row in rows], entry.scheme.value, col.type
                 )
-            plain_rows = [tuple(vals) for vals in zip(*decrypted)] if stored else []
+
+            accepted = list(range(len(stored)))
+            probed: dict[int, list] = {}
+            if where is not None:
+                read = {c.name for c in ast.find_columns(where)}
+                probed = {
+                    index: decrypt(col, stored)
+                    for index, col in enumerate(columns)
+                    if col.name in read
+                }
+                scope = Scope([(table_name, c.name) for c in columns])
+                fn = compile_expr(where, scope, EvalContext())
+                partial: list = [None] * len(columns)
+                accepted = []
+                for i in range(len(stored)):
+                    for index, values in probed.items():
+                        partial[index] = values[i]
+                    if fn(tuple(partial)):
+                        accepted.append(i)
+            kept = [stored[i] for i in accepted]
+            whole: list[list] = []
+            for index, col in enumerate(columns):
+                if index in probed:
+                    whole.append([probed[index][i] for i in accepted])
+                else:
+                    whole.append(decrypt(col, kept))
+            plain_rows: list[tuple | None] = [None] * len(stored)
+            for i, values in zip(accepted, zip(*whole)):
+                plain_rows[i] = tuple(values)
         return stored, plain_rows
+
+    def _server_predicate(
+        self, table_name: str, schema, entries, exprs, where
+    ) -> ast.Expr | None:
+        """The conjuncts of a write's WHERE the server can decide exactly.
+
+        A conjunct is pushed when the rewriter SELECT uses accepts it over
+        the design the planner sees — ``client.design``, not the loader's
+        completed one — so a write filters on exactly the ciphertext
+        columns, with exactly the encrypted constants, that a SELECT with
+        the same WHERE would.  Conjuncts that read no column of the table,
+        or hold a subquery, stay on the client.  So does any conjunct the
+        server would answer only approximately: SEARCH tags are word
+        containment, and OPE over text orders a ``_STR_PREFIX_BYTES``
+        prefix, so either can drop a row the plaintext WHERE matches —
+        and a dropped candidate is one no client-side re-check brings back.
+        """
+        schemas = {table_name: schema}
+        inexact = {
+            entry.column_name
+            for entry, expr in zip(entries, exprs)
+            if entry.scheme is Scheme.SEARCH
+            or (entry.scheme is Scheme.OPE and infer_type(expr, schemas) == "text")
+        }
+        bindings = BindingContext(
+            {table_name: table_name}, schemas, registry=self.client.schemas
+        )
+        rewriter = ServerRewriter(self.client.design, self.provider, bindings)
+        pushed: list[ast.Expr] = []
+        for conjunct in ast.conjuncts(where):
+            columns = ast.find_columns(conjunct)
+            if (
+                not columns
+                or any(bindings.resolve_column(c) is None for c in columns)
+                or ast.find_subqueries(conjunct)
+            ):
+                continue
+            rewritten = rewriter.rewrite_predicate(conjunct)
+            if rewritten is not None and not any(
+                c.name in inexact for c in ast.find_columns(rewritten)
+            ):
+                pushed.append(rewritten)
+        return ast.conjoin(pushed)
 
     def _fetchable_entry(self, entries, exprs, column_name: str):
         best = None
@@ -331,9 +433,8 @@ class DmlExecutor:
                 and expr.name == column_name
                 and entry.scheme in _FETCH_RANK
             ):
-                if best is None or _FETCH_RANK[entry.scheme] < _FETCH_RANK[
-                    best[1].scheme
-                ]:
+                rank = _FETCH_RANK[entry.scheme]
+                if best is None or rank < _FETCH_RANK[best[1].scheme]:
                     best = (pos, entry)
         if best is None:
             raise DesignError(
@@ -342,16 +443,8 @@ class DmlExecutor:
             )
         return best
 
-    def _matched(self, where, scope, plain_rows) -> list[int]:
-        if where is None:
-            return list(range(len(plain_rows)))
-        fn = compile_expr(where, scope, EvalContext())
-        return [i for i, row in enumerate(plain_rows) if fn(row)]
-
     def _charge_rows(self, ledger: CostLedger, rows) -> None:
-        ledger.add_transfer(
-            sum(4 + row_bytes(row) for row in rows), self.network
-        )
+        ledger.add_transfer(sum(4 + row_bytes(row) for row in rows), self.network)
 
     @staticmethod
     def _count_retry(ledger: CostLedger) -> None:
@@ -458,9 +551,7 @@ class DmlExecutor:
             "num_rows": new_total,
         }
 
-    def _hom_delta_patch(
-        self, group, old_rows, new_rows, row_ids, scope
-    ) -> dict:
+    def _hom_delta_patch(self, group, old_rows, new_rows, row_ids, scope) -> dict:
         """In-place slot deltas for UPDATE (new - old) or DELETE (zero out).
 
         One multiply per touched ciphertext: per-row deltas for the rows it
@@ -496,11 +587,7 @@ class DmlExecutor:
         }
 
     def _apply_hom(self, group, patch: dict, ledger: CostLedger) -> None:
-        if (
-            not patch["updates"]
-            and not patch["appended"]
-            and patch["num_rows"] is None
-        ):
+        if not patch["updates"] and not patch["appended"] and patch["num_rows"] is None:
             return
         token = f"dml-{self._token_prefix}-{next(self._token_seq)}"
         ct_bytes = self.provider.paillier_public.ciphertext_bytes

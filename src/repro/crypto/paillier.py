@@ -22,7 +22,11 @@ Implementation notes
   precomputed-randomness source: one full-width ``r0^n mod n^2`` at setup,
   then each value draws ``(r0^e)^n = (r0^n)^e`` with a short random
   exponent ``e`` — turning the per-value cost from a ``|n|``-bit into a
-  128-bit exponentiation.
+  128-bit exponentiation.  Because the base never changes, that
+  exponentiation is a fixed-base comb: ``base^(j * 2^(w*i))`` is tabulated
+  once per pool and a factor is the product of one table entry per
+  ``w``-bit digit of ``e`` — no squarings.  The exponent draws and the
+  factors are exactly those of ``pow(base, e, n^2)``.
 * Keys can be generated deterministically from a seed (PRF stream) so that
   benchmark databases are reproducible.
 """
@@ -45,6 +49,10 @@ DEFAULT_MODULUS_BITS = 2048
 # randomness in the exponent keeps the obfuscation computationally fresh per
 # value while costing ~|n|/128 of a full-width exponentiation.
 POOL_EXPONENT_BITS = 128
+
+# Digit width of the pool's fixed-base table: 26 rows of 32 entries at 128
+# exponent bits, so a factor costs at most 26 modular multiplications.
+POOL_WINDOW_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -150,15 +158,24 @@ class EncryptionPool:
     for a secret random ``r0``) and then serves per-value obfuscation
     factors ``base^e mod n^2`` for short random exponents ``e`` — each
     factor equals ``(r0^e)^n``, i.e. valid Paillier randomness for the
-    (uniformly unknown) value ``r0^e``.
+    (uniformly unknown) value ``r0^e``.  ``_table[i][j]`` holds
+    ``base^(j * 2^(POOL_WINDOW_BITS * i))``, so ``base^e`` is the product
+    of one entry per digit of ``e``.
     """
 
     def __init__(self, public: PaillierPublicKey, seed: bytes | None = None) -> None:
         self.public = public
-        self._n2 = public.n_squared
+        self._n2 = n2 = public.n_squared
         self._stream = PRFStream(seed, b"paillier-pool") if seed is not None else None
         r0 = self._random_below(public.n - 1) + 1
-        self._base = pow(r0, public.n, self._n2)
+        power = pow(r0, public.n, n2)
+        self._table: list[list[int]] = []
+        for _ in range(-(-POOL_EXPONENT_BITS // POOL_WINDOW_BITS)):
+            row = [1]
+            for _ in range((1 << POOL_WINDOW_BITS) - 1):
+                row.append(row[-1] * power % n2)
+            self._table.append(row)
+            power = row[-1] * power % n2
 
     def _random_below(self, bound: int) -> int:
         if self._stream is not None:
@@ -168,7 +185,15 @@ class EncryptionPool:
     def factor(self) -> int:
         """One obfuscation factor ``r^n mod n^2`` (short-exponent path)."""
         e = self._random_below((1 << POOL_EXPONENT_BITS) - 1) + 1
-        return pow(self._base, e, self._n2)
+        n2 = self._n2
+        mask = (1 << POOL_WINDOW_BITS) - 1
+        acc = 1
+        for row in self._table:
+            digit = e & mask
+            if digit:
+                acc = acc * row[digit] % n2
+            e >>= POOL_WINDOW_BITS
+        return acc
 
     def encrypt(self, message: int) -> int:
         public = self.public

@@ -311,6 +311,22 @@ def _eval_in(needle: object, items: list, negated: bool) -> object:
     return True if negated else False
 
 
+def _in_probe(items: list) -> frozenset | None:
+    """The set an all-literal IN list can be probed as, or None.
+
+    Hashing agrees with ``==`` only within one type and without NULLs
+    (a NULL item makes a miss unknown, not false), so a NULL, a second
+    type, a NaN or an unhashable item keeps the item-by-item loop.
+    """
+    if len({type(v) for v in items}) != 1 or None in items:
+        return None
+    try:
+        probe = frozenset(items)
+    except TypeError:
+        return None
+    return probe if all(v == v for v in probe) else None
+
+
 _LIKE_CACHE: dict[str, re.Pattern] = {}
 
 
@@ -429,7 +445,18 @@ def compile_expr(
         negated = expr.negated
         if all(isinstance(i, ast.Literal) for i in expr.items):
             items = [i.value for i in expr.items]
-            return lambda row: _eval_in(needle_fn(row), items, negated)
+            probe = _in_probe(items)
+            if probe is None:
+                return lambda row: _eval_in(needle_fn(row), items, negated)
+            def run_in(row):
+                needle = needle_fn(row)
+                if needle is None:
+                    return None
+                try:
+                    return (needle in probe) is not negated
+                except TypeError:  # Unhashable needle: compare one by one.
+                    return _eval_in(needle, items, negated)
+            return run_in
         item_fns = [compile_expr(i, scope, ctx, outer) for i in expr.items]
         return lambda row: _eval_in(
             needle_fn(row), [f(row) for f in item_fns], negated

@@ -459,15 +459,46 @@ class ShardedBackend(ServerBackend):
     # is a locality optimization — merges are key-exact regardless.
 
     def _gathered_rows(
-        self, table_name: str, meta: "_ShardedTable"
+        self, table_name: str, meta: "_ShardedTable", wanted: Iterable[tuple]
     ) -> list[tuple[int, tuple]]:
-        """Every stored ``(shard_index, full_row)``, ordinal-sorted."""
+        """The stored ``(shard_index, full_row)`` that can match one of the
+        ``wanted`` logical tuples, ordinal-sorted.
+
+        Each shard filters its scan with an IN-set on the stored column
+        that takes the fewest distinct values among the requests — every
+        stored match passes it, so matching stays exact.  A column with a
+        NULL among the requests (``IN`` never matches NULL) or without
+        literal values (tag sets) cannot carry the filter.
+
+        Fewest values keeps the IN-set short, not the gather small: a
+        low-cardinality column (one status shared by every request) wins
+        over a unique one (the hom row id) and lets through every stored
+        row with that status.  Never more than the whole-table gather it
+        replaces, and exactly the candidates when the write's own WHERE
+        was an equality on that column — the common case.
+        """
+        narrowest: tuple[str, set] | None = None
+        for position, column in enumerate(meta.schema.columns):
+            if column.type in ("tagset", "any"):
+                continue
+            values = {row[position] for row in wanted}
+            if None in values or not values:
+                continue
+            if narrowest is None or len(values) < len(narrowest[1]):
+                narrowest = (column.name, values)
+        where = None
+        if narrowest is not None:
+            name, values = narrowest
+            where = ast.InList(
+                ast.Column(name), tuple(ast.Literal(v) for v in sorted(values))
+            )
         scan = ast.Select(
             items=tuple(
                 ast.SelectItem(ast.Column(c.name))
                 for c in meta.shard_schema.columns
             ),
             from_items=(ast.TableName(table_name),),
+            where=where,
         )
         pairs: list[tuple[int, tuple]] = []
         for index, shard in enumerate(self.shards):
@@ -487,7 +518,7 @@ class ShardedBackend(ServerBackend):
         if not wanted:
             return 0
         batches: list[list[tuple]] = [[] for _ in self.shards]
-        for index, full in self._gathered_rows(table_name, meta):
+        for index, full in self._gathered_rows(table_name, meta, wanted):
             logical = full[:-1]
             count = wanted.get(logical, 0)
             if count:
@@ -531,7 +562,7 @@ class ShardedBackend(ServerBackend):
             return 0
         batches: list[list[tuple[tuple, tuple]]] = [[] for _ in self.shards]
         deltas = [0] * len(self.shards)
-        for index, full in self._gathered_rows(table_name, meta):
+        for index, full in self._gathered_rows(table_name, meta, pending):
             logical = full[:-1]
             queue = pending.get(logical)
             if queue:

@@ -226,3 +226,121 @@ class TestEvaluator:
         ctx = EvalContext()
         expr = ast.BinOp("+", ast.Literal(a), ast.BinOp("*", ast.Literal(b), ast.Literal(3)))
         assert evaluate(expr, None, ctx) == a + b * 3
+
+
+class TestCompiledIn:
+    """An all-literal IN list compiles to one set probe; every other list
+    keeps the item-by-item loop.  Both must say what ``evaluate`` says."""
+
+    SCOPE = Scope([("t", "x"), ("t", "y")])
+    ROWS = [(1, 1), (2, None), (None, 3), (7, 2), (2.0, 5), ("2", 0), (True, 4), ((2,), 1)]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "x IN (1, 2, 3)",  # Set probe.
+            "x NOT IN (1, 2, 3)",
+            "x IN ('2', 'b')",
+            "x IN (1, NULL, 3)",  # A NULL item: a miss is unknown.
+            "x NOT IN (1, NULL, 3)",
+            "x IN (1, '2', 3)",  # Mixed types keep the loop.
+            "x IN (1, 2.0)",
+            "x IN (NULL)",
+            "x IN (1, y, 3)",  # Not all literals.
+            "x NOT IN (y, 2)",
+        ],
+    )
+    def test_compiled_matches_interpreter(self, sql):
+        from repro.engine.eval import compile_expr
+
+        expr = parse_expression(sql)
+        ctx = EvalContext()
+        fn = compile_expr(expr, self.SCOPE, ctx)
+        for row in self.ROWS:
+            want = evaluate(expr, Env(self.SCOPE, row), ctx)
+            got = fn(row)
+            assert got is want or got == want and type(got) is type(want), (sql, row)
+
+    def test_unhashable_items_and_needles_keep_the_loop(self):
+        from repro.engine.eval import _in_probe, compile_expr
+
+        assert _in_probe([1, 2, 3]) == frozenset({1, 2, 3})
+        assert _in_probe([[1], [2]]) is None
+        assert _in_probe([1, None]) is None
+        assert _in_probe([1, "1"]) is None
+        assert _in_probe([float("nan"), 1.0]) is None
+        assert _in_probe([]) is None
+        expr = ast.InList(ast.Column("x"), (ast.Literal(1), ast.Literal(2)))
+        fn = compile_expr(expr, self.SCOPE, EvalContext())
+        assert fn(([1], 0)) is False  # A list needle cannot be hashed.
+
+
+class TestTableWrites:
+    def _table(self):
+        table = Database("w").create_table(
+            schema("t", ("k", "int"), ("v", "float"), ("s", "text"), ("tags", "tagset"))
+        )
+        table.insert_many(
+            [
+                (1, 1.5, "a", frozenset({b"x"})),
+                (2, None, "b", None),
+                (2, 3, None, frozenset({b"x", b"y"})),
+                (None, 2.5, "a", frozenset()),
+            ]
+        )
+        return table
+
+    def test_replace_validates_every_pair_before_the_first_row_moves(self):
+        table = self._table()
+        rows, size, stats = list(table.rows), table.total_bytes, table.analyze()
+        good = ((1, 1.5, "a", frozenset({b"x"})), (9, 9.5, "long text", None))
+        bad = ((2, None, "b", None), (2, "not a float", "b", None))
+        with pytest.raises(CatalogError):
+            table.replace_exact([good, bad])
+        assert table.rows == rows and table.total_bytes == size
+        assert table.analyze() == stats
+        assert table.replace_exact([good]) == 1
+
+    def test_a_table_nobody_analyzed_or_wrote_counts_nothing(self):
+        table = self._table()
+        assert table._counters is None  # Loaded, never analyzed.
+        table.analyze()
+        assert table._counters is None  # Analyzed, never written since.
+        table.insert((5, 0.5, "c", None))
+        assert table._counters is not None
+        assert table._counters[3] is None  # Tag sets are rescanned.
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "replace", "analyze"]),
+                st.integers(0, 30),
+                st.one_of(st.none(), st.integers(-3, 3)),
+                st.one_of(st.none(), st.integers(0, 2), st.sampled_from([0.5, 2.0])),
+                st.one_of(st.none(), st.sampled_from(["", "a", "bb", "ccc"])),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_statistics_stay_exact_under_writes(self, script):
+        """After any write script, analyze() equals that of a table built
+        from the surviving rows — field for field, floats included."""
+        table = self._table()
+        table.analyze()
+        for op, pick, k, v, s in script:
+            row = (k, v, s, frozenset({b"x"}) if pick % 2 else None)
+            if op == "insert":
+                table.insert(row)
+            elif op == "analyze":
+                table.analyze()
+            elif table.rows:
+                victim = table.rows[pick % len(table.rows)]
+                if op == "delete":
+                    assert table.delete_exact([victim]) == 1
+                else:
+                    assert table.replace_exact([(victim, row)]) == 1
+        fresh = Database("f").create_table(table.schema)
+        fresh.insert_many(table.rows)
+        assert table.analyze() == fresh.analyze()
+        assert table.total_bytes == fresh.total_bytes
