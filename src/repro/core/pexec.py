@@ -71,6 +71,7 @@ three cost components (§6.4) for every benchmark to aggregate.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue as queue_mod
 import random
@@ -978,16 +979,17 @@ def _unnest_rows(
     is_list = frozenset(list_positions)
     out: list[tuple] = []
     for row in rows:
-        lengths = {len(row[i]) for i in list_positions}
-        if len(lengths) != 1:
+        length = len(row[list_positions[0]])
+        if any(len(row[i]) != length for i in list_positions):
             raise ExecutionError("misaligned grp() lists in one group")
-        (length,) = lengths
-        width = len(row)
-        for index in range(length):
-            out.append(
-                tuple(
-                    row[i][index] if i in is_list else row[i]
-                    for i in range(width)
-                )
+        # Transpose the group: zip stops at the lists' common length, the
+        # scalars repeat beside them.
+        out.extend(
+            zip(
+                *[
+                    value if i in is_list else itertools.repeat(value)
+                    for i, value in enumerate(row)
+                ]
             )
+        )
     return out

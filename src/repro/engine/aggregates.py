@@ -22,7 +22,10 @@ installs on the unmodified DBMS:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
+from typing import Sequence
 
 from repro.common.errors import ExecutionError
 from repro.storage.ciphertext_store import CiphertextStore
@@ -34,8 +37,29 @@ class Aggregate:
     def update(self, args: list) -> None:
         raise NotImplementedError
 
+    def fold(self, columns: list[Sequence]) -> None:
+        """Take a whole group at once: ``columns[i]`` holds argument ``i`` of
+        every row, in row order (``COUNT(*)`` passes one column of 1s).
+        The same state as one :meth:`update` per row; subclasses override
+        it where a C-level loop does the work."""
+        for args in zip(*columns):
+            self.update(list(args))
+
     def finalize(self) -> object:
         raise NotImplementedError
+
+
+_NOT_NULL = partial(operator.is_not, None)
+_ADD_ALL = partial(reduce, operator.add)
+
+
+def _combined(state: object, column: Sequence, combine) -> object:
+    """``combine`` over the running ``state`` (None: nothing seen yet)
+    followed by the non-NULL values of ``column``, in that order."""
+    values = [v for v in column if v is not None]
+    if state is not None:
+        values.insert(0, state)
+    return combine(values) if values else state
 
 
 class SumAgg(Aggregate):
@@ -47,6 +71,11 @@ class SumAgg(Aggregate):
         if value is None:
             return
         self._total = value if self._total is None else self._total + value
+
+    def fold(self, columns: list[Sequence]) -> None:
+        # Left to right like update(), with no start value: sum() would add
+        # a 0 and compensate float rounding.
+        self._total = _combined(self._total, columns[0], _ADD_ALL)
 
     def finalize(self) -> object:
         return self._total
@@ -61,6 +90,9 @@ class CountAgg(Aggregate):
     def update(self, args: list) -> None:
         if not args or args[0] is not None:
             self._count += 1
+
+    def fold(self, columns: list[Sequence]) -> None:
+        self._count += sum(map(_NOT_NULL, columns[0]))
 
     def finalize(self) -> object:
         return self._count
@@ -77,6 +109,11 @@ class AvgAgg(Aggregate):
             return
         self._total += value
         self._count += 1
+
+    def fold(self, columns: list[Sequence]) -> None:
+        values = [v for v in columns[0] if v is not None]
+        self._total = reduce(operator.add, values, self._total)
+        self._count += len(values)
 
     def finalize(self) -> object:
         if self._count == 0:
@@ -95,6 +132,10 @@ class MinAgg(Aggregate):
         if self._best is None or value < self._best:
             self._best = value
 
+    def fold(self, columns: list[Sequence]) -> None:
+        # min() keeps the first of equals, like update().
+        self._best = _combined(self._best, columns[0], min)
+
     def finalize(self) -> object:
         return self._best
 
@@ -110,6 +151,10 @@ class MaxAgg(Aggregate):
         if self._best is None or value > self._best:
             self._best = value
 
+    def fold(self, columns: list[Sequence]) -> None:
+        # max() keeps the first of equals, like update().
+        self._best = _combined(self._best, columns[0], max)
+
     def finalize(self) -> object:
         return self._best
 
@@ -122,6 +167,9 @@ class GrpAgg(Aggregate):
 
     def update(self, args: list) -> None:
         self._values.append(args[0])
+
+    def fold(self, columns: list[Sequence]) -> None:
+        self._values.extend(columns[0])
 
     def finalize(self) -> object:
         return tuple(self._values)

@@ -391,7 +391,7 @@ def compile_expr(
         if index is None:
             # Outer (correlated) or alias reference: needs the env chain.
             return _compile_fallback(expr, scope, ctx, outer)
-        return lambda row: row[index]
+        return operator.itemgetter(index)
     if isinstance(expr, ast.Param):
         params = ctx.params
         name = expr.name

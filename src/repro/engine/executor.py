@@ -3,13 +3,29 @@
 A materializing executor with a small planner, plus a pull-based
 streaming layer over the same machinery:
 
-* single-relation WHERE conjuncts are pushed down before joins;
-* equi-join conjuncts drive hash joins (greedy join ordering: smallest
-  joinable relation next); remaining relations fall back to nested loops;
-* explicit JOIN ... ON (incl. LEFT OUTER) handled structurally;
-* GROUP BY with arbitrary key expressions and aggregate expressions in
-  SELECT / HAVING / ORDER BY, DISTINCT, ORDER BY with alias references, and
-  LIMIT;
+* single-relation WHERE conjuncts are pushed down before joins, and so is
+  what an OR of ANDs implies: the conjuncts every branch repeats (TPC-H
+  Q19's join equality) and, per relation, the OR of each branch's
+  conjuncts local to it (Q7's nation pairs).  Implied conjuncts only
+  narrow inputs; the OR itself still runs on the joined rows;
+* in a multi-relation FROM, the same pass projects each base table to the
+  column *names* the query tree mentions anywhere (nested and correlated
+  subqueries, FROM subqueries and JOIN conditions included; not at all
+  under a ``*``), so a join never carries a column nobody reads;
+* join order is greedy: start from the smallest relation that has a join
+  edge, then the smallest relation an equality reaches, edge-less
+  relations crossed in last;
+* one hash-join kernel (:meth:`Executor._hash_join`) serves implicit and
+  explicit joins, inner and LEFT OUTER: *every* unpushed, subquery-free
+  equality that splits between the two sides joins one composite key (a
+  key with a NULL in it matches nothing), the smaller side is the one
+  hashed, output stays left-major, and what is left of an ON condition is
+  checked per matched pair;
+* GROUP BY partitions the rows by key first (groups in first-seen order,
+  the first row the representative), then folds each group one argument
+  column at a time through :meth:`Aggregate.fold`; arbitrary key and
+  aggregate expressions in SELECT / HAVING / ORDER BY, DISTINCT, ORDER BY
+  with alias references, and LIMIT;
 * correlated subqueries re-execute per outer row (uncorrelated ones are
   cached by the evaluator).
 
@@ -30,7 +46,10 @@ I/O bound (§5.2), and our cost ledger mirrors that.
 
 from __future__ import annotations
 
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 
 from repro.common.errors import ExecutionError
 from repro.engine.aggregates import make_aggregate
@@ -54,7 +73,7 @@ class ResultSet:
 
     def byte_size(self) -> int:
         header = sum(len(c) + 4 for c in self.columns)
-        return header + sum(4 + sum(value_bytes(v) for v in row) for row in self.rows)
+        return header + sum(4 + sum(map(value_bytes, row)) for row in self.rows)
 
 
 @dataclass
@@ -80,9 +99,7 @@ def is_streamable(query: ast.Select) -> bool:
     blocking operator: one base-table scan feeding filter → project →
     limit.  Grouping, aggregation, DISTINCT, ORDER BY, and joins all need
     their full input and therefore materialize."""
-    if len(query.from_items) != 1 or not isinstance(
-        query.from_items[0], ast.TableName
-    ):
+    if len(query.from_items) != 1 or not isinstance(query.from_items[0], ast.TableName):
         return False
     if query.group_by or query.distinct or query.order_by:
         return False
@@ -118,7 +135,9 @@ class Executor:
 
     # -- public API ---------------------------------------------------------
 
-    def execute(self, query: ast.Select, params: dict[str, object] | None = None) -> ResultSet:
+    def execute(
+        self, query: ast.Select, params: dict[str, object] | None = None
+    ) -> ResultSet:
         if self.streaming:
             stream = self.execute_stream(query, params)
             return ResultSet(stream.columns, stream.drain_rows())
@@ -222,9 +241,11 @@ class Executor:
             else None
         )
         item_fns: list = [
-            None
-            if isinstance(item.expr, ast.Column) and item.expr.name == "*"
-            else self._compile(item.expr, scope, ctx, None)
+            (
+                None
+                if isinstance(item.expr, ast.Column) and item.expr.name == "*"
+                else self._compile(item.expr, scope, ctx, None)
+            )
             for item in query.items
         ]
         remaining = query.limit
@@ -277,9 +298,11 @@ class Executor:
 
     # -- internals ------------------------------------------------------------
 
-    def _execute(self, query: ast.Select, ctx: EvalContext, outer: Env | None) -> ResultSet:
-        relation = self._build_from(query, ctx, outer)
-        relation = self._apply_where(relation, query.where, ctx, outer)
+    def _execute(
+        self, query: ast.Select, ctx: EvalContext, outer: Env | None
+    ) -> ResultSet:
+        relation, remaining = self._build_from(query, ctx, outer)
+        relation = self._apply_where(relation, remaining, ctx, outer)
         if query.group_by or self._has_aggregates(query):
             rows_with_alias = self._group_and_project(query, relation, ctx, outer)
         else:
@@ -290,25 +313,79 @@ class Executor:
 
     # FROM clause -------------------------------------------------------------
 
-    def _build_from(self, query: ast.Select, ctx: EvalContext, outer: Env | None) -> _Relation:
+    def _build_from(
+        self, query: ast.Select, ctx: EvalContext, outer: Env | None
+    ) -> tuple[_Relation, list[ast.Expr]]:
+        """Scan, pre-filter, prune and join the FROM items.  Returns the
+        joined relation and the WHERE conjuncts still to apply to it."""
+        where = ast.conjuncts(query.where)
         if not query.from_items:
-            return _Relation(Scope([]), [()])
-        relations = [self._resolve_ref(ref, ctx, outer) for ref in query.from_items]
-        conjuncts = ast.conjuncts(query.where)
-        # Factor predicates common to every OR branch (classic OR-expansion:
-        # TPC-H Q19 repeats its join equality in each branch).  Implied
-        # conjuncts are freely pushable; the original OR still applies.
-        conjuncts = conjuncts + _implied_conjuncts(conjuncts)
+            return _Relation(Scope([]), [()]), where
+        multi = len(query.from_items) > 1 or isinstance(query.from_items[0], ast.Join)
+        # A join carries every column of every row through every later
+        # operator, so base tables keep only the names the query mentions.
+        names = _mentioned_names(query) if multi else None
+        relations = [
+            self._resolve_ref(ref, ctx, outer, names) for ref in query.from_items
+        ]
+        # Predicates an OR implies (TPC-H Q19 repeats its join equality in
+        # each branch, Q7 names one nation pair per branch) are pushable on
+        # their own.  They only narrow inputs: the OR itself still applies,
+        # so an implied conjunct nobody consumed is simply dropped.
+        conjuncts = where + self._implied_conjuncts(where, relations)
         pushed: set[int] = set()
         relations = [
-            self._pushdown(rel, conjuncts, pushed, ctx, outer) for rel in relations
+            self._pushdown(
+                rel,
+                conjuncts,
+                pushed,
+                ctx,
+                outer,
+                names if isinstance(ref, ast.TableName) else None,
+            )
+            for ref, rel in zip(query.from_items, relations)
         ]
         joined = self._join_all(relations, conjuncts, pushed, ctx, outer)
-        remaining = [c for i, c in enumerate(conjuncts) if i not in pushed]
-        self._consumed_where = (conjuncts, pushed, remaining)
-        return joined
+        return joined, [c for i, c in enumerate(where) if i not in pushed]
 
-    def _resolve_ref(self, ref: ast.TableRef, ctx: EvalContext, outer: Env | None) -> _Relation:
+    def _implied_conjuncts(
+        self, where: list[ast.Expr], relations: list[_Relation]
+    ) -> list[ast.Expr]:
+        """What each OR of ANDs among ``where`` implies: the conjuncts every
+        branch repeats and, per relation, the OR of each branch's conjuncts
+        local to it (when every branch has some), usable as a pre-filter."""
+        implied: list[ast.Expr] = []
+        for conjunct in where:
+            branches = [ast.conjuncts(b) for b in _or_branches(conjunct)]
+            if len(branches) < 2:
+                continue
+            common = set(branches[0]).intersection(*branches[1:])
+            implied.extend(sorted(common, key=repr))
+            for rel in relations:
+                if self._binding_refs(conjunct, rel) == "local":
+                    continue  # The OR itself is pushable to rel.
+                local = [
+                    [
+                        c
+                        for c in branch
+                        if c not in common
+                        and self._binding_refs(c, rel) == "local"
+                        and not ast.find_subqueries(c)
+                    ]
+                    for branch in branches
+                ]
+                if all(local):
+                    parts = [ast.conjoin(part) for part in local]
+                    implied.append(reduce(lambda a, b: ast.BinOp("or", a, b), parts))
+        return implied
+
+    def _resolve_ref(
+        self,
+        ref: ast.TableRef,
+        ctx: EvalContext,
+        outer: Env | None,
+        names: frozenset[str] | None,
+    ) -> _Relation:
         if isinstance(ref, ast.TableName):
             table = self.db.table(ref.name)
             binding = ref.binding
@@ -319,9 +396,13 @@ class Executor:
             scope = Scope([(ref.alias, c) for c in result.columns])
             return _Relation(scope, result.rows)
         if isinstance(ref, ast.Join):
-            left = self._resolve_ref(ref.left, ctx, outer)
-            right = self._resolve_ref(ref.right, ctx, outer)
-            return self._join_pair(left, right, ref.condition, ref.kind, ctx, outer)
+            sides = []
+            for side in (ref.left, ref.right):
+                rel = self._resolve_ref(side, ctx, outer, names)
+                if isinstance(side, ast.TableName):
+                    rel = self._pushdown(rel, [], set(), ctx, outer, names)
+                sides.append(rel)
+            return self._join_pair(*sides, ref.condition, ref.kind, ctx, outer)
         raise ExecutionError(f"unknown FROM item {ref!r}")
 
     def _pushdown(
@@ -331,24 +412,39 @@ class Executor:
         pushed: set[int],
         ctx: EvalContext,
         outer: Env | None,
+        names: frozenset[str] | None = None,
     ) -> _Relation:
-        """Apply single-relation, subquery-free conjuncts before joining."""
+        """Apply single-relation, subquery-free conjuncts before joining
+        and, in the same pass, keep only the columns named in ``names``
+        (``None``: keep them all)."""
         local: list[ast.Expr] = []
         for i, conj in enumerate(conjuncts):
             if i in pushed or ast.find_subqueries(conj):
                 continue
-            refs = self._binding_refs(conj, rel)
-            if refs == "local":
+            if self._binding_refs(conj, rel) == "local":
                 local.append(conj)
                 pushed.add(i)
-        if not local:
-            return rel
-        predicate = self._compile(ast.conjoin(local), rel.scope, ctx, outer)
-        rows = [row for row in rel.rows if predicate(row) is True]
-        return _Relation(rel.scope, rows)
+        rows = rel.rows
+        if local:
+            predicate = self._compile(ast.conjoin(local), rel.scope, ctx, outer)
+            rows = [row for row in rows if predicate(row) is True]
+        columns = rel.scope.columns
+        kept = [
+            i for i, (_, name) in enumerate(columns) if names is None or name in names
+        ]
+        if len(kept) == len(columns):
+            return _Relation(rel.scope, rows) if local else rel
+        if len(kept) > 1:
+            rows = list(map(operator.itemgetter(*kept), rows))
+        elif kept:
+            (only,) = kept
+            rows = [(row[only],) for row in rows]
+        else:
+            rows = [()] * len(rows)
+        return _Relation(Scope([columns[i] for i in kept]), rows)
 
     def _binding_refs(self, expr: ast.Expr, rel: _Relation) -> str:
-        """"local" if every column in expr resolves inside rel, else "other"."""
+        """Whether every column in expr resolves inside rel: "local" or "other"."""
         for col in ast.find_columns(expr):
             if col.name == "*":
                 continue
@@ -370,56 +466,67 @@ class Executor:
         if len(relations) == 1:
             return relations[0]
         remaining = list(relations)
+        equi = self._equi_conjuncts(conjuncts, pushed)
         # Start with the smallest relation that has at least one join edge.
-        current = remaining.pop(self._pick_start(remaining, conjuncts, pushed))
+        current = remaining.pop(self._pick_start(remaining, equi))
         while remaining:
-            choice = self._pick_next(current, remaining, conjuncts, pushed)
-            if choice is None:
+            index = self._pick_next(current, remaining, equi)
+            if index is None:
                 # No join predicate connects: cross product with smallest.
                 index = min(range(len(remaining)), key=lambda i: len(remaining[i].rows))
-                nxt = remaining.pop(index)
-                current = self._cross(current, nxt)
+                current = self._cross(current, remaining.pop(index))
                 continue
-            index, conj_index, left_key, right_key = choice
             nxt = remaining.pop(index)
-            pushed.add(conj_index)
-            current = self._hash_join(current, nxt, left_key, right_key, ctx, outer)
+            used, left_keys, right_keys = self._join_keys(equi, current, nxt)
+            pushed.update(used)
+            equi = [(i, conj) for i, conj in equi if i not in used]
+            current = self._hash_join(current, nxt, left_keys, right_keys, ctx, outer)
         return current
 
-    def _pick_start(
-        self, relations: list[_Relation], conjuncts: list[ast.Expr], pushed: set[int]
-    ) -> int:
-        return min(range(len(relations)), key=lambda i: len(relations[i].rows))
+    @staticmethod
+    def _equi_conjuncts(conjuncts: list[ast.Expr], pushed: set[int]):
+        """The (index, conjunct) pairs usable as join keys: unpushed
+        equalities.  Correlated subqueries need the full join env, so an
+        equality holding one is never a key."""
+        return [
+            (i, conj)
+            for i, conj in enumerate(conjuncts)
+            if i not in pushed
+            and isinstance(conj, ast.BinOp)
+            and conj.op == "="
+            and not ast.find_subqueries(conj)
+        ]
+
+    def _pick_start(self, relations: list[_Relation], equi) -> int:
+        """The smallest relation with a join edge (a conjunct of ``equi``)
+        to another one, so that edge-less relations are crossed in last;
+        the smallest of all when no relation has an edge."""
+        indexes = range(len(relations))
+        connected = [
+            i
+            for i in indexes
+            if any(
+                self._split_equi(conj, relations[i], relations[j]) is not None
+                for _, conj in equi
+                for j in indexes
+                if j != i
+            )
+        ]
+        return min(connected or indexes, key=lambda i: len(relations[i].rows))
 
     def _pick_next(
-        self,
-        current: _Relation,
-        remaining: list[_Relation],
-        conjuncts: list[ast.Expr],
-        pushed: set[int],
-    ):
-        """Find (relation idx, conjunct idx, current key expr, next key expr)
-        for the smallest relation reachable via an equi-join conjunct."""
+        self, current: _Relation, remaining: list[_Relation], equi
+    ) -> int | None:
+        """Index of the smallest relation a conjunct of ``equi`` reaches
+        from ``current`` (the first such in conjunct order on a tie)."""
         best = None
-        for conj_index, conj in enumerate(conjuncts):
-            if conj_index in pushed:
-                continue
-            if not (isinstance(conj, ast.BinOp) and conj.op == "="):
-                continue
-            if ast.find_subqueries(conj):
-                # Correlated subqueries need the full join env; never use
-                # them as join keys.
-                continue
+        for _, conj in equi:
             for rel_index, rel in enumerate(remaining):
-                sides = self._split_equi(conj, current, rel)
-                if sides is None:
+                if best is not None and len(rel.rows) >= len(remaining[best].rows):
                     continue
-                size = len(rel.rows)
-                if best is None or size < best[4]:
-                    best = (rel_index, conj_index, sides[0], sides[1], size)
-        if best is None:
-            return None
-        return best[:4]
+                if self._split_equi(conj, current, rel) is not None:
+                    best = rel_index
+        return best
 
     def _split_equi(self, conj: ast.BinOp, left: _Relation, right: _Relation):
         """If ``conj`` equates a left-side expr with a right-side expr,
@@ -434,33 +541,93 @@ class Executor:
             return conj.right, conj.left
         return None
 
+    def _join_keys(self, equi, left: _Relation, right: _Relation):
+        """Fold every equality of ``equi`` that splits between the two sides
+        into one composite key, so none of them is left to filter a wider
+        intermediate: (indexes used, left key exprs, right key exprs)."""
+        used: list[int] = []
+        left_keys: list[ast.Expr] = []
+        right_keys: list[ast.Expr] = []
+        for index, conj in equi:
+            sides = self._split_equi(conj, left, right)
+            if sides is not None:
+                used.append(index)
+                left_keys.append(sides[0])
+                right_keys.append(sides[1])
+        return used, left_keys, right_keys
+
+    def _key_fn(self, keys: list[ast.Expr], scope: Scope, ctx, outer):
+        """Compile a join key: the value itself for one expression, a tuple
+        for several (none at all: every row gets the same key), and None
+        whenever a component is NULL, because NULL equals nothing."""
+        if len(keys) == 1:
+            return self._compile(keys[0], scope, ctx, outer)
+        as_tuple = _row_tuple([self._compile(k, scope, ctx, outer) for k in keys])
+
+        def composite(row):
+            key = as_tuple(row)
+            return None if None in key else key
+
+        return composite
+
     def _hash_join(
         self,
         left: _Relation,
         right: _Relation,
-        left_key: ast.Expr,
-        right_key: ast.Expr,
+        left_keys: list[ast.Expr],
+        right_keys: list[ast.Expr],
         ctx: EvalContext,
         outer: Env | None,
+        kind: str = "inner",
+        residual: ast.Expr | None = None,
     ) -> _Relation:
-        right_fn = self._compile(right_key, right.scope, ctx, outer)
+        """The one join kernel: equality on ``left_keys[i] = right_keys[i]``
+        for every i, then ``residual`` on each matched pair; ``kind`` "left"
+        NULL-extends left rows nothing matched.  Output is left-major in
+        both build directions."""
+        scope = left.scope.merged_with(right.scope)
+        left_fn = self._key_fn(left_keys, left.scope, ctx, outer)
+        right_fn = self._key_fn(right_keys, right.scope, ctx, outer)
         buckets: dict[object, list[tuple]] = {}
-        for row in right.rows:
-            key = right_fn(row)
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(row)
-        left_fn = self._compile(left_key, left.scope, ctx, outer)
-        joined: list[tuple] = []
-        append = joined.append
-        get_bucket = buckets.get
-        for row in left.rows:
-            key = left_fn(row)
-            if key is None:
-                continue
+        if len(left.rows) < len(right.rows):
+            # Hash the smaller side: the left keys decide which right rows
+            # are worth a bucket at all.
+            left_key_column = list(map(left_fn, left.rows))
+            wanted = set(left_key_column)
+            wanted.discard(None)
+            for row in right.rows:
+                key = right_fn(row)
+                if key in wanted:
+                    buckets.setdefault(key, []).append(row)
+        else:
+            for row in right.rows:
+                key = right_fn(row)
+                if key is not None:
+                    buckets.setdefault(key, []).append(row)
+            left_key_column = map(left_fn, left.rows)
+        accept = (
+            self._compile(residual, scope, ctx, outer) if residual is not None else None
+        )
+        null_row = (None,) * len(right.scope.columns) if kind == "left" else None
+        get_bucket = buckets.get  # None is never a bucket key.
+        if accept is None and null_row is None:
+            joined = [
+                row + other
+                for row, key in zip(left.rows, left_key_column)
+                for other in get_bucket(key, ())
+            ]
+            return _Relation(scope, joined)
+        joined = []
+        for row, key in zip(left.rows, left_key_column):
+            matched = False
             for other in get_bucket(key, ()):
-                append(row + other)
-        return _Relation(left.scope.merged_with(right.scope), joined)
+                pair = row + other
+                if accept is None or accept(pair) is True:
+                    joined.append(pair)
+                    matched = True
+            if not matched and null_row is not None:
+                joined.append(row + null_row)
+        return _Relation(scope, joined)
 
     def _cross(self, left: _Relation, right: _Relation) -> _Relation:
         rows = [l + r for l in left.rows for r in right.rows]
@@ -475,56 +642,26 @@ class Executor:
         ctx: EvalContext,
         outer: Env | None,
     ) -> _Relation:
-        scope = left.scope.merged_with(right.scope)
-        rows: list[tuple] = []
-        null_row = (None,) * len(right.scope.columns)
-        # Try hash join for simple equality conditions.
-        equi = None
-        if condition is not None and isinstance(condition, ast.BinOp) and condition.op == "=":
-            equi = self._split_equi(condition, left, right)
-        if equi is not None:
-            left_key, right_key = equi
-            right_fn = self._compile(right_key, right.scope, ctx, outer)
-            buckets: dict[object, list[tuple]] = {}
-            for row in right.rows:
-                key = right_fn(row)
-                if key is not None:
-                    buckets.setdefault(key, []).append(row)
-            left_fn = self._compile(left_key, left.scope, ctx, outer)
-            for row in left.rows:
-                key = left_fn(row)
-                matches = buckets.get(key, []) if key is not None else []
-                if matches:
-                    rows.extend(row + other for other in matches)
-                elif kind == "left":
-                    rows.append(row + null_row)
-            return _Relation(scope, rows)
-        cond_fn = (
-            self._compile(condition, scope, ctx, outer)
-            if condition is not None
-            else None
+        """Explicit JOIN ... ON: the ON equalities that split between the
+        sides are the hash key, the rest of ON is checked per matched pair."""
+        parts = ast.conjuncts(condition)
+        used, left_keys, right_keys = self._join_keys(
+            self._equi_conjuncts(parts, set()), left, right
         )
-        for row in left.rows:
-            matched = False
-            for other in right.rows:
-                combined = row + other
-                if cond_fn is None or cond_fn(combined) is True:
-                    rows.append(combined)
-                    matched = True
-            if not matched and kind == "left":
-                rows.append(row + null_row)
-        return _Relation(scope, rows)
+        rest = [conj for i, conj in enumerate(parts) if i not in used]
+        return self._hash_join(
+            left, right, left_keys, right_keys, ctx, outer, kind, ast.conjoin(rest)
+        )
 
     # WHERE ---------------------------------------------------------------------
 
     def _apply_where(
-        self, relation: _Relation, where: ast.Expr | None, ctx: EvalContext, outer: Env | None
+        self,
+        relation: _Relation,
+        remaining: list[ast.Expr],
+        ctx: EvalContext,
+        outer: Env | None,
     ) -> _Relation:
-        if where is None:
-            return relation
-        state = getattr(self, "_consumed_where", None)
-        remaining = state[2] if state is not None else ast.conjuncts(where)
-        self._consumed_where = None
         if not remaining:
             return relation
         predicate = self._compile(ast.conjoin(remaining), relation.scope, ctx, outer)
@@ -549,7 +686,11 @@ class Executor:
         return exprs
 
     def _group_and_project(
-        self, query: ast.Select, relation: _Relation, ctx: EvalContext, outer: Env | None
+        self,
+        query: ast.Select,
+        relation: _Relation,
+        ctx: EvalContext,
+        outer: Env | None,
     ) -> list[tuple[tuple, dict]]:
         agg_calls: list[ast.FuncCall] = []
         seen: set = set()
@@ -558,46 +699,39 @@ class Executor:
                 if call not in seen:
                     seen.add(call)
                     agg_calls.append(call)
-        # Compile group keys and aggregate arguments once per query; the
-        # scan below touches every input row with plain closure calls.
-        key_fns = [
-            self._compile(k, relation.scope, ctx, outer) for k in query.group_by
-        ]
-        arg_fns: list[list | None] = [
-            None
-            if call.star
-            else [self._compile(a, relation.scope, ctx, outer) for a in call.args]
-            for call in agg_calls
-        ]
-        store = self.db.ciphertext_store
-        groups: dict[tuple, tuple[tuple, list]] = {}
-        get_group = groups.get
-        star_arg = [1]
-        for row in relation.rows:
-            key = tuple(kf(row) for kf in key_fns)
-            entry = get_group(key)
-            if entry is None:
-                aggs = [
-                    make_aggregate(c.name, c.distinct, store) for c in agg_calls
-                ]
-                entry = (row, aggs)
-                groups[key] = entry
-            aggs = entry[1]
-            for fns, agg in zip(arg_fns, aggs):
-                if fns is None:
-                    agg.update(star_arg)
-                else:
-                    agg.update([f(row) for f in fns])
-        if not groups and not query.group_by:
+        # Compile group keys and each distinct aggregate argument once per
+        # query (Q1 sums and averages the same three columns).
+        key_fns = [self._compile(k, relation.scope, ctx, outer) for k in query.group_by]
+        arg_fns: dict[ast.Expr, object] = {}
+        for call in agg_calls:
+            for arg in call.args:
+                if arg not in arg_fns:
+                    arg_fns[arg] = self._compile(arg, relation.scope, ctx, outer)
+        # Partition first (groups in first-seen order, rows in input order,
+        # the first row the representative) ...
+        rows = relation.rows
+        if key_fns:
+            key_fn = key_fns[0] if len(key_fns) == 1 else _row_tuple(key_fns)
+            partitions: dict[object, list[tuple]] = defaultdict(list)
+            for key, row in zip(map(key_fn, rows), rows):
+                partitions[key].append(row)
+            members = list(partitions.values())
+        elif rows:
+            members = [rows]
+        else:
             # Aggregate over empty input: one row of aggregate identities.
-            aggs = [
-                make_aggregate(c.name, c.distinct, self.db.ciphertext_store)
-                for c in agg_calls
-            ]
-            groups[()] = (None, aggs)
+            members = [[]]
+        # ... then fold each group one argument column at a time.
+        store = self.db.ciphertext_store
         output: list[tuple[tuple, dict]] = []
-        for key, (rep_row, aggs) in groups.items():
-            agg_values = {call: agg.finalize() for call, agg in zip(agg_calls, aggs)}
+        for group_rows in members:
+            columns = {arg: list(map(fn, group_rows)) for arg, fn in arg_fns.items()}
+            agg_values = {}
+            for call in agg_calls:
+                agg = make_aggregate(call.name, call.distinct, store)
+                # COUNT(*) has no argument: it counts a constant.
+                agg.fold([columns[a] for a in call.args] or [[1] * len(group_rows)])
+                agg_values[call] = agg.finalize()
             group_ctx = EvalContext(
                 params=ctx.params,
                 functions=ctx.functions,
@@ -605,6 +739,7 @@ class Executor:
                 aggregate_values=agg_values,
                 _subquery_cache=ctx._subquery_cache,
             )
+            rep_row = group_rows[0] if group_rows else None
             env = Env(relation.scope, rep_row, outer) if rep_row is not None else None
             values = tuple(evaluate(item.expr, env, group_ctx) for item in query.items)
             aliases = {
@@ -621,13 +756,19 @@ class Executor:
         return output
 
     def _project(
-        self, query: ast.Select, relation: _Relation, ctx: EvalContext, outer: Env | None
+        self,
+        query: ast.Select,
+        relation: _Relation,
+        ctx: EvalContext,
+        outer: Env | None,
     ) -> list[tuple[tuple, dict]]:
         # Compile the select-list once; "*" expands to the whole row.
         item_fns: list = [
-            None
-            if isinstance(item.expr, ast.Column) and item.expr.name == "*"
-            else self._compile(item.expr, relation.scope, ctx, outer)
+            (
+                None
+                if isinstance(item.expr, ast.Column) and item.expr.name == "*"
+                else self._compile(item.expr, relation.scope, ctx, outer)
+            )
             for item in query.items
         ]
         output = []
@@ -685,15 +826,16 @@ class Executor:
     # ORDER BY / DISTINCT / LIMIT ---------------------------------------------------
 
     def _order_limit_distinct(
-        self, query: ast.Select, rows_with_keys: list[tuple[tuple, list]], ctx: EvalContext
+        self,
+        query: ast.Select,
+        rows_with_keys: list[tuple[tuple, list]],
+        ctx: EvalContext,
     ) -> list[tuple]:
         rows = rows_with_keys
         if query.distinct:
             unique: dict = {}
             for values, keys in rows:
-                marker = tuple(
-                    tuple(v) if isinstance(v, list) else v for v in values
-                )
+                marker = tuple(tuple(v) if isinstance(v, list) else v for v in values)
                 if marker not in unique:
                     unique[marker] = (values, keys)
             rows = list(unique.values())
@@ -804,9 +946,7 @@ class _SemiJoinCache:
             where=ast.conjoin(local),
         )
         result = self.executor._execute(inner_select, ctx, None)
-        probe_specs = [
-            (op, i, outer) for i, (op, _inner, outer) in enumerate(probes)
-        ]
+        probe_specs = [(op, i, outer) for i, (op, _inner, outer) in enumerate(probes)]
         index = None
         for i, (op, _inner, _outer) in enumerate(probes):
             if op == "=":
@@ -822,8 +962,8 @@ class _SemiJoinCache:
         return (probe_specs, index, result.rows)
 
     def _classify(self, expr: ast.Expr, inner_scope: Scope) -> str:
-        """"inner" if every column resolves in the subquery scope, "outer"
-        if none do, "mixed" otherwise."""
+        """Where the columns of expr resolve: "inner" if all of them do in
+        the subquery scope, "outer" if none does, "mixed" otherwise."""
         saw_inner = saw_outer = False
         for column in ast.find_columns(expr):
             if column.name == "*":
@@ -858,19 +998,46 @@ def _compare(op: str, left: object, right: object) -> bool:
     return left >= right
 
 
-def _implied_conjuncts(conjuncts: list[ast.Expr]) -> list[ast.Expr]:
-    implied: list[ast.Expr] = []
-    for conjunct in conjuncts:
-        if not (isinstance(conjunct, ast.BinOp) and conjunct.op == "or"):
-            continue
-        branches = _or_branches(conjunct)
-        if len(branches) < 2:
-            continue
-        common = set(ast.conjuncts(branches[0]))
-        for branch in branches[1:]:
-            common &= set(ast.conjuncts(branch))
-        implied.extend(sorted(common, key=repr))
-    return implied
+def _row_tuple(fns: list):
+    """row -> (fns[0](row), fns[1](row), ...) without a generator per row."""
+    if len(fns) == 2:
+        first, second = fns
+        return lambda row: (first(row), second(row))
+    return lambda row: tuple([fn(row) for fn in fns])
+
+
+def _mentioned_names(query: ast.Select) -> frozenset[str] | None:
+    """Every column name the query tree mentions, qualifiers dropped:
+    through nested and correlated subqueries, FROM subqueries and JOIN
+    conditions.  None if a ``*`` appears anywhere."""
+    names: set[str] = set()
+
+    def visit_expr(expr: ast.Expr) -> None:
+        names.update(col.name for col in ast.find_columns(expr))
+        for sub in ast.find_subqueries(expr):
+            visit_query(sub)
+
+    def visit_ref(ref: ast.TableRef) -> None:
+        if isinstance(ref, ast.SubqueryRef):
+            visit_query(ref.query)
+        elif isinstance(ref, ast.Join):
+            visit_ref(ref.left)
+            visit_ref(ref.right)
+            if ref.condition is not None:
+                visit_expr(ref.condition)
+
+    def visit_query(select: ast.Select) -> None:
+        for ref in select.from_items:
+            visit_ref(ref)
+        exprs = [item.expr for item in select.items]
+        exprs.extend(select.group_by)
+        exprs.extend(o.expr for o in select.order_by)
+        for expr in (*exprs, select.where, select.having):
+            if expr is not None:
+                visit_expr(expr)
+
+    visit_query(query)
+    return None if "*" in names else frozenset(names)
 
 
 def _or_branches(expr: ast.Expr) -> list[ast.Expr]:

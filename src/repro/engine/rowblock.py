@@ -67,7 +67,7 @@ class RowBlock:
         """
         total = 4 * self.num_rows
         for column in self.columns:
-            total += sum(value_bytes(v) for v in column)
+            total += sum(map(value_bytes, column))
         return total
 
     def __len__(self) -> int:

@@ -29,37 +29,61 @@ from repro.common.errors import EngineError
 _EPOCH = datetime.date(1970, 1, 1)
 
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _int_bytes(value: int) -> int:
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return 8
+    return (value.bit_length() + 7) // 8  # Ciphertext-sized integers.
+
+
+def _sequence_bytes(value: list | tuple) -> int:
+    # grp() ships a group as a tuple, mostly of DET integers: size a run of
+    # 64-bit ints without a call per element.
+    if value and set(map(type, value)) == {int}:
+        if _INT64_MIN <= min(value) and max(value) <= _INT64_MAX:
+            return 8 * len(value) + 2
+    return sum(map(value_bytes, value)) + 2
+
+
+#: The sizing rules, by exact type; a subclass sizes as its nearest base.
+_SIZERS = {
+    type(None): lambda value: 1,
+    bool: lambda value: 1,
+    int: _int_bytes,
+    float: lambda value: 8,
+    datetime.date: lambda value: 4,
+    str: lambda value: len(value.encode("utf-8")) + 1,
+    bytes: lambda value: len(value) + 1,
+    frozenset: lambda value: 8 * len(value) + 2,
+    list: _sequence_bytes,
+    tuple: _sequence_bytes,
+}
+
+
 def value_bytes(value: object) -> int:
     """On-disk size of one value on the server."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        if -(1 << 63) <= value < (1 << 63):
-            return 8
-        return (value.bit_length() + 7) // 8  # Ciphertext-sized integers.
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, datetime.date):
-        return 4
-    if isinstance(value, str):
-        return len(value.encode("utf-8")) + 1
-    if isinstance(value, bytes):
-        return len(value) + 1
-    if isinstance(value, frozenset):
-        return 8 * len(value) + 2
-    if isinstance(value, (list, tuple)):
-        return sum(value_bytes(v) for v in value) + 2
-    if hasattr(value, "byte_size"):
-        return int(value.byte_size())
-    raise EngineError(f"unsizable value type {type(value).__name__}")
+    kind = type(value)
+    sizer = _SIZERS.get(kind)
+    if sizer is None:
+        # datetime is a date, an IntEnum an int, a namedtuple a tuple.
+        for base in kind.__mro__[1:]:
+            sizer = _SIZERS.get(base)
+            if sizer is not None:
+                break
+        else:
+            if hasattr(value, "byte_size"):
+                return int(value.byte_size())
+            raise EngineError(f"unsizable value type {kind.__name__}")
+    return sizer(value)
 
 
 def row_bytes(row: tuple) -> int:
     """On-disk size of one row: values + a fixed per-row header (23 bytes in
     Postgres; we round to 24)."""
-    return 24 + sum(value_bytes(v) for v in row)
+    return 24 + sum(map(value_bytes, row))
 
 
 # ---------------------------------------------------------------------------

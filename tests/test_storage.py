@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import datetime
+import enum
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from repro.common.errors import EngineError
 from repro.crypto.packing import PackedLayout
 from repro.crypto.paillier import generate_keypair
+from repro.engine.aggregates import HomAggResult
+from repro.engine.executor import ResultSet
 from repro.storage import (
     CiphertextFile,
     CiphertextStore,
@@ -61,6 +65,86 @@ class TestRowCodec:
     def test_unsizable_rejected(self):
         with pytest.raises(EngineError):
             value_bytes(object())
+
+
+def reference_value_bytes(value: object) -> int:
+    """The sizing rule as one isinstance chain: what ``value_bytes`` was
+    before it dispatched on ``type(value)``, kept as the oracle."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        if -(1 << 63) <= value < (1 << 63):
+            return 8
+        return (value.bit_length() + 7) // 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, datetime.date):
+        return 4
+    if isinstance(value, str):
+        return len(value.encode("utf-8")) + 1
+    if isinstance(value, bytes):
+        return len(value) + 1
+    if isinstance(value, frozenset):
+        return 8 * len(value) + 2
+    if isinstance(value, (list, tuple)):
+        return sum(reference_value_bytes(v) for v in value) + 2
+    if hasattr(value, "byte_size"):
+        return int(value.byte_size())
+    raise EngineError(f"unsizable value type {type(value).__name__}")
+
+
+class Flag(enum.IntEnum):
+    ON = 1
+
+
+Pair = collections.namedtuple("Pair", "a b")
+
+hom_results = st.builds(
+    HomAggResult,
+    file_name=st.text(max_size=8),
+    column_names=st.just(("x",)),
+    product=st.one_of(st.none(), st.integers(0, 2**600)),
+    partials=st.lists(
+        st.tuples(st.integers(0, 2**600), st.lists(st.integers(0, 9)).map(tuple)),
+        max_size=3,
+    ).map(tuple),
+    multiplications=st.just(0),
+    ciphertext_bytes=st.sampled_from([96, 128, 512]),
+)
+sized_values = st.recursive(
+    st.one_of(
+        value_strategy,
+        st.integers(min_value=-(2**64), max_value=2**64),  # Both 64-bit edges.
+        st.frozensets(st.binary(min_size=8, max_size=8), max_size=4),
+        st.datetimes().map(lambda d: d.replace(microsecond=0)),
+        st.sampled_from([Flag.ON, Pair(1, "x"), Pair(2**63, None)]),
+        hom_results,
+    ),
+    # grp() ships tuples; the client holds lists; both nest.
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple)),
+    max_leaves=12,
+)
+
+
+class TestValueBytesDispatch:
+    @given(sized_values)
+    @settings(max_examples=300)
+    def test_byte_for_byte_the_isinstance_chain(self, value):
+        assert value_bytes(value) == reference_value_bytes(value)
+
+    @given(st.lists(st.integers(-(2**63) - 2, 2**63 + 2), max_size=8).map(tuple))
+    def test_int_tuples_at_the_64_bit_edges(self, value):
+        assert value_bytes(value) == reference_value_bytes(value)
+
+    @given(st.lists(st.lists(sized_values, min_size=2, max_size=2).map(tuple), max_size=5))
+    @settings(max_examples=60)
+    def test_result_set_byte_size(self, rows):
+        result = ResultSet(["a", "bb"], rows)
+        expected = (1 + 4) + (2 + 4)
+        expected += sum(4 + sum(map(reference_value_bytes, row)) for row in rows)
+        assert result.byte_size() == expected
 
 
 class TestCiphertextFile:

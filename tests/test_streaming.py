@@ -486,6 +486,33 @@ class TestUnnestRows:
         with pytest.raises(ExecutionError):
             _unnest_rows(["k", "v", "w"], [(1, [10], [20, 21])], self.SPECS)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.lists(st.integers(), max_size=4),
+                st.lists(st.integers(), max_size=4),
+            ),
+            max_size=6,
+        )
+    )
+    def test_matches_the_cell_by_cell_transpose(self, rows):
+        def reference():
+            out = []
+            for key, left, right in rows:
+                if len(left) != len(right):
+                    raise ExecutionError("misaligned grp() lists in one group")
+                out.extend((key, left[i], right[i]) for i in range(len(left)))
+            return out
+
+        try:
+            expected = reference()
+        except ExecutionError:
+            with pytest.raises(ExecutionError, match="misaligned"):
+                _unnest_rows(["k", "v", "w"], rows, self.SPECS)
+        else:
+            assert _unnest_rows(["k", "v", "w"], rows, self.SPECS) == expected
+
     def test_no_list_columns_is_identity(self):
         specs = [DecryptSpec(kind="plain", output_name="k")]
         rows = [(1,), (2,)]
