@@ -8,14 +8,16 @@ than re-generated, so a worker is crypto-identical to the parent by
 construction.  DET/OPE/RND/SEARCH and Paillier *decryption* are
 deterministic functions of the keys, which is what makes sharded batches
 element-wise identical to serial ones.  Paillier *encryption* randomness
-deliberately differs per worker: each process seeds a fresh
-:class:`~repro.crypto.paillier.EncryptionPool` from OS randomness, so two
-workers never repeat obfuscation factors (same argument as the parent's
-unseeded pool).
+deliberately differs per worker: each process builds a fresh
+:class:`~repro.crypto.paillier.EncryptionPool` from the shipped private
+key, seeded from OS randomness, so two workers never repeat obfuscation
+factors (same argument as the parent's unseeded pool).  The pool itself is
+never pickled; only the key crosses the process boundary.
 
-Workers run on the trusted client side — holding the private key here is
-the same trust the parent process already has (§3: the client library is
-the only key holder).
+Workers run on the trusted client side — holding the private key here
+(and using its factors for the half-width encryption tables) is the same
+trust the parent process already has (§3: the client library is the only
+key holder).
 
 Everything in this module must stay importable at module scope: the pool
 pickles ``init_worker`` / ``run_chunk`` by reference, under fork and

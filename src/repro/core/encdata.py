@@ -737,13 +737,15 @@ class CryptoProvider:
     def paillier_pool(self) -> EncryptionPool:
         """Shared fixed-base randomness pool for bulk Paillier encryption.
 
+        Built from the private key, so its tables are half-width (mod
+        ``p^2`` and ``q^2``); the client already holds that key.
         Deliberately unseeded (OS randomness): a deterministic pool would
         repeat obfuscation factors across provider instances, letting the
         server compute plaintext deltas between two loads under the same
         key.  Only the *keys* are derived deterministically.
         """
         if self._paillier_pool is None:
-            self._paillier_pool = self.paillier_public.make_pool()
+            self._paillier_pool = EncryptionPool(self.paillier_private)
         return self._paillier_pool
 
     def paillier_encrypt_batch(self, messages: Sequence[int]) -> list[int]:
@@ -754,7 +756,7 @@ class CryptoProvider:
         )
         if sharded is not None:
             return sharded
-        return self.paillier_public.encrypt_batch(messages, pool=self.paillier_pool)
+        return self.paillier_pool.encrypt_batch(messages)
 
     def paillier_decrypt_batch(self, ciphertexts: Sequence[int]) -> list[int]:
         """CRT-batched Paillier decryption, sharded across the pool.

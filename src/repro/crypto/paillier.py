@@ -19,14 +19,17 @@ Implementation notes
   is kept as :meth:`PaillierPrivateKey.decrypt_textbook` (equivalence is
   tested) and as the fallback for keys constructed without factors.
 * Bulk encryption goes through :class:`EncryptionPool`, a fixed-base
-  precomputed-randomness source: one full-width ``r0^n mod n^2`` at setup,
-  then each value draws ``(r0^e)^n = (r0^n)^e`` with a short random
-  exponent ``e`` — turning the per-value cost from a ``|n|``-bit into a
-  128-bit exponentiation.  Because the base never changes, that
-  exponentiation is a fixed-base comb: ``base^(j * 2^(w*i))`` is tabulated
-  once per pool and a factor is the product of one table entry per
-  ``w``-bit digit of ``e`` — no squarings.  The exponent draws and the
-  factors are exactly those of ``pow(base, e, n^2)``.
+  precomputed-randomness source built from the private key: one
+  ``base = r0^n`` at setup, then each value draws ``(r0^e)^n = base^e``
+  with a short random exponent ``e`` — turning the per-value cost from a
+  ``|n|``-bit into a 128-bit exponentiation.  Because the base never
+  changes, that exponentiation is a fixed-base comb: ``base^(j * 2^(w*i))``
+  is tabulated once per pool and a factor is the product of one table
+  entry per ``w``-bit digit of ``e`` — no squarings.  The pool knows ``p``
+  and ``q``, so it keeps two half-width tables (mod ``p^2`` and mod
+  ``q^2``) and joins the two products with one Garner step, as decryption
+  does.  The exponent draws and the factors are exactly those of
+  ``pow(base, e, n^2)``.
 * Keys can be generated deterministically from a seed (PRF stream) so that
   benchmark databases are reproducible.
 """
@@ -50,9 +53,17 @@ DEFAULT_MODULUS_BITS = 2048
 # value while costing ~|n|/128 of a full-width exponentiation.
 POOL_EXPONENT_BITS = 128
 
-# Digit width of the pool's fixed-base table: 26 rows of 32 entries at 128
-# exponent bits, so a factor costs at most 26 modular multiplications.
-POOL_WINDOW_BITS = 5
+# Digit width of the pool's fixed-base tables: 19 rows (18 of 128 entries,
+# then 4 for the top two exponent bits) per prime, so a factor costs at most
+# 19 half-width modular multiplications mod p^2 and 19 mod q^2.
+POOL_WINDOW_BITS = 7
+
+
+def _check_plaintext(message: int, n: int) -> None:
+    if not 0 <= message < n:
+        raise DomainError(
+            f"Paillier plaintext out of range [0, n): message={message}, n={n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,13 @@ class PaillierPublicKey:
 
     n: int
 
-    @property
+    @cached_property
     def n_squared(self) -> int:
         return self.n * self.n
+
+    def __getstate__(self) -> dict:
+        # The cached square re-derives on load: a key pickles as its fields.
+        return {"n": self.n}
 
     @property
     def plaintext_bits(self) -> int:
@@ -75,52 +90,12 @@ class PaillierPublicKey:
         return (self.n_squared.bit_length() + 7) // 8
 
     def encrypt(self, message: int, r: int | None = None) -> int:
-        if not 0 <= message < self.n:
-            raise DomainError(
-                f"Paillier plaintext out of range [0, n): "
-                f"message={message}, n={self.n}"
-            )
+        _check_plaintext(message, self.n)
         n2 = self.n_squared
         if r is None:
             r = secrets.randbelow(self.n - 1) + 1
         gm = (1 + message * self.n) % n2  # g^m with g = n+1
         return (gm * pow(r, self.n, n2)) % n2
-
-    def encrypt_batch(
-        self, messages: Sequence[int], pool: "EncryptionPool | None" = None
-    ) -> list[int]:
-        """Encrypt many plaintexts with hoisted parameters.
-
-        With a ``pool``, the per-value randomness factor comes from the
-        fixed-base short-exponent path; without one, each value pays the
-        full-width ``r^n`` exponentiation (but still skips per-call
-        attribute lookups).
-        """
-        n = self.n
-        n2 = self.n_squared
-        out: list[int] = []
-        if pool is not None:
-            factor = pool.factor
-            for message in messages:
-                if not 0 <= message < n:
-                    raise DomainError(
-                        f"Paillier plaintext out of range [0, n): "
-                        f"message={message}, n={n}"
-                    )
-                out.append(((1 + message * n) * factor()) % n2)
-        else:
-            for message in messages:
-                if not 0 <= message < n:
-                    raise DomainError(
-                        f"Paillier plaintext out of range [0, n): "
-                        f"message={message}, n={n}"
-                    )
-                r = secrets.randbelow(n - 1) + 1
-                out.append(((1 + message * n) * pow(r, n, n2)) % n2)
-        return out
-
-    def make_pool(self, seed: bytes | None = None) -> "EncryptionPool":
-        return EncryptionPool(self, seed=seed)
 
     def add(self, c1: int, c2: int) -> int:
         """Homomorphic addition: E(a) (*) E(b) = E(a + b mod n)."""
@@ -149,60 +124,6 @@ class PaillierPublicKey:
 
     def encrypt_zero(self) -> int:
         return self.encrypt(0)
-
-
-class EncryptionPool:
-    """Precomputed-randomness source for bulk Paillier encryption.
-
-    Pays one full-width exponentiation up front (``base = r0^n mod n^2``
-    for a secret random ``r0``) and then serves per-value obfuscation
-    factors ``base^e mod n^2`` for short random exponents ``e`` — each
-    factor equals ``(r0^e)^n``, i.e. valid Paillier randomness for the
-    (uniformly unknown) value ``r0^e``.  ``_table[i][j]`` holds
-    ``base^(j * 2^(POOL_WINDOW_BITS * i))``, so ``base^e`` is the product
-    of one entry per digit of ``e``.
-    """
-
-    def __init__(self, public: PaillierPublicKey, seed: bytes | None = None) -> None:
-        self.public = public
-        self._n2 = n2 = public.n_squared
-        self._stream = PRFStream(seed, b"paillier-pool") if seed is not None else None
-        r0 = self._random_below(public.n - 1) + 1
-        power = pow(r0, public.n, n2)
-        self._table: list[list[int]] = []
-        for _ in range(-(-POOL_EXPONENT_BITS // POOL_WINDOW_BITS)):
-            row = [1]
-            for _ in range((1 << POOL_WINDOW_BITS) - 1):
-                row.append(row[-1] * power % n2)
-            self._table.append(row)
-            power = row[-1] * power % n2
-
-    def _random_below(self, bound: int) -> int:
-        if self._stream is not None:
-            return self._stream.next_below(bound)
-        return secrets.randbelow(bound)
-
-    def factor(self) -> int:
-        """One obfuscation factor ``r^n mod n^2`` (short-exponent path)."""
-        e = self._random_below((1 << POOL_EXPONENT_BITS) - 1) + 1
-        n2 = self._n2
-        mask = (1 << POOL_WINDOW_BITS) - 1
-        acc = 1
-        for row in self._table:
-            digit = e & mask
-            if digit:
-                acc = acc * row[digit] % n2
-            e >>= POOL_WINDOW_BITS
-        return acc
-
-    def encrypt(self, message: int) -> int:
-        public = self.public
-        if not 0 <= message < public.n:
-            raise DomainError(
-                f"Paillier plaintext out of range [0, n): "
-                f"message={message}, n={public.n}"
-            )
-        return ((1 + message * public.n) * self.factor()) % self._n2
 
 
 @dataclass(frozen=True)
@@ -282,6 +203,88 @@ class PaillierPrivateKey:
             mq = (pow(c, q - 1, q2) - 1) // q % q * hq % q
             out.append(mq + q * ((mp - mq) * q_inv % p))
         return out
+
+
+class EncryptionPool:
+    """Precomputed-randomness source for bulk Paillier encryption.
+
+    Draws a secret random ``r0`` once and serves per-value obfuscation
+    factors ``base^e mod n^2`` with ``base = r0^n`` for short random
+    exponents ``e`` — each factor equals ``(r0^e)^n``, i.e. valid Paillier
+    randomness for the (uniformly unknown) value ``r0^e``.
+
+    Built from the private key: everything is computed mod ``p^2`` and mod
+    ``q^2``, where operands are half as wide, and one Garner step per
+    factor lifts the pair back to the unique value mod ``n^2``.
+    ``_rows[i]`` holds the pair of rows ``base^(j * 2^(POOL_WINDOW_BITS *
+    i))`` mod ``p^2`` and mod ``q^2``, so ``base^e`` is the product of one
+    entry per digit of ``e`` in each half.
+    """
+
+    def __init__(self, private: PaillierPrivateKey, seed: bytes | None = None) -> None:
+        p, q = private.p, private.q
+        if not p or not q:
+            raise CryptoError("an encryption pool needs a private key with p and q")
+        self.public = public = private.public
+        self._p2 = p2 = p * p
+        self._q2 = q2 = q * q
+        self._q2_inv = pow(q2, -1, p2)
+        self._stream = PRFStream(seed, b"paillier-pool") if seed is not None else None
+        r0 = self._random_below(public.n - 1) + 1
+        self._rows = list(
+            zip(
+                _comb_rows(pow(r0, public.n, p2), p2),
+                _comb_rows(pow(r0, public.n, q2), q2),
+            )
+        )
+
+    def _random_below(self, bound: int) -> int:
+        if self._stream is not None:
+            return self._stream.next_below(bound)
+        return secrets.randbelow(bound)
+
+    def factor(self) -> int:
+        """One obfuscation factor ``r^n mod n^2`` (short-exponent path)."""
+        e = self._random_below((1 << POOL_EXPONENT_BITS) - 1) + 1
+        p2, q2 = self._p2, self._q2
+        mask = (1 << POOL_WINDOW_BITS) - 1
+        acc_p = acc_q = 1
+        for row_p, row_q in self._rows:
+            digit = e & mask
+            if digit:
+                acc_p = acc_p * row_p[digit] % p2
+                acc_q = acc_q * row_q[digit] % q2
+            e >>= POOL_WINDOW_BITS
+        # Garner: the x < n^2 with x = acc_p (mod p^2) and x = acc_q (mod q^2).
+        return acc_q + q2 * ((acc_p - acc_q) * self._q2_inv % p2)
+
+    def encrypt_batch(self, messages: Sequence[int]) -> list[int]:
+        """Encrypt many plaintexts, one pool factor each."""
+        n = self.public.n
+        n2 = self.public.n_squared
+        factor = self.factor
+        out: list[int] = []
+        for message in messages:
+            _check_plaintext(message, n)
+            out.append(((1 + message * n) * factor()) % n2)
+        return out
+
+
+def _comb_rows(base: int, modulus: int) -> list[list[int]]:
+    """``rows[i][j] = base^(j * 2^(POOL_WINDOW_BITS * i)) mod modulus``.
+
+    The last row is only as long as the exponent bits it covers.
+    """
+    rows: list[list[int]] = []
+    power = base
+    for low in range(0, POOL_EXPONENT_BITS, POOL_WINDOW_BITS):
+        width = min(POOL_WINDOW_BITS, POOL_EXPONENT_BITS - low)
+        row = [1]
+        for _ in range((1 << width) - 1):
+            row.append(row[-1] * power % modulus)
+        rows.append(row)
+        power = row[-1] * power % modulus
+    return rows
 
 
 def generate_keypair(

@@ -22,6 +22,7 @@ from repro.core.encdata import (
     _SHORT_TEXT_BYTES,
     DEFAULT_CACHE_SIZE,
     INT_BOUND,
+    PAILLIER_MIN_BATCH,
     LRUCache,
     _short_text_length,
 )
@@ -378,14 +379,38 @@ class TestPaillierBatchAndCrt:
         cts = prov.paillier_encrypt_batch([RNG.randrange(1 << 32) for _ in range(10)])
         assert private.decrypt_batch(cts) == [private.decrypt(c) for c in cts]
 
+    def test_worker_pools_draw_their_own_randomness(self, prov):
+        # Each crypto worker builds its own pool from the shipped private
+        # key: a sharded batch decrypts, and repeats no factor the
+        # parent's pool draws for the same messages.
+        pooled = CryptoProvider(
+            MASTER_KEY,
+            paillier_bits=256,
+            workers=2,
+            paillier_keys=(prov.paillier_public, prov.paillier_private),
+        )
+        try:
+            messages = [5] * (4 * PAILLIER_MIN_BATCH)
+            sharded = pooled.paillier_encrypt_batch(messages)
+            assert pooled._pool is not None and pooled._pool.parallel
+            own = pooled.paillier_pool.encrypt_batch(messages)
+            assert pooled.paillier_decrypt_batch(sharded) == messages
+            assert len(set(sharded)) == len(sharded)
+            assert set(sharded).isdisjoint(own)
+        finally:
+            pooled.close()
+
     def test_out_of_range_error_reports_value_and_modulus(self, prov):
         public = prov.paillier_public
         with pytest.raises(DomainError) as excinfo:
             public.encrypt(public.n)
         assert str(public.n) in str(excinfo.value)
         with pytest.raises(DomainError) as excinfo:
-            public.encrypt_batch([0, -3])
+            prov.paillier_pool.encrypt_batch([0, -3])
         assert "-3" in str(excinfo.value)
+        with pytest.raises(DomainError) as excinfo:
+            prov.paillier_pool.encrypt_batch([public.n])
+        assert str(public.n) in str(excinfo.value)
 
 
 class TestBoundedCaches:

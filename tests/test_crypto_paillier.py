@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,12 @@ from repro.crypto.packing import (
     PackedLayout,
     decrypt_column_sums,
 )
-from repro.crypto.paillier import generate_keypair
+from repro.crypto.paillier import (
+    EncryptionPool,
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+)
 
 SEED = b"paillier-test-seed"
 
@@ -65,6 +73,46 @@ class TestPaillier:
     def test_plaintext_bits(self, keypair):
         pub, _ = keypair
         assert pub.plaintext_bits == pub.n.bit_length() - 1
+
+    def test_cached_square_leaves_equality_hash_and_pickle_alone(self, keypair):
+        pub, _ = keypair
+        fresh = PaillierPublicKey(n=pub.n)
+        fresh_pickle = pickle.dumps(fresh)
+        assert fresh.n_squared == pub.n * pub.n
+        assert "n_squared" in vars(fresh)  # computed once, then read back
+        assert fresh == PaillierPublicKey(n=pub.n)
+        assert hash(fresh) == hash(PaillierPublicKey(n=pub.n))
+        assert pickle.dumps(fresh) == fresh_pickle
+        clone = pickle.loads(fresh_pickle)
+        assert clone == fresh and clone.n_squared == fresh.n_squared
+
+
+#: SHA-256 over the first 16 factors (big-endian, ``ciphertext_bytes`` wide)
+#: of ``EncryptionPool(seed=b"golden-pool-seed")`` under the key
+#: ``generate_keypair(bits, seed=b"golden-key-<bits>")``, computed mod ``n^2``
+#: by the full-width comb: the half-width pool must reproduce them exactly.
+GOLDEN_POOL_FACTORS = {
+    384: "0b07cfe0396eff7cc4237177ef1d869cc0064eaacf92ea65949c003e8cbd4c3b",
+    512: "fa3693fb82eef35a57dc2bae2b90cfff98012f02a19d3ed52022bff9a8631238",
+    2048: "422c11d9acb6d2bcf05ee33f6ced2ba8e14554495a5700d04415465bbaff839d",
+}
+
+
+class TestEncryptionPool:
+    @pytest.mark.parametrize("bits", sorted(GOLDEN_POOL_FACTORS))
+    def test_golden_factors(self, bits):
+        pub, priv = generate_keypair(bits, seed=b"golden-key-%d" % bits)
+        pool = EncryptionPool(priv, seed=b"golden-pool-seed")
+        factors = b"".join(
+            pool.factor().to_bytes(pub.ciphertext_bytes, "big") for _ in range(16)
+        )
+        assert hashlib.sha256(factors).hexdigest() == GOLDEN_POOL_FACTORS[bits]
+
+    def test_key_without_factors_rejected(self, keypair):
+        _, priv = keypair
+        bare = PaillierPrivateKey(public=priv.public, lam=priv.lam, mu=priv.mu)
+        with pytest.raises(CryptoError):
+            EncryptionPool(bare)
 
 
 class TestPackedLayout:

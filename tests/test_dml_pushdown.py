@@ -11,7 +11,8 @@ gathers only candidates on the shard coordinator.  Three things pin that:
   stored columns, ciphertext literals, operators the scheme licenses —
   and that untouched cells come back byte-identical;
 * the **kernels**: fixed-base Paillier factors equal ``pow`` bit for bit,
-  and the coordinator still matches duplicates in ordinal order.
+  an UPDATE sends one hom factor per touched packed ciphertext, and the
+  coordinator still matches duplicates in ordinal order.
 
 These tests build their own clients: the session-scoped conftest fixtures
 are shared and must not be mutated.
@@ -360,6 +361,18 @@ class _Recorder(DelegatingView):
         super().__init__(parent)
         self.fetches: list[tuple[ast.Select, list[tuple]]] = []
         self.replaced: list[tuple[tuple, tuple]] = []
+        self.hom_updates: list[tuple[str, list[tuple[int, int]]]] = []
+
+    def hom_apply(self, file_name, updates=(), appended=(), num_rows=None, token=None):
+        updates = list(updates)
+        self.hom_updates.append((file_name, updates))
+        self._parent.hom_apply(
+            file_name,
+            updates=updates,
+            appended=appended,
+            num_rows=num_rows,
+            token=token,
+        )
 
     def execute(self, query, params=None):
         result = self._parent.execute(query, params=params)
@@ -499,20 +512,73 @@ class TestLeakage:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bits", [384, 512])
+@pytest.mark.parametrize("bits", [384, 512, 2048])
 def test_pool_factors_equal_pow_bit_for_bit(bits):
-    """The comb changes how a factor is computed, not which: replaying the
-    pool's PRF stream through ``pow`` gives the same 200 factors."""
+    """The half-width comb changes how a factor is computed, not which:
+    replaying the pool's PRF stream through a full-width ``pow`` mod
+    ``n^2`` gives the same 200 factors."""
     public, private = generate_keypair(bits, seed=b"comb-key-%d" % bits)
     seed = b"comb-pool-seed"
-    pool = EncryptionPool(public, seed=seed)
+    pool = EncryptionPool(private, seed=seed)
     stream = PRFStream(seed, b"paillier-pool")
     n2 = public.n_squared
     base = pow(stream.next_below(public.n - 1) + 1, public.n, n2)
     for _ in range(200):
         e = stream.next_below((1 << POOL_EXPONENT_BITS) - 1) + 1
         assert pool.factor() == pow(base, e, n2)
-    assert private.decrypt(pool.encrypt(123456789)) == 123456789
+    (ciphertext,) = pool.encrypt_batch([123456789])
+    assert private.decrypt(ciphertext) == 123456789
+
+
+def test_update_sends_one_factor_per_touched_ciphertext(provider, pushdown_design):
+    """Slot deltas are folded per packed ciphertext before encryption: an
+    UPDATE over several slots of one ciphertext ships one ``(index,
+    factor)`` pair for it, and the patched ciphertext holds what per-slot
+    patches applied one at a time, or a re-encryption, would hold."""
+    client = make_client(provider, pushdown_design)
+    recorder = _Recorder(client.backend)
+    client.backend = recorder
+    dml = client.dml
+    plain, entries, exprs, hom_groups, enc_schema, _ = dml._layout("orders")
+    (group,) = [g for g in hom_groups if g.expr_sqls == ("o_price",)]
+    file = recorder.ciphertext_store.get(group.file_name)
+    layout = file.layout
+    rpc = layout.rows_per_ciphertext
+    public, private = provider.paillier_public, provider.paillier_private
+    before = list(file.ciphertexts)
+    stored, plain_rows = dml._fetch_decrypted(
+        "orders", plain, entries, exprs, enc_schema, CostLedger()
+    )
+    # Keyed by hom row id, the last stored column.
+    old_price = {cells[-1]: row[2] for cells, row in zip(stored, plain_rows)}
+    touched = [cells[-1] for cells, row in zip(stored, plain_rows) if row[0] <= 12]
+    new_price = dict(old_price)
+    for rid in touched:
+        new_price[rid] = 5010 - old_price[rid]
+
+    client.execute("UPDATE orders SET o_price = 5010 - o_price WHERE o_orderkey <= 12")
+
+    ciphertexts = {rid // rpc for rid in touched}
+    assert len(ciphertexts) < len(touched)  # some ciphertext holds several
+    (updates,) = [u for name, u in recorder.hom_updates if name == group.file_name]
+    indices = [index for index, _ in updates]
+    assert sorted(indices) == sorted(ciphertexts)
+    for index in indices:
+        one_at_a_time = before[index]
+        for rid in touched:
+            if rid // rpc == index:
+                delta = new_price[rid] - old_price[rid]
+                slot_delta = (delta << layout.slot_offset(rid % rpc, 0)) % public.n
+                (factor,) = provider.paillier_encrypt_batch([slot_delta])
+                one_at_a_time = public.add(one_at_a_time, factor)
+        slots = range(index * rpc, (index + 1) * rpc)
+        chunk = [[new_price.get(rid, 0)] for rid in slots]
+        (reencrypted,) = provider.paillier_encrypt_batch([layout.encode_rows(chunk)])
+        assert (
+            private.decrypt(file.ciphertexts[index])
+            == private.decrypt(one_at_a_time)
+            == private.decrypt(reencrypted)
+        )
 
 
 class TestShardedGather:
