@@ -34,7 +34,7 @@ from repro.core.design import PhysicalDesign, TechniqueFlags
 from repro.core.designer import Designer, DesignResult
 from repro.core.encdata import CryptoProvider
 from repro.core.encset import Unit
-from repro.core.loader import EncryptedLoader
+from repro.core.loader import EncryptedLoader, complete_design, join_key_indexes
 from repro.core.normalize import (
     normalize_dml,
     normalize_for_execution,
@@ -262,7 +262,11 @@ class MonomiClient:
         shards: int | None = None,
         shard_keys: dict[str, str | None] | None = None,
     ) -> "MonomiClient":
-        """Design (unless ``design`` is given), encrypt, and load.
+        """Design (unless ``design`` is given), encrypt, load, and index.
+
+        After the load the backend indexes the DET join keys of
+        ``workload`` (:func:`~repro.core.loader.join_key_indexes`); SQLite
+        stores build B-trees, the in-memory engine keeps no index.
 
         ``paillier_bits`` defaults to 512 for tractable pure-Python
         benchmarking; pass 2048 for the paper's key size.  ``backend``
@@ -321,6 +325,13 @@ class MonomiClient:
             else:
                 backend = make_backend(backend, name=f"{plain_db.name}_enc")
         loader.load_into(backend, design)
+        indexes = join_key_indexes(
+            complete_design(design, plain_db),
+            queries,
+            {name: table.schema for name, table in plain_db.tables.items()},
+        )
+        for table_name, columns in indexes.items():
+            backend.create_indexes(table_name, columns)
         return cls(
             plain_db,
             design,

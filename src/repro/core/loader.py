@@ -18,12 +18,20 @@ from __future__ import annotations
 
 import os
 import random
+from typing import Iterable
 
-from repro.common.errors import ConfigError, DesignError, LoadJournalError
+from repro.common.errors import (
+    ConfigError,
+    DesignError,
+    LoadJournalError,
+    PlanningError,
+)
 from repro.common.retry import RetryPolicy, retry_call
 from repro.core.design import EncEntry, HomGroup, PhysicalDesign, normalize_expr
+from repro.core.encset import _flatten
 from repro.core.loadjournal import LoadJournal
 from repro.core.encdata import CryptoProvider
+from repro.core.rewrite import BindingContext
 from repro.core.schemes import Scheme
 from repro.core.typing import infer_type
 from repro.crypto.packing import PackedLayout
@@ -122,6 +130,67 @@ def complete_design(design: PhysicalDesign, plain_db: Database) -> PhysicalDesig
                 scheme = Scheme.RND if col.type == "float" else Scheme.DET
                 completed.add(name, ast.Column(col.name), scheme)
     return completed
+
+
+def join_key_indexes(
+    design: PhysicalDesign,
+    workload: Iterable[ast.Select],
+    schemas: dict[str, TableSchema],
+) -> dict[str, tuple[str, ...]]:
+    """The stored DET columns worth an index: every equi-join key.
+
+    Walks each normalized statement — WHERE conjuncts, JOIN ON conditions,
+    FROM and expression subqueries (a correlated column resolves to the
+    outer query) — and maps both sides of every ``Column = Column``
+    conjunct to its DET entry in ``design``, the completed design the
+    loader stored.  A side without a DET copy, or one that resolves to no
+    base table, adds nothing.  Returns ``{table: DET column names}``.
+    """
+    keys: dict[str, set[str]] = {}
+
+    def add_key(column: ast.Column, bindings: BindingContext) -> None:
+        try:
+            resolved = bindings.resolve_column(column)
+        except PlanningError:  # Ambiguous: the planner refuses it too.
+            return
+        if resolved is None:
+            return
+        table = resolved[1]
+        entry = design.entry_for(table, ast.Column(column.name), Scheme.DET)
+        if entry is not None:
+            keys.setdefault(table, set()).add(entry.column_name)
+
+    def visit(query: ast.Select, outer: BindingContext | None) -> None:
+        conditions: list[ast.Expr] = []
+        tables: dict[str, str] = {}
+        bound: dict[str, TableSchema] = {}
+        for ref in _flatten(query.from_items, conditions):
+            if isinstance(ref, ast.SubqueryRef):
+                visit(ref.query, None)
+            elif ref.name in schemas:
+                tables[ref.binding] = ref.name
+                bound[ref.binding] = schemas[ref.name]
+        bindings = BindingContext(tables, bound, parent=outer, registry=schemas)
+        for conjunct in conditions + ast.conjuncts(query.where):
+            if (
+                isinstance(conjunct, ast.BinOp)
+                and conjunct.op == "="
+                and isinstance(conjunct.left, ast.Column)
+                and isinstance(conjunct.right, ast.Column)
+            ):
+                add_key(conjunct.left, bindings)
+                add_key(conjunct.right, bindings)
+        exprs = [item.expr for item in query.items] + conditions
+        exprs += [query.where, query.having, *query.group_by]
+        exprs += [order.expr for order in query.order_by]
+        for expr in exprs:
+            if expr is not None:
+                for sub in ast.find_subqueries(expr):
+                    visit(sub, bindings)
+
+    for query in workload:
+        visit(query, None)
+    return {table: tuple(sorted(names)) for table, names in sorted(keys.items())}
 
 
 def server_column_type(entry: EncEntry, plain_type: str) -> str:

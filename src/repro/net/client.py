@@ -399,6 +399,12 @@ class RemoteBackend(ServerBackend):
             "on the server side, then connect"
         )
 
+    def create_indexes(self, table_name: str, columns: object) -> None:
+        raise ConfigError(
+            "remote backend cannot create indexes: they are built by the "
+            "server-side load, then connect"
+        )
+
     # -- ServerBackend: writes (the WRITE frame) ------------------------------
     #
     # Incremental DML and hom maintenance cross the wire as WRITE frames;

@@ -70,6 +70,17 @@ class ServerBackend(ABC):
         """Install a packed-Paillier file for the ``hom_agg`` UDF."""
         self.ciphertext_store.add(file)
 
+    def create_indexes(self, table_name: str, columns: Iterable[str]) -> None:
+        """Build ordinary indexes on stored columns of a loaded table.
+
+        Called once after the load with the DET join keys of the workload
+        the designer saw (``core.loader.join_key_indexes``).  An index
+        orders ciphertexts the server already stores: it changes access
+        paths, never rows or scan accounting.  This default is a no-op —
+        the in-memory engine hash-joins every key it is given and keeps no
+        index.
+        """
+
     # -- encrypted DML (PR 10) ----------------------------------------------
     #
     # The write surface the client-side DML executor drives.  Rows are
@@ -344,6 +355,9 @@ class DelegatingView(ServerBackend):
     def add_ciphertext_file(self, file: CiphertextFile) -> None:
         self._parent.add_ciphertext_file(file)
 
+    def create_indexes(self, table_name: str, columns: Iterable[str]) -> None:
+        self._parent.create_indexes(table_name, columns)
+
     @property
     def supports_prefix_resume(self) -> bool:  # type: ignore[override]
         return self._parent.supports_prefix_resume
@@ -423,6 +437,10 @@ class LockScopedView(DelegatingView):
     def add_ciphertext_file(self, file: CiphertextFile) -> None:
         with self._lock:
             self._parent.add_ciphertext_file(file)
+
+    def create_indexes(self, table_name: str, columns: Iterable[str]) -> None:
+        with self._lock:
+            self._parent.create_indexes(table_name, columns)
 
     def delete_rows(self, table_name: str, rows: Iterable[tuple]) -> int:
         with self._lock:

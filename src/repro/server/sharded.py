@@ -446,6 +446,16 @@ class ShardedBackend(ServerBackend):
             meta.next_ordinal = max(meta.next_ordinal, bucket[-1][-1] + 1)
             meta.logical_bytes += bucket_bytes[index]
 
+    def create_indexes(self, table_name: str, columns: Iterable[str]) -> None:
+        if table_name not in self._tables:
+            # Replicated tables live in the coordinator's engine, which
+            # keeps no index; an unknown name raises here.
+            self._db.table(table_name)
+            return
+        columns = list(columns)
+        for shard in self.shards:
+            shard.create_indexes(table_name, columns)
+
     # -- encrypted DML (PR 10) -----------------------------------------------
     #
     # DML requests address rows by their *logical* encrypted tuples

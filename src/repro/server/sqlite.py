@@ -25,6 +25,19 @@ that produce them; :func:`decode_sqlite_value` restores the logical
 Python values before the result set leaves the backend, so the client's
 decrypt path is backend-agnostic.
 
+Indexes
+-------
+Right after the load, :meth:`SQLiteBackend.create_indexes` builds one
+B-tree per DET equi-join key of the designer's workload
+(``ix_<table>_<column>``; ``MonomiClient.setup`` passes
+``core.loader.join_key_indexes``) and then runs ``ANALYZE`` on the
+table.  Without them SQLite builds a throwaway automatic index over the
+fact table on every join statement; without ``ANALYZE`` statistics its
+planner picks worse join orders over the indexes, so the two always come
+together.  Later writes maintain the indexes.  The split planner and the
+cost ledger never see them; :meth:`SQLiteBackend.index_bytes` reports
+their pages.
+
 Scan accounting is logical and identical to the in-memory backend: each
 table reference charges the table's rowcodec heap size, and ``hom_agg``
 ciphertext reads charge through the shared store, so the cost ledger's
@@ -550,6 +563,36 @@ class SQLiteBackend(ServerBackend):
             raise _translate_sqlite_error(exc, insert_sql) from exc
         self._table_bytes[table_name] += total
 
+    def create_indexes(self, table_name: str, columns: Iterable[str]) -> None:
+        """``CREATE INDEX IF NOT EXISTS ix_<table>_<column>`` per column,
+        then one ``ANALYZE`` of the table and one commit.
+
+        Idempotent: a repeat finds every index and derives the same
+        ``sqlite_stat1`` rows.  A column the table does not store raises
+        :class:`~repro.common.errors.EngineError` before anything is built.
+        """
+        schema = self.schemas.get(table_name)
+        if schema is None:
+            raise EngineError(f"unknown table {table_name!r}")
+        columns = list(columns)
+        for column in columns:
+            if not schema.has_column(column):
+                raise EngineError(f"table {table_name!r} has no column {column!r}")
+        table = quote_ident(table_name)
+        statements = [
+            f"CREATE INDEX IF NOT EXISTS {quote_ident(f'ix_{table_name}_{column}')} "
+            f"ON {table} ({quote_ident(column)})"
+            for column in columns
+        ]
+        statements.append(f"ANALYZE {table}")
+        try:
+            for sql_text in statements:
+                self.connection.execute(sql_text)
+            self.connection.commit()
+        except sqlite3.Error as exc:
+            self.connection.rollback()
+            raise _translate_sqlite_error(exc, sql_text) from exc
+
     # -- encrypted DML (PR 10) -----------------------------------------------
     #
     # Rows are matched by *decoded logical value* (the tuples a fetch
@@ -667,6 +710,19 @@ class SQLiteBackend(ServerBackend):
             return self._table_bytes[table_name]
         except KeyError:
             raise EngineError(f"unknown table {table_name!r}") from None
+
+    def index_bytes(self) -> int:
+        """Bytes of the B-tree pages behind every index, from ``dbstat``.
+
+        Physical and informational: neither :attr:`total_bytes` nor any
+        scan charge counts them (the paper's space overhead, Table 2, is a
+        logical ratio and never counted DBMS indexes).
+        """
+        (total,) = self.connection.execute(
+            "SELECT COALESCE(SUM(pgsize), 0) FROM dbstat WHERE name IN "
+            "(SELECT name FROM sqlite_master WHERE type = 'index')"
+        ).fetchone()
+        return total
 
     # -- resumable load support ----------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.core import (
     normalize_query,
 )
 from repro.core.candidates import base_design_for_plain
+from repro.core.loader import complete_design, join_key_indexes
 from repro.engine import Executor
 from repro.server import InMemoryBackend, SQLiteBackend, make_backend
 from repro.server.sqlite import (
@@ -127,6 +128,11 @@ def plan_env():
     memory = loader.load_into(make_backend("memory"), design)
     sqlite = loader.load_into(make_backend("sqlite"), design)
     schemas = {name: t.schema for name, t in db.tables.items()}
+    # Index the join keys as MonomiClient.setup does.
+    queries = [normalize_query(parse(sql)) for sql in PLAN_QUERIES]
+    indexes = join_key_indexes(complete_design(design, db), queries, schemas)
+    for table_name, columns in indexes.items():
+        sqlite.create_indexes(table_name, columns)
     return db, provider, design, schemas, memory, sqlite
 
 
@@ -181,20 +187,34 @@ def test_backends_report_identical_footprint(plan_env):
 
 
 def test_sqlite_server_never_sees_plaintext(plan_env):
-    """Dump every raw SQLite value: no plaintext string, date, or comment
-    word from the sales data may appear at rest."""
+    """Dump every raw SQLite value — table rows, the schema text, the
+    planner statistics and every index's keys: no plaintext string, date,
+    or comment word from the sales data may appear at rest."""
     db, _, _, _, _, sqlite = plan_env
     forbidden = {"OPEN", "SHIPPED", "RETURNED", "BUILDING", "FRANCE"}
     import datetime
 
+    conn = sqlite.connection
+    dumped = []
     for name in sqlite.table_names():
-        cursor = sqlite.connection.execute(f'SELECT * FROM "{name}"')
-        for row in cursor.fetchall():
-            for value in row:
-                assert value not in forbidden
-                assert not isinstance(value, datetime.date)
-                if isinstance(value, str):
-                    assert "brown" not in value and "Customer" not in value
+        dumped.extend(conn.execute(f'SELECT * FROM "{name}"').fetchall())
+    dumped.extend(conn.execute("SELECT sql FROM sqlite_master").fetchall())
+    dumped.extend(conn.execute("SELECT * FROM sqlite_stat1").fetchall())
+    indexes = conn.execute(
+        "SELECT name, tbl_name FROM sqlite_master WHERE type = 'index'"
+    ).fetchall()
+    assert indexes  # The join keys of PLAN_QUERIES are indexed.
+    for index, table in indexes:
+        ((_, _, column),) = conn.execute(f'PRAGMA index_info("{index}")')
+        dumped.extend(
+            conn.execute(f'SELECT "{column}" FROM "{table}" INDEXED BY "{index}"')
+        )
+    for row in dumped:
+        for value in row:
+            assert value not in forbidden
+            assert not isinstance(value, datetime.date)
+            if isinstance(value, str):
+                assert "brown" not in value and "Customer" not in value
 
 
 # ---------------------------------------------------------------------------
