@@ -1,10 +1,10 @@
-"""Multicore benchmark: worker-pool crypto and partition-parallel scans.
+"""Multicore benchmark: worker-pool crypto.
 
 Sweeps the worker count over the two phases the paper's client is
-throughput-bound on (§8, Fig. 7) and the scan phase the server is bound
-on, asserting at every point that parallel execution is **equivalent** to
-serial — identical plaintext rows, identical ledger byte counts,
-identical encrypted heap sizes — so the sweep measures wall-clock only:
+throughput-bound on (§8, Fig. 7), asserting at every point that parallel
+execution is **equivalent** to serial — identical plaintext rows,
+identical ledger byte counts, identical encrypted heap sizes — so the
+sweep measures wall-clock only:
 
 * **bulk_load** — ``EncryptedLoader.load_into`` with
   ``CryptoProvider(workers=N)``: every column batch shards across the
@@ -12,9 +12,7 @@ identical encrypted heap sizes — so the sweep measures wall-clock only:
 * **client_decrypt** — DET/OPE/RND and CRT-Paillier ``*_decrypt_batch``
   over result-sized ciphertext columns;
 * **end_to_end** — full encrypted queries through ``MonomiClient``,
-  serial vs pooled provider, rows and ledgers compared;
-* **partition_scan** — ``execute_stream(partitions=N)`` on both
-  backends, output order compared to the serial stream.
+  serial vs pooled provider, rows and ledgers compared.
 
 Speedups are relative to ``workers=1`` on the same host; the recorded
 ``cpu_count`` says how many cores were actually available (a 1-core CI
@@ -36,10 +34,8 @@ import pathlib
 import sys
 import time
 
-from repro.core import CryptoProvider, EncryptedLoader, MonomiClient, normalize_query
-from repro.engine import schema
-from repro.server import BACKEND_KINDS, make_backend
-from repro.sql import parse
+from repro.core import CryptoProvider, EncryptedLoader, MonomiClient
+from repro.server import make_backend
 from repro.testkit import MASTER_KEY, build_sales_db, canonical
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -170,52 +166,6 @@ def bench_end_to_end(db, design, providers, paillier_bits: int) -> list[dict]:
     return points
 
 
-def bench_partition_scan(num_rows: int, partition_counts: list[int]) -> list[dict]:
-    """Partitioned streamable scans on both backends, order-checked."""
-    points = []
-    for kind in BACKEND_KINDS:
-        backend = make_backend(kind)
-        backend.create_table(
-            schema("big", ("a", "int"), ("b", "int"), ("c", "int"))
-        )
-        backend.insert_rows(
-            "big", [(i, i * 7 % 1013, i % 97) for i in range(num_rows)]
-        )
-        query = normalize_query(parse("SELECT a, b FROM big WHERE c < 80"))
-        reference = None
-        for partitions in partition_counts:
-            start = time.perf_counter()
-            rows = backend.execute_stream(
-                query, partitions=partitions
-            ).drain_rows()
-            elapsed = time.perf_counter() - start
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference, (
-                    f"{kind} partitions={partitions} reordered the scan"
-                )
-            points.append(
-                {
-                    "backend": kind,
-                    "partitions": partitions,
-                    "scan_seconds": round(elapsed, 6),
-                }
-            )
-        if hasattr(backend, "close"):
-            backend.close()
-    for kind in BACKEND_KINDS:
-        base = next(
-            p["scan_seconds"] for p in points if p["backend"] == kind
-        )
-        for point in points:
-            if point["backend"] == kind:
-                point["speedup"] = round(
-                    base / max(point["scan_seconds"], 1e-9), 2
-                )
-    return points
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke: tiny keys/data")
@@ -227,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     paillier_bits = 256 if args.quick else 768
     num_values = 4_000 if args.quick else 24_000
     hom_values = 64 if args.quick else 512
-    scan_rows = 20_000 if args.quick else 80_000
     min_batch = 64
 
     print(
@@ -261,13 +210,10 @@ def main(argv: list[str] | None = None) -> int:
         "bulk_load": bench_bulk_load(db, design, providers),
         "client_decrypt": bench_client_decrypt(providers, num_values, hom_values),
         "end_to_end": bench_end_to_end(db, design, providers, paillier_bits),
-        "partition_scan": bench_partition_scan(scan_rows, worker_counts),
     }
     for phase in ("bulk_load", "client_decrypt", "end_to_end"):
         for point in results[phase]:
             print(f"  {phase:>16} workers={point['workers']}: {point}")
-    for point in results["partition_scan"]:
-        print(f"    partition_scan {point}")
     print("  all parallel modes agree with serial (rows, ledgers, heap sizes)")
 
     for provider in providers.values():

@@ -12,7 +12,7 @@ hot path, a dropped cache, a quadratic slip.
 
 Tree alignment: dicts recurse over shared keys; lists of dicts pair
 elements by their discriminator fields (``label``, ``workers``,
-``backend``/``partitions``, ``table_rows``) when present, falling back to
+``backend``, ``table_rows``) when present, falling back to
 index order.  Paths only in one file are ignored — benchmarks may grow
 phases without breaking older baselines.
 
@@ -37,7 +37,7 @@ import sys
 FACTOR = 3.0
 ABSOLUTE_FLOOR_SECONDS = 0.05
 
-_IDENTITY_KEYS = ("label", "workers", "backend", "partitions", "table_rows", "rate")
+_IDENTITY_KEYS = ("label", "workers", "backend", "table_rows", "rate")
 
 #: Benchmark script stem -> checked-in full-mode baseline (repo root).
 BASELINES = {

@@ -76,10 +76,9 @@ class ConfigError(ReproError):
     """An execution-layer configuration is contradictory or unusable.
 
     Raised instead of silently falling back when the caller explicitly
-    asked for a mode the stack cannot honor — e.g. partition-parallel
-    scans on a backend without native streaming when the root operator
-    blocks, partitions combined with ``streaming=False``, or a
-    ``MONOMI_WORKERS`` / ``MONOMI_PARTITIONS`` value that does not parse.
+    asked for a mode the stack cannot honor — e.g. a ``block_rows`` below
+    one, a DML statement on a backend without a write path, or a
+    ``MONOMI_WORKERS`` / ``MONOMI_PREFETCH`` value that does not parse.
     """
 
 

@@ -1,9 +1,8 @@
 """Shared multicore plumbing: worker-count policy and a resilient pool.
 
-Everything in this reproduction that fans work out across cores — batch
-crypto in :class:`~repro.core.encdata.CryptoProvider`, partition-parallel
-scans in the server backends — goes through this module, so the policy
-questions are answered exactly once:
+Batch crypto in :class:`~repro.core.encdata.CryptoProvider` fans work out
+across cores through this module, so the policy questions are answered
+exactly once:
 
 * **How many workers?**  An explicit ``workers=N`` wins; ``workers=None``
   consults the ``MONOMI_WORKERS`` environment variable and defaults to 1
@@ -44,34 +43,33 @@ from typing import Callable, Sequence
 from repro.common.errors import ConfigError
 
 WORKERS_ENV = "MONOMI_WORKERS"
-PARTITIONS_ENV = "MONOMI_PARTITIONS"
 
 logger = logging.getLogger("repro.parallel")
 
 
-def _parse_count(raw: str, env_name: str) -> int:
+def _parse_count(raw: str) -> int:
     try:
         count = int(raw)
     except ValueError:
         raise ConfigError(
-            f"{env_name} must be an integer (0 = one per core), got {raw!r}"
+            f"{WORKERS_ENV} must be an integer (0 = one per core), got {raw!r}"
         ) from None
     if count < 0:
-        raise ConfigError(f"{env_name} must be >= 0, got {count}")
+        raise ConfigError(f"{WORKERS_ENV} must be >= 0, got {count}")
     return count if count > 0 else (os.cpu_count() or 1)
 
 
-def resolve_workers(workers: int | None, env_name: str = WORKERS_ENV) -> int:
-    """Resolve a worker count: explicit value > env var > serial.
+def resolve_workers(workers: int | None) -> int:
+    """Resolve a worker count: explicit value > ``MONOMI_WORKERS`` > serial.
 
     ``0`` (explicit or via env) means one worker per CPU core.  Negative
     or unparseable values raise :class:`ConfigError`.
     """
     if workers is None:
-        raw = os.environ.get(env_name)
+        raw = os.environ.get(WORKERS_ENV)
         if raw is None:
             return 1
-        return _parse_count(raw, env_name)
+        return _parse_count(raw)
     if workers < 0:
         raise ConfigError(f"workers must be >= 0, got {workers}")
     return workers if workers > 0 else (os.cpu_count() or 1)
@@ -281,54 +279,6 @@ class WorkerPool:
         self._note_healthy()
         return results
 
-    def imap_ordered(self, fn: Callable, payloads: Sequence):
-        """Like :meth:`map_ordered`, but yields results as they arrive.
-
-        Submission order is preserved; with a live pool, result *i* is
-        yielded as soon as workers finish it (later results buffer
-        pool-side), which lets the consumer start merging the first
-        partition while the rest still compute.  The serial fallback
-        computes each result on demand, and — same guarantee as
-        :meth:`map_ordered` — a pool that breaks mid-iteration finishes
-        the remaining payloads in-process instead of raising, then
-        respawns on its next use.
-        """
-        executor = self._ensure()
-        if executor is None:
-
-            def serial():
-                self._ensure_local_init()
-                for payload in payloads:
-                    self._serial_tasks += 1
-                    yield fn(payload)
-
-            return serial()
-
-        def live():
-            results = executor.map(fn, payloads)
-            index = 0
-            while True:
-                try:
-                    result = next(results)
-                except StopIteration:
-                    self._note_healthy()
-                    return
-                except (OSError, BrokenProcessPool):
-                    # Workers died (or never spawned) mid-stream: finish
-                    # serially from the first result we have not yielded
-                    # yet.  Task-raised exceptions (our tasks do no IO)
-                    # are not caught here — they propagate.
-                    self._note_break()
-                    self._ensure_local_init()
-                    for payload in payloads[index:]:
-                        self._serial_tasks += 1
-                        yield fn(payload)
-                    return
-                index += 1
-                yield result
-
-        return live()
-
     def close(self) -> None:
         """Shut the pool down; it re-creates lazily if used again."""
         if self._executor is not None:
@@ -348,7 +298,7 @@ def queue_put_bounded(
     """Bounded queue put that gives up once ``stop`` is set.
 
     The producer half of every bounded pipeline in this codebase (the
-    plan executor's prefetch queue, the SQLite partition merge): block on
+    plan executor's prefetch queue, the sharded stream producers): block on
     a full queue, but poll the stop flag so a consumer that closed early
     never strands the producer.  Returns False when it gave up.
     """

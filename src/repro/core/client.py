@@ -128,7 +128,6 @@ class MonomiClient:
         disk: DiskModel,
         design_result: DesignResult | None = None,
         streaming: bool | None = None,
-        partitions: int | None = None,
         prefetch_blocks: int | None = None,
     ) -> None:
         self.plain_db = plain_db
@@ -161,7 +160,6 @@ class MonomiClient:
             network,
             disk,
             streaming=streaming,
-            partitions=partitions,
             prefetch_blocks=prefetch_blocks,
         )
 
@@ -257,7 +255,6 @@ class MonomiClient:
         provider: CryptoProvider | None = None,
         streaming: bool | None = None,
         workers: int | None = None,
-        partitions: int | None = None,
         prefetch_blocks: int | None = None,
         shards: int | None = None,
         shard_keys: dict[str, str | None] | None = None,
@@ -279,9 +276,8 @@ class MonomiClient:
         Multicore knobs: ``workers`` builds the provider with a crypto
         worker pool (so the encrypted load and client decryption shard
         across cores; ignored when a pre-built ``provider`` is passed),
-        ``partitions`` requests partition-parallel server scans, and
-        ``prefetch_blocks`` sizes the server→client pipeline queue.  All
-        three default from their ``MONOMI_*`` environment variables.
+        and ``prefetch_blocks`` sizes the server→client pipeline queue.
+        Both default from their ``MONOMI_*`` environment variables.
 
         ``shards`` (default from ``MONOMI_SHARDS``) partitions the
         encrypted tables across that many fresh backends of the chosen
@@ -342,7 +338,6 @@ class MonomiClient:
             disk,
             design_result,
             streaming=streaming,
-            partitions=partitions,
             prefetch_blocks=prefetch_blocks,
         )
 
@@ -363,7 +358,6 @@ class MonomiClient:
         network: NetworkModel | None = None,
         disk: DiskModel | None = None,
         streaming: bool | None = None,
-        partitions: int | None = None,
         prefetch_blocks: int | None = None,
         connect_timeout: float = 10.0,
         socket_timeout: float = 120.0,
@@ -419,7 +413,6 @@ class MonomiClient:
             network,
             disk,
             streaming=streaming,
-            partitions=partitions,
             prefetch_blocks=prefetch_blocks,
         )
 

@@ -28,23 +28,15 @@ Two execution modes share this machinery:
   at the root).  Both modes return identical rows and identical ledger
   byte counts — the streaming equivalence tests assert this.
 
-Multicore pipeline
-------------------
-Two knobs overlap the split plan's halves across cores:
-
-* ``partitions`` (default from ``MONOMI_PARTITIONS``) asks the server
-  backend for a partition-parallel scan whenever the server query is
-  itself streamable; blocking server queries run unpartitioned on the
-  native backends, and raise
-  :class:`~repro.common.errors.ConfigError` on backends without native
-  streaming rather than silently changing mode.
-* ``prefetch_blocks`` (default from ``MONOMI_PREFETCH``, 2) runs server
-  block production on a producer thread feeding a bounded queue, so the
-  server scans block *k+1* while the client decrypts block *k* — the
-  two sides pipeline instead of alternating.  The ledger is only ever
-  mutated from the consuming side (the producer reports its measured
-  seconds alongside each block), so byte counts and row order stay
-  byte-identical to the unprefetched stream.
+Prefetch pipeline
+-----------------
+``prefetch_blocks`` (default from ``MONOMI_PREFETCH``, 2) runs server
+block production on a producer thread feeding a bounded queue, so the
+server scans block *k+1* while the client decrypts block *k* — the two
+sides pipeline instead of alternating.  The ledger is only ever mutated
+from the consuming side (the producer reports its measured seconds
+alongside each block), so byte counts and row order stay byte-identical
+to the unprefetched stream.
 
 Resilient execution
 -------------------
@@ -86,7 +78,7 @@ from repro.common.errors import (
     TransientError,
 )
 from repro.common.ledger import CostLedger, DiskModel, NetworkModel
-from repro.common.parallel import PARTITIONS_ENV, queue_put_bounded, resolve_workers
+from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.core.encdata import CryptoProvider
 from repro.core.plan import ClientRelation, DecryptSpec, RemoteRelation, SplitPlan
@@ -101,12 +93,7 @@ from repro.engine.rowblock import (
     result_header_bytes,
 )
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.server.backend import (
-    ServerBackend,
-    as_backend,
-    supports_deadline,
-    supports_partitions,
-)
+from repro.server.backend import ServerBackend, as_backend, supports_deadline
 from repro.sql import ast
 
 PREFETCH_ENV = "MONOMI_PREFETCH"
@@ -130,14 +117,6 @@ def _resolve_prefetch(prefetch_blocks: int | None) -> int:
             f"prefetch_blocks must be >= 0, got {prefetch_blocks}"
         )
     return prefetch_blocks
-
-_TYPE_MAP = {
-    "int": "int",
-    "float": "float",
-    "text": "text",
-    "date": "date",
-    "bool": "bool",
-}
 
 
 class PlanStream:
@@ -362,7 +341,6 @@ class PlanExecutor:
         disk: DiskModel | None = None,
         streaming: bool = True,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int | None = None,
         prefetch_blocks: int | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -372,27 +350,12 @@ class PlanExecutor:
         self.disk = disk or DiskModel()
         self.streaming = streaming
         self.block_rows = block_rows
-        self.partitions = resolve_workers(partitions, env_name=PARTITIONS_ENV)
         self.prefetch_blocks = _resolve_prefetch(prefetch_blocks)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # Backoff jitter draws from a fixed-seed RNG so a given fault
         # schedule replays with identical retry timing (and never
         # perturbs any other randomness in the process).
         self._retry_rng = random.Random(0x5EED)
-        if not streaming and self.partitions > 1:
-            if partitions is not None:
-                # An explicit contradiction fails loudly: the caller asked
-                # for partition-parallel scans AND the materializing mode.
-                raise ConfigError(
-                    f"partition-parallel scans (partitions={partitions}) "
-                    "require streaming execution; streaming=False (or "
-                    "MONOMI_STREAMING=0) contradicts the request — drop "
-                    "one of the two settings"
-                )
-            # MONOMI_PARTITIONS expresses a preference for the streaming
-            # path; a deliberately materializing executor has no scan to
-            # partition, so the env default simply does not apply here.
-            self.partitions = 1
 
     # -- public ---------------------------------------------------------------
 
@@ -402,10 +365,7 @@ class PlanExecutor:
         The service layer builds one executor per worker thread, each
         bound to that worker's backend view: provider, network/disk
         models, and streaming mode carry over, while per-query server
-        state stays worker-private.  Partition-parallel scans are not
-        carried over — the service's parallelism axis is concurrent
-        queries, and stacking per-query partition fan-out on top of a
-        loaded worker pool oversubscribes the cores it is trying to use.
+        state stays worker-private.
         """
         return PlanExecutor(
             backend,
@@ -414,7 +374,6 @@ class PlanExecutor:
             self.disk,
             streaming=self.streaming,
             block_rows=self.block_rows,
-            partitions=1,
             prefetch_blocks=self.prefetch_blocks,
             retry_policy=self.retry_policy,
         )
@@ -438,6 +397,8 @@ class PlanExecutor:
         """Stream the plan's result as decrypted RowBlocks."""
         if block_rows is None:
             block_rows = self.block_rows
+        if block_rows < 1:
+            raise ConfigError(f"block_rows must be >= 1, got {block_rows}")
         ledger = CostLedger()
         if self.streaming and self._plan_streams(plan):
             relation = plan.relations[0]
@@ -556,16 +517,6 @@ class PlanExecutor:
     ) -> Iterator[RowBlock]:
         """Server scan → network → per-block decrypt → per-block unnest."""
         specs = relation.specs
-        partitions = self.partitions
-        if partitions > 1 and not supports_partitions(self.backend):
-            # An override written against the pre-partition contract:
-            # run it unpartitioned rather than pass an unknown kwarg.
-            partitions = 1
-        # Blocking server queries need no pre-check here: the native
-        # backends fall back to their serial streaming path internally,
-        # and a backend without native streaming raises ConfigError from
-        # the base execute_stream — the policy lives in one place.
-
         # Deadline-capable backends (the network client) enforce expiry
         # inside the request itself — pass it through when supported.
         stream_kwargs: dict[str, object] = {}
@@ -573,15 +524,6 @@ class PlanExecutor:
             stream_kwargs["deadline"] = deadline
 
         def open_stream() -> BlockStream:
-            if partitions > 1:
-                return self.backend.execute_stream(
-                    relation.query,
-                    params=server_params,
-                    block_rows=block_rows,
-                    partitions=partitions,
-                    **stream_kwargs,
-                )
-            # Third-party backends may predate the partitions kwarg.
             return self.backend.execute_stream(
                 relation.query,
                 params=server_params,

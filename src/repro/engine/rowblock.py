@@ -102,13 +102,11 @@ def rechunk_rows(
     stats=None,
 ) -> Iterator[RowBlock]:
     """Merge ordered row-list chunks into blocks of exactly ``block_rows``
-    (except the last) — the partition-parallel merge point.
+    (except the last) — the sharded stream's merge point.
 
-    Chunks arrive in partition order and rows concatenate as-is, so the
-    output row order and block boundaries match a serial scan of the same
-    rows.  When ``stats`` is given, ``rows_output`` accrues per emitted
-    block (both partitioned backends share these semantics by sharing
-    this function).
+    Chunks arrive in order and rows concatenate as-is, so the output row
+    order and block boundaries match a serial scan of the same rows.
+    When ``stats`` is given, ``rows_output`` accrues per emitted block.
     """
     buffer: list[tuple] = []
     for rows in row_lists:

@@ -637,16 +637,11 @@ class RemoteBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
         deadline: Deadline | None = None,
     ) -> BlockStream:
         conn = self._checkout()
         try:
-            request: dict = {
-                "stream": True,
-                "block_rows": block_rows,
-                "partitions": partitions,
-            }
+            request: dict = {"stream": True, "block_rows": block_rows}
             if params:
                 request["params"] = params
             if deadline is not None:

@@ -47,7 +47,7 @@ from repro.engine.rowblock import (
     result_header_bytes,
 )
 from repro.net import wire
-from repro.server.backend import ServerBackend, as_backend, supports_partitions
+from repro.server.backend import ServerBackend, as_backend
 from repro.server.chaos import FaultInjectingBackend, maybe_wrap_chaos
 from repro.sql import ast
 
@@ -443,27 +443,22 @@ class MonomiServer:
     def _open_stream(
         self, view: ServerBackend, query: ast.Select, body: dict
     ) -> tuple[BlockStream, bool]:
-        """The backend call for one EXECUTE.  Returns (stream, streamed)."""
+        """The backend call for one EXECUTE.  Returns (stream, streamed).
+
+        ``block_rows`` comes from the peer: anything but a positive
+        integer is refused (a negative one would re-block the result into
+        zero rows).
+        """
         params = body.get("params")
-        block_rows = int(body.get("block_rows") or DEFAULT_BLOCK_ROWS)
-        partitions = int(body.get("partitions") or 1)
+        block_rows = body.get("block_rows")
+        if block_rows is None:
+            block_rows = DEFAULT_BLOCK_ROWS
+        if type(block_rows) is not int or block_rows < 1:
+            raise ConfigError(
+                f"block_rows must be a positive integer, got {block_rows!r}"
+            )
         if body.get("stream", True):
-            if supports_partitions(view):
-                stream = view.execute_stream(
-                    query,
-                    params=params,
-                    block_rows=block_rows,
-                    partitions=partitions,
-                )
-            else:
-                if partitions > 1:
-                    raise ConfigError(
-                        f"backend {view.kind!r} does not accept partitions; "
-                        f"cannot run partitions={partitions}"
-                    )
-                stream = view.execute_stream(
-                    query, params=params, block_rows=block_rows
-                )
+            stream = view.execute_stream(query, params=params, block_rows=block_rows)
             return stream, True
         result = view.execute(query, params=params)
         stream = BlockStream(

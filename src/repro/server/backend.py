@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from typing import Iterable
 
 from repro.common.errors import ConfigError
-from repro.engine.executor import ExecStats, ResultSet, is_streamable
+from repro.engine.executor import ExecStats, ResultSet
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, blocks_from_rows
 from repro.engine.schema import TableSchema
 from repro.sql import ast
@@ -249,7 +249,6 @@ class ServerBackend(ABC):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
         """Run one server query, yielding column-major RowBlocks.
 
@@ -261,31 +260,11 @@ class ServerBackend(ABC):
         any backend; engines with incremental cursors override it to keep
         peak memory bounded by the block size.
 
-        ``partitions`` requests a partition-parallel scan: the native
-        backends split a streamable scan into contiguous partitions, run
-        each on a worker, and re-merge in partition order.  This base
-        implementation cannot parallelize anything: it accepts the
-        request for a streamable query (running it serially, documented
-        here rather than hidden) but **raises**
-        :class:`~repro.common.errors.ConfigError` when the root operator
-        blocks (grouping/ordering/joins) — a backend without native
-        streaming cannot honor that combination at all, and a silent
-        serial fallback would misreport the execution mode the caller
-        asked for.
-
         Contract: ciphertext-file reads (``hom_agg``) accrue on a
         backend-global counter windowed per stream, so streams of
         hom-reading queries must be consumed one at a time for exact
         scan-byte accounting; interleaving plain scans is fine.
         """
-        if partitions > 1 and not is_streamable(query):
-            raise ConfigError(
-                f"backend {self.kind!r} has no native streaming: "
-                f"partition-parallel execution was requested "
-                f"(partitions={partitions}) but the query's root operator "
-                "blocks (grouping/ordering/joins/aggregation); run with "
-                "partitions=1 or use a streaming-capable backend"
-            )
         result = self.execute(query, params=params)
         blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
         return BlockStream(result.columns, blocks, self.last_stats)
@@ -482,35 +461,10 @@ class LockScopedView(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
-        if partitions > 1 and not is_streamable(query):
-            raise ConfigError(
-                f"worker views of backend {self._parent.kind!r} serialize "
-                f"execution and cannot partition a blocking query "
-                f"(partitions={partitions}); run with partitions=1 or "
-                "execute on the parent backend directly"
-            )
         result = self.execute(query, params=params)
         blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
         return BlockStream(result.columns, blocks, self.last_stats)
-
-
-def supports_partitions(backend: ServerBackend) -> bool:
-    """True when the backend's ``execute_stream`` accepts ``partitions``.
-
-    Third-party overrides written against the pre-partition contract
-    (``query, params, block_rows``) must keep working: callers check here
-    and simply run such backends unpartitioned instead of handing them an
-    unexpected keyword.
-    """
-    signature = inspect.signature(type(backend).execute_stream)
-    if "partitions" in signature.parameters:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in signature.parameters.values()
-    )
 
 
 def supports_deadline(backend: ServerBackend) -> bool:

@@ -49,11 +49,7 @@ from repro.common.errors import (
 )
 from repro.engine.executor import ResultSet
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
-from repro.server.backend import (
-    DelegatingView,
-    ServerBackend,
-    supports_partitions,
-)
+from repro.server.backend import DelegatingView, ServerBackend
 from repro.sql import ast
 
 #: Environment variable that arms chaos globally: ``"seed:rate"``.
@@ -295,25 +291,11 @@ class FaultInjectingBackend(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
         self._core.decide_call("execute_stream")
-        if supports_partitions(self._parent):
-            parent_stream = self._parent.execute_stream(
-                query,
-                params=params,
-                block_rows=block_rows,
-                partitions=partitions,
-            )
-        else:
-            if partitions > 1:
-                raise ConfigError(
-                    f"backend {self._parent.kind!r} does not accept "
-                    f"partitions; cannot run partitions={partitions}"
-                )
-            parent_stream = self._parent.execute_stream(
-                query, params=params, block_rows=block_rows
-            )
+        parent_stream = self._parent.execute_stream(
+            query, params=params, block_rows=block_rows
+        )
         blocks = self._faulted_blocks(parent_stream)
         return BlockStream(parent_stream.columns, blocks, parent_stream.stats)
 

@@ -6,32 +6,17 @@ Wraps one :class:`~repro.engine.catalog.Database` plus an
 identical to the pre-backend code path — same executor, same scan
 accounting — which makes this backend the reference side of the
 cross-backend equivalence harness.
-
-Partition-parallel scans
-------------------------
-``execute_stream(..., partitions=N)`` splits a streamable scan into N
-contiguous range partitions of the table's rows, runs each slice on a
-process-pool worker (:func:`~repro.server.partition.scan_partition`), and
-re-merges the slice results in partition order — so output order, block
-boundaries, and scan-byte accounting are all identical to the serial
-stream.  Blocking root operators (grouping/ordering/joins) and scans with
-a pushed LIMIT fall back to the serial streaming path: this backend *has*
-native streaming, so the fallback changes parallelism, never semantics.
-Partition mode trades the serial stream's O(block) memory bound for
-multicore throughput (slice results stage in the parent as they merge).
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.common.parallel import WorkerPool, shard_spans
 from repro.engine.catalog import Database
-from repro.engine.executor import ExecStats, Executor, ResultSet, is_streamable
-from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, rechunk_rows
+from repro.engine.executor import ExecStats, Executor, ResultSet
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.engine.schema import TableSchema
 from repro.server.backend import ServerBackend
-from repro.server.partition import scan_partition
 from repro.sql import ast
 
 
@@ -44,7 +29,6 @@ class InMemoryBackend(ServerBackend):
         self.database = database if database is not None else Database(name)
         self.executor = Executor(self.database)
         self.last_stats = ExecStats()
-        self._partition_pool: WorkerPool | None = None
 
     # -- loading ------------------------------------------------------------
 
@@ -102,95 +86,12 @@ class InMemoryBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
-        if partitions > 1 and self._can_partition(query):
-            return self._execute_stream_partitioned(
-                query, params, block_rows, partitions
-            )
         stream = self.executor.execute_stream(
             query, params=params, block_rows=block_rows
         )
         self.last_stats = stream.stats
         return stream
-
-    def _can_partition(self, query: ast.Select) -> bool:
-        """Streamable scan over a real table, without a pushed LIMIT and
-        without subqueries.
-
-        LIMIT stays serial: a global row budget cannot be split across
-        partitions without either over-scanning or a post-merge truncation
-        that changes which partition's work is wasted — the serial stream
-        already stops early, which is the whole point of a pushed LIMIT.
-        Subqueries stay serial too: a partition worker's database holds
-        only its slice of the scan table, so an inner query evaluated
-        there would see a sliver of its input (or none of its table) —
-        the worker payload carries exactly one table's rows by design.
-        """
-        if not is_streamable(query) or query.limit is not None:
-            return False
-        exprs = [item.expr for item in query.items]
-        if query.where is not None:
-            exprs.append(query.where)
-        if any(ast.find_subqueries(e) for e in exprs):
-            return False
-        return self.database.has_table(query.from_items[0].name)
-
-    def _pool_for(self, partitions: int) -> WorkerPool:
-        pool = self._partition_pool
-        if pool is None or pool.workers != partitions:
-            if pool is not None:
-                pool.close()
-            pool = WorkerPool(partitions)
-            self._partition_pool = pool
-        return pool
-
-    def _execute_stream_partitioned(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None,
-        block_rows: int,
-        partitions: int,
-    ) -> BlockStream:
-        """Contiguous range partitions, one worker each, ordered re-merge."""
-        stats = ExecStats()
-        self.last_stats = stats
-        # Static scan accounting: identical to the serial engine stream —
-        # one full heap read per table occurrence, charged up front.
-        for name in ast.table_occurrences(query):
-            if self.database.has_table(name):
-                stats.bytes_scanned += self.database.table(name).total_bytes
-        ref = query.from_items[0]
-        table = self.database.table(ref.name)
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        # Each payload ships its row slice through pickle on every call —
-        # a per-query O(table) cost that buys per-query parallel scanning.
-        # Amortizing slices across queries would need per-worker residency
-        # the stdlib pool cannot promise (tasks are not pinned to
-        # workers); revisit with shared memory if scan volume demands it.
-        payloads = [
-            (
-                ref.name,
-                list(table.schema.column_names),
-                table.rows[lo:hi],
-                query,
-                params or {},
-            )
-            for lo, hi in shard_spans(len(table.rows), partitions)
-        ]
-        pool = self._pool_for(partitions)
-
-        def blocks():
-            # Deferred into the generator so an unconsumed stream never
-            # submits work to the pool.
-            yield from rechunk_rows(
-                pool.imap_ordered(scan_partition, payloads),
-                len(columns),
-                block_rows,
-                stats,
-            )
-
-        return BlockStream(columns, blocks(), stats)
 
     # -- concurrent service access ---------------------------------------------
 
@@ -206,8 +107,3 @@ class InMemoryBackend(ServerBackend):
         sessions should overlap inside the server itself).
         """
         return super().worker_view()
-
-    def close(self) -> None:
-        """Release the partition worker pool (if one was ever created)."""
-        if self._partition_pool is not None:
-            self._partition_pool.close()

@@ -78,11 +78,7 @@ from repro.engine.rowblock import (
     rechunk_rows,
 )
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.server.backend import (
-    ServerBackend,
-    supports_deadline,
-    supports_partitions,
-)
+from repro.server.backend import ServerBackend, supports_deadline
 from repro.sql import ast
 from repro.storage.rowcodec import encode_value, row_bytes
 
@@ -322,7 +318,6 @@ class ShardedBackend(ServerBackend):
             self._gather_lock = threading.Lock()
         self._executor = Executor(self._db)
         self._shard_deadline = [supports_deadline(s) for s in self.shards]
-        self._shard_partitions = [supports_partitions(s) for s in self.shards]
 
     # -- topology ------------------------------------------------------------
 
@@ -1233,17 +1228,12 @@ class ShardedBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
         deadline: Deadline | None = None,
     ) -> BlockStream:
         mode, plan = self._classify(query)
         if mode in ("scan", "ordered"):
-            return self._stream_merged(
-                query, params, block_rows, partitions, deadline, mode
-            )
-        # Blocking gathers materialize and re-block — the native-backend
-        # fallback contract: partition requests degrade to serial on
-        # shapes that cannot stream, they never error.
+            return self._stream_merged(query, params, block_rows, deadline, mode)
+        # Blocking gathers materialize and re-block.
         result = self.execute(query, params=params, deadline=deadline)
         blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
         return BlockStream(result.columns, blocks, self.last_stats)
@@ -1253,7 +1243,6 @@ class ShardedBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None,
         block_rows: int,
-        partitions: int,
         deadline: Deadline | None,
         mode: str,
     ) -> BlockStream:
@@ -1277,8 +1266,7 @@ class ShardedBackend(ServerBackend):
         def producer(index: int, out: queue.Queue) -> None:
             try:
                 for chunk in self._resilient_shard_rows(
-                    index, shard_query, params, block_rows, partitions,
-                    deadline, stop,
+                    index, shard_query, params, block_rows, deadline, stop
                 ):
                     if not queue_put(out, ("rows", chunk), stop):
                         return
@@ -1346,7 +1334,6 @@ class ShardedBackend(ServerBackend):
         shard_query: ast.Select,
         params: dict[str, object] | None,
         block_rows: int,
-        partitions: int,
         deadline: Deadline | None,
         stop: threading.Event,
     ) -> Iterator[list[tuple]]:
@@ -1366,8 +1353,7 @@ class ShardedBackend(ServerBackend):
             got_block = False
             try:
                 stream = self._open_shard_stream(
-                    index, shard_query, params, block_rows, partitions,
-                    deadline,
+                    index, shard_query, params, block_rows, deadline
                 )
                 try:
                     skip = delivered
@@ -1404,21 +1390,12 @@ class ShardedBackend(ServerBackend):
         shard_query: ast.Select,
         params: dict[str, object] | None,
         block_rows: int,
-        partitions: int,
         deadline: Deadline | None,
     ) -> BlockStream:
         shard = self.shards[index]
         kwargs: dict[str, object] = {}
         if deadline is not None and self._shard_deadline[index]:
             kwargs["deadline"] = deadline
-        if partitions > 1 and self._shard_partitions[index]:
-            return shard.execute_stream(
-                shard_query,
-                params=params,
-                block_rows=block_rows,
-                partitions=partitions,
-                **kwargs,
-            )
         return shard.execute_stream(
             shard_query, params=params, block_rows=block_rows, **kwargs
         )

@@ -47,7 +47,6 @@ byte counts are backend-independent (asserted by the equivalence tests).
 from __future__ import annotations
 
 import itertools
-import queue as queue_mod
 import sqlite3
 import struct
 import threading
@@ -56,17 +55,15 @@ from dataclasses import replace
 from typing import Iterable
 
 from repro.common.errors import BackendBusyError, EngineError, ExecutionError
-from repro.common.parallel import queue_put_bounded, shard_spans
 from repro.crypto.search import TAG_BYTES
 from repro.engine.aggregates import GrpAgg, HomAgg, HomAggResult
 from repro.engine.eval import like_matches
-from repro.engine.executor import ExecStats, ResultSet, is_streamable
+from repro.engine.executor import ExecStats, ResultSet
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
     RowBlock,
     blocks_from_rows,
-    rechunk_rows,
 )
 from repro.engine.schema import TableSchema
 from repro.server.backend import DelegatingView, ServerBackend
@@ -427,8 +424,6 @@ class SQLiteBackend(ServerBackend):
     kind = "sqlite"
 
     _CACHED_STATEMENTS = 256
-    #: Blocks each partition worker may buffer ahead of the merge point.
-    _PARTITION_QUEUE_BLOCKS = 4
     #: How long any connection retries a locked database before erroring.
     #: Shared-cache readers on per-worker connections can hit transient
     #: lock states while another connection commits; a zero timeout turns
@@ -446,7 +441,7 @@ class SQLiteBackend(ServerBackend):
         self.schemas: dict[str, TableSchema] = {}
         self._table_bytes: dict[str, int] = {}
         # In-memory databases use a uniquely named shared-cache URI so the
-        # partition workers' per-worker connections see the same data; the
+        # service worker views' own connections see the same data; the
         # main connection below holds the database alive.  File-backed
         # databases need no sharing tricks — workers just open the path.
         if path == ":memory:":
@@ -502,7 +497,7 @@ class SQLiteBackend(ServerBackend):
         conn.create_aggregate("sum", 1, lambda: _SqliteSum(store))
 
     def _worker_connection(self) -> sqlite3.Connection:
-        """A per-worker read connection (partition scans, service views).
+        """A per-worker read connection (one per service worker view).
 
         Same database, own statement cache and cursor state; the UDF set
         is registered per connection because SQLite functions are
@@ -865,7 +860,6 @@ class SQLiteBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
         """Stream the query through a ``fetchmany`` cursor, one block at a
         time — the server never materializes the full result set.
@@ -874,19 +868,7 @@ class SQLiteBackend(ServerBackend):
         ciphertext-store reads made by ``hom_agg`` accrue as the SQLite VM
         steps and fold into ``stats.bytes_scanned`` when the stream ends
         (exhausted or closed), so drained totals match :meth:`execute`.
-
-        ``partitions > 1`` splits a streamable scan into contiguous
-        ``rowid`` ranges, one per-worker connection each (see
-        :meth:`_execute_stream_partitioned`); blocking roots and pushed
-        LIMITs keep this serial path — native streaming makes that a
-        change of parallelism, never of results.
         """
-        if partitions > 1 and self._can_partition(query):
-            stream = self._execute_stream_partitioned(
-                query, params, block_rows, partitions
-            )
-            self.last_stats = stream.stats
-            return stream
         if _reads_ciphertext_store(query):
             # Same policy as the worker views: hom accounting needs an
             # exclusive store-counter window, which a consumer-paced
@@ -953,139 +935,6 @@ class SQLiteBackend(ServerBackend):
 
         return BlockStream(columns, blocks(), stats)
 
-    # -- partition-parallel scans ---------------------------------------------
-
-    def _can_partition(self, query: ast.Select) -> bool:
-        """Streamable scan over a loaded table, without a pushed LIMIT
-        (a global row budget cannot be split across partitions without
-        changing how early the scan stops)."""
-        if not is_streamable(query) or query.limit is not None:
-            return False
-        return query.from_items[0].name in self.schemas
-
-    def _execute_stream_partitioned(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None,
-        block_rows: int,
-        partitions: int,
-    ) -> BlockStream:
-        """Contiguous ``rowid`` ranges, one per-worker connection each.
-
-        Each worker runs the scan restricted to its range (``rowid``
-        reflects insertion order, so ranges are the engine's contiguous
-        row slices) and feeds decoded rows through a bounded queue; the
-        merge point drains the queues in partition order, so output order
-        matches the serial stream exactly and total buffering stays
-        O(partitions x queue depth x block).  Accounting is unchanged:
-        the full heap is charged once up front, and streamable queries
-        never read ciphertext files.
-        """
-        stats = ExecStats()
-        bound, _, bind = self._prepare(query, params)
-        static_bytes = self._static_scan_bytes(bound)
-        stats.bytes_scanned = static_bytes
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        store = self.ciphertext_store
-        table_name = bound.from_items[0].name
-        min_rowid, max_rowid = self.connection.execute(
-            f"SELECT MIN(rowid), MAX(rowid) FROM {quote_ident(table_name)}"
-        ).fetchone()
-        if min_rowid is None:
-            return BlockStream(columns, iter(()), stats)
-        spans = [
-            (min_rowid + lo, min_rowid + hi - 1)
-            for lo, hi in shard_spans(max_rowid - min_rowid + 1, partitions)
-        ]
-        partition_sqls = []
-        for lo, hi in spans:
-            fence = ast.Between(
-                ast.Column("rowid"), ast.Literal(lo), ast.Literal(hi)
-            )
-            where = (
-                fence
-                if bound.where is None
-                else ast.BinOp("and", bound.where, fence)
-            )
-            partition_sqls.append(
-                to_sql(replace(bound, where=where), dialect="sqlite")
-            )
-        stop = threading.Event()
-        queues = [
-            queue_mod.Queue(maxsize=self._PARTITION_QUEUE_BLOCKS)
-            for _ in partition_sqls
-        ]
-
-        def run_partition(index: int, sql_text: str) -> None:
-            out = queues[index]
-            conn = None
-            try:
-                conn = self._worker_connection()
-                cursor = conn.cursor()
-                cursor.arraysize = block_rows
-                cursor.execute(sql_text, bind)
-                while True:
-                    raw = cursor.fetchmany(block_rows)
-                    if not raw:
-                        break
-                    rows = [
-                        tuple(decode_sqlite_value(v, store) for v in row)
-                        for row in raw
-                    ]
-                    if not queue_put_bounded(out, ("rows", rows), stop):
-                        return  # Consumer closed early; stop scanning.
-            except sqlite3.Error as exc:
-                queue_put_bounded(
-                    out, ("error", _translate_sqlite_error(exc, sql_text)), stop
-                )
-            except Exception as exc:
-                # Anything else (decode errors on corrupt blobs, store
-                # lookups) must reach the consumer in-band: a dead thread
-                # whose finally still reports "done" would silently
-                # truncate the merged result.
-                queue_put_bounded(out, ("error", exc), stop)
-            finally:
-                if conn is not None:
-                    conn.close()
-                queue_put_bounded(out, ("done", None), stop)
-
-        def partition_row_lists():
-            """Drain the queues in partition order (raising in-band errors)."""
-            for out in queues:
-                while True:
-                    kind, payload = out.get()
-                    if kind == "done":
-                        break
-                    if kind == "error":
-                        raise payload
-                    yield payload
-
-        def blocks():
-            threads = [
-                threading.Thread(
-                    target=run_partition, args=(i, sql), daemon=True
-                )
-                for i, sql in enumerate(partition_sqls)
-            ]
-            for thread in threads:
-                thread.start()
-            try:
-                yield from rechunk_rows(
-                    partition_row_lists(), len(columns), block_rows, stats
-                )
-            finally:
-                stop.set()
-                for out in queues:
-                    while True:
-                        try:
-                            out.get_nowait()
-                        except queue_mod.Empty:
-                            break
-                for thread in threads:
-                    thread.join(timeout=5.0)
-
-        return BlockStream(columns, blocks(), stats)
-
     # -- concurrent service access ---------------------------------------------
 
     def worker_view(self) -> ServerBackend:
@@ -1130,15 +979,8 @@ class _SQLiteWorkerView(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        partitions: int = 1,
     ) -> BlockStream:
         parent = self._parent
-        if partitions > 1 and parent._can_partition(query):
-            stream = parent._execute_stream_partitioned(
-                query, params, block_rows, partitions
-            )
-            self.last_stats = stream.stats
-            return stream
         # IN-set inlining only injects literal lists — it can never add or
         # remove a hom_agg call — so the raw query answers the check.
         if _reads_ciphertext_store(query):

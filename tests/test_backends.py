@@ -379,6 +379,25 @@ class TestSqliteSharedCacheConcurrency:
         backend.insert_rows("t", [(i, i % 7) for i in range(500)])
         return backend
 
+    def test_uri_hostile_backend_name_stays_in_memory(self):
+        """A '#' or '?' in the backend name must not truncate the shared-cache
+        URI into an on-disk file (in-memory names are percent-encoded); a
+        worker view's own connection still sees the parent's rows."""
+        import pathlib
+
+        from repro.engine import schema
+
+        backend = SQLiteBackend(name="weird name#1?x")
+        backend.create_table(schema("t", ("a", "int")))
+        backend.insert_rows("t", [(i,) for i in range(100)])
+        view = backend.worker_view()
+        query = normalize_query(parse("SELECT a FROM t"))
+        rows = view.execute_stream(query).drain_rows()
+        assert rows == [(i,) for i in range(100)]
+        assert not list(pathlib.Path(".").glob("monomi-weird*"))
+        view.close()
+        backend.close()
+
     def test_busy_timeout_set_on_all_connections(self):
         backend = self._loaded_backend()
         for conn in (backend.connection, backend._worker_connection()):

@@ -43,7 +43,7 @@ from repro.server import (
     maybe_wrap_chaos,
     parse_chaos,
 )
-from repro.server.backend import DelegatingView, supports_partitions
+from repro.server.backend import DelegatingView
 from repro.service import MonomiService
 from repro.sql import parse
 from repro.testkit import SALES_WORKLOAD, canonical
@@ -301,14 +301,8 @@ class _FlakyView(DelegatingView):
         self.last_stats = self._parent.last_stats
         return result
 
-    def execute_stream(
-        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, partitions=1
-    ):
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         self._maybe_fail()
-        if supports_partitions(self._parent):
-            return self._parent.execute_stream(
-                query, params=params, block_rows=block_rows, partitions=partitions
-            )
         return self._parent.execute_stream(
             query, params=params, block_rows=block_rows
         )

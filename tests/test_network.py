@@ -22,9 +22,12 @@ from repro.common.errors import (
     RemoteError,
     WireError,
 )
-from repro.core import CryptoProvider, MonomiClient
+from repro.core import CryptoProvider, MonomiClient, normalize_query
+from repro.engine import schema
 from repro.net import MonomiServer, RemoteBackend, parse_address, wire
+from repro.server import make_backend
 from repro.server.chaos import chaos_from_env
+from repro.sql import parse
 from repro.ssb import generate as ssb_generate, ssb_queries
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD, canonical
 from repro.tpch import generate as tpch_generate, tpch_queries
@@ -374,6 +377,22 @@ class TestHostilePeers:
             assert isinstance(decoded, (WireError, RemoteError))
         finally:
             sock.close()
+
+    def test_nonpositive_block_rows_gets_config_error(self):
+        # block_rows arrives from the peer: a negative value used to
+        # re-block the result into zero rows instead of failing.
+        backend = make_backend("memory")
+        backend.create_table(schema("t", ("c", "int")))
+        backend.insert_rows("t", [(i % 3,) for i in range(9)])
+        query = normalize_query(parse("SELECT c, COUNT(*) FROM t GROUP BY c"))
+        with MonomiServer(backend) as server:
+            remote = RemoteBackend(server.address, pool_size=1)
+            try:
+                for bad in (0, -1):
+                    with pytest.raises(ConfigError, match="block_rows"):
+                        remote.execute_stream(query, block_rows=bad)
+            finally:
+                remote.close()
 
     def test_garbage_bytes_close_the_connection(self, sales_server):
         sock = self._raw_connection(sales_server)

@@ -1,18 +1,18 @@
-"""Multicore execution layer: sharded crypto, partition scans, prefetch.
+"""Multicore execution layer: sharded crypto and the prefetch pipeline.
 
 The parallel layer's contract is strict equivalence: for every worker
-count, partition count, and prefetch depth, the system must produce the
-same plaintext rows, the same ledger byte counts, and the same plan
-choices as the serial path — only wall-clock time may differ.  These
-tests pin that contract, plus the :class:`ConfigError` cases where a
-requested mode cannot be honored and must fail loudly instead of
-silently degrading.
+count and prefetch depth, the system must produce the same plaintext
+rows, the same ledger byte counts, and the same plan choices as the
+serial path — only wall-clock time may differ.  These tests pin that
+contract, plus the :class:`ConfigError` cases where a requested mode
+cannot be honored and must fail loudly instead of silently degrading.
 """
 
 from __future__ import annotations
 
 import datetime
 import os
+import threading
 
 import pytest
 
@@ -22,10 +22,16 @@ from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_que
 from repro.core.pexec import _resolve_prefetch
 from repro.engine import schema
 from repro.engine.executor import ResultSet
-from repro.server import make_backend
+from repro.server import make_backend, make_sharded_backend
 from repro.server.backend import ServerBackend
 from repro.sql import parse
-from repro.testkit import MASTER_KEY, build_sales_db, canonical
+from repro.testkit import (
+    MASTER_KEY,
+    SALES_WORKLOAD,
+    build_sales_db,
+    canonical,
+    extra_threads,
+)
 
 WORKER_COUNTS = [1, 2, 4]
 
@@ -116,13 +122,12 @@ class TestWorkerPoolFallback:
         pool = WorkerPool(4)
         assert pool.map_ordered(len, [[1], [1, 2]]) == [1, 2]
         assert not pool.parallel
-        assert list(pool.imap_ordered(len, [[1], [1, 2], []])) == [1, 2, 0]
         pool.close()
 
-    def test_imap_finishes_serially_when_pool_breaks_midstream(self):
-        """Workers dying mid-iteration must not surface BrokenProcessPool:
-        the remaining payloads finish in-process, in order — and a single
-        break respawns the pool on its next use instead of disabling it."""
+    def test_map_finishes_serially_when_pool_breaks_midstream(self):
+        """Workers dying mid-call must not surface BrokenProcessPool: the
+        call finishes in-process, in order — and a single break respawns
+        the pool on its next use instead of disabling it."""
         from concurrent.futures.process import BrokenProcessPool
 
         class _DyingExecutor:
@@ -135,9 +140,9 @@ class TestWorkerPoolFallback:
 
         pool = WorkerPool(2)
         pool._executor = _DyingExecutor()
-        assert list(pool.imap_ordered(len, [[1], [1, 2], [1, 2, 3]])) == [1, 2, 3]
+        assert pool.map_ordered(len, [[1], [1, 2], [1, 2, 3]]) == [1, 2, 3]
         stats = pool.stats()
-        assert stats.breaks == 1 and stats.serial_tasks == 2
+        assert stats.breaks == 1 and stats.serial_tasks == 3
         assert pool.parallel  # One break does not cost parallelism forever.
         assert pool.map_ordered(len, [[1], [1, 2]]) == [1, 2]  # Respawned.
         assert pool.stats().respawns == 1
@@ -318,12 +323,11 @@ class TestWorkerEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Partition-parallel scans
+# Streaming scan paths
 # ---------------------------------------------------------------------------
 
 
-def _scan_backend(kind: str):
-    backend = make_backend(kind)
+def _load_big(backend):
     backend.create_table(
         schema("big", ("a", "int"), ("b", "int"), ("c", "int"))
     )
@@ -331,75 +335,78 @@ def _scan_backend(kind: str):
     return backend
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
-@pytest.mark.parametrize("partitions", [2, 4])
-class TestPartitionedScans:
-    def test_uri_hostile_backend_name_stays_in_memory(self, kind, partitions):
-        """A '#' or '?' in the backend name must not truncate the SQLite
-        shared-cache URI into an on-disk file (in-memory names are
-        percent-encoded); the in-memory backend ignores names entirely."""
-        import pathlib
+def _scan_backend(kind: str):
+    return _load_big(make_backend(kind))
 
-        from repro.server import make_backend
 
-        backend = make_backend(kind, name="weird name#1?x")
-        backend.create_table(schema("t", ("a", "int")))
-        backend.insert_rows("t", [(i,) for i in range(100)])
-        query = normalize_query(parse("SELECT a FROM t"))
-        rows = backend.execute_stream(query, partitions=partitions).drain_rows()
-        assert rows == [(i,) for i in range(100)]
-        assert not list(pathlib.Path(".").glob("monomi-weird*"))
-        if hasattr(backend, "close"):
-            backend.close()
+@pytest.fixture(
+    params=["memory", "sqlite", "sqlite-view", "sharded-memory", "sharded-sqlite"]
+)
+def scan_path(request):
+    """Every streaming scan path a server offers, over the same table:
+    each backend's native stream, a SQLite worker view's own connection,
+    and the sharded scatter-gather over either shard kind."""
+    kind = request.param
+    if kind.startswith("sharded-"):
+        owner = _load_big(make_sharded_backend(kind.split("-")[1], 2))
+        backend = owner
+    elif kind == "sqlite-view":
+        owner = _scan_backend("sqlite")
+        backend = owner.worker_view()
+    else:
+        owner = backend = _scan_backend(kind)
+    yield backend
+    if backend is not owner:
+        backend.close()
+    if hasattr(owner, "close"):
+        owner.close()
 
-    def test_rows_order_and_stats_match_serial(self, kind, partitions):
-        backend = _scan_backend(kind)
+
+class TestScanPaths:
+    """Each path must stream exactly what a serial in-memory scan returns:
+    same rows in the same order, same scan accounting."""
+
+    def test_rows_order_and_stats_match_serial(self, scan_path):
+        reference = _scan_backend("memory")
         query = normalize_query(parse("SELECT a, b FROM big WHERE c < 80"))
-        serial = backend.execute_stream(query, block_rows=256)
+        serial = reference.execute_stream(query, block_rows=256)
         serial_rows = serial.drain_rows()
-        stream = backend.execute_stream(
-            query, block_rows=256, partitions=partitions
-        )
+        stream = scan_path.execute_stream(query, block_rows=256)
         assert stream.drain_rows() == serial_rows  # Order preserved exactly.
         assert stream.stats.bytes_scanned == serial.stats.bytes_scanned
         assert stream.stats.rows_output == serial.stats.rows_output
 
-    def test_order_by_output_order_is_preserved(self, kind, partitions):
-        """A blocking ORDER BY under a partition request must keep the
-        exact serial output order (the native backends run it on their
-        serial streaming path; partitioning never reorders results)."""
-        backend = _scan_backend(kind)
+    def test_order_by_output_order_is_preserved(self, scan_path):
+        """A blocking ORDER BY keeps the exact serial output order, run
+        after run."""
         query = normalize_query(
             parse("SELECT a, b FROM big WHERE c < 30 ORDER BY b DESC, a LIMIT 40")
         )
-        expected = backend.execute_stream(query).drain_rows()
+        expected = _scan_backend("memory").execute_stream(query).drain_rows()
         for _ in range(3):
-            got = backend.execute_stream(query, partitions=partitions).drain_rows()
-            assert got == expected
+            assert scan_path.execute_stream(query).drain_rows() == expected
 
-    def test_early_close_terminates_workers(self, kind, partitions):
-        backend = _scan_backend(kind)
+    def test_early_close_leaks_no_threads(self, scan_path):
+        baseline = set(threading.enumerate())
         query = normalize_query(parse("SELECT a FROM big"))
-        stream = backend.execute_stream(query, block_rows=64, partitions=partitions)
+        stream = scan_path.execute_stream(query, block_rows=64)
         blocks = iter(stream)
         assert len(next(blocks)) == 64
-        stream.close()  # Must not deadlock or leak worker threads.
+        stream.close()  # Must not deadlock or leave a producer running.
+        leaked = extra_threads(baseline)
+        assert not leaked, f"leaked threads after close: {leaked}"
 
-    def test_where_subquery_matches_serial(self, kind, partitions):
-        """A streamable scan whose WHERE carries a subquery must not be
-        sliced on the in-memory backend — a partition worker's database
-        holds only its slice of the scan table, so the inner query would
-        see a sliver of its input.  Both backends must match serial."""
-        backend = _scan_backend(kind)
+    def test_where_subquery_matches_serial(self, scan_path):
+        """A streamable scan whose WHERE carries a subquery must see the
+        whole inner table on every path."""
         query = normalize_query(
             parse(
                 "SELECT a FROM big WHERE c < 40 AND "
                 "a IN (SELECT b FROM big WHERE c = 3)"
             )
         )
-        expected = backend.execute_stream(query).drain_rows()
-        got = backend.execute_stream(query, partitions=partitions).drain_rows()
-        assert got == expected
+        expected = _scan_backend("memory").execute_stream(query).drain_rows()
+        assert scan_path.execute_stream(query).drain_rows() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -439,97 +446,42 @@ class _MaterializingBackend(ServerBackend):
 
 
 class TestConfigErrors:
-    def test_streaming_off_with_partitions_raises(self, sales_client):
-        with pytest.raises(ConfigError, match="streaming"):
-            PlanExecutor(
-                sales_client.backend,
-                sales_client.provider,
-                streaming=False,
-                partitions=2,
-            )
+    def test_non_native_backend_streamable_scan_runs_serial(self):
+        backend = _MaterializingBackend(_scan_backend("memory"))
+        query = normalize_query(parse("SELECT a FROM big WHERE c < 5"))
+        rows = backend.execute_stream(query).drain_rows()
+        assert rows == backend.execute(query).rows
 
-    def test_env_partitions_do_not_poison_materializing_mode(
-        self, sales_client, monkeypatch
-    ):
-        """MONOMI_PARTITIONS is a streaming-path preference: a deliberately
-        materializing executor ignores it instead of erroring — only an
-        *explicit* partitions argument makes the combination a conflict."""
-        monkeypatch.setenv("MONOMI_PARTITIONS", "4")
-        executor = PlanExecutor(
-            sales_client.backend, sales_client.provider, streaming=False
-        )
-        assert executor.partitions == 1
-
-    def test_non_native_backend_blocking_root_raises(self):
+    def test_non_native_backend_blocking_root_materializes(self):
+        """The base stream materializes and re-blocks a blocking root, so
+        a backend without native streaming still streams every shape."""
         backend = _MaterializingBackend(_scan_backend("memory"))
         blocking = normalize_query(
             parse("SELECT c, COUNT(*) FROM big GROUP BY c")
         )
-        with pytest.raises(ConfigError, match="native streaming"):
-            backend.execute_stream(blocking, partitions=2)
+        stream = backend.execute_stream(blocking, block_rows=10)
+        blocks = list(stream)
+        assert max(len(block) for block in blocks) == 10
+        assert [row for block in blocks for row in block.rows()] == (
+            backend.execute(blocking).rows
+        )
 
-    def test_blocking_query_on_non_native_backend_raises_through_pexec(
-        self, sales_client
-    ):
-        """The base execute_stream's ConfigError must surface through the
-        plan executor when partitions are requested for a blocking server
-        query on a backend without native streaming."""
+    def test_narrow_signature_backend_streams_through_pexec(self, sales_client):
+        """A backend overriding execute_stream with only (query, params,
+        block_rows) — no deadline — runs through the plan executor."""
         from repro.core.plan import DecryptSpec, RemoteRelation, SplitPlan
 
-        backend = _MaterializingBackend(_scan_backend("memory"))
-        executor = PlanExecutor(backend, sales_client.provider, partitions=2)
-        blocking = normalize_query(
-            parse("SELECT c, COUNT(*) AS n FROM big GROUP BY c")
-        )
-        plan = SplitPlan(
-            relations=(
-                RemoteRelation(
-                    alias="r",
-                    query=blocking,
-                    specs=[
-                        DecryptSpec("plain", "c", "int"),
-                        DecryptSpec("plain", "n", "int"),
-                    ],
-                ),
-            ),
-            residual=None,
-        )
-        with pytest.raises(ConfigError, match="native streaming"):
-            executor.execute_iter(plan).drain()
-
-    def test_non_native_backend_streamable_scan_runs_serial(self):
-        backend = _MaterializingBackend(_scan_backend("memory"))
-        query = normalize_query(parse("SELECT a FROM big WHERE c < 5"))
-        rows = backend.execute_stream(query, partitions=2).drain_rows()
-        assert rows == backend.execute(query).rows
-
-    def test_bad_workers_env_fails_provider_construction(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_WORKERS", "turbo")
-        with pytest.raises(ConfigError):
-            CryptoProvider(MASTER_KEY, paillier_bits=256)
-
-    def test_pre_partition_signature_backend_runs_unpartitioned(
-        self, sales_client
-    ):
-        """A backend overriding execute_stream with the pre-partition
-        signature must run serially, not receive an unknown kwarg."""
-
-        class _LegacyBackend(_MaterializingBackend):
-            kind = "legacy"
+        class _NarrowBackend(_MaterializingBackend):
+            kind = "narrow"
 
             def execute_stream(self, query, params=None, block_rows=4096):
                 return super().execute_stream(
                     query, params=params, block_rows=block_rows
                 )
 
-        backend = _LegacyBackend(_scan_backend("memory"))
-        executor = PlanExecutor(
-            backend, sales_client.provider, partitions=3
-        )
+        backend = _NarrowBackend(_scan_backend("memory"))
+        executor = PlanExecutor(backend, sales_client.provider)
         query = normalize_query(parse("SELECT a FROM big WHERE c < 5"))
-        planned_rows = backend.execute(query).rows
-        from repro.core.plan import DecryptSpec, RemoteRelation, SplitPlan
-
         plan = SplitPlan(
             relations=(
                 RemoteRelation(
@@ -540,8 +492,21 @@ class TestConfigErrors:
             ),
             residual=None,
         )
-        stream = executor.execute_iter(plan)
-        assert stream.drain().rows == planned_rows
+        assert executor.execute_iter(plan).drain().rows == (
+            backend.execute(query).rows
+        )
+
+    def test_bad_workers_env_fails_provider_construction(self, monkeypatch):
+        monkeypatch.setenv("MONOMI_WORKERS", "turbo")
+        with pytest.raises(ConfigError):
+            CryptoProvider(MASTER_KEY, paillier_bits=256)
+
+    @pytest.mark.parametrize("block_rows", [0, -1])
+    def test_nonpositive_block_rows_raises(self, sales_client, block_rows):
+        """A negative block size used to re-block a result into zero rows;
+        the plan executor refuses it before any server call."""
+        with pytest.raises(ConfigError, match="block_rows"):
+            sales_client.execute_iter(SALES_WORKLOAD[0], block_rows=block_rows)
 
 
 # ---------------------------------------------------------------------------

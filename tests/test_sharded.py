@@ -304,11 +304,11 @@ class TestStreaming:
             assert got.stats.bytes_scanned == want.stats.bytes_scanned
             assert got.stats.rows_output == want.stats.rows_output
 
-    def test_blocking_query_with_partitions_degrades_serially(self):
-        # The native-backend contract: a partitioned stream request on a
-        # non-streamable shape materializes instead of raising.
+    def test_blocking_query_stream_materializes_serially(self):
+        # A stream request on a non-streamable shape materializes and
+        # re-blocks instead of raising.
         sharded, serial = build_pair("memory", 2)
-        got = sharded.execute_stream(GROUPED, block_rows=4, partitions=4)
+        got = sharded.execute_stream(GROUPED, block_rows=4)
         rows = [row for block in got for row in block.rows()]
         assert rows == serial.execute(GROUPED).rows
 

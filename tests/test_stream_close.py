@@ -3,8 +3,8 @@
 A consumer that stops pulling (residual LIMIT, application error, user
 cancel) closes the :class:`~repro.core.client.QueryStream`.  That close
 must propagate down the whole pipeline — prefetch producer thread,
-partition scan threads, server cursors — and leave no thread running,
-on every backend and in every parallelism configuration.  The scan-byte
+shard merge, server cursors — and leave no thread running, on every
+backend, sharded or not, with and without prefetch.  The scan-byte
 accounting contract from the streaming PR also holds: the full scan
 footprint is charged whether or not the stream was drained.
 """
@@ -17,17 +17,15 @@ import threading
 import pytest
 
 from repro.core.client import MonomiClient
+from repro.testkit import MASTER_KEY, SALES_WORKLOAD
 from repro.testkit import extra_threads as _extra_threads
 
 STREAM_SQL = "SELECT o_orderkey, o_price FROM orders"
 
 
-def _client_with(
-    base: MonomiClient,
-    partitions: int | None,
-    prefetch_blocks: int | None,
-) -> MonomiClient:
-    """A streaming client over ``base``'s backend with explicit knobs."""
+def _client_with(base: MonomiClient, prefetch_blocks: int) -> MonomiClient:
+    """A streaming client over ``base``'s backend with an explicit
+    prefetch depth."""
     return MonomiClient(
         base.plain_db,
         base.design,
@@ -37,23 +35,53 @@ def _client_with(
         base.network,
         base.disk,
         streaming=True,
-        partitions=partitions,
         prefetch_blocks=prefetch_blocks,
     )
 
 
+@pytest.fixture(scope="module")
+def sharded_clients(sales_db, provider, sales_client):
+    """Two-shard twins of the conftest sales client, one per shard kind,
+    so the scatter-gather merge is closed mid-stream too."""
+    clients = {
+        kind: MonomiClient.setup(
+            sales_db,
+            SALES_WORKLOAD,
+            master_key=MASTER_KEY,
+            paillier_bits=384,
+            space_budget=2.5,
+            provider=provider,
+            design=sales_client.design,
+            backend=kind,
+            shards=2,
+        )
+        for kind in ("memory", "sqlite")
+    }
+    yield clients
+    for client in clients.values():
+        client.close()
+
+
+@pytest.fixture(params=["memory", "sqlite", "sharded-memory", "sharded-sqlite"])
+def backend_client(request, sales_client, sales_client_sqlite):
+    """Both backends, alone and as the shards of a sharded server."""
+    if request.param == "memory":
+        return sales_client
+    if request.param == "sqlite":
+        return sales_client_sqlite
+    shard_kind = request.param.split("-")[1]
+    return request.getfixturevalue("sharded_clients")[shard_kind]
+
+
 @pytest.fixture(
     params=[
-        pytest.param((None, 0), id="serial"),
-        pytest.param((None, 2), id="prefetch"),
-        pytest.param((2, 0), id="partitions"),
-        pytest.param((2, 2), id="partitions-prefetch"),
+        pytest.param(0, id="serial"),
+        pytest.param(2, id="prefetch"),
     ]
 )
-def stream_client(request, each_backend_client):
-    """Both backends crossed with every parallelism configuration."""
-    partitions, prefetch = request.param
-    client = _client_with(each_backend_client, partitions, prefetch)
+def stream_client(request, backend_client):
+    """Every backend, with and without the prefetch producer."""
+    client = _client_with(backend_client, request.param)
     # Warm up pools and caches with one fully drained query, so the
     # thread baseline each test snapshots includes long-lived pool
     # machinery but no per-query workers.
