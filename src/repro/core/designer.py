@@ -42,6 +42,7 @@ from repro.core.design import (
 from repro.core.encdata import CryptoProvider
 from repro.core.encset import EncSetExtractor, Pair, Unit
 from repro.core.ilp import IlpCandidate, IlpProblem, solve
+from repro.core.normalize import expand_stars
 from repro.core.schemes import Scheme
 from repro.core.sizer import DesignSizer
 from repro.core.splitter import generate_query_plan
@@ -132,6 +133,7 @@ class Designer:
     def candidates_for(self, query: ast.Select) -> list[CandidatePlan]:
         if query in self._candidate_cache:
             return self._candidate_cache[query]
+        key, query = query, expand_stars(query, self.schemas)
         units = [u for u in self.extractor.extract(query) if self._unit_loadable(u)]
         # Space-expensive units must be *choices* (enumerable head), not
         # forced inclusions: order by projected size, largest first.
@@ -153,7 +155,7 @@ class Designer:
         ]
         if not out:
             raise PlanningError("query admits no feasible design candidates")
-        self._candidate_cache[query] = out
+        self._candidate_cache[key] = out
         return out
 
     def _plan_cost(self, query: ast.Select, candidate: PhysicalDesign) -> float | None:

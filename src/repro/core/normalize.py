@@ -10,6 +10,10 @@ Three rewrites run on every incoming query (recursing into subqueries):
 * **constant folding** — literal arithmetic, in particular date ± interval
   (``DATE '1998-12-01' - INTERVAL '90' DAY``), folds to a literal so it can
   be encrypted as a DET/OPE constant.
+
+:func:`expand_stars` is the one rewrite that needs the catalog: the planner
+and the designer run it on a normalized query before they look at its
+columns.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import datetime
 from dataclasses import replace
 
 from repro.common.errors import PlanningError, UnsupportedQueryError
+from repro.engine.schema import TableSchema
 from repro.sql import ast, parse
 
 
@@ -193,3 +198,70 @@ def has_multi_pattern_like(query: ast.Select) -> bool:
                 if isinstance(side, ast.SubqueryRef) and has_multi_pattern_like(side.query):
                     found = True
     return found
+
+
+def expand_stars(query: ast.Select, schemas: dict[str, TableSchema]) -> ast.Select:
+    """Replace ``*`` and ``t.*`` in a select list by the columns they stand
+    for, in schema column order, here and in every FROM subquery.
+
+    The splitter resolves columns one name at a time, so a star has to be
+    spelled out before planning: expanded, a star query plans exactly as
+    its explicit column list does.  A star over more than one relation
+    raises :class:`PlanningError` (the plaintext engine lays a join's
+    columns out in join order, not FROM order).  Stars inside WHERE
+    subqueries (``EXISTS (SELECT * ...)``) select no columns and stay.
+    Returns ``query`` itself when nothing changes.
+    """
+    from_items = tuple(_expand_ref(ref, schemas) for ref in query.from_items)
+    items = query.items
+    if any(_is_star(item.expr) for item in items):
+        if len(from_items) != 1 or isinstance(from_items[0], ast.Join):
+            raise PlanningError(
+                "* over more than one relation is not supported; "
+                "list the columns"
+            )
+        (ref,) = from_items
+        names = _relation_columns(ref, schemas)
+        expanded: list[ast.SelectItem] = []
+        for item in items:
+            star = item.expr
+            if not _is_star(star):
+                expanded.append(item)
+                continue
+            if star.table is not None and star.table != ref.binding:
+                raise PlanningError(f"{star.table}.* names no relation in FROM")
+            expanded.extend(ast.SelectItem(ast.Column(name)) for name in names)
+        items = tuple(expanded)
+    if items is query.items and all(
+        new is old for new, old in zip(from_items, query.from_items)
+    ):
+        return query
+    return replace(query, items=items, from_items=from_items)
+
+
+def _is_star(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.Column) and expr.name == "*"
+
+
+def _expand_ref(ref: ast.TableRef, schemas: dict[str, TableSchema]) -> ast.TableRef:
+    if isinstance(ref, ast.SubqueryRef):
+        query = expand_stars(ref.query, schemas)
+        return ref if query is ref.query else replace(ref, query=query)
+    if isinstance(ref, ast.Join):
+        left = _expand_ref(ref.left, schemas)
+        right = _expand_ref(ref.right, schemas)
+        if left is ref.left and right is ref.right:
+            return ref
+        return replace(ref, left=left, right=right)
+    return ref
+
+
+def _relation_columns(
+    ref: ast.TableRef, schemas: dict[str, TableSchema]
+) -> list[str]:
+    if isinstance(ref, ast.SubqueryRef):
+        return [item.output_name(i) for i, item in enumerate(ref.query.items)]
+    schema = schemas.get(ref.name)
+    if schema is None:
+        raise PlanningError(f"cannot expand * over unknown table {ref.name!r}")
+    return list(schema.column_names)

@@ -24,6 +24,7 @@ from repro.core.candidates import (
 from repro.core.cost import CostBreakdown, MonomiCostModel
 from repro.core.design import PhysicalDesign, TechniqueFlags
 from repro.core.encset import EncSetExtractor, Unit
+from repro.core.normalize import expand_stars
 from repro.core.plan import SplitPlan
 from repro.core.splitter import StatsMax, generate_query_plan
 from repro.engine.schema import TableSchema
@@ -62,6 +63,7 @@ class Planner:
 
     def plan(self, query: ast.Select) -> PlannedQuery:
         """Pick the best plan for a normalized query."""
+        query = expand_stars(query, self.schemas)
         units = usable_units(self.extractor.extract(query), self.design)
         if not self.flags.optimizing_planner:
             plan = self._plan_with(query, tuple(units))
@@ -110,6 +112,7 @@ class Planner:
         feasible plan for the new literals (e.g. an OPE constant out of
         domain).
         """
+        query = expand_stars(query, self.schemas)
         plan = self._plan_with(query, tuple(units))
         if plan is None and units:
             units = ()

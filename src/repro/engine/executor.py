@@ -32,12 +32,16 @@ streaming layer over the same machinery:
 :meth:`Executor.execute_stream` yields fixed-capacity
 :class:`~repro.engine.rowblock.RowBlock` batches instead of one
 materialized :class:`ResultSet`.  Scan → filter → project → limit plans
-(:func:`is_streamable`) move block-at-a-time with O(block) working
-memory; everything else — sorts, grouping, DISTINCT, joins — drains its
-input through the materializing path and re-enters the stream as one
-blocking operator at the root, so both paths return identical rows and
-identical scan statistics by construction.  ``Executor(streaming=True)``
-routes :meth:`Executor.execute` through the streaming layer.
+(:func:`is_streamable`) run through one column-at-a-time driver with
+O(block) working memory, over a table or over an injected block stream
+(the client residual): the WHERE turns each input chunk into a
+selection, and each output column is a pick of an input column or one
+closure mapped over the selected rows.  Everything else — sorts,
+grouping, DISTINCT, joins — drains its input through the materializing
+path and re-enters the stream as one blocking operator at the root, so
+both paths return identical rows and identical scan statistics.
+``Executor(streaming=True)`` routes :meth:`Executor.execute` through the
+streaming layer.
 
 Execution returns a :class:`ResultSet` plus scan statistics (bytes touched)
 so the caller can charge simulated disk time — analytical queries are
@@ -50,11 +54,12 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress, repeat
 
 from repro.common.errors import ExecutionError
 from repro.engine.aggregates import make_aggregate
 from repro.engine.catalog import Database
-from repro.engine.eval import Env, EvalContext, Scope, compile_expr, evaluate
+from repro.engine.eval import _CMP_OPS, Env, EvalContext, Scope, compile_expr, evaluate
 from repro.engine.functions import default_functions
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
@@ -225,54 +230,102 @@ class Executor:
         stats: ExecStats,
         ciphertext_read_start: int,
     ):
-        """Scan → filter → project → limit, block-at-a-time."""
+        """Scan → filter → project → limit, a column at a time.
+
+        The input arrives in chunks: ``block_rows``-row slices of the
+        table's heap, or the source stream's blocks as they come.  The
+        WHERE turns a chunk into a selection (a row stays only where it
+        returns True, so NULL drops it): a lone ``column op literal``
+        compares the whole column at once, anything else runs the compiled
+        row closure.  Each output column is then built in one pass over
+        the selected rows: a bare column reference (``*`` expands to every
+        column) picks its column, a computed item maps its closure over
+        the selected rows only.  A source block with no WHERE and only
+        picks passes its column lists through untouched.  Under LIMIT a
+        chunk holds at most the rows still owed, so nothing past the limit
+        is evaluated and no source block past it is pulled.  The output is
+        cut into blocks of exactly ``block_rows`` rows, the last shorter.
+        """
         ref = query.from_items[0]
         source = sources.get(ref.name)
         if source is not None:
-            scope = Scope([(ref.binding, c) for c in source.columns])
-            input_rows = (row for block in source for row in block.rows())
+            names = source.columns
         else:
             table = self.db.table(ref.name)
-            scope = Scope([(ref.binding, c) for c in table.schema.column_names])
-            input_rows = iter(table.rows)
+            names = table.schema.column_names
+        scope = Scope([(ref.binding, c) for c in names])
         predicate = (
             self._compile(query.where, scope, ctx, None)
             if query.where is not None
             else None
         )
-        item_fns: list = [
-            (
-                None
-                if isinstance(item.expr, ast.Column) and item.expr.name == "*"
-                else self._compile(item.expr, scope, ctx, None)
-            )
-            for item in query.items
-        ]
+        column_test = _column_test(query.where, scope)
+        # One entry per output column: an int picks that input column, a
+        # closure computes the value from a row.
+        outputs: list = []
+        for item in query.items:
+            if isinstance(item.expr, ast.Column):
+                if item.expr.name == "*":
+                    outputs.extend(_star_positions(scope, item.expr.table))
+                    continue
+                index = _scope_index(scope, item.expr)
+                if index is not None:
+                    outputs.append(index)
+                    continue
+            outputs.append(self._compile(item.expr, scope, ctx, None))
         remaining = query.limit
+
+        def owed(size: int) -> int:
+            return size if remaining is None else min(size, remaining)
+
+        def chunks():
+            if source is not None:
+                for block in source:
+                    start = 0
+                    while start < block.num_rows:
+                        stop = start + owed(block.num_rows - start)
+                        yield _Chunk.of_block(block, start, stop)
+                        start = stop
+                return
+            rows, start = table.rows, 0
+            while start < len(rows):
+                chunk = rows[start : start + owed(block_rows)]
+                yield _Chunk(len(chunk), rows=chunk)
+                start += len(chunk)
+
         try:
-            buffer: list[tuple] = []
+            pending: list[list] = []  # Output columns not yet in a block.
+            pending_rows = 0
             if remaining is None or remaining > 0:
-                for row in input_rows:
-                    if predicate is not None and predicate(row) is not True:
-                        continue
-                    values: list = []
-                    for fn in item_fns:
-                        if fn is None:
-                            values.extend(row)
+                for chunk in chunks():
+                    if predicate is not None:
+                        keep = column_test(chunk) if column_test else None
+                        if keep is None:
+                            keep = [predicate(row) is True for row in chunk.rows()]
+                        chunk = chunk.compress(keep)
+                    columns = chunk.project(outputs)
+                    if pending_rows:
+                        # New lists: a picked column may be a source block's.
+                        pending = [p + c for p, c in zip(pending, columns)]
+                    else:
+                        pending = columns
+                    pending_rows += chunk.num_rows
+                    while pending_rows >= block_rows:
+                        if pending_rows == block_rows:
+                            head, pending = pending, []
                         else:
-                            values.append(fn(row))
-                    buffer.append(tuple(values))
+                            head = [c[:block_rows] for c in pending]
+                            pending = [c[block_rows:] for c in pending]
+                        pending_rows -= block_rows
+                        stats.rows_output += block_rows
+                        yield RowBlock(head, block_rows)
                     if remaining is not None:
-                        remaining -= 1
+                        remaining -= chunk.num_rows
                         if remaining == 0:
                             break
-                    if len(buffer) >= block_rows:
-                        stats.rows_output += len(buffer)
-                        yield RowBlock.from_rows(buffer, len(query.items))
-                        buffer = []
-            if buffer:
-                stats.rows_output += len(buffer)
-                yield RowBlock.from_rows(buffer, len(query.items))
+            if pending_rows:
+                stats.rows_output += pending_rows
+                yield RowBlock(pending, pending_rows)
         finally:
             if source is not None:
                 source.close()
@@ -762,15 +815,18 @@ class Executor:
         ctx: EvalContext,
         outer: Env | None,
     ) -> list[tuple[tuple, dict]]:
-        # Compile the select-list once; "*" expands to the whole row.
-        item_fns: list = [
-            (
-                None
-                if isinstance(item.expr, ast.Column) and item.expr.name == "*"
-                else self._compile(item.expr, relation.scope, ctx, outer)
-            )
-            for item in query.items
-        ]
+        # Compile the select-list once; "*" expands to the whole row, "t.*"
+        # to one pick per column of t.
+        item_fns: list = []
+        for item in query.items:
+            expr = item.expr
+            if not isinstance(expr, ast.Column) or expr.name != "*":
+                item_fns.append(self._compile(expr, relation.scope, ctx, outer))
+            elif expr.table is None:
+                item_fns.append(None)
+            else:
+                positions = _star_positions(relation.scope, expr.table)
+                item_fns.extend(map(operator.itemgetter, positions))
         output = []
         if not query.order_by:
             # No per-row alias context needed: tight projection loop.
@@ -980,6 +1036,118 @@ class _SemiJoinCache:
         if saw_outer and saw_inner:
             return "mixed"
         return "outer" if saw_outer else "inner"
+
+
+class _Chunk:
+    """Some consecutive input rows of a streamed scan, held column-major,
+    row-major or both: each form is built from the other at most once, on
+    first use."""
+
+    __slots__ = ("num_rows", "_columns", "_rows")
+
+    def __init__(
+        self,
+        num_rows: int,
+        columns: list[list] | None = None,
+        rows: list[tuple] | None = None,
+    ) -> None:
+        self.num_rows = num_rows
+        self._columns = columns
+        self._rows = rows
+
+    @classmethod
+    def of_block(cls, block: RowBlock, start: int, stop: int) -> "_Chunk":
+        """Rows ``start:stop`` of ``block`` (the block's own lists when whole)."""
+        if start == 0 and stop == block.num_rows:
+            return cls(stop, columns=block.columns)
+        return cls(stop - start, columns=[c[start:stop] for c in block.columns])
+
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = (
+                list(zip(*self._columns)) if self._columns else [()] * self.num_rows
+            )
+        return self._rows
+
+    def column(self, index: int) -> list:
+        if self._columns is not None:
+            return self._columns[index]
+        return list(map(operator.itemgetter(index), self._rows))
+
+    def project(self, outputs: list) -> list[list]:
+        """One list per output: an int picks that column, a closure is
+        mapped over the rows."""
+        return [
+            self.column(out) if type(out) is int else list(map(out, self.rows()))
+            for out in outputs
+        ]
+
+    def compress(self, keep: list[bool]) -> "_Chunk":
+        """The rows whose ``keep`` flag is True, in order."""
+        if self._rows is not None:
+            rows = list(compress(self._rows, keep))
+            return _Chunk(len(rows), rows=rows)
+        columns = [list(compress(column, keep)) for column in self._columns]
+        return _Chunk(sum(keep), columns=columns)
+
+
+#: Comparisons a streamed scan may run over a whole column at once.
+_COLUMN_OPS = {"=": operator.eq, "<>": operator.ne, **_CMP_OPS}
+
+
+def _scope_index(scope: Scope, column: ast.Column) -> int | None:
+    """The input position a column reference names, or None when only the
+    compiled closure can resolve it (an outer or alias reference) or must
+    report it (an ambiguous or unknown one)."""
+    try:
+        return scope.find(column.table, column.name)
+    except ExecutionError:
+        return None
+
+
+def _star_positions(scope: Scope, table: str | None) -> range | list[int]:
+    """The input positions ``*`` (``table`` None) or ``table.*`` stands for."""
+    if table is None:
+        return range(len(scope.columns))
+    positions = [i for i, (binding, _) in enumerate(scope.columns) if binding == table]
+    if not positions:
+        raise ExecutionError(f"{table}.* names no relation in FROM")
+    return positions
+
+
+def _column_test(where: ast.Expr | None, scope: Scope):
+    """A WHERE that is one comparison of a column with a non-NULL literal,
+    as a whole-column test: ``test(chunk)`` returns the keep flags, or None
+    when the column holds a NULL or a value the literal does not compare
+    with, for the row closure to decide (and raise) as it always has.
+    Built-in comparisons return bools, so the flags are exactly the rows
+    where the closure returns True."""
+    if not isinstance(where, ast.BinOp) or where.op not in _COLUMN_OPS:
+        return None
+    cmp = _COLUMN_OPS[where.op]
+    left, right = where.left, where.right
+    if isinstance(left, ast.Column) and isinstance(right, ast.Literal):
+        column, literal, flipped = left, right.value, False
+    elif isinstance(left, ast.Literal) and isinstance(right, ast.Column):
+        column, literal, flipped = right, left.value, True
+    else:
+        return None
+    index = _scope_index(scope, column)
+    if literal is None or index is None:
+        return None
+
+    def test(chunk: _Chunk) -> list[bool] | None:
+        values = chunk.column(index)
+        if None in values:
+            return None
+        try:
+            if flipped:
+                return list(map(cmp, repeat(literal), values))
+            return list(map(cmp, values, repeat(literal)))
+        except TypeError:
+            return None
+
+    return test
 
 
 def _compare(op: str, left: object, right: object) -> bool:

@@ -7,10 +7,14 @@ materialized tables.  A block is a **column-major** slice of at most
 ``capacity`` rows (default 4,096): column-major because every consumer
 on the hot path wants columns, not rows — the SQLite cursor decodes per
 column, the client decrypts each server output column through one
-``*_decrypt_batch`` call per block, and byte accounting sums
-:func:`~repro.storage.rowcodec.value_bytes` column-wise.  Row-major
-views (:meth:`rows`) exist for the relational operators that are
-inherently row-at-a-time (predicates, projection closures).
+``*_decrypt_batch`` call per block, and byte accounting sizes each
+column with one :func:`~repro.storage.rowcodec.column_bytes` call.  A
+streamed scan stays column-major too: the engine's scan driver turns
+its WHERE into a selection and builds each output column in one pass,
+handing a picked column's list on as it is.  Row-major views
+(:meth:`rows`) remain for what is row-at-a-time by nature: a computed
+select item or a WHERE that is not one column-vs-literal comparison
+(compiled row closures), and the materializing operators.
 
 Byte accounting is designed so a stream of blocks charges **exactly**
 what the materializing path charges: ``ResultSet.byte_size()`` equals
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.storage.rowcodec import value_bytes
+from repro.storage.rowcodec import column_bytes
 
 #: Default block capacity (rows) used everywhere a caller does not choose.
 DEFAULT_BLOCK_ROWS = 4096
@@ -34,15 +38,17 @@ class RowBlock:
     ``columns[i]`` is the list of values for output column ``i``; every
     column holds ``num_rows`` values.  Capacity is nominal: producers
     emit blocks of at most their configured size, but consumers must not
-    assume it (unnesting grp() lists can legally grow a block).
+    assume it (unnesting grp() lists can legally grow a block).  Blocks
+    are read-only: a column list may be shared with the block it was
+    picked from, or with another column of the same block.
     """
 
     __slots__ = ("columns", "num_rows")
 
     def __init__(self, columns: list[list], num_rows: int | None = None) -> None:
         self.columns = columns
-        self.num_rows = num_rows if num_rows is not None else (
-            len(columns[0]) if columns else 0
+        self.num_rows = (
+            num_rows if num_rows is not None else (len(columns[0]) if columns else 0)
         )
 
     @classmethod
@@ -65,10 +71,7 @@ class RowBlock:
         bytes per row plus the rowcodec size of every value — so block
         streams and materialized results charge identical transfer bytes.
         """
-        total = 4 * self.num_rows
-        for column in self.columns:
-            total += sum(map(value_bytes, column))
-        return total
+        return 4 * self.num_rows + sum(map(column_bytes, self.columns))
 
     def __len__(self) -> int:
         return self.num_rows
@@ -132,7 +135,9 @@ class BlockStream:
     Single-shot: iterate it once.
     """
 
-    def __init__(self, columns: list[str], blocks: Iterable[RowBlock], stats=None) -> None:
+    def __init__(
+        self, columns: list[str], blocks: Iterable[RowBlock], stats=None
+    ) -> None:
         self.columns = list(columns)
         self.stats = stats
         self._blocks = iter(blocks)

@@ -206,6 +206,10 @@ class _Parser:
         while True:
             if self.accept_symbol("*"):
                 items.append(ast.SelectItem(ast.Column("*")))
+            elif self._at_qualified_star():
+                table = self.advance().text
+                self._pos += 2  # "." and "*"
+                items.append(ast.SelectItem(ast.Column("*", table=table)))
             else:
                 expr = self.parse_expr()
                 alias = None
@@ -216,6 +220,15 @@ class _Parser:
                 items.append(ast.SelectItem(expr, alias))
             if not self.accept_symbol(","):
                 return items
+
+    def _at_qualified_star(self) -> bool:
+        """Is the next select item ``t.*``?"""
+        tokens, pos = self._tokens, self._pos
+        return (
+            self.current.kind == "ident"
+            and tokens[pos + 1].is_symbol(".")
+            and tokens[pos + 2].is_symbol("*")
+        )
 
     def _parse_from_list(self) -> tuple[ast.TableRef, ...]:
         refs = [self._parse_join_chain()]

@@ -2,6 +2,7 @@
 
 from repro.storage.ciphertext_store import CiphertextFile, CiphertextStore
 from repro.storage.rowcodec import (
+    column_bytes,
     decode_row,
     decode_value,
     encode_row,
@@ -13,6 +14,7 @@ from repro.storage.rowcodec import (
 __all__ = [
     "CiphertextFile",
     "CiphertextStore",
+    "column_bytes",
     "decode_row",
     "decode_value",
     "encode_row",

@@ -40,12 +40,8 @@ def _int_bytes(value: int) -> int:
 
 
 def _sequence_bytes(value: list | tuple) -> int:
-    # grp() ships a group as a tuple, mostly of DET integers: size a run of
-    # 64-bit ints without a call per element.
-    if value and set(map(type, value)) == {int}:
-        if _INT64_MIN <= min(value) and max(value) <= _INT64_MAX:
-            return 8 * len(value) + 2
-    return sum(map(value_bytes, value)) + 2
+    # grp() ships a group as a tuple, mostly of DET integers.
+    return column_bytes(value) + 2
 
 
 #: The sizing rules, by exact type; a subclass sizes as its nearest base.
@@ -78,6 +74,21 @@ def value_bytes(value: object) -> int:
                 return int(value.byte_size())
             raise EngineError(f"unsizable value type {kind.__name__}")
     return sizer(value)
+
+
+def column_bytes(column: list | tuple) -> int:
+    """Summed :func:`value_bytes` of a column, equal to
+    ``sum(map(value_bytes, column))``.  A column of exact ``int`` values
+    within int64, or of ``bytes``, is sized without a call per value; any
+    other column (bools, wider ints, NULLs, mixed types) goes value by
+    value."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        if _INT64_MIN <= min(column) and max(column) <= _INT64_MAX:
+            return 8 * len(column)
+    elif kinds == {bytes}:
+        return sum(map(len, column)) + len(column)
+    return sum(map(value_bytes, column))
 
 
 def row_bytes(row: tuple) -> int:

@@ -1,0 +1,136 @@
+"""``SELECT *`` and ``t.*`` over encrypted tables.
+
+The splitter resolves the columns a query names one at a time, so the
+planner and the designer spell a star out against the catalog schemas
+first (``core.normalize.expand_stars``).  A star query then designs,
+plans and runs like its explicit column list, on both backends and both
+client paths, and matches the plaintext engine.  A star over a join is
+refused with a :class:`PlanningError` that names it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.common.errors import PlanningError
+from repro.core import MonomiClient, normalize_query
+from repro.core.designer import Designer
+from repro.engine import Executor
+from repro.sql import parse
+from repro.testkit import MASTER_KEY, build_sales_db, canonical
+
+ORDERS_COLUMNS = (
+    "o_orderkey, o_custkey, o_price, o_qty, o_discount, o_date, o_status, o_comment"
+)
+
+AD_HOC = [
+    "SELECT * FROM orders WHERE o_qty < 5",
+    "SELECT o.* FROM orders o WHERE o.o_price > 4000",
+    "SELECT *, o_qty + 1 FROM orders WHERE o_status = 'OPEN'",
+    "SELECT o_orderkey, * FROM orders ORDER BY o_orderkey LIMIT 7",
+    "SELECT * FROM (SELECT o_custkey, o_qty FROM orders WHERE o_qty > 40) AS x",
+]
+
+
+def oracle(db, sql: str) -> list[str]:
+    return canonical(Executor(db).execute(normalize_query(parse(sql))).rows)
+
+
+def streamed_rows(client, sql: str) -> list[tuple]:
+    return [row for block in client.execute_iter(sql) for row in block.rows()]
+
+
+@pytest.fixture(scope="module")
+def star_clients(provider):
+    """A design built for ``SELECT * FROM orders`` alone, on both backends."""
+    db = build_sales_db(300, seed=3)
+    memory = MonomiClient.setup(
+        db,
+        ["SELECT * FROM orders"],
+        master_key=MASTER_KEY,
+        provider=provider,
+        space_budget=2.5,
+    )
+    sqlite = MonomiClient.setup(
+        db,
+        ["SELECT * FROM orders"],
+        master_key=MASTER_KEY,
+        provider=provider,
+        space_budget=2.5,
+        design=memory.design,
+        backend="sqlite",
+    )
+    return db, memory, sqlite
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_design_for_a_star_workload(star_clients, backend):
+    db, memory, sqlite = star_clients
+    client = memory if backend == "memory" else sqlite
+    expected = oracle(db, "SELECT * FROM orders")
+    assert canonical(client.execute("SELECT * FROM orders").rows) == expected
+    assert canonical(streamed_rows(client, "SELECT * FROM orders")) == expected
+
+
+@pytest.mark.parametrize("sql", AD_HOC)
+def test_ad_hoc_star_matches_the_plaintext_engine(each_backend_client, sales_db, sql):
+    expected = oracle(sales_db, sql)
+    assert canonical(each_backend_client.execute(sql).rows) == expected
+    assert canonical(streamed_rows(each_backend_client, sql)) == expected
+
+
+@pytest.mark.parametrize(
+    "star, explicit",
+    [
+        ("SELECT * FROM orders WHERE o_qty < 5", None),
+        ("SELECT orders.* FROM orders WHERE o_price > 4000", None),
+        (
+            "SELECT *, o_qty * 2 FROM orders WHERE o_status = 'OPEN'",
+            f"SELECT {ORDERS_COLUMNS}, o_qty * 2 FROM orders WHERE o_status = 'OPEN'",
+        ),
+    ],
+)
+def test_star_plans_like_its_column_list(sales_client, star, explicit):
+    if explicit is None:
+        explicit = f"SELECT {ORDERS_COLUMNS} FROM {star.split(' FROM ')[1]}"
+
+    def plan_text(sql: str) -> str:
+        return sales_client.explain(sql).split("\n", 1)[1]
+
+    assert plan_text(star) == plan_text(explicit)
+
+
+def test_designer_candidates_for_a_star(sales_db, provider):
+    designer = Designer(sales_db, provider)
+    star = designer.candidates_for(normalize_query(parse("SELECT * FROM orders")))
+    explicit = designer.candidates_for(
+        normalize_query(parse(f"SELECT {ORDERS_COLUMNS} FROM orders"))
+    )
+    assert [c.cost for c in star] == [c.cost for c in explicit]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT o.* FROM orders o, customer c WHERE o.o_custkey = c.c_custkey",
+        "SELECT * FROM orders JOIN customer ON o_custkey = c_custkey",
+        "SELECT x.* FROM orders",
+    ],
+)
+def test_unexpandable_star_is_refused_by_name(sales_client, sql):
+    with pytest.raises(PlanningError, match=r"\*"):
+        sales_client.execute(sql)
+
+
+def test_engine_qualified_star_picks_one_relation(sales_db):
+    """The plaintext engine expands ``t.*`` to t's columns, also in a join."""
+    sql = (
+        "SELECT c.*, o_orderkey FROM orders o, customer c "
+        "WHERE o.o_custkey = c.c_custkey AND o_qty < 3"
+    )
+    result = Executor(sales_db).execute(normalize_query(parse(sql)))
+    customer = sales_db.table("customer")
+    width = len(customer.schema.column_names)
+    assert result.rows
+    assert all(len(row) == width + 1 for row in result.rows)
+    assert {row[:width] for row in result.rows} <= set(customer.rows)

@@ -20,6 +20,7 @@ from repro.storage import (
     CiphertextStore,
     decode_row,
     encode_row,
+    column_bytes,
     row_bytes,
     value_bytes,
 )
@@ -145,6 +146,64 @@ class TestValueBytesDispatch:
         expected = (1 + 4) + (2 + 4)
         expected += sum(4 + sum(map(reference_value_bytes, row)) for row in rows)
         assert result.byte_size() == expected
+
+
+INT64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]
+
+column_values = st.one_of(
+    st.integers(-(2**63) - 2, 2**63 + 2),
+    st.sampled_from(INT64_EDGES),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="aé€\U0001f600", max_size=6),  # 1- to 4-byte UTF-8.
+    st.binary(max_size=12),
+    st.lists(st.integers(-(2**64), 2**64), max_size=4).map(tuple),  # grp()
+)
+
+
+class TestColumnBytes:
+    """``column_bytes`` is ``sum(map(value_bytes, column))``, bit for bit:
+    its int64 and bytes fast paths never change a count."""
+
+    @given(st.lists(column_values, max_size=30))
+    @settings(max_examples=200)
+    def test_mixed_columns(self, column):
+        assert column_bytes(column) == sum(map(reference_value_bytes, column))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**63) - 2, 2**63 + 2), st.sampled_from(INT64_EDGES)
+            ),
+            max_size=30,
+        )
+    )
+    def test_int_columns_at_the_64_bit_edges(self, column):
+        assert column_bytes(column) == sum(map(reference_value_bytes, column))
+
+    @given(st.lists(st.binary(max_size=40), max_size=30))
+    def test_bytes_columns(self, column):
+        assert column_bytes(column) == sum(map(reference_value_bytes, column))
+
+    @pytest.mark.parametrize(
+        "column, expected",
+        [
+            ([], 0),
+            ([1, 2, 3], 24),
+            ([2**63 - 1, -(2**63)], 16),
+            ([2**63, 1], 8 + 8),  # One past the edge: sized by bit length.
+            ([-(2**63) - 1, 1], 8 + 8),
+            ([True, 1, 2], 1 + 8 + 8),  # A bool is one byte, not eight.
+            ([None, 1, 2], 1 + 8 + 8),
+            ([b"ab", b""], 3 + 1),
+            ([b"ab", None], 3 + 1),
+            (["é€", "a"], 6 + 2),
+            ([(1, 2), (2**64,)], (8 + 8 + 2) + (9 + 2)),
+        ],
+    )
+    def test_examples(self, column, expected):
+        assert column_bytes(column) == expected
+        assert expected == sum(map(reference_value_bytes, column))
 
 
 class TestCiphertextFile:

@@ -361,6 +361,20 @@ def test_tpch_streaming_matches_materializing(tpch_clients, number, backend):
     assert ledger_bytes(s_ledger) == ledger_bytes(m_ledger)
 
 
+def test_tpch_scan_transfer_bytes_equal_the_result_set(tpch_clients):
+    """A streamed TPC-H scan charges exactly the server result's
+    ``ResultSet.byte_size()``: block payloads are sized a column at a
+    time (``rowcodec.column_bytes``), ciphertext columns included."""
+    _, (memory, _) = tpch_clients
+    sql = (
+        "SELECT l_orderkey, l_quantity, l_shipdate FROM lineitem "
+        "WHERE l_shipdate <= DATE '1998-09-02'"
+    )
+    _, ledger, _, _ = run_both_modes(memory, sql, block_rows=64)
+    (relation,) = memory.plan(normalize_query(parse(sql))).plan.remote_relations()
+    assert ledger.transfer_bytes == memory.backend.execute(relation.query).byte_size()
+
+
 @pytest.fixture(scope="module")
 def ssb_clients():
     db = ssb_generate(scale=SSB_SCALE, seed=13)
