@@ -1,17 +1,15 @@
 """Batch-pipeline benchmark: before/after numbers for the columnar rewrite.
 
-Measures the three throughput-bound stages the paper cares about (load-time
-bulk encryption, server-side aggregation, client-side result decryption)
-twice each:
+Measures two throughput-bound stages the paper cares about (load-time
+bulk encryption and client-side result decryption) twice each:
 
 * **before** — faithful replicas of the seed's scalar paths: row-at-a-time
   loading with per-value scheme dispatch and full-width Paillier
-  randomness, the tree-walking expression interpreter
-  (``Executor(use_compiled=False)``), and per-value client decryption with
-  textbook (non-CRT) Paillier;
+  randomness, and per-value client decryption with textbook (non-CRT)
+  Paillier;
 * **after** — the shipped batch pipeline: columnar loading through the
-  ``*_batch`` provider APIs and the fixed-base encryption pool, compiled
-  expressions, and transposed client decryption with CRT Paillier.
+  ``*_batch`` provider APIs and the fixed-base encryption pool, and
+  transposed client decryption with CRT Paillier.
 
 Writes ``BENCH_PR1.json`` (repo root by default) so the perf trajectory is
 tracked from this PR onward.  Run:
@@ -48,22 +46,13 @@ from repro.crypto.packing import PackedLayout
 from repro.engine.aggregates import HomAggResult
 from repro.engine.catalog import Database
 from repro.engine.eval import Env, EvalContext, Scope, evaluate
-from repro.engine.executor import Executor, ResultSet
+from repro.engine.executor import ResultSet
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.sql import parse, parse_expression
+from repro.sql import parse_expression
 from repro.storage.ciphertext_store import CiphertextFile
-from repro.testkit import MASTER_KEY, build_sales_db, canonical
+from repro.testkit import MASTER_KEY, build_sales_db
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-ENGINE_QUERIES = [
-    "SELECT o_custkey, SUM(o_price * o_qty) AS rev, COUNT(*) AS n FROM orders "
-    "WHERE o_price > 500 GROUP BY o_custkey ORDER BY rev DESC",
-    "SELECT c_segment, SUM(o_price) AS total, COUNT(*) AS n FROM orders, customer "
-    "WHERE o_custkey = c_custkey AND o_date >= DATE '1995-06-01' GROUP BY c_segment",
-    "SELECT o_orderkey, o_price FROM orders WHERE o_price BETWEEN 100 AND 900 "
-    "AND o_comment LIKE '%brown%' ORDER BY o_price LIMIT 50",
-]
 
 
 def build_design() -> PhysicalDesign:
@@ -285,38 +274,6 @@ def bench_load(db, provider, results: dict) -> None:
     }
 
 
-def bench_engine(engine_db, repeats: int, results: dict) -> None:
-    queries = [parse(sql) for sql in ENGINE_QUERIES]
-    interpreted = Executor(engine_db, use_compiled=False)
-    compiled = Executor(engine_db, use_compiled=True)
-
-    for query in queries:  # Warm-up + equivalence.
-        assert canonical(interpreted.execute(query).rows) == canonical(
-            compiled.execute(query).rows
-        )
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for query in queries:
-            interpreted.execute(query)
-    interpreted_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for query in queries:
-            compiled.execute(query)
-    compiled_seconds = time.perf_counter() - start
-
-    results["server_aggregation"] = {
-        "rows": sum(t.num_rows for t in engine_db.tables.values()),
-        "queries": len(queries),
-        "repeats": repeats,
-        "interpreted_seconds": round(interpreted_seconds, 4),
-        "compiled_seconds": round(compiled_seconds, 4),
-        "speedup": round(interpreted_seconds / compiled_seconds, 2),
-    }
-
-
 def bench_client_decrypt(provider, num_rows: int, results: dict) -> None:
     import random
 
@@ -408,17 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        paillier_bits, load_orders, engine_orders, decrypt_rows, repeats = (
-            384, 150, 600, 30, 1,
-        )
+        paillier_bits, load_orders, decrypt_rows = 384, 150, 30
     else:
-        paillier_bits, load_orders, engine_orders, decrypt_rows, repeats = (
-            2048, 900, 4000, 100, 3,
-        )
+        paillier_bits, load_orders, decrypt_rows = 2048, 900, 100
 
     print(f"[bench] generating data (quick={args.quick}) ...", flush=True)
     load_db = build_sales_db(num_orders=load_orders)
-    engine_db = build_sales_db(num_orders=engine_orders)
 
     print(f"[bench] Paillier keygen at {paillier_bits} bits ...", flush=True)
     start = time.perf_counter()
@@ -440,10 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     print("[bench] load: scalar vs columnar batch ...", flush=True)
     bench_load(load_db, provider, results)
     print(f"  -> {results['load']}", flush=True)
-
-    print("[bench] server aggregation: interpreted vs compiled ...", flush=True)
-    bench_engine(engine_db, repeats, results)
-    print(f"  -> {results['server_aggregation']}", flush=True)
 
     print("[bench] client decrypt: scalar/textbook vs batch/CRT ...", flush=True)
     bench_client_decrypt(provider, decrypt_rows, results)

@@ -82,7 +82,6 @@ def chaos_client(base: MonomiClient, seed: int, rate: float) -> MonomiClient:
         base.flags,
         base.network,
         base.disk,
-        streaming=base.streaming,
     )
 
 

@@ -43,7 +43,6 @@ _IDENTITY_KEYS = ("label", "workers", "backend", "table_rows", "rate")
 BASELINES = {
     "bench_batch_pipeline": "BENCH_PR1.json",
     "bench_backends": "BENCH_PR2.json",
-    "bench_streaming": "BENCH_PR3.json",
     "bench_parallel": "BENCH_PR4.json",
     "bench_service": "BENCH_PR5.json",
     "bench_faults": "BENCH_PR6.json",

@@ -18,7 +18,6 @@ packing metadata; every decryption happens in this class' provider.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -56,12 +55,6 @@ from repro.server import (
 )
 from repro.server.inmemory import InMemoryBackend
 from repro.sql import ast, parse, parse_statement
-
-
-def _default_streaming() -> bool:
-    """Streaming execution is the default; ``MONOMI_STREAMING=0`` forces
-    the materializing path everywhere (CI runs the test matrix both ways)."""
-    return os.environ.get("MONOMI_STREAMING", "1") != "0"
 
 
 @dataclass
@@ -127,7 +120,6 @@ class MonomiClient:
         network: NetworkModel,
         disk: DiskModel,
         design_result: DesignResult | None = None,
-        streaming: bool | None = None,
         prefetch_blocks: int | None = None,
     ) -> None:
         self.plain_db = plain_db
@@ -151,16 +143,8 @@ class MonomiClient:
         self.design_fingerprint = design.fingerprint()
         self._plan_lock = threading.Lock()
         self._refresh_planner()
-        if streaming is None:
-            streaming = _default_streaming()
-        self.streaming = streaming
         self.executor = PlanExecutor(
-            self.backend,
-            provider,
-            network,
-            disk,
-            streaming=streaming,
-            prefetch_blocks=prefetch_blocks,
+            self.backend, provider, network, disk, prefetch_blocks=prefetch_blocks
         )
 
     def _refresh_planner(self) -> None:
@@ -253,7 +237,6 @@ class MonomiClient:
         det_default: bool = True,
         backend: str | ServerBackend = "memory",
         provider: CryptoProvider | None = None,
-        streaming: bool | None = None,
         workers: int | None = None,
         prefetch_blocks: int | None = None,
         shards: int | None = None,
@@ -337,7 +320,6 @@ class MonomiClient:
             network,
             disk,
             design_result,
-            streaming=streaming,
             prefetch_blocks=prefetch_blocks,
         )
 
@@ -357,7 +339,6 @@ class MonomiClient:
         det_default: bool = True,
         network: NetworkModel | None = None,
         disk: DiskModel | None = None,
-        streaming: bool | None = None,
         prefetch_blocks: int | None = None,
         connect_timeout: float = 10.0,
         socket_timeout: float = 120.0,
@@ -412,7 +393,6 @@ class MonomiClient:
             flags,
             network,
             disk,
-            streaming=streaming,
             prefetch_blocks=prefetch_blocks,
         )
 

@@ -214,7 +214,7 @@ def expand_stars(query: ast.Select, schemas: dict[str, TableSchema]) -> ast.Sele
     """
     from_items = tuple(_expand_ref(ref, schemas) for ref in query.from_items)
     items = query.items
-    if any(_is_star(item.expr) for item in items):
+    if any(ast.is_star(item.expr) for item in items):
         if len(from_items) != 1 or isinstance(from_items[0], ast.Join):
             raise PlanningError(
                 "* over more than one relation is not supported; "
@@ -225,7 +225,7 @@ def expand_stars(query: ast.Select, schemas: dict[str, TableSchema]) -> ast.Sele
         expanded: list[ast.SelectItem] = []
         for item in items:
             star = item.expr
-            if not _is_star(star):
+            if not ast.is_star(star):
                 expanded.append(item)
                 continue
             if star.table is not None and star.table != ref.binding:
@@ -237,10 +237,6 @@ def expand_stars(query: ast.Select, schemas: dict[str, TableSchema]) -> ast.Sele
     ):
         return query
     return replace(query, items=items, from_items=from_items)
-
-
-def _is_star(expr: ast.Expr) -> bool:
-    return isinstance(expr, ast.Column) and expr.name == "*"
 
 
 def _expand_ref(ref: ast.TableRef, schemas: dict[str, TableSchema]) -> ast.TableRef:

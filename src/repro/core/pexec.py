@@ -13,20 +13,18 @@ Runs a :class:`~repro.core.plan.SplitPlan` against the untrusted server:
 3. run the residual query over the decrypted virtual tables with the same
    relational engine, on the trusted side.
 
-Two execution modes share this machinery:
-
-* :meth:`PlanExecutor.execute` — materialize everything, return one
-  :class:`ResultSet` (the drain-everything wrapper);
-* :meth:`PlanExecutor.execute_iter` — stream
-  :class:`~repro.engine.rowblock.RowBlock` batches end-to-end.  When the
-  plan is one RemoteRelation whose residual is stream-shaped (scan →
-  filter → project → limit over that relation, no subqueries), blocks
-  flow server scan → per-block decrypt (through the ``*_decrypt_batch``
-  APIs) → per-block unnest → residual operators without ever staging a
-  full table; peak client memory is O(block).  Any other plan shape runs
-  the materializing path and re-blocks its result (one blocking operator
-  at the root).  Both modes return identical rows and identical ledger
-  byte counts — the streaming equivalence tests assert this.
+:meth:`PlanExecutor.execute_iter` streams
+:class:`~repro.engine.rowblock.RowBlock` batches end-to-end, and
+:meth:`PlanExecutor.execute` drains it into one :class:`ResultSet`.  When
+the plan is one RemoteRelation whose residual is stream-shaped (scan →
+filter → project → limit over that relation, no subqueries), blocks flow
+server scan → per-block decrypt (through the ``*_decrypt_batch`` APIs) →
+per-block unnest → residual operators without ever staging a full table;
+peak client memory is O(block).  Any other plan shape runs the
+materializing path (:meth:`PlanExecutor._run`) and re-blocks its result
+(one blocking operator at the root).  A stream-shaped plan run through
+the materializing path returns identical rows and identical ledger byte
+counts — the streaming equivalence tests assert this.
 
 Prefetch pipeline
 -----------------
@@ -113,9 +111,7 @@ def _resolve_prefetch(prefetch_blocks: int | None) -> int:
                 f"{PREFETCH_ENV} must be an integer, got {raw!r}"
             ) from None
     if prefetch_blocks < 0:
-        raise ConfigError(
-            f"prefetch_blocks must be >= 0, got {prefetch_blocks}"
-        )
+        raise ConfigError(f"prefetch_blocks must be >= 0, got {prefetch_blocks}")
     return prefetch_blocks
 
 
@@ -296,9 +292,7 @@ class _ResilientStream:
                             self.retry_bytes += block.payload_bytes()
                             continue
                         if skip:
-                            dropped = RowBlock(
-                                [c[:skip] for c in block.columns], skip
-                            )
+                            dropped = RowBlock([c[:skip] for c in block.columns], skip)
                             self.retry_bytes += dropped.payload_bytes()
                             block = RowBlock(
                                 [c[skip:] for c in block.columns],
@@ -325,13 +319,7 @@ class _ResilientStream:
 
 
 class PlanExecutor:
-    """Executes split plans for one (server backend, key chain) pair.
-
-    ``streaming`` selects the default mode of :meth:`execute`; either way
-    :meth:`execute_iter` is available (with ``streaming=False`` it always
-    routes through the materializing path, which makes the two modes
-    directly comparable in tests and benchmarks).
-    """
+    """Executes split plans for one (server backend, key chain) pair."""
 
     def __init__(
         self,
@@ -339,7 +327,6 @@ class PlanExecutor:
         provider: CryptoProvider,
         network: NetworkModel | None = None,
         disk: DiskModel | None = None,
-        streaming: bool = True,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         prefetch_blocks: int | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -348,7 +335,6 @@ class PlanExecutor:
         self.provider = provider
         self.network = network or NetworkModel()
         self.disk = disk or DiskModel()
-        self.streaming = streaming
         self.block_rows = block_rows
         self.prefetch_blocks = _resolve_prefetch(prefetch_blocks)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -364,15 +350,14 @@ class PlanExecutor:
 
         The service layer builds one executor per worker thread, each
         bound to that worker's backend view: provider, network/disk
-        models, and streaming mode carry over, while per-query server
-        state stays worker-private.
+        models, block size, prefetch depth and retry policy carry over,
+        while per-query server state stays worker-private.
         """
         return PlanExecutor(
             backend,
             self.provider,
             self.network,
             self.disk,
-            streaming=self.streaming,
             block_rows=self.block_rows,
             prefetch_blocks=self.prefetch_blocks,
             retry_policy=self.retry_policy,
@@ -381,12 +366,8 @@ class PlanExecutor:
     def execute(
         self, plan: SplitPlan, deadline: Deadline | None = None
     ) -> tuple[ResultSet, CostLedger]:
-        if self.streaming:
-            stream = self.execute_iter(plan, deadline=deadline)
-            return stream.drain(), stream.ledger
-        ledger = CostLedger()
-        result = self._run(plan, ledger, deadline)
-        return result, ledger
+        stream = self.execute_iter(plan, deadline=deadline)
+        return stream.drain(), stream.ledger
 
     def execute_iter(
         self,
@@ -400,15 +381,14 @@ class PlanExecutor:
         if block_rows < 1:
             raise ConfigError(f"block_rows must be >= 1, got {block_rows}")
         ledger = CostLedger()
-        if self.streaming and self._plan_streams(plan):
+        if self._plan_streams(plan):
             relation = plan.relations[0]
             out_names = [n for spec in relation.specs for n in spec.output_names]
             if plan.residual is None:
                 columns = list(out_names)
             else:
                 columns = [
-                    item.output_name(i)
-                    for i, item in enumerate(plan.residual.items)
+                    item.output_name(i) for i, item in enumerate(plan.residual.items)
                 ]
             blocks = self._stream_plan(
                 plan, relation, out_names, ledger, block_rows, deadline
@@ -448,9 +428,9 @@ class PlanExecutor:
             return False
         if residual.limit is not None:
             # A client-side LIMIT stops pulling the remote stream early,
-            # transferring fewer bytes than the materializing reference —
-            # a real saving, but it would break the byte-identical ledger
-            # contract between the two modes, so LIMIT residuals block.
+            # transferring fewer bytes than the materializing path — a
+            # real saving, but it would break the byte-identical ledger
+            # contract between the two paths, so LIMIT residuals block.
             # (A LIMIT *pushed into the server query* still streams: the
             # server truncates before transfer on both paths.)
             return False
@@ -496,9 +476,7 @@ class PlanExecutor:
                 except StopIteration:
                     block = None
                 elapsed = time.perf_counter() - start
-                nested = (
-                    ledger.server_seconds + ledger.client_seconds - booked_before
-                )
+                nested = ledger.server_seconds + ledger.client_seconds - booked_before
                 ledger.client_seconds += max(0.0, elapsed - nested)
                 if block is None:
                     return
@@ -542,9 +520,7 @@ class PlanExecutor:
                 f"{len(stream.columns)}"
             )
         ledger.begin_round_trip(self.network)
-        ledger.add_block_transfer(
-            result_header_bytes(stream.columns), self.network
-        )
+        ledger.add_block_transfer(result_header_bytes(stream.columns), self.network)
         if self.prefetch_blocks > 0:
             produced = self._prefetched_blocks(stream, ledger, deadline)
         else:
@@ -847,9 +823,7 @@ class PlanExecutor:
                 else:
                     lengths.append(len(value))
                     flat.extend(value)
-            decrypted = self.provider.decrypt_batch(
-                flat, spec.elem_kind, spec.sql_type
-            )
+            decrypted = self.provider.decrypt_batch(flat, spec.elem_kind, spec.sql_type)
             out: list = []
             pos = 0
             for length in lengths:

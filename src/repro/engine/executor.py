@@ -40,8 +40,7 @@ closure mapped over the selected rows.  Everything else — sorts,
 grouping, DISTINCT, joins — drains its input through the materializing
 path and re-enters the stream as one blocking operator at the root, so
 both paths return identical rows and identical scan statistics.
-``Executor(streaming=True)`` routes :meth:`Executor.execute` through the
-streaming layer.
+:meth:`Executor.execute` stays the materializing driver.
 
 Execution returns a :class:`ResultSet` plus scan statistics (bytes touched)
 so the caller can charge simulated disk time — analytical queries are
@@ -116,57 +115,22 @@ def is_streamable(query: ast.Select) -> bool:
 class Executor:
     """Executes SELECT statements against a :class:`Database`."""
 
-    def __init__(
-        self,
-        db: Database,
-        use_compiled: bool = True,
-        streaming: bool = False,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
-    ) -> None:
+    def __init__(self, db: Database, block_rows: int = DEFAULT_BLOCK_ROWS) -> None:
         self.db = db
         self.functions = default_functions()
         self.last_stats = ExecStats()
-        self.use_compiled = use_compiled
-        self.streaming = streaming
         self.block_rows = block_rows
-
-    def _compile(self, expr, scope, ctx, outer=None):
-        """Compile an expression, or (with ``use_compiled=False``) return a
-        per-row tree-walking closure — the pre-compilation engine, kept so
-        benchmarks can measure what compilation buys."""
-        if self.use_compiled:
-            return compile_expr(expr, scope, ctx, outer)
-        return lambda row: evaluate(expr, Env(scope, row, outer), ctx)
 
     # -- public API ---------------------------------------------------------
 
     def execute(
         self, query: ast.Select, params: dict[str, object] | None = None
     ) -> ResultSet:
-        if self.streaming:
-            stream = self.execute_stream(query, params)
-            return ResultSet(stream.columns, stream.drain_rows())
-        self.last_stats = ExecStats()
-        # Static scan accounting: one heap read per table occurrence in the
-        # query tree, charged up front.  Re-executions of a correlated
-        # subquery hit the buffer pool, not the disk, and a subquery the
-        # engine happens to short-circuit still counts as part of the
-        # query's I/O footprint — which keeps the ledger identical across
-        # server backends (they charge the same static walk).
-        for name in ast.table_occurrences(query):
-            if self.db.has_table(name):
-                self.last_stats.bytes_scanned += self.db.table(name).total_bytes
+        stats = self.last_stats = self._start_stats(query)
         ciphertext_read_start = self.db.ciphertext_store.bytes_read
-        semijoins = _SemiJoinCache(self)
-        ctx = EvalContext(
-            params=params or {},
-            functions=self.functions,
-            subquery_executor=lambda sub, outer: self._execute(sub, ctx, outer),
-            exists_tester=lambda sub, env: semijoins.test(sub, env, ctx),
-        )
-        result = self._execute(query, ctx, None)
-        self.last_stats.rows_output = len(result.rows)
-        self.last_stats.bytes_scanned += (
+        result = self._execute(query, self._context(params), None)
+        stats.rows_output = len(result.rows)
+        stats.bytes_scanned += (
             self.db.ciphertext_store.bytes_read - ciphertext_read_start
         )
         return result
@@ -185,19 +149,62 @@ class Executor:
         in for that table's scan — the plan executor streams decrypted
         server blocks through a residual query this way, without staging
         them in a catalog table; source-backed queries must satisfy
-        :func:`is_streamable`.  Statistics live on ``stream.stats`` (also
-        ``self.last_stats``) and reach their final totals once the stream
-        is exhausted or closed.
+        :func:`is_streamable`.  A query that is not streamable is one
+        blocking operator at the root: it runs to completion through
+        :meth:`execute` here, and the stream re-blocks its rows.
+        Statistics live on ``stream.stats`` (also ``self.last_stats``) and
+        reach their final totals once the stream is exhausted or closed.
         """
         if block_rows is None:
             block_rows = self.block_rows
-        stats = ExecStats()
-        self.last_stats = stats
         sources = sources or {}
+        if not is_streamable(query):
+            if sources:
+                raise ExecutionError(
+                    "source-backed streaming requires a streamable query "
+                    "(single scan, no grouping/ordering/joins)"
+                )
+            result = self.execute(query, params)
+            blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
+            return BlockStream(result.columns, blocks, self.last_stats)
+        stats = self.last_stats = self._start_stats(query)
+        ref = query.from_items[0]
+        source = sources.get(ref.name)
+        if source is not None:
+            table, names = None, source.columns
+        else:
+            table = self.db.table(ref.name)
+            names = table.schema.column_names
+        scope = Scope([(ref.binding, c) for c in names])
+        items = _select_items(query.items, scope)
+        blocks = self._stream_blocks(
+            query,
+            items,
+            scope,
+            self._context(params),
+            table,
+            source,
+            block_rows,
+            stats,
+            self.db.ciphertext_store.bytes_read,
+        )
+        return BlockStream(_output_names(items), blocks, stats)
+
+    def _start_stats(self, query: ast.Select) -> ExecStats:
+        """Fresh statistics charged the query's static scan footprint: one
+        heap read per table occurrence in the query tree, up front.
+        Re-executions of a correlated subquery hit the buffer pool, not the
+        disk, and a subquery the engine happens to short-circuit still
+        counts as part of the query's I/O footprint — which keeps the
+        ledger identical across server backends (they charge the same
+        static walk)."""
+        stats = ExecStats()
         for name in ast.table_occurrences(query):
             if self.db.has_table(name):
                 stats.bytes_scanned += self.db.table(name).total_bytes
-        ciphertext_read_start = self.db.ciphertext_store.bytes_read
+        return stats
+
+    def _context(self, params: dict[str, object] | None) -> EvalContext:
         semijoins = _SemiJoinCache(self)
         ctx = EvalContext(
             params=params or {},
@@ -205,57 +212,38 @@ class Executor:
             subquery_executor=lambda sub, outer: self._execute(sub, ctx, outer),
             exists_tester=lambda sub, env: semijoins.test(sub, env, ctx),
         )
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        if is_streamable(query):
-            blocks = self._stream_blocks(
-                query, ctx, sources, block_rows, stats, ciphertext_read_start
-            )
-        else:
-            if sources:
-                raise ExecutionError(
-                    "source-backed streaming requires a streamable query "
-                    "(single scan, no grouping/ordering/joins)"
-                )
-            blocks = self._materialized_blocks(
-                query, ctx, block_rows, stats, ciphertext_read_start
-            )
-        return BlockStream(columns, blocks, stats)
+        return ctx
 
     def _stream_blocks(
         self,
         query: ast.Select,
+        items: list[tuple[ast.SelectItem, int | None]],
+        scope: Scope,
         ctx: EvalContext,
-        sources: dict[str, BlockStream],
+        table,
+        source: BlockStream | None,
         block_rows: int,
         stats: ExecStats,
         ciphertext_read_start: int,
     ):
         """Scan → filter → project → limit, a column at a time.
 
-        The input arrives in chunks: ``block_rows``-row slices of the
-        table's heap, or the source stream's blocks as they come.  The
-        WHERE turns a chunk into a selection (a row stays only where it
+        The input arrives in chunks: ``block_rows``-row slices of
+        ``table``'s heap, or the ``source`` stream's blocks as they come.
+        The WHERE turns a chunk into a selection (a row stays only where it
         returns True, so NULL drops it): a lone ``column op literal``
         compares the whole column at once, anything else runs the compiled
         row closure.  Each output column is then built in one pass over
-        the selected rows: a bare column reference (``*`` expands to every
-        column) picks its column, a computed item maps its closure over
-        the selected rows only.  A source block with no WHERE and only
-        picks passes its column lists through untouched.  Under LIMIT a
-        chunk holds at most the rows still owed, so nothing past the limit
-        is evaluated and no source block past it is pulled.  The output is
+        the selected rows: a star's column or a bare column reference
+        picks its column, a computed item maps its closure over the
+        selected rows only.  A source block with no WHERE and only picks
+        passes its column lists through untouched.  Under LIMIT a chunk
+        holds at most the rows still owed, so nothing past the limit is
+        evaluated and no source block past it is pulled.  The output is
         cut into blocks of exactly ``block_rows`` rows, the last shorter.
         """
-        ref = query.from_items[0]
-        source = sources.get(ref.name)
-        if source is not None:
-            names = source.columns
-        else:
-            table = self.db.table(ref.name)
-            names = table.schema.column_names
-        scope = Scope([(ref.binding, c) for c in names])
         predicate = (
-            self._compile(query.where, scope, ctx, None)
+            compile_expr(query.where, scope, ctx, None)
             if query.where is not None
             else None
         )
@@ -263,16 +251,13 @@ class Executor:
         # One entry per output column: an int picks that input column, a
         # closure computes the value from a row.
         outputs: list = []
-        for item in query.items:
-            if isinstance(item.expr, ast.Column):
-                if item.expr.name == "*":
-                    outputs.extend(_star_positions(scope, item.expr.table))
-                    continue
-                index = _scope_index(scope, item.expr)
-                if index is not None:
-                    outputs.append(index)
-                    continue
-            outputs.append(self._compile(item.expr, scope, ctx, None))
+        for item, position in items:
+            if position is None and isinstance(item.expr, ast.Column):
+                position = _scope_index(scope, item.expr)
+            if position is None:
+                outputs.append(_compile_item(item, scope, ctx, None))
+            else:
+                outputs.append(position)
         remaining = query.limit
 
         def owed(size: int) -> int:
@@ -333,22 +318,6 @@ class Executor:
                 self.db.ciphertext_store.bytes_read - ciphertext_read_start
             )
 
-    def _materialized_blocks(
-        self,
-        query: ast.Select,
-        ctx: EvalContext,
-        block_rows: int,
-        stats: ExecStats,
-        ciphertext_read_start: int,
-    ):
-        """Blocking root operator: drain the materializing path, re-block."""
-        result = self._execute(query, ctx, None)
-        stats.rows_output += len(result.rows)
-        stats.bytes_scanned += (
-            self.db.ciphertext_store.bytes_read - ciphertext_read_start
-        )
-        yield from blocks_from_rows(result.rows, len(result.columns), block_rows)
-
     # -- internals ------------------------------------------------------------
 
     def _execute(
@@ -356,13 +325,13 @@ class Executor:
     ) -> ResultSet:
         relation, remaining = self._build_from(query, ctx, outer)
         relation = self._apply_where(relation, remaining, ctx, outer)
+        items = _select_items(query.items, relation.scope)
         if query.group_by or self._has_aggregates(query):
             rows_with_alias = self._group_and_project(query, relation, ctx, outer)
         else:
-            rows_with_alias = self._project(query, relation, ctx, outer)
+            rows_with_alias = self._project(query, items, relation, ctx, outer)
         rows = self._order_limit_distinct(query, rows_with_alias, ctx)
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        return ResultSet(columns, rows)
+        return ResultSet(_output_names(items), rows)
 
     # FROM clause -------------------------------------------------------------
 
@@ -479,7 +448,7 @@ class Executor:
                 pushed.add(i)
         rows = rel.rows
         if local:
-            predicate = self._compile(ast.conjoin(local), rel.scope, ctx, outer)
+            predicate = compile_expr(ast.conjoin(local), rel.scope, ctx, outer)
             rows = [row for row in rows if predicate(row) is True]
         columns = rel.scope.columns
         kept = [
@@ -614,8 +583,8 @@ class Executor:
         for several (none at all: every row gets the same key), and None
         whenever a component is NULL, because NULL equals nothing."""
         if len(keys) == 1:
-            return self._compile(keys[0], scope, ctx, outer)
-        as_tuple = _row_tuple([self._compile(k, scope, ctx, outer) for k in keys])
+            return compile_expr(keys[0], scope, ctx, outer)
+        as_tuple = _row_tuple([compile_expr(k, scope, ctx, outer) for k in keys])
 
         def composite(row):
             key = as_tuple(row)
@@ -659,7 +628,7 @@ class Executor:
                     buckets.setdefault(key, []).append(row)
             left_key_column = map(left_fn, left.rows)
         accept = (
-            self._compile(residual, scope, ctx, outer) if residual is not None else None
+            compile_expr(residual, scope, ctx, outer) if residual is not None else None
         )
         null_row = (None,) * len(right.scope.columns) if kind == "left" else None
         get_bucket = buckets.get  # None is never a bucket key.
@@ -717,7 +686,7 @@ class Executor:
     ) -> _Relation:
         if not remaining:
             return relation
-        predicate = self._compile(ast.conjoin(remaining), relation.scope, ctx, outer)
+        predicate = compile_expr(ast.conjoin(remaining), relation.scope, ctx, outer)
         rows = [row for row in relation.rows if predicate(row) is True]
         return _Relation(relation.scope, rows)
 
@@ -754,12 +723,12 @@ class Executor:
                     agg_calls.append(call)
         # Compile group keys and each distinct aggregate argument once per
         # query (Q1 sums and averages the same three columns).
-        key_fns = [self._compile(k, relation.scope, ctx, outer) for k in query.group_by]
+        key_fns = [compile_expr(k, relation.scope, ctx, outer) for k in query.group_by]
         arg_fns: dict[ast.Expr, object] = {}
         for call in agg_calls:
             for arg in call.args:
                 if arg not in arg_fns:
-                    arg_fns[arg] = self._compile(arg, relation.scope, ctx, outer)
+                    arg_fns[arg] = compile_expr(arg, relation.scope, ctx, outer)
         # Partition first (groups in first-seen order, rows in input order,
         # the first row the representative) ...
         rows = relation.rows
@@ -811,28 +780,24 @@ class Executor:
     def _project(
         self,
         query: ast.Select,
+        items: list[tuple[ast.SelectItem, int | None]],
         relation: _Relation,
         ctx: EvalContext,
         outer: Env | None,
     ) -> list[tuple[tuple, dict]]:
-        # Compile the select-list once; "*" expands to the whole row, "t.*"
-        # to one pick per column of t.
-        item_fns: list = []
-        for item in query.items:
-            expr = item.expr
-            if not isinstance(expr, ast.Column) or expr.name != "*":
-                item_fns.append(self._compile(expr, relation.scope, ctx, outer))
-            elif expr.table is None:
-                item_fns.append(None)
-            else:
-                positions = _star_positions(relation.scope, expr.table)
-                item_fns.extend(map(operator.itemgetter, positions))
+        # Compile the select list (stars spelled out) once.
+        item_fns = [
+            _compile_item(item, relation.scope, ctx, outer)
+            if position is None
+            else operator.itemgetter(position)
+            for item, position in items
+        ]
         output = []
         if not query.order_by:
             # No per-row alias context needed: tight projection loop.
             no_keys: list = []
             append = output.append
-            if len(item_fns) == 1 and item_fns[0] is not None:
+            if len(item_fns) == 1:
                 fn = item_fns[0]
                 for row in relation.rows:
                     append(((fn(row),), no_keys))
@@ -840,23 +805,14 @@ class Executor:
             for row in relation.rows:
                 values: list = []
                 for fn in item_fns:
-                    if fn is None:
-                        values.extend(row)
-                    else:
-                        values.append(fn(row))
+                    values.append(fn(row))
                 append((tuple(values), no_keys))
             return output
         for row in relation.rows:
-            values_list: list = []
-            for fn in item_fns:
-                if fn is None:
-                    values_list.extend(row)
-                else:
-                    values_list.append(fn(row))
-            values = tuple(values_list)
+            values = tuple([fn(row) for fn in item_fns])
             aliases = {
                 item.alias: value
-                for item, value in zip(query.items, values)
+                for (item, _), value in zip(items, values)
                 if item.alias is not None
             }
             row_ctx = EvalContext(
@@ -1105,14 +1061,45 @@ def _scope_index(scope: Scope, column: ast.Column) -> int | None:
         return None
 
 
-def _star_positions(scope: Scope, table: str | None) -> range | list[int]:
-    """The input positions ``*`` (``table`` None) or ``table.*`` stands for."""
-    if table is None:
-        return range(len(scope.columns))
-    positions = [i for i, (binding, _) in enumerate(scope.columns) if binding == table]
-    if not positions:
-        raise ExecutionError(f"{table}.* names no relation in FROM")
-    return positions
+def _select_items(
+    items: tuple[ast.SelectItem, ...], scope: Scope
+) -> list[tuple[ast.SelectItem, int | None]]:
+    """The select list with ``*`` and ``t.*`` spelled out against ``scope``:
+    one ``(item, position)`` pair per output column.  A star becomes one
+    column item per scope column it covers (so the result column is named
+    after it), paired with that column's position; every other item is
+    paired with None.  A ``t.*`` that covers no column stays as it is, for
+    :func:`_compile_item` to refuse where the projection compiles."""
+    expanded: list[tuple[ast.SelectItem, int | None]] = []
+    for item in items:
+        star = item.expr
+        if not ast.is_star(star):
+            expanded.append((item, None))
+            continue
+        positions = [
+            i
+            for i, (binding, _) in enumerate(scope.columns)
+            if star.table is None or binding == star.table
+        ]
+        if not positions and star.table is not None:
+            expanded.append((item, None))
+            continue
+        for i in positions:
+            binding, name = scope.columns[i]
+            expanded.append((ast.SelectItem(ast.Column(name, binding)), i))
+    return expanded
+
+
+def _output_names(items: list[tuple[ast.SelectItem, int | None]]) -> list[str]:
+    return [item.output_name(i) for i, (item, _) in enumerate(items)]
+
+
+def _compile_item(item: ast.SelectItem, scope: Scope, ctx, outer):
+    """A computed select item's row closure; a ``t.*`` that
+    :func:`_select_items` could not spell out is refused here."""
+    if ast.is_star(item.expr):
+        raise ExecutionError(f"{item.expr.table}.* names no relation in FROM")
+    return compile_expr(item.expr, scope, ctx, outer)
 
 
 def _column_test(where: ast.Expr | None, scope: Scope):

@@ -380,6 +380,11 @@ def is_aggregate_call(expr: Expr) -> bool:
     return isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS
 
 
+def is_star(expr: Expr) -> bool:
+    """Whether ``expr`` is a ``*`` or ``t.*`` select item."""
+    return isinstance(expr, Column) and expr.name == "*"
+
+
 def contains_aggregate(expr: Expr) -> bool:
     return any(is_aggregate_call(e) for e in expr.walk())
 

@@ -8,18 +8,11 @@ can share them without cross-conftest imports.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core import CryptoProvider, MonomiClient
 from repro.engine import Database, Executor
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD, build_sales_db
-
-#: CI runs the suite twice: MONOMI_STREAMING=1 (default — clients drain the
-#: RowBlock streaming pipeline) and MONOMI_STREAMING=0 (the materializing
-#: reference path).  Both must pass identically.
-STREAMING = os.environ.get("MONOMI_STREAMING", "1") != "0"
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +34,6 @@ def sales_client(sales_db, provider) -> MonomiClient:
         paillier_bits=384,
         space_budget=2.5,
         provider=provider,
-        streaming=STREAMING,
     )
 
 
@@ -60,7 +52,6 @@ def sales_client_sqlite(sales_db, provider, sales_client) -> MonomiClient:
         provider=provider,
         design=sales_client.design,
         backend="sqlite",
-        streaming=STREAMING,
     )
 
 
@@ -102,7 +93,6 @@ def sales_client_remote(sales_db, provider, sales_client, sales_server):
         sales_db,
         design=sales_client.design,
         provider=provider,
-        streaming=STREAMING,
     )
     yield client
     client.close()

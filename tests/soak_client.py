@@ -44,7 +44,6 @@ def main() -> int:
         state["flags"],
         state["network"],
         state["disk"],
-        streaming=state["streaming"],
     )
     expected_adhoc: dict[str, list[str]] = state["expected_adhoc"]
     expected_prepared: dict[int, list[str]] = state["expected_prepared"]

@@ -122,7 +122,7 @@ def test_streamed_scan_matches_materialized(
         sql += f" LIMIT {limit}"
     query = parse(sql)
     db = build_db(t_rows, u_values)
-    materializing = Executor(db, streaming=False)
+    materializing = Executor(db)
     expected = materializing.execute(query, PARAMS)
     stats = materializing.last_stats
 
@@ -222,7 +222,7 @@ def test_limit_pulls_no_source_block_past_the_limit():
 def test_errors_keep_their_class(sql, backed):
     query = parse(sql)
     with pytest.raises(Exception) as materialized:
-        Executor(z_db(), streaming=False).execute(query)
+        Executor(z_db()).execute(query)
     if backed == "table":
         stream = Executor(z_db()).execute_stream(query, block_rows=3)
     else:

@@ -14,7 +14,6 @@ Three checks on ``engine/executor.py`` + ``engine/aggregates.py``:
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 
 import pytest
@@ -33,8 +32,6 @@ from repro.sql import ast, parse
 from repro.storage.ciphertext_store import CiphertextFile, CiphertextStore
 from repro.testkit import MASTER_KEY, canonical
 from repro.tpch import generate, tpch_queries
-
-STREAMING = os.environ.get("MONOMI_STREAMING", "1") != "0"
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
@@ -225,29 +222,34 @@ def unordered(rows) -> Counter:
     return Counter(tuple(sorted(map(repr, row))) for row in rows)
 
 
+#: The engine's two drivers: the materializing ``execute`` and the drained
+#: ``execute_stream``.
+DRIVERS = {
+    "execute": lambda db, query: Executor(db).execute(query).rows,
+    "execute_stream": lambda db, query: Executor(db).execute_stream(query).drain_rows(),
+}
+
+
+@pytest.mark.parametrize("drive", sorted(DRIVERS))
 @settings(max_examples=300, deadline=None)
 @given(tables=st.tuples(*[table_rows] * 4), sql=join_queries())
-def test_joins_agree_with_the_cross_product_oracle(tables, sql):
+def test_joins_agree_with_the_cross_product_oracle(drive, tables, sql):
     db = build_db(tables)
     query = parse(sql)
-    star = sql.startswith("select *")
-    if star:
-        expected = unordered(oracle_rows(db, query)[1])
+    rows = DRIVERS[drive](db, query)
+    if sql.startswith("select *"):  # Nothing is pruned under a ``*``.
+        width = len(COLUMNS) * sum(map(base_tables, query.from_items))
+        assert all(len(row) == width for row in rows), sql
+        assert unordered(rows) == unordered(oracle_rows(db, query)[1]), sql
     else:
-        expected = oracle_result(db, query)
-    for use_compiled in (True, False):
-        executor = Executor(db, use_compiled=use_compiled, streaming=STREAMING)
-        rows = executor.execute(query).rows
-        if star:  # Nothing is pruned under a ``*``.
-            width = len(COLUMNS) * sum(map(base_tables, query.from_items))
-            assert all(len(row) == width for row in rows), sql
-            assert unordered(rows) == expected, sql
-        else:
-            assert Counter(rows) == expected, sql
+        assert Counter(rows) == oracle_result(db, query), sql
 
 
-def run(db, sql):
-    return Executor(db, streaming=STREAMING).execute(parse(sql)).rows
+@pytest.fixture(params=sorted(DRIVERS))
+def run(request):
+    """``run(db, sql)``: the rows of ``sql``, through each driver."""
+    drive = DRIVERS[request.param]
+    return lambda db, sql: drive(db, parse(sql))
 
 
 class TestCompositeKeys:
@@ -262,16 +264,16 @@ class TestCompositeKeys:
             ]
         )
 
-    def test_both_equalities_are_the_key(self, db):
+    def test_both_equalities_are_the_key(self, db, run):
         sql = "select a.v, b.v from r0 a, r1 b where a.k = b.k and a.j = b.j"
         assert sorted(run(db, sql)) == [(10, 20), (10, 21)]
 
-    def test_a_null_in_any_component_matches_nothing(self, db):
+    def test_a_null_in_any_component_matches_nothing(self, db, run):
         # (1, NULL) is on both sides and must not meet itself.
         sql = "select count(*) from r0 a, r1 b where a.k = b.k and a.j = b.j"
         assert run(db, sql) == [(2,)]
 
-    def test_left_outer_with_composite_key_and_a_rest(self, db):
+    def test_left_outer_with_composite_key_and_a_rest(self, db, run):
         sql = (
             "select a.v, b.v from r0 a left outer join r1 b "
             "on a.k = b.k and a.j = b.j and b.v > 20"
@@ -283,11 +285,11 @@ class TestCompositeKeys:
             (13, None),
         ]
 
-    def test_pruning_leaves_star_alone(self, db):
+    def test_pruning_leaves_star_alone(self, db, run):
         rows = run(db, "select * from r0 a, r2 c where a.k = 2")
         assert rows == [(2, 1, 13, 0, 7, 7, 7, 7)]
 
-    def test_a_correlated_subquery_still_sees_the_outer_columns(self, db):
+    def test_a_correlated_subquery_still_sees_the_outer_columns(self, db, run):
         # ``j`` is named only inside the subquery, against the outer alias.
         sql = (
             "select a.v from r0 a, r2 c where a.k = 1 and "
@@ -314,7 +316,7 @@ class JoinSpy:
         return spied
 
 
-def test_an_edgeless_relation_is_crossed_in_last(monkeypatch):
+def test_an_edgeless_relation_is_crossed_in_last(monkeypatch, run):
     db = Database()
     for name, rows in (("a", 3), ("b", 4), ("c", 1)):
         table = db.create_table(schema(name, ("x", "int")))
@@ -403,7 +405,6 @@ def tpch():
         [queries[n].sql for n in JOIN_HEAVY],
         master_key=MASTER_KEY,
         paillier_bits=384,
-        streaming=STREAMING,
     )
     return db, queries, client
 

@@ -70,7 +70,6 @@ def _chaos_client(base: MonomiClient, seed: int, rate: float) -> MonomiClient:
         base.flags,
         base.network,
         base.disk,
-        streaming=base.streaming,
     )
 
 
@@ -329,7 +328,6 @@ class TestServiceResilience:
             sales_client.flags,
             sales_client.network,
             sales_client.disk,
-            streaming=sales_client.streaming,
         )
         with MonomiService(client, workers=1) as service:
             outcome = service.execute(SALES_WORKLOAD[0])
@@ -350,7 +348,6 @@ class TestServiceResilience:
             sales_client.flags,
             sales_client.network,
             sales_client.disk,
-            streaming=sales_client.streaming,
         )
         fast = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         client.executor.retry_policy = fast
@@ -574,7 +571,6 @@ class TestCrashSafeLoad:
             sales_client.flags,
             sales_client.network,
             sales_client.disk,
-            streaming=sales_client.streaming,
         )
         for sql in SALES_WORKLOAD[:3]:
             expected_outcome = sales_client.execute(sql)

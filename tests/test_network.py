@@ -145,7 +145,6 @@ def test_server_session_ledger_matches_client(sales_client):
             sales_client.flags,
             sales_client.network,
             sales_client.disk,
-            streaming=sales_client.streaming,
         )
         want_transfer = want_scanned = 0
         for sql in SALES_WORKLOAD:
@@ -231,7 +230,6 @@ def test_repeated_queries_prepare_server_side(sales_client):
             sales_client.flags,
             sales_client.network,
             sales_client.disk,
-            streaming=sales_client.streaming,
         )
         baseline = [client.execute(SALES_WORKLOAD[0]) for _ in range(3)]
         assert len({canonical(o.rows) == canonical(baseline[0].rows) for o in baseline}) == 1
@@ -420,7 +418,6 @@ class TestHostilePeers:
                 sales_client.flags,
                 sales_client.network,
                 sales_client.disk,
-                streaming=sales_client.streaming,
             )
             outcome = client.execute(SALES_WORKLOAD[0])
             want = sales_client.execute(SALES_WORKLOAD[0])

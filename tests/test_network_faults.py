@@ -47,7 +47,6 @@ def remote_client(sales_client, server: MonomiServer, **backend_opts) -> MonomiC
         sales_client.flags,
         sales_client.network,
         sales_client.disk,
-        streaming=sales_client.streaming,
     )
 
 
@@ -145,10 +144,9 @@ def test_dropped_connections_are_byte_identical(sales_client, references):
     assert drops > 0  # The schedule actually severed connections.
     if chaos_from_env() is None:
         assert total_retries == drops
-        if sales_client.streaming:
-            # A severed stream abandons a started attempt: its redone
-            # bytes land in retry accounting, never in primary totals.
-            assert total_retry_bytes > 0
+        # A severed stream abandons a started attempt: its redone bytes
+        # land in retry accounting, never in primary totals.
+        assert total_retry_bytes > 0
 
 
 def test_drop_storm_with_concurrent_sessions(sales_client, references):

@@ -53,7 +53,6 @@ def test_multiprocess_soak_leaves_server_clean(sales_client, tmp_path):
         "flags": sales_client.flags,
         "network": sales_client.network,
         "disk": sales_client.disk,
-        "streaming": sales_client.streaming,
         "expected_adhoc": {
             sql: canonical(sales_client.execute(sql).rows)
             for sql in SALES_WORKLOAD

@@ -527,7 +527,6 @@ class TestPrefetch:
                 client.provider,
                 client.network,
                 client.disk,
-                streaming=True,
                 prefetch_blocks=depth,
             )
             stream = executor.execute_iter(planned.plan, block_rows=128)
@@ -546,7 +545,6 @@ class TestPrefetch:
             client.provider,
             client.network,
             client.disk,
-            streaming=True,
             prefetch_blocks=2,
         )
         stream = executor.execute_iter(planned.plan, block_rows=32)

@@ -5,7 +5,9 @@ planner and the designer spell a star out against the catalog schemas
 first (``core.normalize.expand_stars``).  A star query then designs,
 plans and runs like its explicit column list, on both backends and both
 client paths, and matches the plaintext engine.  A star over a join is
-refused with a :class:`PlanningError` that names it.
+refused with a :class:`PlanningError` that names it.  The plaintext
+engine spells a star out against the relation it projects, so its result
+columns are named and an alias beside a star orders by its own value.
 """
 
 from __future__ import annotations
@@ -134,3 +136,77 @@ def test_engine_qualified_star_picks_one_relation(sales_db):
     assert result.rows
     assert all(len(row) == width + 1 for row in result.rows)
     assert {row[:width] for row in result.rows} <= set(customer.rows)
+
+
+DRIVERS = ("execute", "execute_stream")
+
+
+def engine_run(db, sql: str, driver: str) -> tuple[list[str], list[tuple]]:
+    """(columns, rows) of ``sql`` on the plaintext engine, through ``driver``."""
+    executor = Executor(db)
+    if driver == "execute":
+        result = executor.execute(parse(sql))
+        return result.columns, result.rows
+    stream = executor.execute_stream(parse(sql))
+    return stream.columns, stream.drain_rows()
+
+
+@pytest.fixture(scope="module")
+def small_db():
+    return build_sales_db(50, seed=3)
+
+
+@pytest.fixture(scope="module")
+def orders(small_db):
+    """(column names, rows, position of o_qty) of the small orders table."""
+    table = small_db.table("orders")
+    names = list(table.schema.column_names)
+    return names, list(table.rows), names.index("o_qty")
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_engine_scans_a_star_subquery(small_db, orders, driver):
+    _, rows, qty = orders
+    sql = "SELECT o_qty FROM (SELECT * FROM orders) x"
+    columns, got = engine_run(small_db, sql, driver)
+    assert columns == ["o_qty"]
+    assert got == [(row[qty],) for row in rows]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_engine_names_star_columns(small_db, orders, driver):
+    names, rows, qty = orders
+    columns, got = engine_run(small_db, "SELECT *, o_qty AS q FROM orders", driver)
+    assert columns == [*names, "q"]
+    assert got == [(*row, row[qty]) for row in rows]
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize(
+    "key, alias, descending", [("o_qty", "q", False), ("o_orderkey", "k", True)]
+)
+def test_engine_orders_by_an_alias_beside_a_star(
+    small_db, orders, driver, key, alias, descending
+):
+    names, rows, _ = orders
+    at = names.index(key)
+    direction = " DESC" if descending else ""
+    sql = f"SELECT *, {key} AS {alias} FROM orders ORDER BY {alias}{direction}"
+    columns, got = engine_run(small_db, sql, driver)
+    assert columns == [*names, alias]
+    expected = sorted(
+        [(*row, row[at]) for row in rows], key=lambda row: row[at], reverse=descending
+    )
+    assert got == expected
+
+
+def test_client_orders_by_an_alias_beside_a_star(each_backend_client, sales_db):
+    sql = "SELECT *, o_qty AS q FROM orders ORDER BY q"
+    expected = Executor(sales_db).execute(normalize_query(parse(sql)))
+    outcome = each_backend_client.execute(sql)
+    assert outcome.columns == expected.columns
+    assert canonical(outcome.rows) == canonical(expected.rows)
+    keys = [row[-1] for row in expected.rows]
+    assert keys == sorted(keys)
+    assert [row[-1] for row in outcome.rows] == keys
+    assert [row[-1] for row in streamed_rows(each_backend_client, sql)] == keys

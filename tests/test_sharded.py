@@ -9,8 +9,6 @@ a single shard.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.common.errors import ConfigError
@@ -29,8 +27,6 @@ from repro.server.sharded import (
 )
 from repro.sql import ast
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD, canonical
-
-STREAMING = os.environ.get("MONOMI_STREAMING", "1") != "0"
 
 CHAOS_SEEDS = (3, 11, 42)
 
@@ -421,7 +417,6 @@ def sharded_sales_client(request, sales_db, provider, sales_client):
         space_budget=2.5,
         provider=provider,
         design=sales_client.design,
-        streaming=STREAMING,
         shards=request.param,
     )
 
@@ -462,7 +457,6 @@ class TestClientEquivalence:
             provider=provider,
             design=sales_client.design,
             backend="sqlite",
-            streaming=STREAMING,
             shards=2,
         )
         try:
@@ -486,7 +480,6 @@ class TestClientEquivalence:
             space_budget=2.5,
             provider=provider,
             design=sales_client.design,
-            streaming=STREAMING,
         )
         backend = client.backend
         while hasattr(backend, "_parent"):
@@ -529,7 +522,6 @@ class TestNetworkShards:
             sharded_sales_client.flags,
             sharded_sales_client.network,
             sharded_sales_client.disk,
-            streaming=STREAMING,
         )
         for query in SALES_WORKLOAD:
             want = sales_client.execute(query)
@@ -548,7 +540,6 @@ class TestNetworkShards:
             sharded_sales_client.flags,
             sharded_sales_client.network,
             sharded_sales_client.disk,
-            streaming=True,
         )
         for query in SALES_WORKLOAD[:3]:
             rows = []

@@ -34,7 +34,6 @@ def _client_with(base: MonomiClient, prefetch_blocks: int) -> MonomiClient:
         base.flags,
         base.network,
         base.disk,
-        streaming=True,
         prefetch_blocks=prefetch_blocks,
     )
 

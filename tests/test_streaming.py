@@ -53,7 +53,7 @@ SSB_NUMBERS = ("1.1", "4.1")
 
 
 def ledger_bytes(ledger: CostLedger) -> tuple:
-    """The ledger fields that must be byte-identical across modes."""
+    """The ledger fields that must be byte-identical across both paths."""
     return (
         ledger.transfer_bytes,
         ledger.server_bytes_scanned,
@@ -147,13 +147,12 @@ def engine_db():
 def test_engine_streaming_matches_materializing(engine_db, sql, block_rows):
     query = normalize_query(parse(sql))
     materializing = Executor(engine_db)
-    streaming = Executor(engine_db, streaming=True, block_rows=block_rows)
     expected = materializing.execute(query)
-    got = streaming.execute(query)
-    assert got.columns == expected.columns
-    assert got.rows == expected.rows  # Exact order, not canonicalized.
-    assert streaming.last_stats.bytes_scanned == materializing.last_stats.bytes_scanned
-    assert streaming.last_stats.rows_output == materializing.last_stats.rows_output
+    stream = Executor(engine_db, block_rows=block_rows).execute_stream(query)
+    assert stream.columns == expected.columns
+    assert stream.drain_rows() == expected.rows  # Exact order, not canonicalized.
+    assert stream.stats.bytes_scanned == materializing.last_stats.bytes_scanned
+    assert stream.stats.rows_output == materializing.last_stats.rows_output
 
 
 def test_is_streamable_classification():
@@ -256,24 +255,21 @@ STREAM_VS_MAT_QUERIES = SALES_WORKLOAD + [
 
 
 def run_both_modes(client, sql, block_rows=32):
-    """Plan once, execute with streaming and materializing PlanExecutors."""
+    """Plan once, then run the plan through ``execute_iter`` and through
+    the materializing path it falls back to for plans that cannot stream."""
     query = normalize_query(parse(sql))
     planned = client.plan(query)
-    streaming = PlanExecutor(
+    executor = PlanExecutor(
         client.backend,
         client.provider,
         client.network,
         client.disk,
-        streaming=True,
         block_rows=block_rows,
     )
-    materializing = PlanExecutor(
-        client.backend, client.provider, client.network, client.disk,
-        streaming=False,
-    )
-    stream = streaming.execute_iter(planned.plan)
+    stream = executor.execute_iter(planned.plan)
     streamed = stream.drain()
-    materialized, mat_ledger = materializing.execute(planned.plan)
+    mat_ledger = CostLedger()
+    materialized = executor._run(planned.plan, mat_ledger)
     return streamed, stream.ledger, materialized, mat_ledger
 
 
@@ -312,7 +308,7 @@ def test_streaming_matches_materializing(each_backend_client, sql):
 )
 @settings(max_examples=20, deadline=None)
 def test_streaming_property_random_scans(sales_client, columns, filters):
-    """Property: on stream-shaped queries (the fast path) both modes agree
+    """Property: on stream-shaped queries (the fast path) both paths agree
     row-for-row and byte-for-byte."""
     where = (" WHERE " + " AND ".join(filters)) if filters else ""
     sql = f"SELECT {columns} FROM orders{where}"
