@@ -37,7 +37,7 @@ PAILLIER_BITS = 256  # Paillier is untouched here; keep setup cheap.
 
 
 def fresh_provider() -> CryptoProvider:
-    return CryptoProvider(MASTER_KEY, paillier_bits=PAILLIER_BITS, workers=1)
+    return CryptoProvider(MASTER_KEY, paillier_bits=PAILLIER_BITS)
 
 
 def pr4_workload(num_values: int) -> tuple[list[int], list[str]]:

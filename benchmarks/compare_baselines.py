@@ -11,14 +11,14 @@ out) only trips on pathological regressions: an accidentally serialized
 hot path, a dropped cache, a quadratic slip.
 
 Tree alignment: dicts recurse over shared keys; lists of dicts pair
-elements by their discriminator fields (``label``, ``workers``,
-``backend``, ``table_rows``) when present, falling back to
-index order.  Paths only in one file are ignored — benchmarks may grow
-phases without breaking older baselines.
+elements by their discriminator fields (``label``, ``backend``,
+``table_rows``, ``rate``) when present, falling back to index order.
+Paths only in one file are ignored — benchmarks may grow phases without
+breaking older baselines.
 
 Usage:
 
-    python benchmarks/compare_baselines.py smoke.json=BENCH_PR4.json ...
+    python benchmarks/compare_baselines.py smoke.json=BENCH_PR1.json ...
     python benchmarks/compare_baselines.py --auto
 
 ``--auto`` discovers every ``bench_*_smoke.json`` in the working
@@ -37,13 +37,12 @@ import sys
 FACTOR = 3.0
 ABSOLUTE_FLOOR_SECONDS = 0.05
 
-_IDENTITY_KEYS = ("label", "workers", "backend", "table_rows", "rate")
+_IDENTITY_KEYS = ("label", "backend", "table_rows", "rate")
 
 #: Benchmark script stem -> checked-in full-mode baseline (repo root).
 BASELINES = {
     "bench_batch_pipeline": "BENCH_PR1.json",
     "bench_backends": "BENCH_PR2.json",
-    "bench_parallel": "BENCH_PR4.json",
     "bench_service": "BENCH_PR5.json",
     "bench_faults": "BENCH_PR6.json",
     "bench_network": "BENCH_PR7.json",

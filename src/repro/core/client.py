@@ -237,7 +237,6 @@ class MonomiClient:
         det_default: bool = True,
         backend: str | ServerBackend = "memory",
         provider: CryptoProvider | None = None,
-        workers: int | None = None,
         prefetch_blocks: int | None = None,
         shards: int | None = None,
         shard_keys: dict[str, str | None] | None = None,
@@ -256,11 +255,8 @@ class MonomiClient:
         hence plan choice) identical across clients — the cross-backend
         equivalence harness relies on this.
 
-        Multicore knobs: ``workers`` builds the provider with a crypto
-        worker pool (so the encrypted load and client decryption shard
-        across cores; ignored when a pre-built ``provider`` is passed),
-        and ``prefetch_blocks`` sizes the server→client pipeline queue.
-        Both default from their ``MONOMI_*`` environment variables.
+        ``prefetch_blocks`` (default from ``MONOMI_PREFETCH``) sizes the
+        server→client pipeline queue.
 
         ``shards`` (default from ``MONOMI_SHARDS``) partitions the
         encrypted tables across that many fresh backends of the chosen
@@ -273,9 +269,7 @@ class MonomiClient:
         network = network or NetworkModel()
         disk = disk or DiskModel()
         if provider is None:
-            provider = CryptoProvider(
-                master_key, paillier_bits=paillier_bits, workers=workers
-            )
+            provider = CryptoProvider(master_key, paillier_bits=paillier_bits)
         queries = [
             normalize_query(parse(q) if isinstance(q, str) else q) for q in workload
         ]

@@ -74,22 +74,26 @@ class DecryptionProfiler:
     neither profile twice nor time decryptions while another thread's
     profiling run competes for the CPU and skews the numbers.  A provider
     built with ``decryption_profile=`` is never timed: its profile is
-    returned as is.
+    returned as is.  A pinned and a measured profile sit in separate
+    attributes because a pickled clone keeps the first and drops the second.
     """
 
     _lock = threading.Lock()
 
     @classmethod
     def profile(cls, provider: CryptoProvider, batch: int = 24) -> DecryptionProfile:
-        cached = getattr(provider, "_decryption_profile", None)
+        pinned = getattr(provider, "_decryption_profile", None)
+        if pinned is not None:
+            return pinned
+        cached = getattr(provider, "_measured_profile", None)
         if cached is not None:
             return cached
         with cls._lock:
-            cached = getattr(provider, "_decryption_profile", None)
+            cached = getattr(provider, "_measured_profile", None)
             if cached is not None:
                 return cached
             profile = cls._measure(provider, batch)
-            provider._decryption_profile = profile
+            provider._measured_profile = profile
             return profile
 
     @classmethod

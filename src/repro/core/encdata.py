@@ -45,29 +45,11 @@ computes every shared tree pivot once per batch, and
 over the whole column.  ``cache_stats()`` exposes hit/miss/eviction
 counters for every value cache and OPE pivot cache so benchmarks can
 report the amortization.
-
-Multicore batches
------------------
-``CryptoProvider(workers=N)`` (default from ``MONOMI_WORKERS``, serial
-otherwise) backs every batch API with a persistent process pool: batches
-of at least :data:`PARALLEL_MIN_BATCH` values (:data:`PAILLIER_MIN_BATCH`
-for Paillier, whose per-value cost is orders of magnitude higher) shard
-into contiguous spans, one per worker, and re-merge in span order.  Each
-worker holds its own provider built once at pool startup from the same
-master key (:mod:`repro.core.cryptoworker`), so sharded results are
-element-wise identical to serial ones for every deterministic scheme;
-Paillier encryption randomness differs per worker by design, exactly as
-it differs between two serial runs.  Small batches, ``workers=1``, and
-environments where process pools cannot start all take the serial path —
-the parallel layer never changes results, only wall-clock time.  Worker
-LRU caches live in the workers; the parent's caches stay authoritative
-for scalar calls and sub-threshold batches.
 """
 
 from __future__ import annotations
 
 import datetime
-import threading
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,8 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - cost.py imports this module
 
 from repro.common.errors import CryptoError, DomainError
 from repro.common.lru import CacheStats, LRUCache
-from repro.common.parallel import WorkerPool, resolve_workers, shard_spans
-from repro.core import cryptoworker
 from repro.crypto.det import DetCipher
 from repro.crypto.ffx import FFXInteger
 from repro.crypto.ope import DEFAULT_PIVOT_CACHE, OpeCipher
@@ -108,14 +88,6 @@ for _L in range(_SHORT_TEXT_BYTES + 1):
 DEFAULT_PAILLIER_BITS = 2048
 DEFAULT_CACHE_SIZE = 65536
 
-# Smallest batch worth sharding across processes.  Symmetric schemes cost
-# tens of microseconds per value, so a shard must carry hundreds of values
-# before it beats the pickling round trip; Paillier costs milliseconds per
-# value at real key sizes, so even small batches parallelize profitably.
-PARALLEL_MIN_BATCH = 512
-PAILLIER_MIN_BATCH = 8
-
-
 # LRUCache lives in repro.common.lru (the OPE pivot caches share it); it
 # stays importable from this module because callers and tests use it here.
 
@@ -133,17 +105,10 @@ class CryptoProvider:
         paillier_bits: int = DEFAULT_PAILLIER_BITS,
         ope_expansion_bits: int = 16,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        workers: int | None = None,
-        paillier_keys: tuple | None = None,
         pivot_cache_size: int = DEFAULT_PIVOT_CACHE,
         decryption_profile: DecryptionProfile | None = None,
     ) -> None:
-        """``workers``: process count for sharded batch crypto (``None``
-        consults ``MONOMI_WORKERS``, ``0`` means one per core, ``1`` is
-        serial).  ``paillier_keys`` injects a pre-generated key pair —
-        the worker-startup path, where re-deriving every symmetric key is
-        cheap but re-generating Paillier primes is not.
-        ``pivot_cache_size`` bounds each OPE cipher's pivot LRU (0
+        """``pivot_cache_size`` bounds each OPE cipher's pivot LRU (0
         disables pivot caching; descent still shares pivots per batch).
         ``decryption_profile`` fixes the per-scheme decryption costs the
         designer and planner price with, instead of timing them on first
@@ -156,13 +121,6 @@ class CryptoProvider:
         self.paillier_bits = paillier_bits
         self.ope_expansion_bits = ope_expansion_bits
         self.pivot_cache_size = pivot_cache_size
-        self.workers = resolve_workers(workers)
-        self._pool: WorkerPool | None = None
-        self._pool_lock = threading.Lock()
-        # Sharding threshold for the symmetric schemes; tests lower it to
-        # force pool traffic on small fixtures.  Paillier uses the fixed
-        # PAILLIER_MIN_BATCH (per-value cost dwarfs the dispatch).
-        self.parallel_min_batch = PARALLEL_MIN_BATCH
         self._det_str = DetCipher(derive_key(master_key, "det", "str"))
         self._det_short_text = [
             FFXInteger(
@@ -203,12 +161,9 @@ class CryptoProvider:
         )
         self._rnd = RndCipher(derive_key(master_key, "rnd"))
         self._search = SearchCipher(derive_key(master_key, "search"))
-        if paillier_keys is not None:
-            self.paillier_public, self.paillier_private = paillier_keys
-        else:
-            self.paillier_public, self.paillier_private = generate_keypair(
-                paillier_bits, seed=derive_key(master_key, "paillier-seed")
-            )
+        self.paillier_public, self.paillier_private = generate_keypair(
+            paillier_bits, seed=derive_key(master_key, "paillier-seed")
+        )
         self._paillier_pool: EncryptionPool | None = None
         self.cache_size = cache_size
         self._det_cache = LRUCache(cache_size)
@@ -217,64 +172,6 @@ class CryptoProvider:
         self._det_dec_cache = LRUCache(cache_size)
         if decryption_profile is not None:
             self._decryption_profile = decryption_profile
-
-    # -- worker pool -------------------------------------------------------------
-
-    def _ensure_pool(self) -> WorkerPool:
-        # Double-checked under a lock: concurrent service sessions sharing
-        # one provider must not race two process pools into existence.
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = WorkerPool(
-                        self.workers,
-                        initializer=cryptoworker.init_worker,
-                        initargs=(
-                            self.master_key,
-                            self.paillier_bits,
-                            self.ope_expansion_bits,
-                            self.cache_size,
-                            (self.paillier_public, self.paillier_private),
-                            self.pivot_cache_size,
-                        ),
-                    )
-        return self._pool
-
-    def _sharded(
-        self,
-        op: str,
-        values: list,
-        sql_type: str | None = None,
-        min_batch: int | None = None,
-    ) -> list | None:
-        """Run one batch op across the pool, or ``None`` for "go serial".
-
-        Values split into contiguous spans (one per worker) and results
-        concatenate in span order, so the output is element-wise identical
-        to the serial path.  Batches below ``min_batch`` — or too small to
-        give every worker a meaningful span — stay serial: for them the
-        pickling round trip would cost more than the crypto.
-        """
-        if min_batch is None:
-            min_batch = self.parallel_min_batch
-        if self.workers <= 1 or len(values) < max(min_batch, 2 * self.workers):
-            return None
-        pool = self._ensure_pool()
-        if not pool.parallel:
-            return None
-        tasks = [
-            (op, sql_type, values[lo:hi])
-            for lo, hi in shard_spans(len(values), self.workers)
-        ]
-        out: list = []
-        for chunk in pool.map_ordered(cryptoworker.run_chunk, tasks):
-            out.extend(chunk)
-        return out
-
-    def close(self) -> None:
-        """Shut down the worker pool (it re-creates lazily if used again)."""
-        if self._pool is not None:
-            self._pool.close()
 
     # -- cache introspection -----------------------------------------------------
 
@@ -311,20 +208,18 @@ class CryptoProvider:
             cipher.clear_pivot_cache()
 
     def __getstate__(self) -> dict:
-        """Pickle without live pool handles (both re-create lazily) and
-        without the unpicklable pool-creation lock."""
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        state["_paillier_pool"] = None
-        state.pop("_pool_lock", None)
-        # The decryption profile is host-specific timing; a shipped clone
-        # re-profiles on its own host.
-        state.pop("_decryption_profile", None)
-        return state
+        """Pickle without the Paillier encryption pool and without a
+        measured decryption profile.
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pool_lock = threading.Lock()
+        A clone builds its own unseeded pool, so two processes never
+        share obfuscation factors.  A measured profile is host-specific
+        timing, so a clone re-profiles on its own host; a profile pinned
+        with ``decryption_profile=`` travels with the keys.
+        """
+        state = self.__dict__.copy()
+        state["_paillier_pool"] = None
+        state.pop("_measured_profile", None)
+        return state
 
     # -- DET ---------------------------------------------------------------------
 
@@ -347,9 +242,6 @@ class CryptoProvider:
         """
         if not isinstance(values, list):
             values = list(values)
-        sharded = self._sharded("det_encrypt", values)
-        if sharded is not None:
-            return sharded
         get = self._det_cache.get
         put = self._det_cache.put
         tags = _TYPE_TAGS
@@ -465,9 +357,6 @@ class CryptoProvider:
         """
         if not isinstance(ciphertexts, list):
             ciphertexts = list(ciphertexts)
-        sharded = self._sharded("det_decrypt", ciphertexts, sql_type)
-        if sharded is not None:
-            return sharded
         get = self._det_dec_cache.get
         # ciphertext -> plaintext for this column; None maps to None.
         plains: dict = dict.fromkeys(ciphertexts)
@@ -545,9 +434,6 @@ class CryptoProvider:
         """
         if not isinstance(values, list):
             values = list(values)
-        sharded = self._sharded("ope_encrypt", values)
-        if sharded is not None:
-            return sharded
         get = self._ope_cache.get
         put = self._ope_cache.put
         tags = _TYPE_TAGS
@@ -635,9 +521,6 @@ class CryptoProvider:
         """
         if not isinstance(ciphertexts, list):
             ciphertexts = list(ciphertexts)
-        sharded = self._sharded("ope_decrypt", ciphertexts, sql_type)
-        if sharded is not None:
-            return sharded
         get = self._ope_dec_cache.get
         put = self._ope_dec_cache.put
         out: list = [None] * len(ciphertexts)
@@ -687,11 +570,6 @@ class CryptoProvider:
         return self._rnd.encrypt(encode_value(value))
 
     def rnd_encrypt_batch(self, values: Sequence) -> list:
-        if not isinstance(values, list):
-            values = list(values)
-        sharded = self._sharded("rnd_encrypt", values)
-        if sharded is not None:
-            return sharded
         enc = self._rnd.encrypt
         encode = encode_value
         return [None if v is None else enc(encode(v)) for v in values]
@@ -703,11 +581,6 @@ class CryptoProvider:
         return value
 
     def rnd_decrypt_batch(self, ciphertexts: Sequence) -> list:
-        if not isinstance(ciphertexts, list):
-            ciphertexts = list(ciphertexts)
-        sharded = self._sharded("rnd_decrypt", ciphertexts)
-        if sharded is not None:
-            return sharded
         dec = self._rnd.decrypt
         decode = decode_value
         return [None if c is None else decode(dec(c))[0] for c in ciphertexts]
@@ -720,11 +593,6 @@ class CryptoProvider:
         return self._search.encrypt(value)
 
     def search_encrypt_batch(self, values: Sequence) -> list:
-        if not isinstance(values, list):
-            values = list(values)
-        sharded = self._sharded("search_encrypt", values)
-        if sharded is not None:
-            return sharded
         enc = self._search.encrypt
         return [None if v is None else enc(v) for v in values]
 
@@ -749,29 +617,14 @@ class CryptoProvider:
         return self._paillier_pool
 
     def paillier_encrypt_batch(self, messages: Sequence[int]) -> list[int]:
-        if not isinstance(messages, list):
-            messages = list(messages)
-        sharded = self._sharded(
-            "paillier_encrypt", messages, min_batch=PAILLIER_MIN_BATCH
-        )
-        if sharded is not None:
-            return sharded
         return self.paillier_pool.encrypt_batch(messages)
 
     def paillier_decrypt_batch(self, ciphertexts: Sequence[int]) -> list[int]:
-        """CRT-batched Paillier decryption, sharded across the pool.
+        """CRT-batched Paillier decryption.
 
         This is the packed-layout hot path: the plan executor gathers a
-        whole result column's ciphertexts into one call, so at real key
-        sizes even modest result sets clear :data:`PAILLIER_MIN_BATCH`.
+        whole result column's ciphertexts into one call.
         """
-        if not isinstance(ciphertexts, list):
-            ciphertexts = list(ciphertexts)
-        sharded = self._sharded(
-            "paillier_decrypt", ciphertexts, min_batch=PAILLIER_MIN_BATCH
-        )
-        if sharded is not None:
-            return sharded
         return self.paillier_private.decrypt_batch(ciphertexts)
 
     # -- generic dispatch ----------------------------------------------------------

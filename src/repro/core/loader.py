@@ -315,9 +315,7 @@ class EncryptedLoader:
         Columnar within the span: evaluate each design expression over the
         span (compiled once), encrypt the resulting plaintext column
         through the batch crypto APIs (one scheme dispatch per column),
-        then transpose back to rows.  With CryptoProvider(workers=N) each
-        column batch shards across the provider's process pool, so load
-        time scales with cores.
+        then transpose back to rows.
         """
         ctx = EvalContext()
         span = plain.rows[start:stop]

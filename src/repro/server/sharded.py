@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigError, TransientError
+from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.aggregates import HomAgg
 from repro.engine.catalog import Database
@@ -1268,11 +1269,11 @@ class ShardedBackend(ServerBackend):
                 for chunk in self._resilient_shard_rows(
                     index, shard_query, params, block_rows, deadline, stop
                 ):
-                    if not queue_put(out, ("rows", chunk), stop):
+                    if not queue_put_bounded(out, ("rows", chunk), stop):
                         return
-                queue_put(out, ("end", None), stop)
+                queue_put_bounded(out, ("end", None), stop)
             except BaseException as exc:
-                queue_put(out, ("error", exc), stop)
+                queue_put_bounded(out, ("error", exc), stop)
 
         queues: list[queue.Queue] = []
         threads: list[threading.Thread] = []
@@ -1419,13 +1420,6 @@ class _ShardedTable:
     route_index: int | None
     logical_bytes: int = 0
     next_ordinal: int = 0
-
-
-def queue_put(out: queue.Queue, item: object, stop: threading.Event) -> bool:
-    """Bounded put that gives up when the consumer stopped (PR 4 shape)."""
-    from repro.common.parallel import queue_put_bounded
-
-    return queue_put_bounded(out, item, stop)
 
 
 def make_sharded_backend(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import datetime
+import pickle
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from repro.core.encdata import (
     _SHORT_TEXT_BYTES,
     DEFAULT_CACHE_SIZE,
     INT_BOUND,
-    PAILLIER_MIN_BATCH,
     LRUCache,
     _short_text_length,
 )
@@ -65,15 +65,9 @@ def prov() -> CryptoProvider:
 
 
 @pytest.fixture(scope="module")
-def thrashing(prov) -> CryptoProvider:
+def thrashing() -> CryptoProvider:
     """Same keys, one-entry caches: nearly every lookup misses and evicts."""
-    return CryptoProvider(
-        MASTER_KEY,
-        paillier_bits=256,
-        cache_size=1,
-        workers=1,
-        paillier_keys=(prov.paillier_public, prov.paillier_private),
-    )
+    return CryptoProvider(MASTER_KEY, paillier_bits=256, cache_size=1)
 
 
 class TestDetBatch:
@@ -101,6 +95,19 @@ class TestDetBatch:
         values = [True, False, None, True]
         cts = prov.det_encrypt_batch(values)
         assert prov.det_decrypt_batch(cts, "bool") == values
+
+    def test_decrypt_rejects_unknown_type(self, prov):
+        with pytest.raises(DomainError):
+            prov.det_decrypt_batch(list(range(100)), "float")
+
+    def test_provider_pickles(self, prov):
+        """Providers ship to subprocess clients: a clone holds the same keys."""
+        values = _sample_ints(20) + _sample_texts()
+        clone = pickle.loads(pickle.dumps(prov))
+        assert clone.det_encrypt_batch(values) == prov.det_encrypt_batch(values)
+        assert clone.ope_encrypt_batch(values) == prov.ope_encrypt_batch(values)
+        cts = prov.paillier_encrypt_batch([3, 1, 4])
+        assert clone.paillier_decrypt_batch(cts) == [3, 1, 4]
 
 
 class TestGoldenCiphertexts:
@@ -143,7 +150,7 @@ class TestGoldenCiphertexts:
     ]
 
     def test_det(self):
-        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256)
         plains = [plain for plain, _ in self.DET]
         golden = [ciphertext for _, ciphertext in self.DET]
         assert prov.det_encrypt_batch(plains) == golden
@@ -154,7 +161,7 @@ class TestGoldenCiphertexts:
             assert prov.det_decrypt(ciphertext, sql_type) == plain
 
     def test_ope(self):
-        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256)
         plains = [plain for plain, _ in self.OPE]
         golden = [ciphertext for _, ciphertext in self.OPE]
         assert prov.ope_encrypt_batch(plains) == golden
@@ -210,7 +217,7 @@ class TestDetDecryptCache:
         assert len(thrashing._det_dec_cache) <= 1
 
     def test_cold_warm_and_reset_agree(self):
-        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=1)
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256)
         for values, sql_type in [
             (_sample_ints(40), "int"),
             (_sample_dates(25), "date"),
@@ -267,7 +274,7 @@ class TestDetDecryptCache:
         assert prov.det_decrypt_batch([good], "text") == ["BRASS"]
 
     def test_threads_sharing_one_provider(self):
-        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, cache_size=64, workers=1)
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, cache_size=64)
         columns = [
             ([v for v in _sample_ints(200) if not isinstance(v, bool)], "int"),
             (_sample_dates(200), "date"),
@@ -379,27 +386,6 @@ class TestPaillierBatchAndCrt:
         cts = prov.paillier_encrypt_batch([RNG.randrange(1 << 32) for _ in range(10)])
         assert private.decrypt_batch(cts) == [private.decrypt(c) for c in cts]
 
-    def test_worker_pools_draw_their_own_randomness(self, prov):
-        # Each crypto worker builds its own pool from the shipped private
-        # key: a sharded batch decrypts, and repeats no factor the
-        # parent's pool draws for the same messages.
-        pooled = CryptoProvider(
-            MASTER_KEY,
-            paillier_bits=256,
-            workers=2,
-            paillier_keys=(prov.paillier_public, prov.paillier_private),
-        )
-        try:
-            messages = [5] * (4 * PAILLIER_MIN_BATCH)
-            sharded = pooled.paillier_encrypt_batch(messages)
-            assert pooled._pool is not None and pooled._pool.parallel
-            own = pooled.paillier_pool.encrypt_batch(messages)
-            assert pooled.paillier_decrypt_batch(sharded) == messages
-            assert len(set(sharded)) == len(sharded)
-            assert set(sharded).isdisjoint(own)
-        finally:
-            pooled.close()
-
     def test_out_of_range_error_reports_value_and_modulus(self, prov):
         public = prov.paillier_public
         with pytest.raises(DomainError) as excinfo:
@@ -411,6 +397,66 @@ class TestPaillierBatchAndCrt:
         with pytest.raises(DomainError) as excinfo:
             prov.paillier_pool.encrypt_batch([public.n])
         assert str(public.n) in str(excinfo.value)
+
+
+MIXED_VALUES = (
+    [None, 0, 1, -1, 7_777_777, "a", "brown fox", "x" * 40]
+    + [datetime.date(1997, 3, 14), datetime.date(2031, 12, 1), True, False]
+    + [i * 37 % 1009 for i in range(220)]
+    + [f"value-{i % 53}" for i in range(180)]
+)
+
+
+@pytest.fixture(scope="module", params=["fresh", "pickled"])
+def peer(request, prov) -> CryptoProvider:
+    """A second provider holding ``prov``'s keys: one built from the same
+    master key, or a pickled clone (how providers ship to subprocesses)."""
+    if request.param == "fresh":
+        return CryptoProvider(MASTER_KEY, paillier_bits=256)
+    return pickle.loads(pickle.dumps(prov))
+
+
+class TestPeerProviders:
+    """Batches through a peer provider interoperate with ``prov``'s."""
+
+    def test_det_batch_matches(self, prov, peer):
+        assert peer.det_encrypt_batch(MIXED_VALUES) == prov.det_encrypt_batch(
+            MIXED_VALUES
+        )
+
+    def test_det_decrypt_batch_crosses_providers(self, prov, peer):
+        ints = [None] + [i * 11 - 4000 for i in range(400)]
+        cts = prov.det_encrypt_batch(ints)
+        assert peer.det_decrypt_batch(cts, "int") == ints
+        texts = [None] + [f"t-{i % 91}" for i in range(300)]
+        cts = prov.det_encrypt_batch(texts)
+        assert peer.det_decrypt_batch(cts, "text") == texts
+
+    def test_ope_batches_match(self, prov, peer):
+        values = [None] + [i * 53 % 4999 for i in range(450)]
+        expected = prov.ope_encrypt_batch(values)
+        assert peer.ope_encrypt_batch(values) == expected
+        assert peer.ope_decrypt_batch(expected, "int") == values
+
+    def test_rnd_crosses_providers(self, prov, peer):
+        cts = prov.rnd_encrypt_batch(MIXED_VALUES)
+        assert peer.rnd_decrypt_batch(cts) == MIXED_VALUES
+        cts = peer.rnd_encrypt_batch(MIXED_VALUES)
+        assert prov.rnd_decrypt_batch(cts) == MIXED_VALUES
+
+    def test_search_batch_matches(self, prov, peer):
+        values = [None] + [f"quick brown no {i % 13}" for i in range(200)]
+        got = peer.search_encrypt_batch(values)
+        assert got == prov.search_encrypt_batch(values)  # SWP tags are PRFs.
+        trapdoor = prov.search_trapdoor("%brown%")
+        assert all(trapdoor in tags for tags in got[1:])
+
+    def test_paillier_crosses_providers(self, prov, peer):
+        messages = [i * 997 for i in range(60)]
+        cts = peer.paillier_encrypt_batch(messages)
+        assert prov.paillier_decrypt_batch(cts) == messages
+        cts = prov.paillier_encrypt_batch(messages)
+        assert peer.paillier_decrypt_batch(cts) == messages
 
 
 class TestBoundedCaches:

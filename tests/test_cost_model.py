@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 
 import pytest
 
@@ -127,6 +128,39 @@ class TestDecryptionProfiler:
             MASTER_KEY, paillier_bits=256, decryption_profile=pinned
         )
         assert DecryptionProfiler.profile(provider) is pinned
+
+    @pytest.fixture
+    def measured(self, monkeypatch) -> list:
+        """Providers the profiler times, in call order."""
+        calls: list = []
+        real = DecryptionProfiler._measure
+
+        def spy(provider, batch):
+            calls.append(provider)
+            return real(provider, batch)
+
+        monkeypatch.setattr(DecryptionProfiler, "_measure", spy)
+        return calls
+
+    def test_pinned_profile_survives_pickling(self, measured):
+        """A pin fixes plan choice on any host, so a shipped clone keeps it."""
+        pinned = DecryptionProfile(
+            det_int=1e-6, det_text=2e-6, ope=3e-6, rnd=4e-6, paillier=5e-6
+        )
+        provider = CryptoProvider(
+            MASTER_KEY, paillier_bits=256, decryption_profile=pinned
+        )
+        clone = pickle.loads(pickle.dumps(provider))
+        assert DecryptionProfiler.profile(clone) == pinned
+        assert measured == []
+
+    def test_measured_profile_is_not_shipped(self, measured):
+        """A measured profile is host-specific timing: a clone re-times."""
+        provider = CryptoProvider(MASTER_KEY, paillier_bits=256)
+        DecryptionProfiler.profile(provider)
+        clone = pickle.loads(pickle.dumps(provider))
+        DecryptionProfiler.profile(clone)
+        assert measured == [provider, clone]
 
 
 class TestCostEstimator:

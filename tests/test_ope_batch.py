@@ -2,8 +2,7 @@
 
 The batch APIs (PR 8) must be *observationally identical* to the scalar
 ones: same ciphertexts, same plaintexts, same errors — cold or warm
-cache, serial or sharded across worker processes, single- or
-multi-threaded.  Hypothesis drives the value shapes (duplicates,
+cache, single- or multi-threaded.  Hypothesis drives the value shapes (duplicates,
 clustering, Nones, ordering) that the shared descent partitions on.
 """
 
@@ -27,7 +26,7 @@ KEY = b"ope-batch-key-01"
 
 @pytest.fixture(scope="module")
 def provider():
-    return CryptoProvider(KEY, paillier_bits=256, workers=1)
+    return CryptoProvider(KEY, paillier_bits=256)
 
 
 # -- OpeCipher ----------------------------------------------------------------
@@ -160,7 +159,7 @@ def _columns():
 
 class TestProviderBatchEquivalence:
     def test_ope_batch_matches_scalar(self, provider):
-        fresh = CryptoProvider(KEY, paillier_bits=256, workers=1)
+        fresh = CryptoProvider(KEY, paillier_bits=256)
         ints, dates, texts = _columns()
         for col, sql_type in ((ints, "int"), (dates, "date"), (texts, "text")):
             batch = provider.ope_encrypt_batch(col)
@@ -171,7 +170,7 @@ class TestProviderBatchEquivalence:
             ]
 
     def test_det_batch_matches_scalar(self, provider):
-        fresh = CryptoProvider(KEY, paillier_bits=256, workers=1)
+        fresh = CryptoProvider(KEY, paillier_bits=256)
         ints, dates, texts = _columns()
         for col, sql_type in ((ints, "int"), (dates, "date"), (texts, "text")):
             batch = provider.det_encrypt_batch(col)
@@ -195,7 +194,7 @@ class TestProviderBatchEquivalence:
             provider.ope_decrypt_batch([-1] + cts, "int")
 
     def test_cache_stats_shape_and_counters(self):
-        prov = CryptoProvider(KEY, paillier_bits=256, workers=1)
+        prov = CryptoProvider(KEY, paillier_bits=256)
         ints, _, _ = _columns()
         prov.ope_encrypt_batch(ints)
         prov.det_encrypt_batch(ints)
@@ -216,30 +215,8 @@ class TestProviderBatchEquivalence:
         prov.ope_encrypt_batch(ints)
         assert prov.cache_stats()["ope_encrypt"].hits > 0
 
-    def test_worker_pool_equivalence(self):
-        serial = CryptoProvider(KEY, paillier_bits=256, workers=1)
-        pooled = CryptoProvider(KEY, paillier_bits=256, workers=2)
-        pooled.parallel_min_batch = 32  # Force pool traffic on a small batch.
-        try:
-            ints, dates, texts = _columns()
-            for col, sql_type in (
-                (ints, "int"),
-                (dates, "date"),
-                (texts, "text"),
-            ):
-                enc_pool = pooled.ope_encrypt_batch(col)
-                assert enc_pool == serial.ope_encrypt_batch(col)
-                assert pooled.ope_decrypt_batch(
-                    enc_pool, sql_type
-                ) == serial.ope_decrypt_batch(enc_pool, sql_type)
-                det_pool = pooled.det_encrypt_batch(col)
-                assert det_pool == serial.det_encrypt_batch(col)
-                assert pooled.det_decrypt_batch(det_pool, sql_type) == col
-        finally:
-            pooled.close()
-
     def test_threaded_batches_on_shared_provider(self):
-        prov = CryptoProvider(KEY, paillier_bits=256, workers=1)
+        prov = CryptoProvider(KEY, paillier_bits=256)
         ints, _, _ = _columns()
         expected_cts = prov.ope_encrypt_batch(ints)
         prov.reset_crypto_caches()

@@ -1,25 +1,30 @@
-"""Multicore execution layer: sharded crypto and the prefetch pipeline.
+"""The prefetch pipeline and the streaming scan paths.
 
-The parallel layer's contract is strict equivalence: for every worker
-count and prefetch depth, the system must produce the same plaintext
-rows, the same ledger byte counts, and the same plan choices as the
-serial path — only wall-clock time may differ.  These tests pin that
+Every streaming path — a prefetch depth, a backend's native stream, a
+SQLite worker view, the sharded scatter-gather — must produce the same
+plaintext rows in the same order and the same ledger byte counts as the
+plain serial path; only wall-clock time may differ.  These tests pin that
 contract, plus the :class:`ConfigError` cases where a requested mode
-cannot be honored and must fail loudly instead of silently degrading.
+cannot be honored and must fail loudly instead of silently degrading,
+and the bounded queue put every producer thread uses.  A client whose
+provider holds the same keys by another route — a fresh provider from the
+master key, a pickled clone, a pinned decryption profile — must match the
+reference client's rows, ledger bytes, load sizes and plan choices.
 """
 
 from __future__ import annotations
 
-import datetime
-import os
+import pickle
+import queue
 import threading
 
 import pytest
 
-from repro.common.errors import ConfigError, DomainError
-from repro.common.parallel import WorkerPool, resolve_workers, shard_spans
+from repro.common.errors import ConfigError
+from repro.common.parallel import queue_put_bounded
 from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_query
-from repro.core.pexec import _resolve_prefetch
+from repro.core.cost import DecryptionProfiler
+from repro.core.pexec import DEFAULT_PREFETCH_BLOCKS, _resolve_prefetch
 from repro.engine import schema
 from repro.engine.executor import ResultSet
 from repro.server import make_backend, make_sharded_backend
@@ -33,8 +38,6 @@ from repro.testkit import (
     extra_threads,
 )
 
-WORKER_COUNTS = [1, 2, 4]
-
 PARALLEL_WORKLOAD = [
     "SELECT o_custkey, SUM(o_price * o_qty) AS rev FROM orders "
     "WHERE o_price > 500 GROUP BY o_custkey ORDER BY rev DESC",
@@ -47,46 +50,12 @@ def ledger_bytes(ledger) -> tuple:
     return (ledger.transfer_bytes, ledger.server_bytes_scanned, ledger.round_trips)
 
 
-def _raise_for_marker(value: int) -> int:
-    """Module-level (picklable) task that fails on the marker value."""
-    if value == 1:
-        raise RuntimeError("task failed")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Policy helpers
 # ---------------------------------------------------------------------------
 
 
 class TestResolvers:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_consulted_when_unset(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_WORKERS", "5")
-        assert resolve_workers(None) == 5
-        monkeypatch.delenv("MONOMI_WORKERS")
-        assert resolve_workers(None) == 1
-
-    def test_zero_means_per_core(self, monkeypatch):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-        monkeypatch.setenv("MONOMI_WORKERS", "0")
-        assert resolve_workers(None) == (os.cpu_count() or 1)
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
-        monkeypatch.setenv("MONOMI_WORKERS", "-2")
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
-
-    def test_negative_explicit_raises(self):
-        with pytest.raises(ConfigError):
-            resolve_workers(-1)
-
     def test_prefetch_env(self, monkeypatch):
         monkeypatch.setenv("MONOMI_PREFETCH", "6")
         assert _resolve_prefetch(None) == 6
@@ -96,230 +65,65 @@ class TestResolvers:
         with pytest.raises(ConfigError):
             _resolve_prefetch(-1)
 
-    def test_shard_spans_partition_range(self):
-        for total in (0, 1, 7, 100, 101):
-            for parts in (1, 2, 3, 8):
-                spans = shard_spans(total, parts)
-                assert len(spans) == min(parts, total)
-                covered = [i for lo, hi in spans for i in range(lo, hi)]
-                assert covered == list(range(total))
-                sizes = {hi - lo for lo, hi in spans}
-                assert len(sizes) <= 2  # Near-equal: sizes differ by <= 1.
+    def test_prefetch_default_when_unset(self, monkeypatch):
+        monkeypatch.delenv("MONOMI_PREFETCH", raising=False)
+        assert _resolve_prefetch(None) == DEFAULT_PREFETCH_BLOCKS
 
-    def test_shard_spans_rejects_bad_parts(self):
-        with pytest.raises(ConfigError):
-            shard_spans(10, 0)
+    def test_prefetch_explicit_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("MONOMI_PREFETCH", "soon")
+        assert _resolve_prefetch(4) == 4
 
-
-class TestWorkerPoolFallback:
-    def test_creation_failure_degrades_to_serial(self, monkeypatch):
-        import repro.common.parallel as parallel_mod
-
-        def broken(*args, **kwargs):
-            raise OSError("no semaphores here")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", broken)
-        pool = WorkerPool(4)
-        assert pool.map_ordered(len, [[1], [1, 2]]) == [1, 2]
-        assert not pool.parallel
-        pool.close()
-
-    def test_map_finishes_serially_when_pool_breaks_midstream(self):
-        """Workers dying mid-call must not surface BrokenProcessPool: the
-        call finishes in-process, in order — and a single break respawns
-        the pool on its next use instead of disabling it."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        class _DyingExecutor:
-            def map(self, fn, payloads):
-                yield fn(payloads[0])
-                raise BrokenProcessPool("worker died")
-
-            def shutdown(self, **kwargs):
-                pass
-
-        pool = WorkerPool(2)
-        pool._executor = _DyingExecutor()
-        assert pool.map_ordered(len, [[1], [1, 2], [1, 2, 3]]) == [1, 2, 3]
-        stats = pool.stats()
-        assert stats.breaks == 1 and stats.serial_tasks == 3
-        assert pool.parallel  # One break does not cost parallelism forever.
-        assert pool.map_ordered(len, [[1], [1, 2]]) == [1, 2]  # Respawned.
-        assert pool.stats().respawns == 1
-        pool.close()
-
-    def test_circuit_opens_after_consecutive_breaks(self):
-        """Repeated breaks with no healthy call in between must open the
-        circuit: the pool goes permanently serial after max_respawns."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        class _AlwaysDying:
-            def map(self, fn, payloads):
-                raise BrokenProcessPool("worker died")
-                yield  # pragma: no cover - makes this a generator
-
-            def shutdown(self, **kwargs):
-                pass
-
-        pool = WorkerPool(2, max_respawns=1)
-        for _ in range(3):
-            if pool._ensure() is not None:
-                pool._executor = _AlwaysDying()
-            assert pool.map_ordered(len, [[1], [1, 2]]) == [1, 2]
-        stats = pool.stats()
-        assert stats.circuit_open and not pool.parallel
-        assert stats.breaks == 2  # Break, respawn, break again, open.
-        pool.close()
-
-    def test_task_errors_propagate_without_disabling_pool(self):
-        """An exception raised *by the task* is not a pool failure: it must
-        propagate unchanged (no serial re-execution) and leave the pool
-        healthy for subsequent calls."""
-        pool = WorkerPool(2)
-        with pytest.raises(RuntimeError, match="task failed"):
-            pool.map_ordered(_raise_for_marker, [0, 1])
-        assert pool.parallel
-        assert pool.map_ordered(_raise_for_marker, [0, 2]) == [0, 2]
-        pool.close()
+    def test_prefetch_zero_disables(self, monkeypatch):
+        assert _resolve_prefetch(0) == 0
+        monkeypatch.setenv("MONOMI_PREFETCH", "0")
+        assert _resolve_prefetch(None) == 0
 
 
-# ---------------------------------------------------------------------------
-# Sharded batch crypto
-# ---------------------------------------------------------------------------
+def _put_in_thread(out: queue.Queue, item, stop: threading.Event):
+    """Run ``queue_put_bounded`` on a thread; its result lands in a list."""
+    result: list = []
+    thread = threading.Thread(
+        target=lambda: result.append(queue_put_bounded(out, item, stop))
+    )
+    thread.start()
+    return thread, result
 
 
-@pytest.fixture(scope="module")
-def serial_provider() -> CryptoProvider:
-    return CryptoProvider(MASTER_KEY, paillier_bits=256)
+class TestQueuePutBounded:
+    def test_puts_when_there_is_room(self):
+        out: queue.Queue = queue.Queue(maxsize=1)
+        assert queue_put_bounded(out, "a", threading.Event()) is True
+        assert out.get_nowait() == "a"
 
+    def test_waits_for_room_then_delivers_in_order(self):
+        out: queue.Queue = queue.Queue(maxsize=1)
+        out.put("first")
+        thread, result = _put_in_thread(out, "second", threading.Event())
+        thread.join(timeout=0.2)
+        assert thread.is_alive() and result == []  # Blocked on the full queue.
+        assert out.get(timeout=5) == "first"
+        thread.join(timeout=5)
+        assert result == [True]
+        assert out.get_nowait() == "second"
 
-@pytest.fixture(scope="module", params=[2, 4])
-def pooled_provider(request) -> CryptoProvider:
-    provider = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=request.param)
-    provider.parallel_min_batch = 16  # Force pool traffic on small batches.
-    yield provider
-    provider.close()
+    def test_gives_up_on_a_full_queue_once_stopped(self):
+        out: queue.Queue = queue.Queue(maxsize=1)
+        out.put("first")
+        stop = threading.Event()
+        thread, result = _put_in_thread(out, "second", stop)
+        thread.join(timeout=0.2)
+        assert thread.is_alive()
+        stop.set()  # A consumer that closed early never drains the queue.
+        thread.join(timeout=5)
+        assert not thread.is_alive() and result == [False]
+        assert out.get_nowait() == "first" and out.empty()
 
-
-MIXED_VALUES = (
-    [None, 0, 1, -1, 7_777_777, "a", "brown fox", "x" * 40]
-    + [datetime.date(1997, 3, 14), datetime.date(2031, 12, 1), True, False]
-    + [i * 37 % 1009 for i in range(220)]
-    + [f"value-{i % 53}" for i in range(180)]
-)
-
-
-class TestShardedCrypto:
-    def test_det_batch_matches_serial(self, serial_provider, pooled_provider):
-        expected = serial_provider.det_encrypt_batch(MIXED_VALUES)
-        assert pooled_provider.det_encrypt_batch(MIXED_VALUES) == expected
-
-    def test_det_decrypt_batch_matches_serial(self, serial_provider, pooled_provider):
-        ints = [None] + [i * 11 - 4000 for i in range(400)]
-        cts = serial_provider.det_encrypt_batch(ints)
-        assert pooled_provider.det_decrypt_batch(cts, "int") == ints
-        texts = [None] + [f"t-{i % 91}" for i in range(300)]
-        cts = serial_provider.det_encrypt_batch(texts)
-        assert pooled_provider.det_decrypt_batch(cts, "text") == texts
-
-    def test_ope_batches_match_serial(self, serial_provider, pooled_provider):
-        values = [None] + [i * 53 % 4999 for i in range(450)]
-        expected = serial_provider.ope_encrypt_batch(values)
-        assert pooled_provider.ope_encrypt_batch(values) == expected
-        assert pooled_provider.ope_decrypt_batch(expected, "int") == values
-
-    def test_rnd_round_trips_through_pool(self, pooled_provider):
-        cts = pooled_provider.rnd_encrypt_batch(MIXED_VALUES)
-        assert pooled_provider.rnd_decrypt_batch(cts) == MIXED_VALUES
-
-    def test_search_batch_matches_serial(self, serial_provider, pooled_provider):
-        values = [None] + [f"quick brown no {i % 13}" for i in range(200)]
-        expected = serial_provider.search_encrypt_batch(values)
-        got = pooled_provider.search_encrypt_batch(values)
-        assert got == expected  # SWP tags are PRF outputs: deterministic.
-        trapdoor = serial_provider.search_trapdoor("%brown%")
-        assert all(trapdoor in tags for tags in got[1:])
-
-    def test_paillier_batches_shard(self, serial_provider, pooled_provider):
-        messages = [i * 997 for i in range(60)]
-        cts = pooled_provider.paillier_encrypt_batch(messages)
-        assert pooled_provider.paillier_decrypt_batch(cts) == messages
-        assert serial_provider.paillier_decrypt_batch(cts) == messages
-
-    def test_worker_errors_propagate(self, pooled_provider):
-        with pytest.raises(DomainError):
-            pooled_provider.det_decrypt_batch(list(range(100)), "float")
-
-    def test_provider_pickles_without_pool(self, pooled_provider):
-        import pickle
-
-        pooled_provider.det_encrypt_batch(list(range(64)))
-        clone = pickle.loads(pickle.dumps(pooled_provider))
-        assert clone.det_encrypt(12345) == pooled_provider.det_encrypt(12345)
-        clone.close()
-
-
-# ---------------------------------------------------------------------------
-# End-to-end worker equivalence (plaintexts, ledgers, plan choices)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def parallel_sales_db():
-    return build_sales_db(num_orders=600)
-
-
-@pytest.fixture(scope="module")
-def worker_clients(parallel_sales_db) -> dict[int, MonomiClient]:
-    """One client per worker count, sharing the serial client's design so
-    loads are comparable; each has its own provider (its own pool)."""
-    clients: dict[int, MonomiClient] = {}
-    design = None
-    for workers in WORKER_COUNTS:
-        provider = CryptoProvider(MASTER_KEY, paillier_bits=256, workers=workers)
-        provider.parallel_min_batch = 32
-        clients[workers] = MonomiClient.setup(
-            parallel_sales_db,
-            PARALLEL_WORKLOAD,
-            master_key=MASTER_KEY,
-            paillier_bits=256,
-            space_budget=2.5,
-            provider=provider,
-            design=design,
-        )
-        design = clients[workers].design
-    yield clients
-    for client in clients.values():
-        client.provider.close()
-
-
-class TestWorkerEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
-    def test_rows_and_ledger_bytes_match_serial(self, worker_clients, workers, sql):
-        serial = worker_clients[1].execute(sql)
-        pooled = worker_clients[workers].execute(sql)
-        assert canonical(pooled.rows) == canonical(serial.rows)
-        assert ledger_bytes(pooled.ledger) == ledger_bytes(serial.ledger)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-    def test_load_sizes_match_serial(self, worker_clients, workers):
-        serial, pooled = worker_clients[1], worker_clients[workers]
-        for name in serial.backend.table_names():
-            assert pooled.backend.table_bytes(name) == serial.backend.table_bytes(
-                name
-            )
-        assert pooled.server_bytes() == serial.server_bytes()
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
-    def test_plan_choices_match_serial(self, worker_clients, workers, sql):
-        """Worker pools must not perturb the decryption-profile-driven
-        plan choice: same design, same candidate ranking, same plan."""
-        query = normalize_query(parse(sql))
-        serial_plan = worker_clients[1].plan(query).plan.explain()
-        pooled_plan = worker_clients[workers].plan(query).plan.explain()
-        assert pooled_plan == serial_plan
+    def test_stopped_producer_never_puts(self):
+        out: queue.Queue = queue.Queue(maxsize=1)
+        stop = threading.Event()
+        stop.set()
+        assert queue_put_bounded(out, "a", stop) is False
+        assert out.empty()
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +300,6 @@ class TestConfigErrors:
             backend.execute(query).rows
         )
 
-    def test_bad_workers_env_fails_provider_construction(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_WORKERS", "turbo")
-        with pytest.raises(ConfigError):
-            CryptoProvider(MASTER_KEY, paillier_bits=256)
-
     @pytest.mark.parametrize("block_rows", [0, -1])
     def test_nonpositive_block_rows_raises(self, sales_client, block_rows):
         """A negative block size used to re-block a result into zero rows;
@@ -514,40 +313,120 @@ class TestConfigErrors:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def reference_client() -> MonomiClient:
+    """The serial client every prefetch depth and peer provider must match."""
+    return MonomiClient.setup(
+        build_sales_db(num_orders=600),
+        PARALLEL_WORKLOAD,
+        master_key=MASTER_KEY,
+        paillier_bits=256,
+        space_budget=2.5,
+    )
+
+
+def _drain_at_depth(client: MonomiClient, sql: str, depth: int, block_rows: int):
+    """Rows and ledger bytes of ``sql`` run with ``depth`` prefetched blocks."""
+    planned = client.plan(normalize_query(parse(sql)))
+    executor = PlanExecutor(
+        client.backend,
+        client.provider,
+        client.network,
+        client.disk,
+        prefetch_blocks=depth,
+    )
+    stream = executor.execute_iter(planned.plan, block_rows=block_rows)
+    return stream.drain().rows, ledger_bytes(stream.ledger)
+
+
 class TestPrefetch:
     @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
-    def test_prefetch_matches_unprefetched(self, worker_clients, sql):
-        client = worker_clients[1]
-        query = normalize_query(parse(sql))
-        planned = client.plan(query)
-        outcomes = {}
-        for depth in (0, 3):
-            executor = PlanExecutor(
-                client.backend,
-                client.provider,
-                client.network,
-                client.disk,
-                prefetch_blocks=depth,
-            )
-            stream = executor.execute_iter(planned.plan, block_rows=128)
-            outcomes[depth] = (stream.drain().rows, ledger_bytes(stream.ledger))
-        assert outcomes[0][0] == outcomes[3][0]
-        assert outcomes[0][1] == outcomes[3][1]
+    def test_prefetch_matches_unprefetched(self, reference_client, sql):
+        unprefetched = _drain_at_depth(reference_client, sql, 0, 128)
+        prefetched = _drain_at_depth(reference_client, sql, 3, 128)
+        assert prefetched[0] == unprefetched[0]
+        assert prefetched[1] == unprefetched[1]
 
-    def test_early_close_joins_producer(self, worker_clients):
-        client = worker_clients[1]
+    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
+    def test_one_slot_queue_matches_unprefetched(self, reference_client, sql):
+        """Depth 1 with small blocks keeps the producer blocked on a full
+        queue for nearly every put."""
+        unprefetched = _drain_at_depth(reference_client, sql, 0, 16)
+        prefetched = _drain_at_depth(reference_client, sql, 1, 16)
+        assert prefetched[0] == unprefetched[0]
+        assert prefetched[1] == unprefetched[1]
+
+    def test_early_close_joins_producer(self, reference_client):
         query = normalize_query(
             parse("SELECT o_orderkey, o_price FROM orders WHERE o_price > 0")
         )
-        planned = client.plan(query)
+        planned = reference_client.plan(query)
         executor = PlanExecutor(
-            client.backend,
-            client.provider,
-            client.network,
-            client.disk,
+            reference_client.backend,
+            reference_client.provider,
+            reference_client.network,
+            reference_client.disk,
             prefetch_blocks=2,
         )
         stream = executor.execute_iter(planned.plan, block_rows=32)
         blocks = iter(stream)
         assert next(blocks) is not None
         stream.close()  # Must not deadlock.
+
+
+# ---------------------------------------------------------------------------
+# Peer providers: same keys, same rows, ledgers, loads and plans
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["fresh", "pickled", "pinned"])
+def peer_client(request, reference_client) -> MonomiClient:
+    """A second client on the reference's design whose provider holds the
+    same keys: built from the master key, a pickled clone of the
+    reference's provider (how providers ship to subprocess clients), or
+    pinned to the reference's decryption profile."""
+    reference = reference_client.provider
+    if request.param == "fresh":
+        provider = CryptoProvider(MASTER_KEY, paillier_bits=256)
+    elif request.param == "pickled":
+        provider = pickle.loads(pickle.dumps(reference))
+    else:
+        provider = CryptoProvider(
+            MASTER_KEY,
+            paillier_bits=256,
+            decryption_profile=DecryptionProfiler.profile(reference),
+        )
+    return MonomiClient.setup(
+        build_sales_db(num_orders=600),
+        PARALLEL_WORKLOAD,
+        master_key=MASTER_KEY,
+        paillier_bits=256,
+        space_budget=2.5,
+        provider=provider,
+        design=reference_client.design,
+    )
+
+
+class TestPeerProviders:
+    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
+    def test_rows_and_ledger_bytes_match_reference(
+        self, reference_client, peer_client, sql
+    ):
+        expected = reference_client.execute(sql)
+        got = peer_client.execute(sql)
+        assert canonical(got.rows) == canonical(expected.rows)
+        assert ledger_bytes(got.ledger) == ledger_bytes(expected.ledger)
+
+    def test_load_sizes_match_reference(self, reference_client, peer_client):
+        reference = reference_client.backend
+        for name in reference.table_names():
+            assert peer_client.backend.table_bytes(name) == reference.table_bytes(name)
+        assert peer_client.server_bytes() == reference_client.server_bytes()
+
+    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
+    def test_plan_choices_match_reference(self, reference_client, peer_client, sql):
+        """The decryption-profile-driven plan choice does not depend on
+        which provider object holds the keys."""
+        query = normalize_query(parse(sql))
+        expected = reference_client.plan(query).plan.explain()
+        assert peer_client.plan(query).plan.explain() == expected
