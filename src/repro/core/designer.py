@@ -44,10 +44,9 @@ from repro.core.encset import EncSetExtractor, Pair, Unit
 from repro.core.ilp import IlpCandidate, IlpProblem, solve
 from repro.core.normalize import expand_stars
 from repro.core.schemes import Scheme
-from repro.core.sizer import DesignSizer
+from repro.core.sizer import DesignSizer, row_function
 from repro.core.splitter import generate_query_plan
 from repro.engine.catalog import Database
-from repro.engine.eval import EvalContext, Scope, compile_expr
 from repro.engine.table import Table, ValueCounter
 from repro.sql import ast, parse_expression
 
@@ -81,8 +80,7 @@ class _ExprMax:
     """
 
     def __init__(self, table: Table, expr_sql: str) -> None:
-        scope = Scope([(table.name, c) for c in table.schema.column_names])
-        self._fn = compile_expr(parse_expression(expr_sql), scope, EvalContext())
+        self._fn = row_function(table, parse_expression(expr_sql))
         self._table = table
         self._counter: ValueCounter | None = None
         self.best = max(self._values(table.rows), default=None)
@@ -127,6 +125,7 @@ class Designer:
         # walks it (the service holds different locks for the two).
         self._max_memo: dict[tuple[str, str], _ExprMax] = {}
         self._max_lock = threading.Lock()
+        self._range_cache: dict[tuple[str, str], tuple[int, int] | None] = {}
 
     # -- candidate enumeration (§6.2 steps 2-3) ---------------------------------
 
@@ -159,9 +158,9 @@ class Designer:
         return out
 
     def _plan_cost(self, query: ast.Select, candidate: PhysicalDesign) -> float | None:
-        table_bytes = {
-            name: self.sizer.table_bytes(candidate, name) for name in self.schemas
-        }
+        if not all(self._group_loadable(g) for g in candidate.hom_groups):
+            return None
+        table_bytes = self.sizer.table_bytes(candidate)
         hom_info = {
             group.file_name: self.sizer.group_info(group)
             for group in candidate.hom_groups
@@ -348,8 +347,8 @@ class Designer:
         (payload too small) duplicate the per-row unit and are dropped."""
         for pair in unit.pairs:
             if pair.scheme is Scheme.HOM:
-                low = self._stats_min(pair.table, pair.expr_sql)
-                if low is None or low < 0:
+                found = self._int_range(pair.table, pair.expr_sql)
+                if found is None or found[0] < 0:
                     return False
                 if pair.variant == "col":
                     probe = HomGroup(
@@ -359,33 +358,41 @@ class Designer:
                         return False
         return True
 
-    def _stats_min(self, table: str, expr_sql: str) -> int | None:
-        from repro.engine.eval import Env, EvalContext, Scope, evaluate
-        from repro.sql import parse_expression
-
+    def _int_range(self, table: str, expr_sql: str) -> tuple[int, int] | None:
+        """(min, max) of an integer expression over the whole plaintext
+        table, or None if the table is missing, has no value, or the
+        expression yields anything but ints and NULLs."""
         key = (table, expr_sql)
-        if key in getattr(self, "_min_cache", {}):
-            return self._min_cache[key]
-        if not hasattr(self, "_min_cache"):
-            self._min_cache: dict = {}
+        if key in self._range_cache:
+            return self._range_cache[key]
         tbl = self.plain_db.tables.get(table)
-        if tbl is None:
-            self._min_cache[key] = None
-            return None
-        expr = parse_expression(expr_sql)
-        scope = Scope([(table, c) for c in tbl.schema.column_names])
-        ctx = EvalContext()
-        best: int | None = None
-        for row in tbl.rows:
-            value = evaluate(expr, Env(scope, row), ctx)
-            if isinstance(value, bool) or not isinstance(value, int):
-                if value is not None:
-                    self._min_cache[key] = None
-                    return None
-                continue
-            best = value if best is None else min(best, value)
-        self._min_cache[key] = best
-        return best
+        found = None
+        if tbl is not None:
+            fn = row_function(tbl, parse_expression(expr_sql))
+            values = [value for value in map(fn, tbl.rows) if value is not None]
+            if values and all(
+                isinstance(value, int) and not isinstance(value, bool)
+                for value in values
+            ):
+                found = (min(values), max(values))
+        self._range_cache[key] = found
+        return found
+
+    def _group_loadable(self, group: HomGroup) -> bool:
+        """Whether one packed row of ``group`` fits a Paillier plaintext.
+
+        Uses the widths the loader will use (each column's full-table
+        maximum plus the row-count pad), so exactly the groups whose load
+        would raise are refused; the sizer's sampled estimate prices the
+        rest."""
+        pad_bits = max(4, self.plain_db.table(group.table).num_rows.bit_length())
+        row_bits = 0
+        for expr_sql in group.expr_sqls:
+            found = self._int_range(group.table, expr_sql)
+            if found is None:
+                return False
+            row_bits += max(1, found[1].bit_length()) + pad_bits
+        return row_bits <= self.provider.paillier_public.plaintext_bits
 
     def _with_det_defaults(self, design: PhysicalDesign) -> PhysicalDesign:
         """§8.5: DET by default for keys and enumerations/categories."""

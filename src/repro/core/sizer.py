@@ -16,14 +16,17 @@ matching how the loader will actually materialize the design:
 
 from __future__ import annotations
 
-from repro.core.design import EncEntry, HomGroup, PhysicalDesign
+from repro.core.design import EncEntry, HomGroup, PhysicalDesign, normalize_expr
 from repro.core.encdata import CryptoProvider
 from repro.core.loader import complete_design
 from repro.core.schemes import Scheme
 from repro.core.typing import infer_type
 from repro.engine.catalog import Database
 from repro.engine.cost import HomFileInfo
-from repro.sql import parse_expression
+from repro.engine.eval import EvalContext, Scope, compile_expr
+from repro.engine.table import Table
+from repro.sql import ast, parse_expression
+from repro.storage.rowcodec import value_bytes
 
 _ROW_HEADER = 24
 
@@ -32,7 +35,10 @@ class DesignSizer:
     def __init__(self, plain_db: Database, provider: CryptoProvider) -> None:
         self.plain_db = plain_db
         self.provider = provider
-        self._width_cache: dict[tuple[str, str], float] = {}
+        # Plaintext statistics, per (table, expr_sql), for the sizer's life.
+        self._width_cache: dict[tuple[str, str], tuple[float, str]] = {}
+        self._bits_cache: dict[tuple[str, str], int] = {}
+        self._baseline_cache: dict[str, float] = {}
 
     # -- per-entry -----------------------------------------------------------------
 
@@ -103,46 +109,43 @@ class DesignSizer:
             total += self.group_bytes(group)
         return total
 
-    def table_bytes(self, design: PhysicalDesign, table_name: str) -> float:
-        """Projected heap size of one encrypted table (excl. hom files —
+    def table_bytes(self, design: PhysicalDesign) -> dict[str, float]:
+        """Projected heap size of each encrypted table (excl. hom files —
         those are charged when read, like the paper's separate files).
 
         Computed as the all-DET fallback baseline plus the marginal size of
         the design's extra entries, which avoids re-deriving the completed
         design for every candidate the designer prices.
         """
-        total = self._baseline_table_bytes(table_name)
-        table = self.plain_db.table(table_name)
-        if any(g.table == table_name for g in design.hom_groups):
-            total += table.num_rows * 8.0  # row_id column
+        totals = {
+            name: self._baseline_table_bytes(name) for name in self.plain_db.tables
+        }
+        for name in {g.table for g in design.hom_groups}:
+            if name in totals:
+                totals[name] += self.plain_db.table(name).num_rows * 8.0  # row_id
         for entry in design.entries:
-            if entry.table != table_name or entry.scheme is Scheme.HOM:
+            if entry.table not in totals or entry.scheme is Scheme.HOM:
                 continue
             if entry.scheme is Scheme.DET and not entry.is_precomputed:
                 continue  # Coincides with the fallback copy.
             if entry.scheme is Scheme.RND and not entry.is_precomputed:
                 continue  # Float columns: already in the baseline.
-            total += self.entry_bytes(entry)
-        return total
+            totals[entry.table] += self.entry_bytes(entry)
+        return totals
 
     def _baseline_table_bytes(self, table_name: str) -> float:
-        cached = getattr(self, "_baseline_cache", None)
-        if cached is None:
-            cached = self._baseline_cache = {}
-        if table_name in cached:
-            return cached[table_name]
+        cached = self._baseline_cache.get(table_name)
+        if cached is not None:
+            return cached
         table = self.plain_db.table(table_name)
         total = table.num_rows * float(_ROW_HEADER)
-        from repro.sql import ast as sql_ast
-        from repro.core.design import normalize_expr
-
         for column in table.schema.columns:
             scheme = Scheme.RND if column.type == "float" else Scheme.DET
             entry = EncEntry(
-                table_name, normalize_expr(sql_ast.Column(column.name)), scheme
+                table_name, normalize_expr(ast.Column(column.name)), scheme
             )
             total += self.entry_bytes(entry)
-        cached[table_name] = total
+        self._baseline_cache[table_name] = total
         return total
 
     def plaintext_bytes(self) -> float:
@@ -151,41 +154,42 @@ class DesignSizer:
     # -- plaintext statistics -----------------------------------------------------------
 
     def _plain_width(self, table_name: str, expr_sql: str) -> tuple[float, str]:
+        """Average value bytes over a 200-row sample, and the inferred type."""
         key = (table_name, expr_sql)
         cached = self._width_cache.get(key)
+        if cached is not None:
+            return cached
         table = self.plain_db.table(table_name)
         expr = parse_expression(expr_sql)
         plain_type = infer_type(expr, {table_name: table.schema})
-        if cached is not None:
-            return cached, plain_type
-        from repro.engine.eval import Env, EvalContext, Scope, evaluate
-        from repro.storage.rowcodec import value_bytes
-
-        scope = Scope([(table_name, c) for c in table.schema.column_names])
-        ctx = EvalContext()
         sample = table.rows[: min(200, len(table.rows))]
-        if not sample:
-            width = 8.0
+        if sample:
+            fn = row_function(table, expr)
+            width = sum(value_bytes(fn(row)) for row in sample) / len(sample)
         else:
-            total = 0
-            for row in sample:
-                value = evaluate(expr, Env(scope, row), ctx)
-                total += value_bytes(value)
-            width = total / len(sample)
-        self._width_cache[key] = width
-        return width, plain_type
+            width = 8.0
+        cached = self._width_cache[key] = (width, plain_type)
+        return cached
 
     def _value_bits(self, table_name: str, expr_sql: str) -> int:
         """Max bit width of an integer expression over the table (sampled)."""
-        from repro.engine.eval import Env, EvalContext, Scope, evaluate
-
+        key = (table_name, expr_sql)
+        cached = self._bits_cache.get(key)
+        if cached is not None:
+            return cached
         table = self.plain_db.table(table_name)
-        expr = parse_expression(expr_sql)
-        scope = Scope([(table_name, c) for c in table.schema.column_names])
-        ctx = EvalContext()
+        fn = row_function(table, parse_expression(expr_sql))
         best = 1
         for row in table.rows[: min(500, len(table.rows))]:
-            value = evaluate(expr, Env(scope, row), ctx)
+            value = fn(row)
             if isinstance(value, int) and not isinstance(value, bool):
                 best = max(best, abs(value).bit_length())
-        return best + 2  # Safety margin over the sample.
+        # A safety margin of two bits over the sample.
+        bits = self._bits_cache[key] = best + 2
+        return bits
+
+
+def row_function(table: Table, expr: ast.Expr):
+    """``expr`` compiled to a function of one row of ``table``."""
+    scope = Scope([(table.name, c) for c in table.schema.column_names])
+    return compile_expr(expr, scope, EvalContext())

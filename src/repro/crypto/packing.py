@@ -26,6 +26,8 @@ total by summing that column's slot across the row positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from repro.common.errors import CryptoError, DomainError
@@ -57,17 +59,32 @@ class PackedLayout:
                 f"{self.plaintext_bits}-bit plaintext"
             )
 
-    @property
+    # The derived widths are computed once per instance and kept out of
+    # equality, hashing, repr and pickles, which see the three fields only.
+
+    def __getstate__(self) -> dict:
+        return {
+            "column_bits": self.column_bits,
+            "pad_bits": self.pad_bits,
+            "plaintext_bits": self.plaintext_bits,
+        }
+
+    @cached_property
     def slot_bits(self) -> tuple[int, ...]:
         return tuple(b + self.pad_bits for b in self.column_bits)
 
-    @property
+    @cached_property
     def row_bits(self) -> int:
         return sum(self.slot_bits)
 
-    @property
+    @cached_property
     def rows_per_ciphertext(self) -> int:
         return self.plaintext_bits // self.row_bits
+
+    @cached_property
+    def column_offsets(self) -> tuple[int, ...]:
+        """Bit offset of each column's slot within one row."""
+        return tuple(accumulate(self.slot_bits[:-1], initial=0))
 
     def slot_offset(self, row_index: int, column_index: int) -> int:
         """Bit offset of (row-in-group, column) within the plaintext."""
@@ -75,10 +92,7 @@ class PackedLayout:
             raise DomainError(f"row index {row_index} out of group")
         if not 0 <= column_index < len(self.column_bits):
             raise DomainError(f"column index {column_index} out of layout")
-        offset = row_index * self.row_bits
-        for width in self.slot_bits[:column_index]:
-            offset += width
-        return offset
+        return row_index * self.row_bits + self.column_offsets[column_index]
 
     # -- encode / decode ------------------------------------------------------
 
@@ -88,21 +102,25 @@ class PackedLayout:
             raise DomainError(
                 f"{len(rows)} rows exceed group capacity {self.rows_per_ciphertext}"
             )
+        column_bits = self.column_bits
+        columns = tuple(zip(column_bits, self.column_offsets))
+        row_bits = self.row_bits
         plaintext = 0
         for r, row in enumerate(rows):
-            if len(row) != len(self.column_bits):
+            if len(row) != len(column_bits):
                 raise DomainError(
-                    f"row has {len(row)} values, layout has {len(self.column_bits)}"
+                    f"row has {len(row)} values, layout has {len(column_bits)}"
                 )
-            for c, value in enumerate(row):
+            packed = 0
+            for c, (value, (bits, offset)) in enumerate(zip(row, columns)):
                 if value < 0:
                     raise DomainError("packed values must be non-negative")
-                if value.bit_length() > self.column_bits[c]:
+                if value.bit_length() > bits:
                     raise DomainError(
-                        f"value {value} wider than column {c} "
-                        f"({self.column_bits[c]} bits)"
+                        f"value {value} wider than column {c} ({bits} bits)"
                     )
-                plaintext |= value << self.slot_offset(r, c)
+                packed |= value << offset
+            plaintext |= packed << (r * row_bits)
         return plaintext
 
     def decode_column_sums(self, plaintext: int) -> list[int]:
@@ -112,26 +130,22 @@ class PackedLayout:
         multiplied ciphertexts; a column's total is the sum of its slot
         values across all row positions.
         """
-        totals = [0] * len(self.column_bits)
-        for r in range(self.rows_per_ciphertext):
-            for c in range(len(self.column_bits)):
-                offset = self.slot_offset(r, c)
-                width = self.slot_bits[c]
-                totals[c] += (plaintext >> offset) & ((1 << width) - 1)
-        return totals
+        rows = self.decode_rows(plaintext, self.rows_per_ciphertext)
+        return [sum(column) for column in zip(*rows)]
 
     def decode_rows(self, plaintext: int, num_rows: int) -> list[list[int]]:
         """Recover individual packed rows (used when inspecting a single
         un-summed ciphertext, e.g. for client-side aggregation)."""
         if num_rows > self.rows_per_ciphertext:
             raise DomainError("more rows requested than the group holds")
+        slots = [
+            (offset, (1 << width) - 1)
+            for offset, width in zip(self.column_offsets, self.slot_bits)
+        ]
         rows: list[list[int]] = []
         for r in range(num_rows):
-            row = []
-            for c in range(len(self.column_bits)):
-                offset = self.slot_offset(r, c)
-                row.append((plaintext >> offset) & ((1 << self.slot_bits[c]) - 1))
-            rows.append(row)
+            row = plaintext >> (r * self.row_bits)
+            rows.append([(row >> offset) & mask for offset, mask in slots])
         return rows
 
     def max_safe_rows(self) -> int:
@@ -153,9 +167,7 @@ class GroupedHomomorphicAggregator:
 
     def __init__(self, public: PaillierPublicKey, layout: PackedLayout) -> None:
         if layout.plaintext_bits > public.plaintext_bits:
-            raise CryptoError(
-                "layout plaintext wider than the Paillier payload"
-            )
+            raise CryptoError("layout plaintext wider than the Paillier payload")
         self._public = public
         self.layout = layout
         self._accumulators: dict[object, int] = {}

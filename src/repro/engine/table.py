@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import CatalogError
 from repro.engine.schema import TableSchema
-from repro.storage.rowcodec import row_bytes, value_bytes
+from repro.storage.rowcodec import column_bytes, row_bytes, rows_bytes, value_bytes
 
 
 @dataclass
@@ -119,8 +119,20 @@ class Table:
         self._stats = None
 
     def insert_many(self, rows) -> None:
+        """Insert a batch: every row is validated before the first one
+        lands, so a bad row raises with the table untouched."""
+        rows = list(rows)
         for row in rows:
-            self.insert(row)
+            self._validate(row)
+        if not rows:
+            return
+        counters = self._live_counters()
+        self.rows.extend(rows)
+        self.total_bytes += rows_bytes(rows)
+        if counters is not None:
+            for row in rows:
+                self._count(counters, row)
+        self._stats = None
 
     def _live_counters(self) -> list[ValueCounter | None] | None:
         """The counters a write must keep current (called before it touches
@@ -242,7 +254,7 @@ class Table:
                     cs.max_value = max(non_null)
                 except TypeError:
                     pass  # Mixed/unorderable (e.g. tag sets): no min/max.
-                cs.avg_width = sum(value_bytes(v) for v in non_null) / len(non_null)
+                cs.avg_width = column_bytes(non_null) / len(non_null)
             stats[col.name] = cs
         self._stats = stats
         return stats

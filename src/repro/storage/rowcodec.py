@@ -97,6 +97,12 @@ def row_bytes(row: tuple) -> int:
     return 24 + sum(map(value_bytes, row))
 
 
+def rows_bytes(rows: list[tuple]) -> int:
+    """Summed :func:`row_bytes` of equal-length rows, sized a column at a
+    time with :func:`column_bytes`."""
+    return 24 * len(rows) + sum(map(column_bytes, zip(*rows)))
+
+
 # ---------------------------------------------------------------------------
 # Real serialization (used by tests to validate the accounting, and by the
 # ciphertext store for its file layout)
