@@ -3,6 +3,11 @@
 A materializing executor with a small planner, plus a pull-based
 streaming layer over the same machinery:
 
+* every WHERE, pushed down, left over after the joins or streamed, runs
+  through one conjunct-prefix column filter (:class:`_ColumnFilter`): its
+  leading ``column op constant``, ``column op column``, ``BETWEEN`` and
+  ``IN (literals)`` conjuncts test a whole column at a time, in order, and
+  the compiled row closure of the rest runs on the rows they keep;
 * single-relation WHERE conjuncts are pushed down before joins, and so is
   what an OR of ANDs implies: the conjuncts every branch repeats (TPC-H
   Q19's join equality) and, per relation, the OR of each branch's
@@ -21,6 +26,8 @@ streaming layer over the same machinery:
   key with a NULL in it matches nothing), the smaller side is the one
   hashed, output stays left-major, and what is left of an ON condition is
   checked per matched pair;
+* join and GROUP BY keys that are all bare columns are one
+  ``operator.itemgetter``, a tuple for a composite key, built in C;
 * GROUP BY partitions the rows by key first (groups in first-seen order,
   the first row the representative), then folds each group one argument
   column at a time through :meth:`Aggregate.fold`; arbitrary key and
@@ -34,10 +41,10 @@ streaming layer over the same machinery:
 materialized :class:`ResultSet`.  Scan → filter → project → limit plans
 (:func:`is_streamable`) run through one column-at-a-time driver with
 O(block) working memory, over a table or over an injected block stream
-(the client residual): the WHERE turns each input chunk into a
-selection, and each output column is a pick of an input column or one
-closure mapped over the selected rows.  Everything else — sorts,
-grouping, DISTINCT, joins — drains its input through the materializing
+(the client residual): the same WHERE filter narrows each input chunk,
+and each output column is a pick of an input column or one closure
+mapped over the selected rows.  Everything else — sorts, grouping,
+DISTINCT, joins — drains its input through the materializing
 path and re-enters the stream as one blocking operator at the root, so
 both paths return identical rows and identical scan statistics.
 :meth:`Executor.execute` stays the materializing driver.
@@ -58,7 +65,15 @@ from itertools import compress, repeat
 from repro.common.errors import ExecutionError
 from repro.engine.aggregates import make_aggregate
 from repro.engine.catalog import Database
-from repro.engine.eval import _CMP_OPS, Env, EvalContext, Scope, compile_expr, evaluate
+from repro.engine.eval import (
+    _CMP_OPS,
+    Env,
+    EvalContext,
+    Scope,
+    _in_probe,
+    compile_expr,
+    evaluate,
+)
 from repro.engine.functions import default_functions
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
@@ -230,24 +245,23 @@ class Executor:
 
         The input arrives in chunks: ``block_rows``-row slices of
         ``table``'s heap, or the ``source`` stream's blocks as they come.
-        The WHERE turns a chunk into a selection (a row stays only where it
-        returns True, so NULL drops it): a lone ``column op literal``
-        compares the whole column at once, anything else runs the compiled
-        row closure.  Each output column is then built in one pass over
-        the selected rows: a star's column or a bare column reference
-        picks its column, a computed item maps its closure over the
-        selected rows only.  A source block with no WHERE and only picks
-        passes its column lists through untouched.  Under LIMIT a chunk
-        holds at most the rows still owed, so nothing past the limit is
-        evaluated and no source block past it is pulled.  The output is
-        cut into blocks of exactly ``block_rows`` rows, the last shorter.
+        The WHERE narrows each chunk through the conjunct-prefix column
+        filter (:class:`_ColumnFilter`, the materializing driver's too): a
+        row stays only where the WHERE returns True, so NULL drops it.
+        Each output column is then built in one pass over the selected
+        rows: a star's column or a bare column reference picks its column,
+        a computed item maps its closure over the selected rows only.  A
+        source block with no WHERE and only picks passes its column lists
+        through untouched.  Under LIMIT a chunk holds at most the rows
+        still owed, so nothing past the limit is evaluated and no source
+        block past it is pulled.  The output is cut into blocks of exactly
+        ``block_rows`` rows, the last shorter.
         """
-        predicate = (
-            compile_expr(query.where, scope, ctx, None)
+        where = (
+            _ColumnFilter(query.where, scope, ctx, None)
             if query.where is not None
             else None
         )
-        column_test = _column_test(query.where, scope)
         # One entry per output column: an int picks that input column, a
         # closure computes the value from a row.
         outputs: list = []
@@ -283,11 +297,8 @@ class Executor:
             pending_rows = 0
             if remaining is None or remaining > 0:
                 for chunk in chunks():
-                    if predicate is not None:
-                        keep = column_test(chunk) if column_test else None
-                        if keep is None:
-                            keep = [predicate(row) is True for row in chunk.rows()]
-                        chunk = chunk.compress(keep)
+                    if where is not None:
+                        chunk = where.apply(chunk)
                     columns = chunk.project(outputs)
                     if pending_rows:
                         # New lists: a picked column may be a source block's.
@@ -325,7 +336,7 @@ class Executor:
     ) -> ResultSet:
         relation, remaining = self._build_from(query, ctx, outer)
         relation = self._apply_where(relation, remaining, ctx, outer)
-        items = _select_items(query.items, relation.scope)
+        items = _select_items(query.items, relation.scope, query.from_items)
         if query.group_by or self._has_aggregates(query):
             rows_with_alias = self._group_and_project(query, relation, ctx, outer)
         else:
@@ -448,8 +459,7 @@ class Executor:
                 pushed.add(i)
         rows = rel.rows
         if local:
-            predicate = compile_expr(ast.conjoin(local), rel.scope, ctx, outer)
-            rows = [row for row in rows if predicate(row) is True]
+            rows = _ColumnFilter.rows(ast.conjoin(local), rel, ctx, outer)
         columns = rel.scope.columns
         kept = [
             i for i, (_, name) in enumerate(columns) if names is None or name in names
@@ -578,20 +588,6 @@ class Executor:
                 right_keys.append(sides[1])
         return used, left_keys, right_keys
 
-    def _key_fn(self, keys: list[ast.Expr], scope: Scope, ctx, outer):
-        """Compile a join key: the value itself for one expression, a tuple
-        for several (none at all: every row gets the same key), and None
-        whenever a component is NULL, because NULL equals nothing."""
-        if len(keys) == 1:
-            return compile_expr(keys[0], scope, ctx, outer)
-        as_tuple = _row_tuple([compile_expr(k, scope, ctx, outer) for k in keys])
-
-        def composite(row):
-            key = as_tuple(row)
-            return None if None in key else key
-
-        return composite
-
     def _hash_join(
         self,
         left: _Relation,
@@ -606,32 +602,34 @@ class Executor:
         """The one join kernel: equality on ``left_keys[i] = right_keys[i]``
         for every i, then ``residual`` on each matched pair; ``kind`` "left"
         NULL-extends left rows nothing matched.  Output is left-major in
-        both build directions."""
+        both build directions.  A key with a NULL in it matches nothing:
+        it never becomes a bucket, so probing with one finds none."""
         scope = left.scope.merged_with(right.scope)
-        left_fn = self._key_fn(left_keys, left.scope, ctx, outer)
-        right_fn = self._key_fn(right_keys, right.scope, ctx, outer)
+        left_fn = _key_fn(left_keys, left.scope, ctx, outer)
+        right_fn = _key_fn(right_keys, right.scope, ctx, outer)
+        width = len(right_keys)
         buckets: dict[object, list[tuple]] = {}
+        right_key_column = map(right_fn, right.rows)
         if len(left.rows) < len(right.rows):
             # Hash the smaller side: the left keys decide which right rows
             # are worth a bucket at all.
             left_key_column = list(map(left_fn, left.rows))
             wanted = set(left_key_column)
-            wanted.discard(None)
-            for row in right.rows:
-                key = right_fn(row)
+            wanted.difference_update(_null_keys(wanted, width))
+            for key, row in zip(right_key_column, right.rows):
                 if key in wanted:
                     buckets.setdefault(key, []).append(row)
         else:
-            for row in right.rows:
-                key = right_fn(row)
-                if key is not None:
-                    buckets.setdefault(key, []).append(row)
+            for key, row in zip(right_key_column, right.rows):
+                buckets.setdefault(key, []).append(row)
+            for key in _null_keys(buckets, width):
+                del buckets[key]
             left_key_column = map(left_fn, left.rows)
         accept = (
             compile_expr(residual, scope, ctx, outer) if residual is not None else None
         )
         null_row = (None,) * len(right.scope.columns) if kind == "left" else None
-        get_bucket = buckets.get  # None is never a bucket key.
+        get_bucket = buckets.get
         if accept is None and null_row is None:
             joined = [
                 row + other
@@ -686,8 +684,7 @@ class Executor:
     ) -> _Relation:
         if not remaining:
             return relation
-        predicate = compile_expr(ast.conjoin(remaining), relation.scope, ctx, outer)
-        rows = [row for row in relation.rows if predicate(row) is True]
+        rows = _ColumnFilter.rows(ast.conjoin(remaining), relation, ctx, outer)
         return _Relation(relation.scope, rows)
 
     # Projection / grouping -------------------------------------------------------
@@ -721,9 +718,8 @@ class Executor:
                 if call not in seen:
                     seen.add(call)
                     agg_calls.append(call)
-        # Compile group keys and each distinct aggregate argument once per
-        # query (Q1 sums and averages the same three columns).
-        key_fns = [compile_expr(k, relation.scope, ctx, outer) for k in query.group_by]
+        # Compile each distinct aggregate argument once per query (Q1 sums
+        # and averages the same three columns).
         arg_fns: dict[ast.Expr, object] = {}
         for call in agg_calls:
             for arg in call.args:
@@ -732,8 +728,8 @@ class Executor:
         # Partition first (groups in first-seen order, rows in input order,
         # the first row the representative) ...
         rows = relation.rows
-        if key_fns:
-            key_fn = key_fns[0] if len(key_fns) == 1 else _row_tuple(key_fns)
+        if query.group_by:
+            key_fn = _key_fn(query.group_by, relation.scope, ctx, outer)
             partitions: dict[object, list[tuple]] = defaultdict(list)
             for key, row in zip(map(key_fn, rows), rows):
                 partitions[key].append(row)
@@ -792,22 +788,16 @@ class Executor:
             else operator.itemgetter(position)
             for item, position in items
         ]
-        output = []
         if not query.order_by:
-            # No per-row alias context needed: tight projection loop.
-            no_keys: list = []
-            append = output.append
-            if len(item_fns) == 1:
-                fn = item_fns[0]
-                for row in relation.rows:
-                    append(((fn(row),), no_keys))
-                return output
-            for row in relation.rows:
-                values: list = []
-                for fn in item_fns:
-                    values.append(fn(row))
-                append((tuple(values), no_keys))
-            return output
+            # No per-row alias context needed: one map per item, zipped in
+            # C.  zip pulls the maps row by row, so the closures run in the
+            # same order as a loop over the rows would run them.
+            if not item_fns:
+                values = [()] * len(relation.rows)
+            else:
+                values = zip(*[map(fn, relation.rows) for fn in item_fns])
+            return list(zip(values, repeat([])))
+        output = []
         for row in relation.rows:
             values = tuple([fn(row) for fn in item_fns])
             aliases = {
@@ -858,7 +848,7 @@ class Executor:
                     key=lambda pair: _SortKey(pair[1][index]),
                     reverse=not ascending,
                 )
-        result = [values for values, _ in rows]
+        result = list(map(operator.itemgetter(0), rows))
         if query.limit is not None:
             result = result[: query.limit]
         return result
@@ -1047,8 +1037,201 @@ class _Chunk:
         return _Chunk(sum(keep), columns=columns)
 
 
-#: Comparisons a streamed scan may run over a whole column at once.
+class _ColumnFilter:
+    """A WHERE as a conjunct-prefix column filter plus a row closure: the
+    one filter kernel of both drivers.
+
+    The WHERE's leading conjuncts that test a column against constants or
+    another column (:func:`_column_kernel`) run a whole column at a time,
+    in order: each takes its columns from the rows the ones before it
+    kept, and the rows it holds True stay.  The prefix ends at the first
+    other conjunct, or at one whose columns hold a NULL or values it does
+    not compare (the kernel would raise ``TypeError``); the compiled
+    closure of what is left of the WHERE then runs over the surviving rows,
+    and a row stays only where it returns True.  A conjunct drops exactly
+    the rows on which ``AND`` would have stopped short after it, so every
+    later conjunct sees the rows it sees in the row-at-a-time closure, and
+    any error is the closure's, raised as it always was.
+    """
+
+    __slots__ = ("_where", "_scope", "_ctx", "_outer", "_kernels", "_closures")
+
+    def __init__(
+        self, where: ast.Expr, scope: Scope, ctx: EvalContext, outer: Env | None
+    ) -> None:
+        self._where = where
+        self._scope, self._ctx, self._outer = scope, ctx, outer
+        self._kernels: list = []
+        for conjunct in ast.conjuncts(where):
+            kernel = _column_kernel(conjunct, scope, ctx.params)
+            if kernel is None:
+                break
+            self._kernels.append(kernel)
+        self._closures: dict = {}  # Prefix length -> closure of the rest.
+
+    @classmethod
+    def rows(
+        cls, where: ast.Expr, rel: _Relation, ctx: EvalContext, outer: Env | None
+    ) -> list[tuple]:
+        """The rows of ``rel`` the WHERE holds True, in order."""
+        chunk = _Chunk(len(rel.rows), rows=rel.rows)
+        return cls(where, rel.scope, ctx, outer).apply(chunk).rows()
+
+    def apply(self, chunk: "_Chunk") -> "_Chunk":
+        """The rows of ``chunk`` the WHERE holds True, in order."""
+        done = 0
+        for positions, kernel in self._kernels:
+            columns = [chunk.column(position) for position in positions]
+            if any(None in values for values in columns):
+                break
+            try:
+                keep = kernel(*columns)
+            except TypeError:
+                break
+            chunk = chunk.compress(keep)
+            done += 1
+        closure = self._closure(done)
+        if closure is None:
+            return chunk
+        return chunk.compress([closure(row) is True for row in chunk.rows()])
+
+    def _closure(self, done: int):
+        """The compiled rest of the WHERE once ``done`` conjuncts have held
+        True (None: nothing is left), compiled on first use."""
+        if done not in self._closures:
+            rest = _after_prefix(self._where, done)
+            self._closures[done] = (
+                None
+                if rest is None
+                else compile_expr(rest, self._scope, self._ctx, self._outer)
+            )
+        return self._closures[done]
+
+
+#: Comparisons a whole column runs at once.
 _COLUMN_OPS = {"=": operator.eq, "<>": operator.ne, **_CMP_OPS}
+
+
+def _constant(expr: ast.Expr, params: dict[str, object]) -> object:
+    """A literal's value or a bound parameter's; None for anything else."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.Param):
+        return params.get(expr.name)
+    return None
+
+
+def _column_kernel(conjunct: ast.Expr, scope: Scope, params: dict[str, object]):
+    """``(positions, kernel)`` when ``conjunct`` tests columns of ``scope``
+    against each other or against non-NULL constants, else None.
+    ``kernel(*columns)`` maps the columns at ``positions`` (no NULL in
+    them) to the conjunct's bools, with the row closure's operators in the
+    row closure's operand order, or raises ``TypeError`` where the closure
+    has to decide.  The shapes: ``column op constant`` either way round
+    and ``column op column`` (``= <> < <= > >=``), ``column [NOT] BETWEEN
+    constant AND constant``, and ``column [NOT] IN (literal, ...)`` whose
+    list :func:`_in_probe` can hash; a constant is a literal or a bound
+    parameter."""
+    constants: tuple = ()
+    if isinstance(conjunct, ast.BinOp) and conjunct.op in _COLUMN_OPS:
+        cmp = _COLUMN_OPS[conjunct.op]
+        left, right = conjunct.left, conjunct.right
+        if isinstance(left, ast.Column) and isinstance(right, ast.Column):
+            columns = (left, right)
+
+            def kernel(left_values, right_values):
+                return list(map(cmp, left_values, right_values))
+
+        elif isinstance(left, ast.Column):
+            columns, constant = (left,), _constant(right, params)
+            constants = (constant,)
+
+            def kernel(values):
+                return list(map(cmp, values, repeat(constant)))
+
+        elif isinstance(right, ast.Column):
+            columns, constant = (right,), _constant(left, params)
+            constants = (constant,)
+
+            def kernel(values):
+                return list(map(cmp, repeat(constant), values))
+
+        else:
+            return None
+    elif isinstance(conjunct, ast.Between) and isinstance(conjunct.needle, ast.Column):
+        columns, negated = (conjunct.needle,), conjunct.negated
+        low, high = constants = (
+            _constant(conjunct.low, params),
+            _constant(conjunct.high, params),
+        )
+
+        def kernel(values):
+            # ``low <= v <= high`` with both comparisons bools, so & agrees.
+            inside = map(
+                operator.and_,
+                map(operator.le, repeat(low), values),
+                map(operator.le, values, repeat(high)),
+            )
+            return list(map(operator.not_, inside) if negated else inside)
+
+    elif (
+        isinstance(conjunct, ast.InList)
+        and isinstance(conjunct.needle, ast.Column)
+        and all(isinstance(item, ast.Literal) for item in conjunct.items)
+    ):
+        columns, negated = (conjunct.needle,), conjunct.negated
+        probe = _in_probe([item.value for item in conjunct.items])
+        constants = (probe,)
+
+        def kernel(values):
+            found = map(probe.__contains__, values)
+            return list(map(operator.not_, found) if negated else found)
+
+    else:
+        return None
+    if any(constant is None for constant in constants):
+        return None
+    positions = [_scope_index(scope, column) for column in columns]
+    return None if None in positions else (positions, kernel)
+
+
+def _after_prefix(where: ast.Expr, done: int) -> ast.Expr | None:
+    """``where`` on rows where its first ``done`` conjuncts hold True: those
+    conjuncts folded out of the AND tree (None when nothing is left).
+    ``TRUE AND x`` folds to ``x`` only where ``x`` yields nothing but
+    TRUE, FALSE or NULL: around any other value the AND stays, because it
+    turns the value into a bool and so decides whether the next conjunct
+    runs at all."""
+
+    def strip(expr: ast.Expr, done: int) -> tuple[ast.Expr | None, int]:
+        if not done:
+            return expr, 0
+        if not (isinstance(expr, ast.BinOp) and expr.op == "and"):
+            return None, done - 1
+        left, done = strip(expr.left, done)
+        right, done = strip(expr.right, done)
+        if left is not None:
+            return ast.BinOp("and", left, right), done
+        if right is None or _yields_bool(right):
+            return right, done
+        return ast.BinOp("and", ast.Literal(True), right), done
+
+    return strip(where, done)[0]
+
+
+#: Binary operators whose closures return only True, False or NULL.
+_BOOL_OPS = frozenset(("and", "or", *_COLUMN_OPS))
+
+
+def _yields_bool(expr: ast.Expr) -> bool:
+    if isinstance(expr, ast.BinOp):
+        return expr.op in _BOOL_OPS
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op == "not"
+    return isinstance(
+        expr,
+        (ast.InList, ast.Like, ast.Between, ast.IsNull, ast.InSubquery, ast.Exists),
+    )
 
 
 def _scope_index(scope: Scope, column: ast.Column) -> int | None:
@@ -1062,14 +1245,21 @@ def _scope_index(scope: Scope, column: ast.Column) -> int | None:
 
 
 def _select_items(
-    items: tuple[ast.SelectItem, ...], scope: Scope
+    items: tuple[ast.SelectItem, ...],
+    scope: Scope,
+    from_items: tuple[ast.TableRef, ...] = (),
 ) -> list[tuple[ast.SelectItem, int | None]]:
     """The select list with ``*`` and ``t.*`` spelled out against ``scope``:
     one ``(item, position)`` pair per output column.  A star becomes one
     column item per scope column it covers (so the result column is named
     after it), paired with that column's position; every other item is
-    paired with None.  A ``t.*`` that covers no column stays as it is, for
-    :func:`_compile_item` to refuse where the projection compiles."""
+    paired with None.  A ``*`` lists the relations in ``from_items`` order,
+    whatever order the joins put them in.  A ``t.*`` that covers no column
+    stays as it is, for :func:`_compile_item` to refuse where the
+    projection compiles."""
+    rank: dict[str, int] = {}
+    for binding in _bindings(from_items):
+        rank.setdefault(binding, len(rank))
     expanded: list[tuple[ast.SelectItem, int | None]] = []
     for item in items:
         star = item.expr
@@ -1084,10 +1274,23 @@ def _select_items(
         if not positions and star.table is not None:
             expanded.append((item, None))
             continue
+        if star.table is None:
+            positions.sort(key=lambda i: rank.get(scope.columns[i][0], len(rank)))
         for i in positions:
             binding, name = scope.columns[i]
             expanded.append((ast.SelectItem(ast.Column(name, binding)), i))
     return expanded
+
+
+def _bindings(from_items: tuple[ast.TableRef, ...]) -> list[str]:
+    """The relation bindings of a FROM list, left to right."""
+    bindings: list[str] = []
+    for ref in from_items:
+        if isinstance(ref, ast.Join):
+            bindings.extend(_bindings((ref.left, ref.right)))
+        else:
+            bindings.append(ref.binding)
+    return bindings
 
 
 def _output_names(items: list[tuple[ast.SelectItem, int | None]]) -> list[str]:
@@ -1100,41 +1303,6 @@ def _compile_item(item: ast.SelectItem, scope: Scope, ctx, outer):
     if ast.is_star(item.expr):
         raise ExecutionError(f"{item.expr.table}.* names no relation in FROM")
     return compile_expr(item.expr, scope, ctx, outer)
-
-
-def _column_test(where: ast.Expr | None, scope: Scope):
-    """A WHERE that is one comparison of a column with a non-NULL literal,
-    as a whole-column test: ``test(chunk)`` returns the keep flags, or None
-    when the column holds a NULL or a value the literal does not compare
-    with, for the row closure to decide (and raise) as it always has.
-    Built-in comparisons return bools, so the flags are exactly the rows
-    where the closure returns True."""
-    if not isinstance(where, ast.BinOp) or where.op not in _COLUMN_OPS:
-        return None
-    cmp = _COLUMN_OPS[where.op]
-    left, right = where.left, where.right
-    if isinstance(left, ast.Column) and isinstance(right, ast.Literal):
-        column, literal, flipped = left, right.value, False
-    elif isinstance(left, ast.Literal) and isinstance(right, ast.Column):
-        column, literal, flipped = right, left.value, True
-    else:
-        return None
-    index = _scope_index(scope, column)
-    if literal is None or index is None:
-        return None
-
-    def test(chunk: _Chunk) -> list[bool] | None:
-        values = chunk.column(index)
-        if None in values:
-            return None
-        try:
-            if flipped:
-                return list(map(cmp, repeat(literal), values))
-            return list(map(cmp, values, repeat(literal)))
-        except TypeError:
-            return None
-
-    return test
 
 
 def _compare(op: str, left: object, right: object) -> bool:
@@ -1151,6 +1319,29 @@ def _compare(op: str, left: object, right: object) -> bool:
     if op == ">":
         return left > right
     return left >= right
+
+
+def _key_fn(keys: list[ast.Expr], scope: Scope, ctx: EvalContext, outer):
+    """A GROUP BY or join key: the value itself for one expression, a tuple
+    for several (none at all: every row gets ``()``).  Keys that are all
+    bare columns of ``scope`` are one ``itemgetter``, built in C."""
+    positions = [
+        _scope_index(scope, key) if isinstance(key, ast.Column) else None
+        for key in keys
+    ]
+    if positions and None not in positions:
+        return operator.itemgetter(*positions)
+    if len(keys) == 1:
+        return compile_expr(keys[0], scope, ctx, outer)
+    return _row_tuple([compile_expr(key, scope, ctx, outer) for key in keys])
+
+
+def _null_keys(keys, width: int) -> list:
+    """The join keys of ``width`` components among ``keys`` (a set or a
+    dict) that have a NULL in them."""
+    if width == 1:
+        return [None] if None in keys else []
+    return [key for key in keys if None in key]
 
 
 def _row_tuple(fns: list):

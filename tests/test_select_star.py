@@ -7,17 +7,20 @@ plans and runs like its explicit column list, on both backends and both
 client paths, and matches the plaintext engine.  A star over a join is
 refused with a :class:`PlanningError` that names it.  The plaintext
 engine spells a star out against the relation it projects, so its result
-columns are named and an alias beside a star orders by its own value.
+columns are named, an alias beside a star orders by its own value, and a
+star over a join lists its relations in FROM order, as sqlite3 does.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 from repro.common.errors import PlanningError
 from repro.core import MonomiClient, normalize_query
 from repro.core.designer import Designer
-from repro.engine import Executor
+from repro.engine import Database, Executor, schema
 from repro.sql import parse
 from repro.testkit import MASTER_KEY, build_sales_db, canonical
 
@@ -210,3 +213,42 @@ def test_client_orders_by_an_alias_beside_a_star(each_backend_client, sales_db):
     assert keys == sorted(keys)
     assert [row[-1] for row in outcome.rows] == keys
     assert [row[-1] for row in streamed_rows(each_backend_client, sql)] == keys
+
+
+@pytest.fixture(scope="module")
+def star_join_dbs():
+    """``t(a, b, c, d)`` with 40 rows and ``u(a, e)`` with 10, in the engine
+    and in stdlib sqlite3."""
+    t_rows = [(i % 12, i, f"c{i}", i / 4) for i in range(40)]
+    u_rows = [(i, 10 * i) for i in range(10)]
+    db = Database("star_join")
+    t_schema = schema("t", ("a", "int"), ("b", "int"), ("c", "text"), ("d", "float"))
+    db.create_table(t_schema).insert_many(t_rows)
+    db.create_table(schema("u", ("a", "int"), ("e", "int"))).insert_many(u_rows)
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE t (a INT, b INT, c TEXT, d FLOAT)")
+    connection.execute("CREATE TABLE u (a INT, e INT)")
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", t_rows)
+    connection.executemany("INSERT INTO u VALUES (?, ?)", u_rows)
+    return db, connection
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT * FROM t, u WHERE t.a = u.a",
+        "SELECT * FROM u, t WHERE t.a = u.a",
+        "SELECT *, u.e FROM t, u WHERE t.a = u.a AND t.b > 5",
+        "SELECT * FROM t JOIN u ON t.a = u.a",
+        "SELECT * FROM u JOIN t ON t.a = u.a",
+    ],
+)
+def test_engine_star_over_a_join_lists_from_order(star_join_dbs, sql):
+    """A ``*`` lists FROM's relations left to right, like sqlite3 does,
+    whichever relation the join starts from (the smaller one, u)."""
+    db, connection = star_join_dbs
+    result = Executor(db).execute(parse(sql))
+    cursor = connection.execute(sql)
+    assert result.columns == [column[0] for column in cursor.description]
+    assert result.rows
+    assert sorted(result.rows) == sorted(cursor.fetchall())
