@@ -78,7 +78,7 @@ class ConfigError(ReproError):
     Raised instead of silently falling back when the caller explicitly
     asked for a mode the stack cannot honor — e.g. a ``block_rows`` below
     one, a DML statement on a backend without a write path, or a
-    ``MONOMI_PREFETCH`` value that does not parse.
+    maintained-aggregate ``splits`` that is not an int of at least one.
     """
 
 

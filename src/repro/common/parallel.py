@@ -1,4 +1,4 @@
-"""The bounded queue put shared by the streaming pipelines' producer threads."""
+"""The bounded queue put used by the shard coordinator's stream producers."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ def queue_put_bounded(
 ) -> bool:
     """Bounded queue put that gives up once ``stop`` is set.
 
-    The producer half of every bounded pipeline in this codebase (the
-    plan executor's prefetch queue, the sharded stream producers): block on
-    a full queue, but poll the stop flag so a consumer that closed early
-    never strands the producer.  Returns False when it gave up.
+    The producer half of the sharded stream's bounded per-shard queues:
+    block on a full queue, but poll the stop flag so a consumer that
+    closed early never strands the producer.  Returns False when it gave
+    up.
     """
     while not stop.is_set():
         try:

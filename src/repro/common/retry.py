@@ -11,9 +11,9 @@ everything else is fatal and propagates on the first attempt.
 
 :class:`Deadline` is the cancellation half: a monotonic-clock expiry
 created at query entry (``execute(timeout=...)``) and threaded through
-planner → executor → backend → prefetch producer, checked at block
-boundaries so producer threads shut down cleanly
-instead of running to completion for a caller that stopped listening.
+planner → executor → backend → shard stream producers, checked at block
+boundaries so streams and producer threads shut down cleanly instead of
+running to completion for a caller that stopped listening.
 Backoff sleeps are capped by the deadline's remaining time, so a retrying
 query can never sleep past its own expiry.
 
@@ -43,8 +43,8 @@ class Deadline:
     """A monotonic-clock expiry for one query execution.
 
     Cheap to check (one ``perf_counter`` read), safe to share across the
-    threads cooperating on a query: the prefetch producer, the shard
-    stream producers, and the consuming client all poll the same instance.
+    threads cooperating on a query: the shard stream producers and the
+    consuming client all poll the same instance.
     """
 
     __slots__ = ("expires_at",)

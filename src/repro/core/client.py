@@ -120,7 +120,6 @@ class MonomiClient:
         network: NetworkModel,
         disk: DiskModel,
         design_result: DesignResult | None = None,
-        prefetch_blocks: int | None = None,
     ) -> None:
         self.plain_db = plain_db
         self.design = design
@@ -143,9 +142,7 @@ class MonomiClient:
         self.design_fingerprint = design.fingerprint()
         self._plan_lock = threading.Lock()
         self._refresh_planner()
-        self.executor = PlanExecutor(
-            self.backend, provider, network, disk, prefetch_blocks=prefetch_blocks
-        )
+        self.executor = PlanExecutor(self.backend, provider, network, disk)
 
     def _refresh_planner(self) -> None:
         """(Re)build the runtime cost model and planner.
@@ -237,7 +234,6 @@ class MonomiClient:
         det_default: bool = True,
         backend: str | ServerBackend = "memory",
         provider: CryptoProvider | None = None,
-        prefetch_blocks: int | None = None,
         shards: int | None = None,
         shard_keys: dict[str, str | None] | None = None,
     ) -> "MonomiClient":
@@ -254,9 +250,6 @@ class MonomiClient:
         shared ``provider`` keeps the launch-time decryption profile (and
         hence plan choice) identical across clients — the cross-backend
         equivalence harness relies on this.
-
-        ``prefetch_blocks`` (default from ``MONOMI_PREFETCH``) sizes the
-        server→client pipeline queue.
 
         ``shards`` (default from ``MONOMI_SHARDS``) partitions the
         encrypted tables across that many fresh backends of the chosen
@@ -314,7 +307,6 @@ class MonomiClient:
             network,
             disk,
             design_result,
-            prefetch_blocks=prefetch_blocks,
         )
 
     @classmethod
@@ -333,7 +325,6 @@ class MonomiClient:
         det_default: bool = True,
         network: NetworkModel | None = None,
         disk: DiskModel | None = None,
-        prefetch_blocks: int | None = None,
         connect_timeout: float = 10.0,
         socket_timeout: float = 120.0,
     ) -> "MonomiClient":
@@ -379,16 +370,7 @@ class MonomiClient:
                 design = designer.design_space_greedy(queries, space_budget).design
             else:
                 design = designer.design_greedy(queries).design
-        return cls(
-            plain_db,
-            design,
-            provider,
-            backend,
-            flags,
-            network,
-            disk,
-            prefetch_blocks=prefetch_blocks,
-        )
+        return cls(plain_db, design, provider, backend, flags, network, disk)
 
     def close(self) -> None:
         """Release client-held backend resources (network connections for

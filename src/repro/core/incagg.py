@@ -8,11 +8,12 @@ nothing: it multiplies ciphertexts it cannot decrypt.
 **Why split counters.**  A single encrypted accumulator is a hot record —
 every writer would serialize on one ciphertext (and in a replicated or
 sharded deployment, conflict on it).  Following the MRV (multi-record
-value) pattern, the value is *split* across ``MONOMI_MRV_SPLITS``
-ciphertext records; each delta lands on a randomly chosen split, so
-concurrent writers contend on ``1/N`` of the records.  The aggregate's
-value is the sum of all splits, which any reader recovers with one
-``hom_read`` of the split vector and one decryption per split.
+value) pattern, the value is *split* across ``splits`` ciphertext
+records (:data:`DEFAULT_SPLITS` unless the registry is given another);
+each delta lands on a randomly chosen split, so concurrent writers
+contend on ``1/N`` of the records.  The aggregate's value is the sum of
+all splits, which any reader recovers with one ``hom_read`` of the split
+vector and one decryption per split.
 
 Splits drift apart under skewed workloads (one split absorbs most
 deltas), which does not affect correctness but concentrates future
@@ -51,12 +52,6 @@ from repro.storage.ciphertext_store import CiphertextFile
 DEFAULT_SPLITS = 4
 
 
-def resolve_splits(splits: int | None = None) -> int:
-    if splits is not None:
-        return max(1, int(splits))
-    return max(1, int(os.environ.get("MONOMI_MRV_SPLITS", DEFAULT_SPLITS)))
-
-
 @dataclass
 class _Registered:
     name: str
@@ -79,13 +74,15 @@ class MaintainedAggregates:
     def __init__(
         self,
         client,
-        splits: int | None = None,
+        splits: int = DEFAULT_SPLITS,
         seed: int = 0xA66,
     ) -> None:
+        if isinstance(splits, bool) or not isinstance(splits, int) or splits < 1:
+            raise ConfigError(f"splits must be an int >= 1, got {splits!r}")
         self.client = client
         self.provider = client.provider
         self.backend = client.backend
-        self.splits = resolve_splits(splits)
+        self.splits = splits
         self._rng = random.Random(seed)
         self._aggs: dict[str, _Registered] = {}
         self._lock = threading.RLock()
@@ -113,9 +110,7 @@ class MaintainedAggregates:
                 raise ConfigError(f"unknown table {table!r}")
             plain = self.client.plain_db.table(table)
             scope = Scope([(table, c) for c in plain.schema.column_names])
-            fn = compile_expr(
-                parse_expression(expr_sql), scope, EvalContext()
-            )
+            fn = compile_expr(parse_expression(expr_sql), scope, EvalContext())
             total = 0
             for row in plain.rows:
                 total += self._int_value(fn(row), table, expr_sql)
@@ -137,9 +132,7 @@ class MaintainedAggregates:
                 column_names=(expr_sql,),
                 num_rows=self.splits,
             )
-            file.ciphertexts.extend(
-                self.provider.paillier_encrypt_batch(plaintexts)
-            )
+            file.ciphertexts.extend(self.provider.paillier_encrypt_batch(plaintexts))
             self.backend.add_ciphertext_file(file)
             self._aggs[name] = _Registered(
                 name, table, expr_sql, file.name, self.splits, fn
@@ -183,10 +176,7 @@ class MaintainedAggregates:
         with self._lock:
             agg = self._get(name)
             n = self.provider.paillier_public.n
-            return [
-                v - n if v > n // 2 else v
-                for v in self._split_residues(agg)
-            ]
+            return [v - n if v > n // 2 else v for v in self._split_residues(agg)]
 
     # -- balancing -------------------------------------------------------------
 
@@ -203,10 +193,7 @@ class MaintainedAggregates:
             for agg_name in names:
                 agg = self._get(agg_name)
                 n = self.provider.paillier_public.n
-                values = [
-                    v - n if v > n // 2 else v
-                    for v in self._split_residues(agg)
-                ]
+                values = [v - n if v > n // 2 else v for v in self._split_residues(agg)]
                 total = sum(values)
                 share, remainder = divmod(total, agg.splits)
                 targets = [
@@ -276,9 +263,7 @@ class MaintainedAggregates:
 
     def _split_residues(self, agg: _Registered) -> list[int]:
         ciphertexts = retry_call(
-            lambda: self.backend.hom_read(
-                agg.file_name, list(range(agg.splits))
-            ),
+            lambda: self.backend.hom_read(agg.file_name, list(range(agg.splits))),
             self.retry_policy,
             rng=self._retry_rng,
         )
@@ -290,15 +275,10 @@ class MaintainedAggregates:
         factors = self.provider.paillier_encrypt_batch(
             [delta % n for _, delta in patches]
         )
-        updates = [
-            (split, factor)
-            for (split, _), factor in zip(patches, factors)
-        ]
+        updates = [(split, factor) for (split, _), factor in zip(patches, factors)]
         token = f"mrv-{self._token_prefix}-{next(self._token_seq)}"
         retry_call(
-            lambda: self.backend.hom_apply(
-                agg.file_name, updates=updates, token=token
-            ),
+            lambda: self.backend.hom_apply(agg.file_name, updates=updates, token=token),
             self.retry_policy,
             rng=self._retry_rng,
         )

@@ -26,15 +26,10 @@ materializing path (:meth:`PlanExecutor._run`) and re-blocks its result
 the materializing path returns identical rows and identical ledger byte
 counts — the streaming equivalence tests assert this.
 
-Prefetch pipeline
------------------
-``prefetch_blocks`` (default from ``MONOMI_PREFETCH``, 2) runs server
-block production on a producer thread feeding a bounded queue, so the
-server scans block *k+1* while the client decrypts block *k* — the two
-sides pipeline instead of alternating.  The ledger is only ever mutated
-from the consuming side (the producer reports its measured seconds
-alongside each block), so byte counts and row order stay byte-identical
-to the unprefetched stream.
+A streamed plan runs on its caller's thread as one sequence per block:
+pull the server block, charge its transfer, decrypt it, hand it to the
+residual — the paper's three cost terms (§6.4) in order, with no second
+thread to coordinate.
 
 Resilient execution
 -------------------
@@ -50,10 +45,9 @@ by the fault tests: under *any* fault schedule the primary ledger totals
 fault-free run; retried and abandoned work accrues separately in
 ``ledger.retries`` / ``ledger.retry_bytes``.  A
 :class:`~repro.common.retry.Deadline` passed to :meth:`execute` /
-:meth:`execute_iter` is checked at every block boundary (and inside the
-prefetch producer), turning runaway queries into a typed
-:class:`~repro.common.errors.DeadlineExceededError` with all worker
-threads shut down cleanly.
+:meth:`execute_iter` is checked at every block boundary, turning runaway
+queries into a typed :class:`~repro.common.errors.DeadlineExceededError`
+with the server stream closed cleanly.
 
 The returned :class:`~repro.common.ledger.CostLedger` carries the paper's
 three cost components (§6.4) for every benchmark to aggregate.
@@ -62,10 +56,7 @@ three cost components (§6.4) for every benchmark to aggregate.
 from __future__ import annotations
 
 import itertools
-import os
-import queue as queue_mod
 import random
-import threading
 import time
 from typing import Callable, Iterator
 
@@ -76,7 +67,6 @@ from repro.common.errors import (
     TransientError,
 )
 from repro.common.ledger import CostLedger, DiskModel, NetworkModel
-from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.core.encdata import CryptoProvider
 from repro.core.plan import ClientRelation, DecryptSpec, RemoteRelation, SplitPlan
@@ -93,27 +83,6 @@ from repro.engine.rowblock import (
 from repro.engine.schema import ColumnDef, TableSchema
 from repro.server.backend import ServerBackend, as_backend, supports_deadline
 from repro.sql import ast
-
-PREFETCH_ENV = "MONOMI_PREFETCH"
-DEFAULT_PREFETCH_BLOCKS = 2
-
-
-def _resolve_prefetch(prefetch_blocks: int | None) -> int:
-    """Queue depth for the server→client pipeline; 0 disables it."""
-    if prefetch_blocks is None:
-        raw = os.environ.get(PREFETCH_ENV)
-        if raw is None:
-            return DEFAULT_PREFETCH_BLOCKS
-        try:
-            prefetch_blocks = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{PREFETCH_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if prefetch_blocks < 0:
-        raise ConfigError(f"prefetch_blocks must be >= 0, got {prefetch_blocks}")
-    return prefetch_blocks
-
 
 class PlanStream:
     """A streaming query result: RowBlocks plus the live cost ledger.
@@ -139,13 +108,6 @@ class PlanStream:
         return ResultSet(self.columns, self._stream.drain_rows())
 
 
-#: How long the consumer waits for the prefetch producer (or the producer
-#: for an abandoned stream) before giving up the join — a stuck backend
-#: must not hang the client indefinitely.  The thread is a daemon either
-#: way; the bound only limits how long close() blocks.
-_PRODUCER_JOIN_SECONDS = 10.0
-
-
 def _deadline_checked(
     blocks: Iterator[RowBlock], deadline: Deadline
 ) -> Iterator[RowBlock]:
@@ -159,8 +121,8 @@ class _ResilientStream:
     """A re-openable view of one deterministic server block stream.
 
     Duck-types :class:`~repro.engine.rowblock.BlockStream` (``columns``,
-    ``stats``, iteration, ``close``) so the prefetch/sequential plumbing
-    is oblivious to faults.  When a pull raises a
+    ``stats``, iteration, ``close``) so the plan executor's block loop is
+    oblivious to faults.  When a pull raises a
     :class:`~repro.common.errors.TransientError`, the abandoned attempt
     is accounted (its scan bytes plus one result header go to the
     stream's ``retry_bytes``), the stream re-opens through the same
@@ -178,9 +140,8 @@ class _ResilientStream:
     ``max_attempts`` consecutive faults with zero rows in between.
 
     Counters (``retries``, ``retry_bytes``) are folded into the ledger by
-    the consuming side once iteration ends; this class never touches the
-    ledger itself (the prefetch producer iterates it from another
-    thread).
+    the plan executor once iteration ends; this class never touches the
+    ledger itself.
     """
 
     def __init__(
@@ -328,7 +289,6 @@ class PlanExecutor:
         network: NetworkModel | None = None,
         disk: DiskModel | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
-        prefetch_blocks: int | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.backend = as_backend(server)
@@ -336,7 +296,6 @@ class PlanExecutor:
         self.network = network or NetworkModel()
         self.disk = disk or DiskModel()
         self.block_rows = block_rows
-        self.prefetch_blocks = _resolve_prefetch(prefetch_blocks)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # Backoff jitter draws from a fixed-seed RNG so a given fault
         # schedule replays with identical retry timing (and never
@@ -350,7 +309,7 @@ class PlanExecutor:
 
         The service layer builds one executor per worker thread, each
         bound to that worker's backend view: provider, network/disk
-        models, block size, prefetch depth and retry policy carry over,
+        models, block size and retry policy carry over,
         while per-query server state stays worker-private.
         """
         return PlanExecutor(
@@ -359,7 +318,6 @@ class PlanExecutor:
             self.network,
             self.disk,
             block_rows=self.block_rows,
-            prefetch_blocks=self.prefetch_blocks,
             retry_policy=self.retry_policy,
         )
 
@@ -521,17 +479,13 @@ class PlanExecutor:
             )
         ledger.begin_round_trip(self.network)
         ledger.add_block_transfer(result_header_bytes(stream.columns), self.network)
-        if self.prefetch_blocks > 0:
-            produced = self._prefetched_blocks(stream, ledger, deadline)
-        else:
-            produced = self._sequential_blocks(stream, ledger)
+        blocks = iter(stream)
         try:
-            for block in produced:
-                if deadline is not None:
-                    # Consumer-side check: with prefetch, the producer may
-                    # have queued every block before expiry — a slow
-                    # consumer must still time out at block granularity.
-                    deadline.check("query stream")
+            while True:
+                with ledger.timing_server():
+                    block = next(blocks, None)
+                if block is None:
+                    return
                 ledger.add_block_transfer(block.payload_bytes(), self.network)
                 with ledger.timing_client():
                     out = RowBlock(
@@ -544,120 +498,16 @@ class PlanExecutor:
         finally:
             # Runs on exhaustion AND on early termination (residual LIMIT):
             # scan accounting is static, so the full footprint is charged
-            # either way — identical to the materializing path.  The
-            # close joins the producer, so the resilient stream's retry
-            # counters are stable when the consumer folds them in here —
-            # the ledger is only ever touched from the consuming side.
-            produced.close()
+            # either way — identical to the materializing path.  Closing
+            # the resilient stream first finalizes its scan stats and retry
+            # counters.
+            stream.close()
             ledger.retries += stream.retries
             ledger.retry_bytes += stream.retry_bytes
             stats = stream.stats
             scanned = stats.bytes_scanned if stats is not None else 0
             ledger.server_bytes_scanned += scanned
             ledger.server_seconds += self.disk.read_seconds(scanned)
-
-    def _sequential_blocks(
-        self, stream: "_ResilientStream", ledger: CostLedger
-    ) -> Iterator[RowBlock]:
-        """Alternating mode: pull each server block inline, then decrypt."""
-        blocks = iter(stream)
-        try:
-            while True:
-                with ledger.timing_server():
-                    block = next(blocks, None)
-                if block is None:
-                    return
-                yield block
-        finally:
-            stream.close()
-
-    def _prefetched_blocks(
-        self,
-        stream: "_ResilientStream",
-        ledger: CostLedger,
-        deadline: Deadline | None = None,
-    ) -> Iterator[RowBlock]:
-        """Pipelined mode: a producer thread pulls server blocks into a
-        bounded queue while the consumer decrypts.
-
-        The producer never touches the ledger — it measures the seconds
-        each ``next()`` took and ships them alongside the block, and the
-        consumer folds them in.  Ledger byte counts are therefore
-        identical to :meth:`_sequential_blocks`; only wall-clock overlap
-        differs.  The queue bound keeps peak memory at
-        O(prefetch x block) when the server outruns the client.
-
-        The producer owns the stream: only it iterates the underlying
-        generator, and its ``finally`` closes it (finalizing scan stats)
-        — so an early consumer exit never calls ``close()`` on a
-        generator that is mid-execution in another thread.  The consumer
-        joins the producer before reading the stream's stats; the join is
-        bounded by one block's production, since a stopped producer gives
-        up its pending queue put and exits.
-        """
-        out: queue_mod.Queue = queue_mod.Queue(maxsize=self.prefetch_blocks)
-        stop = threading.Event()
-
-        def produce() -> None:
-            try:
-                blocks = iter(stream)
-                while not stop.is_set():
-                    if deadline is not None and deadline.expired:
-                        # Deliver the expiry in-band: the consumer is
-                        # blocked on the queue and must be woken to raise
-                        # the typed error (returning silently would
-                        # strand it).
-                        queue_put_bounded(
-                            out,
-                            (
-                                "error",
-                                DeadlineExceededError(
-                                    "query exceeded its deadline while "
-                                    "prefetching server blocks"
-                                ),
-                                0.0,
-                            ),
-                            stop,
-                        )
-                        return
-                    start = time.perf_counter()
-                    try:
-                        block = next(blocks, None)
-                    except Exception as exc:  # Deliver engine errors in-band.
-                        queue_put_bounded(out, ("error", exc, 0.0), stop)
-                        return
-                    elapsed = time.perf_counter() - start
-                    if block is None:
-                        queue_put_bounded(out, ("done", None, elapsed), stop)
-                        return
-                    if not queue_put_bounded(out, ("block", block, elapsed), stop):
-                        return
-            finally:
-                stream.close()
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        try:
-            while True:
-                kind, payload, elapsed = out.get()
-                ledger.server_seconds += elapsed
-                if kind == "done":
-                    return
-                if kind == "error":
-                    raise payload
-                yield payload
-        finally:
-            stop.set()
-            while True:
-                try:
-                    out.get_nowait()
-                except queue_mod.Empty:
-                    break
-            # Bounded: a producer stuck inside a wedged backend call must
-            # not wedge the consumer's close() too (the thread is a
-            # daemon; giving up the join leaks no process resources the
-            # interpreter cannot reclaim at exit).
-            producer.join(timeout=_PRODUCER_JOIN_SECONDS)
 
     # -- internals ----------------------------------------------------------------
 

@@ -462,10 +462,12 @@ class SQLiteBackend(ServerBackend):
         # that read packed ciphertexts take this lock for an exclusive
         # accounting window while plain scans run fully concurrent.
         self._store_lock = threading.Lock()
-        # check_same_thread=False: the plan executor's prefetch pipeline
-        # pulls stream cursors from a producer thread.  SQLite itself is
-        # compiled serialized (sqlite3.threadsafety), and the executor
-        # never touches one cursor from two threads concurrently.
+        # check_same_thread=False: threads other than the opener drive this
+        # connection — the shard coordinator's fan-out threads (a SQLite
+        # shard), MonomiServer connection threads (writes through a
+        # session view land here) and the maintained-aggregate balancer.
+        # SQLite itself is compiled serialized (sqlite3.threadsafety), and
+        # no caller touches one cursor from two threads concurrently.
         self.connection = sqlite3.connect(
             self._connect_target,
             uri=self._connect_uri,
@@ -503,8 +505,9 @@ class SQLiteBackend(ServerBackend):
         is registered per connection because SQLite functions are
         connection-scoped, and ``busy_timeout`` is set so shared-cache
         lock contention retries instead of failing.
-        ``check_same_thread=False`` because a service worker's view is
-        also driven by the plan executor's prefetch producer thread.
+        ``check_same_thread=False`` because a service's DML view is driven
+        by whichever service worker holds the write lock, and
+        ``MonomiService.close`` closes every view from its own thread.
         """
         conn = sqlite3.connect(
             self._connect_target,

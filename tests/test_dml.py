@@ -34,6 +34,7 @@ from repro.core import (
     MonomiClient,
     normalize_query,
 )
+from repro.core.incagg import DEFAULT_SPLITS
 from repro.core.loader import insert_rows_idempotent
 from repro.core.schemes import Scheme
 from repro.engine import Database, Executor, schema
@@ -433,6 +434,29 @@ class TestMaintainedAggregates:
             aggs.register("x", "missing", "o_qty")  # unknown table
         with pytest.raises(ConfigError):
             aggs.value("unregistered")
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.7, True, "4"])
+    def test_splits_must_be_a_positive_int(self, provider, dml_design, bad):
+        """A bad split count is refused, not rounded or clamped to one,
+        before the aggregate set subscribes to the client's writes."""
+        client = make_client(provider, dml_design)
+        listeners = list(client.dml.listeners)
+        with pytest.raises(ConfigError, match="splits"):
+            MaintainedAggregates(client, splits=bad)
+        assert client.dml.listeners == listeners
+
+    @pytest.mark.parametrize("splits", [None, 1, 5])
+    def test_valid_splits_are_kept(self, provider, dml_design, splits):
+        """A valid split count is used as given; omitted, it is the default."""
+        client = make_client(provider, dml_design)
+        if splits is None:
+            aggs, expected = MaintainedAggregates(client), DEFAULT_SPLITS
+        else:
+            aggs, expected = MaintainedAggregates(client, splits=splits), splits
+        aggs.register("revenue", "orders", "o_price * o_qty")
+        assert aggs.splits == expected
+        assert len(aggs.split_values("revenue")) == expected
+        assert aggs.value("revenue") == self._revenue(build_sales_db(NUM_ORDERS))
 
 
 # ---------------------------------------------------------------------------

@@ -253,8 +253,11 @@ class TestDeadlines:
         with pytest.raises(ConfigError):
             sales_client.execute(SALES_WORKLOAD[0], timeout=0)
 
-    def test_slow_stream_consumer_times_out(self, sales_client):
-        stream = sales_client.execute_iter(
+    def test_slow_stream_consumer_times_out(self, each_backend_client):
+        """The one block-boundary check fires on both backends: the
+        server stream is pulled on the consumer's thread, so a consumer
+        that dawdles past the deadline times out at its next pull."""
+        stream = each_backend_client.execute_iter(
             "SELECT o_orderkey FROM orders", block_rows=16, timeout=0.15
         )
         blocks = iter(stream)

@@ -1,14 +1,14 @@
-"""The prefetch pipeline and the streaming scan paths.
+"""The streaming scan paths and peer providers.
 
-Every streaming path — a prefetch depth, a backend's native stream, a
-SQLite worker view, the sharded scatter-gather — must produce the same
-plaintext rows in the same order and the same ledger byte counts as the
-plain serial path; only wall-clock time may differ.  These tests pin that
-contract, plus the :class:`ConfigError` cases where a requested mode
-cannot be honored and must fail loudly instead of silently degrading,
-and the bounded queue put every producer thread uses.  A client whose
-provider holds the same keys by another route — a fresh provider from the
-master key, a pickled clone, a pinned decryption profile — must match the
+Every streaming path — a backend's native stream, a SQLite worker view,
+the sharded scatter-gather — must produce the same plaintext rows in the
+same order and the same ledger byte counts as the plain serial path; only
+wall-clock time may differ.  These tests pin that contract, plus the
+:class:`ConfigError` cases where a requested mode cannot be honored and
+must fail loudly instead of silently degrading, and the bounded queue put
+the shard coordinator's stream producers use.  A client whose provider
+holds the same keys by another route — a fresh provider from the master
+key, a pickled clone, a pinned decryption profile — must match the
 reference client's rows, ledger bytes, load sizes and plan choices.
 """
 
@@ -24,7 +24,6 @@ from repro.common.errors import ConfigError
 from repro.common.parallel import queue_put_bounded
 from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_query
 from repro.core.cost import DecryptionProfiler
-from repro.core.pexec import DEFAULT_PREFETCH_BLOCKS, _resolve_prefetch
 from repro.engine import schema
 from repro.engine.executor import ResultSet
 from repro.server import make_backend, make_sharded_backend
@@ -51,32 +50,8 @@ def ledger_bytes(ledger) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Policy helpers
+# Bounded queue put
 # ---------------------------------------------------------------------------
-
-
-class TestResolvers:
-    def test_prefetch_env(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_PREFETCH", "6")
-        assert _resolve_prefetch(None) == 6
-        monkeypatch.setenv("MONOMI_PREFETCH", "soon")
-        with pytest.raises(ConfigError):
-            _resolve_prefetch(None)
-        with pytest.raises(ConfigError):
-            _resolve_prefetch(-1)
-
-    def test_prefetch_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("MONOMI_PREFETCH", raising=False)
-        assert _resolve_prefetch(None) == DEFAULT_PREFETCH_BLOCKS
-
-    def test_prefetch_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("MONOMI_PREFETCH", "soon")
-        assert _resolve_prefetch(4) == 4
-
-    def test_prefetch_zero_disables(self, monkeypatch):
-        assert _resolve_prefetch(0) == 0
-        monkeypatch.setenv("MONOMI_PREFETCH", "0")
-        assert _resolve_prefetch(None) == 0
 
 
 def _put_in_thread(out: queue.Queue, item, stop: threading.Event):
@@ -309,13 +284,13 @@ class TestConfigErrors:
 
 
 # ---------------------------------------------------------------------------
-# Prefetch pipeline
+# Peer providers: same keys, same rows, ledgers, loads and plans
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def reference_client() -> MonomiClient:
-    """The serial client every prefetch depth and peer provider must match."""
+    """The client every peer provider must match."""
     return MonomiClient.setup(
         build_sales_db(num_orders=600),
         PARALLEL_WORKLOAD,
@@ -325,38 +300,31 @@ def reference_client() -> MonomiClient:
     )
 
 
-def _drain_at_depth(client: MonomiClient, sql: str, depth: int, block_rows: int):
-    """Rows and ledger bytes of ``sql`` run with ``depth`` prefetched blocks."""
+def _drain_in_blocks(client: MonomiClient, sql: str, block_rows: int):
+    """Rows and ledger bytes of ``sql`` streamed in ``block_rows`` blocks."""
     planned = client.plan(normalize_query(parse(sql)))
     executor = PlanExecutor(
-        client.backend,
-        client.provider,
-        client.network,
-        client.disk,
-        prefetch_blocks=depth,
+        client.backend, client.provider, client.network, client.disk
     )
     stream = executor.execute_iter(planned.plan, block_rows=block_rows)
     return stream.drain().rows, ledger_bytes(stream.ledger)
 
 
-class TestPrefetch:
-    @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
-    def test_prefetch_matches_unprefetched(self, reference_client, sql):
-        unprefetched = _drain_at_depth(reference_client, sql, 0, 128)
-        prefetched = _drain_at_depth(reference_client, sql, 3, 128)
-        assert prefetched[0] == unprefetched[0]
-        assert prefetched[1] == unprefetched[1]
+class TestBlockSizes:
+    """The stream pulls server blocks on its caller's thread; the block
+    size changes how often it pulls, never what it returns."""
 
+    @pytest.mark.parametrize("block_rows", [1, 16, 128])
     @pytest.mark.parametrize("sql", PARALLEL_WORKLOAD)
-    def test_one_slot_queue_matches_unprefetched(self, reference_client, sql):
-        """Depth 1 with small blocks keeps the producer blocked on a full
-        queue for nearly every put."""
-        unprefetched = _drain_at_depth(reference_client, sql, 0, 16)
-        prefetched = _drain_at_depth(reference_client, sql, 1, 16)
-        assert prefetched[0] == unprefetched[0]
-        assert prefetched[1] == unprefetched[1]
+    def test_block_size_keeps_rows_and_ledger_bytes(
+        self, reference_client, sql, block_rows
+    ):
+        expected = reference_client.execute(sql)
+        rows, ledger = _drain_in_blocks(reference_client, sql, block_rows)
+        assert rows == expected.rows
+        assert ledger == ledger_bytes(expected.ledger)
 
-    def test_early_close_joins_producer(self, reference_client):
+    def test_early_close_starts_and_leaves_no_thread(self, reference_client):
         query = normalize_query(
             parse("SELECT o_orderkey, o_price FROM orders WHERE o_price > 0")
         )
@@ -366,17 +334,13 @@ class TestPrefetch:
             reference_client.provider,
             reference_client.network,
             reference_client.disk,
-            prefetch_blocks=2,
         )
+        baseline = set(threading.enumerate())
         stream = executor.execute_iter(planned.plan, block_rows=32)
-        blocks = iter(stream)
-        assert next(blocks) is not None
-        stream.close()  # Must not deadlock.
-
-
-# ---------------------------------------------------------------------------
-# Peer providers: same keys, same rows, ledgers, loads and plans
-# ---------------------------------------------------------------------------
+        assert next(iter(stream)) is not None
+        assert not extra_threads(baseline, timeout=0)
+        stream.close()
+        assert not extra_threads(baseline)
 
 
 @pytest.fixture(scope="module", params=["fresh", "pickled", "pinned"])

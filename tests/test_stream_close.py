@@ -2,11 +2,13 @@
 
 A consumer that stops pulling (residual LIMIT, application error, user
 cancel) closes the :class:`~repro.core.client.QueryStream`.  That close
-must propagate down the whole pipeline — prefetch producer thread,
-shard merge, server cursors — and leave no thread running, on every
-backend, sharded or not, with and without prefetch.  The scan-byte
-accounting contract from the streaming PR also holds: the full scan
-footprint is charged whether or not the stream was drained.
+must propagate down the whole pipeline — shard merge, server cursors,
+the wire — and leave no thread running, on every backend, sharded,
+remote or neither, and leave the client fit for its next query.  An
+unsharded stream never starts a thread at all: its server blocks are
+pulled on the caller's thread.  The scan-byte accounting contract from
+the streaming PR also holds: the full scan footprint is charged whether
+or not the stream was drained.
 """
 
 from __future__ import annotations
@@ -21,21 +23,6 @@ from repro.testkit import MASTER_KEY, SALES_WORKLOAD
 from repro.testkit import extra_threads as _extra_threads
 
 STREAM_SQL = "SELECT o_orderkey, o_price FROM orders"
-
-
-def _client_with(base: MonomiClient, prefetch_blocks: int) -> MonomiClient:
-    """A streaming client over ``base``'s backend with an explicit
-    prefetch depth."""
-    return MonomiClient(
-        base.plain_db,
-        base.design,
-        base.provider,
-        base.backend,
-        base.flags,
-        base.network,
-        base.disk,
-        prefetch_blocks=prefetch_blocks,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -61,26 +48,21 @@ def sharded_clients(sales_db, provider, sales_client):
         client.close()
 
 
-@pytest.fixture(params=["memory", "sqlite", "sharded-memory", "sharded-sqlite"])
-def backend_client(request, sales_client, sales_client_sqlite):
-    """Both backends, alone and as the shards of a sharded server."""
-    if request.param == "memory":
-        return sales_client
-    if request.param == "sqlite":
-        return sales_client_sqlite
-    shard_kind = request.param.split("-")[1]
-    return request.getfixturevalue("sharded_clients")[shard_kind]
-
-
 @pytest.fixture(
-    params=[
-        pytest.param(0, id="serial"),
-        pytest.param(2, id="prefetch"),
-    ]
+    params=["memory", "sqlite", "remote", "sharded-memory", "sharded-sqlite"]
 )
-def stream_client(request, backend_client):
-    """Every backend, with and without the prefetch producer."""
-    client = _client_with(backend_client, request.param)
+def backend_client(request, sales_client, sales_client_sqlite):
+    """Both backends, alone, across the wire and as the shards of a
+    sharded server."""
+    if request.param == "memory":
+        client = sales_client
+    elif request.param == "sqlite":
+        client = sales_client_sqlite
+    elif request.param == "remote":
+        client = request.getfixturevalue("sales_client_remote")
+    else:
+        shard_kind = request.param.split("-")[1]
+        client = request.getfixturevalue("sharded_clients")[shard_kind]
     # Warm up pools and caches with one fully drained query, so the
     # thread baseline each test snapshots includes long-lived pool
     # machinery but no per-query workers.
@@ -89,9 +71,22 @@ def stream_client(request, backend_client):
 
 
 class TestMidStreamClose:
-    def test_close_after_two_blocks_leaks_no_threads(self, stream_client):
+    def test_unsharded_stream_runs_on_callers_thread(self, each_backend_client):
+        each_backend_client.execute(STREAM_SQL)
         baseline = set(threading.enumerate())
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+        stream = each_backend_client.execute_iter(STREAM_SQL, block_rows=16)
+        blocks = iter(stream)
+        next(blocks)
+        next(blocks)
+        try:
+            extra = _extra_threads(baseline)
+            assert not extra, f"threads running mid-stream: {extra}"
+        finally:
+            stream.close()
+
+    def test_close_after_two_blocks_leaks_no_threads(self, backend_client):
+        baseline = set(threading.enumerate())
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         blocks = iter(stream)
         first = next(blocks)
         next(blocks)
@@ -100,9 +95,9 @@ class TestMidStreamClose:
         leaked = _extra_threads(baseline)
         assert not leaked, f"leaked threads after close: {leaked}"
 
-    def test_close_still_charges_full_scan(self, stream_client):
-        reference = stream_client.execute(STREAM_SQL)
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+    def test_close_still_charges_full_scan(self, backend_client):
+        reference = backend_client.execute(STREAM_SQL)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         next(iter(stream))
         stream.close()
         assert (
@@ -110,33 +105,63 @@ class TestMidStreamClose:
             == reference.ledger.server_bytes_scanned
         )
 
-    def test_close_is_idempotent(self, stream_client):
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+    def test_close_is_idempotent(self, backend_client):
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         next(iter(stream))
         stream.close()
         stream.close()
 
-    def test_close_before_first_pull(self, stream_client):
+    def test_close_before_first_pull(self, backend_client):
         baseline = set(threading.enumerate())
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         stream.close()
         leaked = _extra_threads(baseline)
         assert not leaked, f"leaked threads after close: {leaked}"
 
-    def test_dropped_stream_is_collectable(self, stream_client):
+    def test_dropped_stream_is_collectable(self, backend_client):
         baseline = set(threading.enumerate())
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         next(iter(stream))
         del stream
         gc.collect()
         leaked = _extra_threads(baseline)
         assert not leaked, f"leaked threads after GC: {leaked}"
 
-    def test_drain_after_partial_pull_matches_execute(self, stream_client):
-        reference = stream_client.execute(STREAM_SQL)
-        stream = stream_client.execute_iter(STREAM_SQL, block_rows=16)
+    def test_client_serves_next_query_after_close(self, backend_client):
+        """An abandoned stream's server cursor is released, so the same
+        client's next query sees the whole table."""
+        reference = backend_client.execute(STREAM_SQL)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
+        next(iter(stream))
+        stream.close()
+        again = backend_client.execute(STREAM_SQL)
+        assert again.rows == reference.rows
+        assert again.ledger.transfer_bytes == reference.ledger.transfer_bytes
+
+    def test_interleaved_streams_are_independent(self, backend_client):
+        """Two open streams on one client, pulled in turn, each return the
+        rows of a lone query: pulling on the caller's thread shares no
+        cursor between them."""
+        reference = backend_client.execute(STREAM_SQL)
+        first = backend_client.execute_iter(STREAM_SQL, block_rows=16)
+        second = backend_client.execute_iter(STREAM_SQL, block_rows=16)
+        rows: tuple[list, list] = ([], [])
+        pending = [iter(first), iter(second)]
+        while any(pending):
+            for i, blocks in enumerate(pending):
+                if blocks is None:
+                    continue
+                block = next(blocks, None)
+                if block is None:
+                    pending[i] = None
+                else:
+                    rows[i].extend(block.rows())
+        assert rows[0] == reference.rows
+        assert rows[1] == reference.rows
+
+    def test_drain_after_partial_pull_matches_execute(self, backend_client):
+        reference = backend_client.execute(STREAM_SQL)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         outcome = stream.drain()
         assert outcome.rows == reference.rows
-        assert (
-            outcome.ledger.transfer_bytes == reference.ledger.transfer_bytes
-        )
+        assert outcome.ledger.transfer_bytes == reference.ledger.transfer_bytes
