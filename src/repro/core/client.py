@@ -7,9 +7,10 @@
   untrusted server, and profile decryption costs;
 * :meth:`MonomiClient.execute` plays the runtime — normalize the incoming
   SQL, pick the best split plan with the planner (once per distinct
-  normalized statement: :meth:`MonomiClient.plan` memoizes plans), execute
-  it against the server, decrypt, finish locally, and return plaintext
-  rows together with the cost ledger.
+  normalized statement: :meth:`MonomiClient.plan` memoizes plans, and an
+  exact repeat of a statement's text skips normalization too), execute it
+  against the server, decrypt, finish locally, and return plaintext rows
+  together with the cost ledger.
 
 The server half (:attr:`backend` — in-memory engine or real SQLite, see
 :mod:`repro.server`) holds only ciphertexts, the Paillier public key, and
@@ -40,7 +41,7 @@ from repro.core.normalize import (
     normalize_query,
 )
 from repro.core.pexec import PlanExecutor, PlanStream
-from repro.core.plancache import PlanCache, plan_cache_key
+from repro.core.plancache import PlanCache, TextKey, plan_cache_key, text_cache_key
 from repro.core.planner import PlannedQuery, Planner
 from repro.engine.catalog import Database
 from repro.engine.executor import ResultSet
@@ -397,18 +398,17 @@ class MonomiClient:
         aggregates are patched in place.  The outcome's result set is one
         ``rows_affected`` row and ``planned`` is ``None``.
 
-        A SELECT is planned through :meth:`plan`, so repeating a statement
-        (same normalized text) reuses its plan, across writes too.
+        A SELECT is planned through the plan cache, so repeating a
+        statement (same normalized text) reuses its plan, across writes too.
         """
-        statement = parse_statement(sql) if isinstance(sql, str) else sql
+        planned, statement, text = self._resolve(sql, params)
         if ast.is_dml(statement):
-            statement = normalize_dml(statement, params)
-            result, ledger = self.dml.execute(statement)
+            result, ledger = self.dml.execute(normalize_dml(statement, params))
             # DML moved table/hom sizes; re-snapshot them for cost estimates.
             self._refresh_planner()
             return QueryOutcome(result, ledger, None)
-        query = normalize_for_execution(statement, params)
-        planned = self.plan(query)
+        if planned is None:
+            planned, _ = self._plan(statement, text)
         deadline = Deadline.after(timeout) if timeout is not None else None
         result, ledger = self.executor.execute(planned.plan, deadline=deadline)
         return QueryOutcome(result, ledger, planned)
@@ -431,11 +431,7 @@ class MonomiClient:
         ``timeout`` deadline covers the whole stream's lifetime, not just
         its creation — a slow consumer can also run out of time.
         """
-        statement = parse_statement(sql) if isinstance(sql, str) else sql
-        if ast.is_dml(statement):
-            raise UnsupportedQueryError("DML statements do not stream; use execute()")
-        query = normalize_for_execution(statement, params)
-        planned = self.plan(query)
+        planned, _ = self._plan_statement(sql, params, "do not stream; use execute()")
         deadline = Deadline.after(timeout) if timeout is not None else None
         stream = self.executor.execute_iter(
             planned.plan, block_rows=block_rows, deadline=deadline
@@ -448,10 +444,12 @@ class MonomiClient:
         """The plan :meth:`execute` would run, with its estimated cost.
 
         The statement passes the same gate as :meth:`execute` (so a shape
-        ``execute`` rejects raises here too) and is planned through
-        :meth:`plan`; the header says whether the plan came from the cache.
+        ``execute`` rejects raises here too, and DML, which has no split
+        plan, raises :class:`~repro.common.errors.UnsupportedQueryError`)
+        and is planned through the plan cache; the header says whether the
+        plan came from the cache.
         """
-        planned, hit = self._plan(normalize_for_execution(sql, params))
+        planned, hit = self._plan_statement(sql, params, "have no plan to explain")
         header = (
             f"estimated cost: {planned.cost.total_seconds:.4f}s "
             f"(server {planned.cost.server_seconds:.4f}s, "
@@ -485,17 +483,57 @@ class MonomiClient:
         """
         return self._plan(query)[0]
 
-    def _plan(self, query: ast.Select) -> tuple[PlannedQuery, bool]:
-        """:meth:`plan`, and whether its one counted lookup was a hit."""
+    def _resolve(
+        self, sql: str | ast.Statement, params: dict[str, object] | None
+    ) -> tuple[PlannedQuery | None, ast.Statement | None, TextKey | None]:
+        """The one way from a statement and its parameters into the plan
+        cache: ``(planned, statement, text)``.
+
+        An exact repeat of a planned statement string is a text-level hit,
+        ``(planned, None, None)``: nothing is parsed or normalized.
+        Otherwise the statement is parsed: DML comes back as parsed,
+        ``(None, dml, None)``, for the caller to normalize and run; a
+        SELECT comes back normalized with its text key, ``(None, query,
+        text)``, for :meth:`_plan`, which makes the counted lookup.
+        """
+        text = text_cache_key(sql, params)
+        if text is not None:
+            planned = self.plan_cache.get_text(text)
+            if planned is not None:
+                return planned, None, None
+        statement = parse_statement(sql) if isinstance(sql, str) else sql
+        if ast.is_dml(statement):
+            return None, statement, None
+        return None, normalize_for_execution(statement, params), text
+
+    def _plan_statement(
+        self, sql: str | ast.Statement, params: dict[str, object] | None, dml: str
+    ) -> tuple[PlannedQuery, bool]:
+        """:meth:`_resolve` then :meth:`_plan` for a SELECT-only entry
+        point; DML raises :class:`UnsupportedQueryError` with the reason
+        ``dml``."""
+        planned, statement, text = self._resolve(sql, params)
+        if planned is not None:
+            return planned, True
+        if ast.is_dml(statement):
+            kind = type(statement).__name__.upper()
+            raise UnsupportedQueryError(f"{kind} statements {dml}")
+        return self._plan(statement, text)
+
+    def _plan(
+        self, query: ast.Select, text: TextKey | None = None
+    ) -> tuple[PlannedQuery, bool]:
+        """:meth:`plan`, and whether its one counted lookup was a hit;
+        the plan is filed under the statement's ``text`` key too."""
         key = plan_cache_key(query, self.design_fingerprint)
-        planned = self.plan_cache.get(key)
+        planned = self.plan_cache.get(key, text)
         if planned is not None:
             return planned, True
         with self._plan_lock:
             planned = self.plan_cache.peek(key)
             if planned is None:
                 planned = self.planner.plan(query)
-                self.plan_cache.put(key, planned)
+            self.plan_cache.put(key, planned, text)
         return planned, False
 
     def plan_with_units(

@@ -24,6 +24,7 @@ from dataclasses import replace
 from repro.common.errors import PlanningError, UnsupportedQueryError
 from repro.engine.schema import TableSchema
 from repro.sql import ast, parse
+from repro.sql.printer import LITERAL_TYPES
 
 
 def normalize_for_execution(
@@ -38,9 +39,7 @@ def normalize_for_execution(
     query = parse(sql) if isinstance(sql, str) else sql
     query = normalize_query(query, params)
     if has_multi_pattern_like(query):
-        raise UnsupportedQueryError(
-            "multi-pattern LIKE is not supported (paper §7)"
-        )
+        raise UnsupportedQueryError("multi-pattern LIKE is not supported (paper §7)")
     return query
 
 
@@ -60,9 +59,7 @@ def normalize_dml(
     )
     where = getattr(statement, "where", None)
     if where is not None:
-        probe = ast.Select(
-            items=(ast.SelectItem(ast.Literal(1)),), where=where
-        )
+        probe = ast.Select(items=(ast.SelectItem(ast.Literal(1)),), where=where)
         if has_multi_pattern_like(probe):
             raise UnsupportedQueryError(
                 "multi-pattern LIKE is not supported (paper §7)"
@@ -70,7 +67,9 @@ def normalize_dml(
     return statement
 
 
-def normalize_query(query: ast.Select, params: dict[str, object] | None = None) -> ast.Select:
+def normalize_query(
+    query: ast.Select, params: dict[str, object] | None = None
+) -> ast.Select:
     params = params or {}
 
     def rewrite_expr(expr: ast.Expr) -> ast.Expr:
@@ -89,7 +88,15 @@ def _rewrite_node(expr: ast.Expr, params: dict[str, object]) -> ast.Expr:
     if isinstance(expr, ast.Param):
         if expr.name not in params:
             raise PlanningError(f"unbound parameter :{expr.name}")
-        return ast.Literal(params[expr.name])
+        value = params[expr.name]
+        # Bound values become literals, which the planner and the plan
+        # cache print: refuse here what the printer cannot print.
+        if not isinstance(value, LITERAL_TYPES):
+            raise PlanningError(
+                f"parameter :{expr.name} has unsupported type "
+                f"{type(value).__name__}"
+            )
+        return ast.Literal(value)
     if isinstance(expr, ast.FuncCall) and expr.name == "avg" and len(expr.args) == 1:
         arg = expr.args[0]
         return ast.BinOp(
@@ -103,9 +110,8 @@ def _rewrite_node(expr: ast.Expr, params: dict[str, object]) -> ast.Expr:
 
 def _fold_constant(expr: ast.Expr) -> ast.Expr | None:
     if isinstance(expr, ast.BinOp) and expr.op in ("+", "-", "*", "/"):
-        left, right = expr.left, expr.right
-        lv = left.value if isinstance(left, ast.Literal) else (left if isinstance(left, ast.Interval) else None)
-        rv = right.value if isinstance(right, ast.Literal) else (right if isinstance(right, ast.Interval) else None)
+        lv = _operand(expr.left)
+        rv = _operand(expr.right)
         if lv is None or rv is None:
             return None
         if isinstance(lv, bool) or isinstance(rv, bool):
@@ -126,8 +132,15 @@ def _fold_constant(expr: ast.Expr) -> ast.Expr | None:
     return None
 
 
-def _rewrite_subqueries(query: ast.Select, rewrite_select) -> ast.Select:
-    """Recurse normalization into subqueries in expressions and FROM."""
+def _operand(expr: ast.Expr) -> object:
+    """A literal's value or an interval node; ``None`` for anything else."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    return expr if isinstance(expr, ast.Interval) else None
+
+
+def _subquery_rewriter(rewrite_select):
+    """An ``ast.transform`` callback that normalizes subqueries in place."""
 
     def expr_walk(expr: ast.Expr) -> ast.Expr:
         if isinstance(expr, ast.ScalarSubquery):
@@ -138,6 +151,12 @@ def _rewrite_subqueries(query: ast.Select, rewrite_select) -> ast.Select:
             return ast.Exists(rewrite_select(expr.query), expr.negated)
         return expr
 
+    return expr_walk
+
+
+def _rewrite_subqueries(query: ast.Select, rewrite_select) -> ast.Select:
+    """Recurse normalization into subqueries in expressions and FROM."""
+    expr_walk = _subquery_rewriter(rewrite_select)
     query = query.map_expressions(lambda e: ast.transform(e, expr_walk))
     new_from = tuple(_rewrite_ref(ref, rewrite_select) for ref in query.from_items)
     return replace(query, from_items=new_from)
@@ -149,16 +168,7 @@ def _rewrite_ref(ref: ast.TableRef, rewrite_select) -> ast.TableRef:
     if isinstance(ref, ast.Join):
         condition = ref.condition
         if condition is not None:
-            def expr_walk(expr: ast.Expr) -> ast.Expr:
-                if isinstance(expr, ast.ScalarSubquery):
-                    return ast.ScalarSubquery(rewrite_select(expr.query))
-                if isinstance(expr, ast.InSubquery):
-                    return ast.InSubquery(expr.needle, rewrite_select(expr.query), expr.negated)
-                if isinstance(expr, ast.Exists):
-                    return ast.Exists(rewrite_select(expr.query), expr.negated)
-                return expr
-
-            condition = ast.transform(condition, expr_walk)
+            condition = ast.transform(condition, _subquery_rewriter(rewrite_select))
         return ast.Join(
             _rewrite_ref(ref.left, rewrite_select),
             _rewrite_ref(ref.right, rewrite_select),
@@ -195,7 +205,9 @@ def has_multi_pattern_like(query: ast.Select) -> bool:
             found = True
         if isinstance(ref, ast.Join):
             for side in (ref.left, ref.right):
-                if isinstance(side, ast.SubqueryRef) and has_multi_pattern_like(side.query):
+                if isinstance(side, ast.SubqueryRef) and has_multi_pattern_like(
+                    side.query
+                ):
                     found = True
     return found
 
@@ -252,9 +264,7 @@ def _expand_ref(ref: ast.TableRef, schemas: dict[str, TableSchema]) -> ast.Table
     return ref
 
 
-def _relation_columns(
-    ref: ast.TableRef, schemas: dict[str, TableSchema]
-) -> list[str]:
+def _relation_columns(ref: ast.TableRef, schemas: dict[str, TableSchema]) -> list[str]:
     if isinstance(ref, ast.SubqueryRef):
         return [item.output_name(i) for i, item in enumerate(ref.query.items)]
     schema = schemas.get(ref.name)

@@ -11,7 +11,8 @@ share the one cache.
 
 Keying rule
 -----------
-The cache key is the pair
+The cache has two levels behind one lock, one capacity and one LRU
+policy.  The **normalized level** holds the plans, keyed on the pair
 
 ``(normalized SQL text, physical-design fingerprint)``
 
@@ -33,6 +34,26 @@ The cache key is the pair
   under the design it was planned against; fingerprinting the design into
   the key makes a stale plan unreachable rather than latently wrong.
 
+The **text level** sits in front of it and maps what the caller passed —
+the statement string and its parameters, :func:`text_cache_key` — to the
+normalized key, so an exact repeat of a statement is answered without
+parsing, normalizing or printing anything.  It is sound because the
+normalized text is a function of the text key: each parameter is keyed by
+⟨name, ``type(v)``, ``repr(v)``⟩, never by the value alone (``1 == True
+== 1.0`` and ``0.0 == -0.0`` in Python, while the printer prints each of
+them differently).  Only statement strings get a text key; a statement
+passed as an AST takes the normalized level alone.  A text entry is filed
+only beside a plan, after normalization succeeded: a parse error, the
+multi-pattern-LIKE rejection or an unbound or unprintable parameter
+raises again on every repeat.
+
+Either way a statement makes exactly **one** counted lookup: a text-level
+hit counts the hit; otherwise the normalized lookup counts the hit or the
+miss.  A text entry whose plan was evicted is dropped uncounted, so the
+statement re-plans with one counted miss.  ``entries`` and ``len()``
+count plans, ``text_entries`` the text level, which is bounded by the
+same capacity.
+
 Cached plans are treated as immutable and shared across sessions; the
 executor never mutates a plan, so concurrent executions of one cached
 plan are safe.
@@ -51,11 +72,25 @@ from repro.sql import ast, to_sql
 #: Entries the client's plan cache holds (distinct normalized statements).
 PLAN_CACHE_SIZE = 128
 
+PlanKey = tuple[str, str]
+TextKey = tuple
 
-def plan_cache_key(query: ast.Select, design_fingerprint: str) -> tuple[str, str]:
+
+def plan_cache_key(query: ast.Select, design_fingerprint: str) -> PlanKey:
     """The cache key for a *normalized* query under the design whose
     :meth:`~repro.core.design.PhysicalDesign.fingerprint` is given."""
     return (to_sql(query), design_fingerprint)
+
+
+def text_cache_key(sql: object, params: dict[str, object] | None) -> TextKey | None:
+    """The text-level key of a statement as the caller passed it, or
+    ``None`` when ``sql`` is not a string (an AST takes the normalized
+    level alone).  Parameter order does not matter."""
+    if not isinstance(sql, str):
+        return None
+    if not params:
+        return (sql,)
+    return (sql, frozenset((name, type(v), repr(v)) for name, v in params.items()))
 
 
 @dataclass(frozen=True)
@@ -67,6 +102,7 @@ class PlanCacheStats:
     evictions: int
     entries: int
     capacity: int
+    text_entries: int
 
     @property
     def hit_rate(self) -> float:
@@ -90,7 +126,8 @@ class PlanCache:
             raise ConfigError(f"plan cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._data: OrderedDict[tuple[str, str], PlannedQuery] = OrderedDict()
+        self._data: OrderedDict[PlanKey, PlannedQuery] = OrderedDict()
+        self._texts: OrderedDict[TextKey, PlanKey] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -99,8 +136,25 @@ class PlanCache:
     def capacity(self) -> int:
         return self._capacity
 
-    def get(self, key: tuple[str, str]) -> PlannedQuery | None:
-        """Look up a plan, counting the hit or miss."""
+    def get_text(self, text: TextKey) -> PlannedQuery | None:
+        """Look up a plan by statement text, counting only a hit: on
+        ``None`` the caller's normalized lookup counts this statement."""
+        with self._lock:
+            key = self._texts.get(text)
+            if key is None:
+                return None
+            planned = self._data.get(key)
+            if planned is None:
+                del self._texts[text]
+                return None
+            self._texts.move_to_end(text)
+            self._data.move_to_end(key)
+            self._hits += 1
+            return planned
+
+    def get(self, key: PlanKey, text: TextKey | None = None) -> PlannedQuery | None:
+        """Look up a plan, counting the hit or miss; a hit also files
+        ``text`` under ``key``."""
         with self._lock:
             planned = self._data.get(key)
             if planned is None:
@@ -108,9 +162,11 @@ class PlanCache:
                 return None
             self._data.move_to_end(key)
             self._hits += 1
+            if text is not None:
+                self._link(text, key)
             return planned
 
-    def peek(self, key: tuple[str, str]) -> PlannedQuery | None:
+    def peek(self, key: PlanKey) -> PlannedQuery | None:
         """Counter-free, recency-free lookup.
 
         Used for the single-flight re-check after a counted miss: the
@@ -120,17 +176,31 @@ class PlanCache:
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key: tuple[str, str], planned: PlannedQuery) -> None:
+    def put(
+        self, key: PlanKey, planned: PlannedQuery, text: TextKey | None = None
+    ) -> None:
+        """Store a plan, and file ``text`` under ``key`` when given."""
         with self._lock:
             self._data[key] = planned
             self._data.move_to_end(key)
             while len(self._data) > self._capacity:
                 self._data.popitem(last=False)
                 self._evictions += 1
+            if text is not None:
+                self._link(text, key)
+
+    def _link(self, text: TextKey, key: PlanKey) -> None:
+        """File a text entry (caller holds the lock)."""
+        self._texts[text] = key
+        self._texts.move_to_end(text)
+        if len(self._texts) > self._capacity:
+            self._texts.popitem(last=False)
 
     def clear(self) -> None:
+        """Empty both levels (the counters keep counting)."""
         with self._lock:
             self._data.clear()
+            self._texts.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -144,4 +214,5 @@ class PlanCache:
                 evictions=self._evictions,
                 entries=len(self._data),
                 capacity=self._capacity,
+                text_entries=len(self._texts),
             )

@@ -18,16 +18,17 @@ entirely on the trusted client side, wrapping one
   its own :class:`~repro.common.ledger.CostLedger`; every query also
   returns its private per-query ledger, so concurrent sessions never
   share mutable ledger state.
-* **One plan cache** — sessions plan through
-  :meth:`MonomiClient.plan <repro.core.client.MonomiClient.plan>`, so
-  they share the client's :class:`~repro.core.plancache.PlanCache`
-  (keyed on ⟨normalized SQL, design fingerprint⟩) with ``execute``,
-  ``execute_iter`` and ``explain``: a statement the client already ran
-  skips the rewriter/splitter/planner here too, and the other way round
-  (the client's hit/miss counters in :meth:`MonomiService.stats`).
+* **One plan cache** — sessions look statements up in the client's
+  :class:`~repro.core.plancache.PlanCache` (keyed on the statement text,
+  then on ⟨normalized SQL, design fingerprint⟩) exactly as ``execute``,
+  ``execute_iter`` and ``explain`` do: a statement the client already ran
+  skips normalization and the rewriter/splitter/planner here too, and the
+  other way round (the client's hit/miss counters in
+  :meth:`MonomiService.stats`).
 * **Prepared statements** — :meth:`MonomiService.prepare` /
   :meth:`MonomiService.execute_prepared` re-encrypt only the parameter
-  literals under the cached plan (see :mod:`repro.service.prepared`).
+  literals under the cached plan (see :mod:`repro.service.prepared`); a
+  repeated binding is a text-level hit in the statement's own cache.
 * **Resilience** — ``timeout=`` on submit arms a deadline at *submit*
   time (queue wait counts against it), and a whole-query retry re-runs a
   query whose transient fault escaped the executor's in-query recovery
@@ -66,13 +67,19 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, UnsupportedQueryError
 from repro.common.ledger import CostLedger
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.core.client import MonomiClient, QueryOutcome
 from repro.core.normalize import normalize_dml, normalize_for_execution
 from repro.core.pexec import PlanExecutor
-from repro.core.plancache import PlanCache, PlanCacheStats, plan_cache_key
+from repro.core.plancache import (
+    PlanCache,
+    PlanCacheStats,
+    TextKey,
+    plan_cache_key,
+    text_cache_key,
+)
 from repro.core.planner import PlannedQuery
 from repro.service.prepared import (
     PreparedPlan,
@@ -82,7 +89,7 @@ from repro.service.prepared import (
     rebind_plan,
     substitution_safety,
 )
-from repro.sql import ast, parse, parse_statement, to_sql
+from repro.sql import ast, parse_statement, to_sql
 
 DEFAULT_WORKERS = 4
 
@@ -262,16 +269,21 @@ class MonomiService:
 
         INSERT/UPDATE/DELETE are accepted too: they route to the encrypted
         DML path under the service write lock (see the module docstring).
+
+        The statement is looked up and normalized here, on the caller's
+        thread, so a bad statement raises from ``submit``; a plan-cache
+        miss plans on the worker.
         """
         self._ensure_open()
-        statement = parse_statement(sql) if isinstance(sql, str) else sql
         target = session or self._default_session
         deadline = Deadline.after(timeout) if timeout is not None else None
+        planned, statement, text = self._client._resolve(sql, params)
         if ast.is_dml(statement):
             statement = normalize_dml(statement, params)
             return self._pool.submit(self._run_dml, target, statement, deadline)
-        query = self._normalize(statement, params)
-        return self._pool.submit(self._run_planned_query, target, query, deadline)
+        return self._pool.submit(
+            self._run_query, target, planned, statement, text, deadline
+        )
 
     def execute(
         self,
@@ -287,9 +299,18 @@ class MonomiService:
     # -- prepared statements --------------------------------------------------
 
     def prepare(self, sql: str | ast.Select) -> PreparedStatement:
-        """Parse a ``:name``-parameterized template into a reusable handle."""
+        """Parse a ``:name``-parameterized template into a reusable handle.
+
+        Only a SELECT can be prepared: DML raises
+        :class:`~repro.common.errors.UnsupportedQueryError`.
+        """
         self._ensure_open()
-        template = parse(sql) if isinstance(sql, str) else sql
+        template = parse_statement(sql) if isinstance(sql, str) else sql
+        if ast.is_dml(template):
+            kind = type(template).__name__.upper()
+            raise UnsupportedQueryError(
+                f"{kind} statements cannot be prepared; use execute()"
+            )
         names = tuple(sorted(param_sites(template)))
         text = sql if isinstance(sql, str) else to_sql(sql)
         with self._state_lock:
@@ -351,11 +372,6 @@ class MonomiService:
         if self._closed:
             raise ConfigError("service is closed")
 
-    def _normalize(
-        self, sql: str | ast.Select, params: dict[str, object] | None
-    ) -> ast.Select:
-        return normalize_for_execution(sql, params)
-
     def _worker_executor(self) -> PlanExecutor:
         """This worker thread's executor (lazily built, with its own
         backend view)."""
@@ -397,15 +413,21 @@ class MonomiService:
             self._queries += 1
         return QueryOutcome(result, ledger, planned)
 
-    def _run_planned_query(
+    def _run_query(
         self,
         session: ServiceSession,
-        query: ast.Select,
+        planned: PlannedQuery | None,
+        query: ast.Select | None,
+        text: TextKey | None,
         deadline: Deadline | None = None,
     ) -> QueryOutcome:
+        """Run a text-level hit's ``planned``, or plan the normalized
+        ``query`` first (the client's counted lookup, single-flight)."""
         if deadline is not None:
             deadline.check("query (queued)")
-        return self._finish(session, self._client.plan(query), deadline)
+        if planned is None:
+            planned, _ = self._client._plan(query, text)
+        return self._finish(session, planned, deadline)
 
     def _dml_executor(self):
         """The service's DML executor: bound to its own worker view so each
@@ -449,13 +471,15 @@ class MonomiService:
     ) -> QueryOutcome:
         if deadline is not None:
             deadline.check("prepared query (queued)")
-        normalized = self._normalize(state.statement.template, params)
-        key = plan_cache_key(normalized, self._client.design_fingerprint)
-        planned = state.plans.get(key)
-        if planned is not None:
-            return self._finish(session, planned, deadline)
-        planned = self._prepared_plan(state, normalized, params)
-        state.plans.put(key, planned)
+        text = text_cache_key(state.statement.sql, params)
+        planned = state.plans.get_text(text)
+        if planned is None:
+            normalized = normalize_for_execution(state.statement.template, params)
+            key = plan_cache_key(normalized, self._client.design_fingerprint)
+            planned = state.plans.get(key, text)
+            if planned is None:
+                planned = self._prepared_plan(state, normalized, params)
+                state.plans.put(key, planned, text)
         return self._finish(session, planned, deadline)
 
     def _prepared_plan(

@@ -31,6 +31,10 @@ _PRECEDENCE = {
 STANDARD = "standard"
 SQLITE = "sqlite"
 
+#: The Python types a :class:`~repro.sql.ast.Literal` may hold: exactly the
+#: values :func:`to_sql` can print (``datetime.date`` covers datetimes).
+LITERAL_TYPES = (type(None), bool, int, float, bytes, datetime.date, str, frozenset)
+
 
 def to_sql(node: ast.Select | ast.Expr, dialect: str = STANDARD) -> str:
     if dialect not in (STANDARD, SQLITE):
@@ -254,6 +258,8 @@ def _like_sql(e: ast.Like, d: str) -> str:
 
 
 def _literal_sql(value: object, d: str) -> str:
+    if not isinstance(value, LITERAL_TYPES):
+        raise TypeError(f"unprintable literal {value!r}")
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -277,9 +283,8 @@ def _literal_sql(value: object, d: str) -> str:
         return f"DATE '{value.isoformat()}'"
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, frozenset):
-        if d == SQLITE:
-            return "X'" + encode_sqlite_value(value).hex() + "'"
-        # SEARCH tag sets never appear in printable queries; placeholder only.
-        return "X'" + b"".join(sorted(value)).hex() + "'"
-    raise TypeError(f"unprintable literal {value!r}")
+    # A frozenset: a SEARCH tag set.
+    if d == SQLITE:
+        return "X'" + encode_sqlite_value(value).hex() + "'"
+    # SEARCH tag sets never appear in printable queries; placeholder only.
+    return "X'" + b"".join(sorted(value)).hex() + "'"

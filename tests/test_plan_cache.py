@@ -2,7 +2,8 @@
 
 ``MonomiClient.plan`` is the one way into the planner; ``execute``,
 ``execute_iter``, ``explain`` and the service's sessions share its
-⟨normalized SQL, design fingerprint⟩ cache.  Pinned here:
+⟨normalized SQL, design fingerprint⟩ cache, and its text level in front,
+keyed on the statement string and its typed parameters.  Pinned here:
 
 * a cached plan survives INSERT, UPDATE and DELETE, including the one
   plan element built from mutable statistics — the §5.4 pre-filter of
@@ -12,7 +13,14 @@
   gives the statement back, with every bound literal's type and value;
 * same inputs, same plan: a fresh client plans the same text, and a
   repeat is a hit in the client and in a service session alike;
-* ``explain`` and ``execute`` agree on what they reject and on the plan.
+* ``explain`` and ``execute`` agree on what they reject and on the plan;
+* an exact repeat of a statement's text is answered by the text level
+  with the very plan the normalized level holds, without normalizing, in
+  the client and the service alike; values that compare equal in Python
+  (``1``, ``True``, ``1.0``; ``0.0``, ``-0.0``) key apart; failures are
+  never cached; an evicted plan re-plans with one counted miss;
+* a parameter the SQL printer cannot print raises ``PlanningError`` at
+  binding, on every entry point.
 
 The clients here run writes, so the module builds its own.
 """
@@ -25,12 +33,15 @@ import pathlib
 import sys
 import threading
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import UnsupportedQueryError
+import repro.core.client as client_module
+import repro.service.service as service_module
+from repro.common.errors import ParseError, PlanningError, UnsupportedQueryError
 from repro.core import (
     CryptoProvider,
     DecryptionProfile,
@@ -38,6 +49,7 @@ from repro.core import (
     Planner,
     normalize_query,
 )
+from repro.core.plancache import PlanCache, text_cache_key
 from repro.engine import Executor
 from repro.service import plan_cache_key
 from repro.sql import ast, parse
@@ -117,6 +129,31 @@ def planner_calls(monkeypatch):
 
     monkeypatch.setattr(Planner, "plan", counting_plan)
     return calls
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """Every ``normalize_for_execution`` call of the client, which also
+    resolves the service's ad-hoc statements."""
+    return counted(monkeypatch, client_module, "normalize_for_execution")
+
+
+def lookups(client) -> tuple[int, int]:
+    stats = client.plan_cache.stats()
+    return stats.hits, stats.misses
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +243,7 @@ def test_equal_looking_literals_key_apart(pinned_provider, sales_design):
     client = make_client(pinned_provider, sales_design)
     assert client.design_fingerprint == sales_design.fingerprint()
     template = parse("SELECT o_orderkey FROM orders WHERE o_qty = :v")
-    values = [1, 1.0, True, "1", 0, 0.0, False, "0", "", None]
+    values = [1, 1.0, True, "1", 0, 0.0, -0.0, False, "0", "", None]
     before = client.plan_cache.stats()
     keys = set()
     for value in values:
@@ -238,11 +275,24 @@ def test_fresh_client_plans_the_same_text(pinned_provider, sales_design):
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
-def test_concurrent_misses_plan_once(pinned_provider, sales_design, planner_calls):
+@pytest.mark.parametrize("level", ["normalized", "text"])
+def test_concurrent_misses_plan_once(
+    pinned_provider, sales_design, planner_calls, level
+):
     """Eight threads, more than the cores, race cache misses and planner
-    swaps: each statement is planned once and every thread gets that plan."""
+    swaps, entering with normalized ASTs or with statement text: each
+    statement is planned once, every thread gets that plan, and every
+    lookup is counted once."""
     client = make_client(pinned_provider, sales_design)
-    queries = [normalize_query(parse(sql)) for sql in SALES_WORKLOAD]
+    queries = list(SALES_WORKLOAD)
+    if level == "normalized":
+        queries = [normalize_query(parse(sql)) for sql in queries]
+
+    def lookup(statement):
+        if level == "text":
+            return client._plan_statement(statement, None, "")[0]
+        return client.plan(statement)
+
     planner_calls.clear()
     results: list = [None] * 8
     interval = sys.getswitchinterval()
@@ -251,7 +301,7 @@ def test_concurrent_misses_plan_once(pinned_provider, sales_design, planner_call
     def work(i: int) -> None:
         if i == 0:
             client._refresh_planner()
-        results[i] = [client.plan(q) for q in queries[i % 2 :] + queries]
+        results[i] = [lookup(q) for q in queries[i % 2 :] + queries]
 
     try:
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
@@ -263,8 +313,11 @@ def test_concurrent_misses_plan_once(pinned_provider, sales_design, planner_call
     finally:
         sys.setswitchinterval(interval)
     assert len(planner_calls) == len(queries)
+    stats = client.plan_cache.stats()
+    assert stats.hits + stats.misses == sum(map(len, results))
+    assert stats.text_entries == (len(queries) if level == "text" else 0)
     for i, planned in enumerate(results):
-        expected = [client.plan(q) for q in queries[i % 2 :] + queries]
+        expected = [lookup(q) for q in queries[i % 2 :] + queries]
         assert all(a is b for a, b in zip(planned, expected))
 
 
@@ -304,3 +357,245 @@ def test_explain_and_execute_agree(pinned_provider, sales_design):
     assert client.explain(template, params).endswith(
         client.execute(template, params).planned.plan.explain()
     )
+
+
+def test_explain_after_execute_is_a_hit(pinned_provider, sales_design):
+    client = make_client(pinned_provider, sales_design)
+    for sql in SALES_WORKLOAD:
+        planned = client.execute(sql).planned
+        header, body = client.explain(sql).split("\n", 1)
+        assert header.endswith("plan cache hit")
+        assert body == planned.plan.explain()
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "DELETE FROM orders WHERE o_orderkey = 1",
+        "UPDATE orders SET o_qty = 1 WHERE o_orderkey = 1",
+        "INSERT INTO orders VALUES "
+        "(999, 1, 100, 1, 0, DATE '1996-01-01', 'OPEN', 'x')",
+    ],
+    ids=["delete", "update", "insert"],
+)
+def test_explain_refuses_dml_by_kind(pinned_provider, sales_design, sql):
+    client = make_client(pinned_provider, sales_design)
+    kind = sql.split()[0]
+    with pytest.raises(UnsupportedQueryError, match=f"^{kind} statements"):
+        client.explain(sql)
+
+
+# ---------------------------------------------------------------------------
+# The text level: an exact repeat is one lookup
+# ---------------------------------------------------------------------------
+
+#: Returns its parameter as bound, so a plan served for another value of
+#: an equal-hashing parameter would show in the row.
+TYPED_PROBE = "SELECT o_orderkey, :q AS v FROM orders WHERE o_orderkey = 1"
+
+
+def typed(rows: list[tuple]) -> list[tuple]:
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+def test_equal_hashing_params_key_apart(pinned_provider, sales_design):
+    values = [1, True, 1.0, 0.0, -0.0]
+    # 1 == True == 1.0 and 0.0 == -0.0: keyed on the values alone, the
+    # five would share two entries.
+    assert len({(v,) for v in values}) == 2
+    texts = {text_cache_key(TYPED_PROBE, {"q": v}) for v in values}
+    assert len(texts) == len(values)
+    client = make_client(pinned_provider, sales_design)
+    for value in values:
+        client.execute(TYPED_PROBE, {"q": value})
+    stats = client.plan_cache.stats()
+    assert (stats.entries, stats.text_entries) == (len(values), len(values))
+    before = lookups(client)
+    for value in values:
+        got = client.execute(TYPED_PROBE, {"q": value})
+        fresh = make_client(pinned_provider, sales_design)
+        want = fresh.execute(TYPED_PROBE, {"q": value})
+        assert typed(got.rows) == typed(want.rows) == typed([(1, value)])
+    after = lookups(client)
+    assert (after[0] - before[0], after[1] - before[1]) == (len(values), 0)
+
+
+def test_text_hit_is_the_normalized_entry(
+    pinned_provider, sales_design, normalize_calls
+):
+    client = make_client(pinned_provider, sales_design)
+    for sql in SALES_WORKLOAD:
+        planned = client.execute(sql).planned
+        key = plan_cache_key(normalize_query(parse(sql)), client.design_fingerprint)
+        assert client.plan_cache.peek(key) is planned
+        normalize_calls.clear()
+        before = lookups(client)
+        assert client.execute(sql).planned is planned
+        assert client.execute_iter(sql).drain().planned is planned
+        after = lookups(client)
+        assert (after[0] - before[0], after[1] - before[1]) == (2, 0)
+        assert normalize_calls == []
+
+
+@pytest.mark.parametrize(
+    "sql,error,match",
+    [
+        ("SELECT o_orderkey FROM orders WHERE", ParseError, None),
+        (
+            "SELECT COUNT(*) FROM orders WHERE o_comment LIKE '%brown%fox%'",
+            UnsupportedQueryError,
+            "multi-pattern LIKE",
+        ),
+        (
+            "SELECT o_orderkey FROM orders WHERE o_qty > :q",
+            PlanningError,
+            "unbound parameter :q",
+        ),
+    ],
+    ids=["parse", "like", "unbound"],
+)
+def test_failures_are_never_cached(
+    pinned_provider, sales_design, normalize_calls, sql, error, match
+):
+    client = make_client(pinned_provider, sales_design)
+    before = client.plan_cache.stats()
+    for _ in range(3):
+        with pytest.raises(error, match=match):
+            client.execute(sql)
+        with pytest.raises(error, match=match):
+            client.explain(sql)
+    after = client.plan_cache.stats()
+    assert after == before
+    assert after.text_entries == 0
+    # Parsing fails before normalization; the others normalize each time.
+    assert len(normalize_calls) == (0 if error is ParseError else 6)
+
+
+def test_clear_empties_both_levels(pinned_provider, sales_design, planner_calls):
+    client = make_client(pinned_provider, sales_design)
+    sql = SALES_WORKLOAD[0]
+    client.execute(sql)
+    client.execute(sql)
+    stats = client.plan_cache.stats()
+    assert (stats.entries, stats.text_entries) == (1, 1)
+    client.plan_cache.clear()
+    stats = client.plan_cache.stats()
+    assert (stats.entries, stats.text_entries) == (0, 0)
+    planner_calls.clear()
+    before = lookups(client)
+    client.execute(sql)
+    after = lookups(client)
+    assert (after[0] - before[0], after[1] - before[1]) == (0, 1)
+    assert len(planner_calls) == 1
+
+
+def test_evicted_plan_replans_with_one_miss(
+    pinned_provider, sales_design, planner_calls
+):
+    client = make_client(pinned_provider, sales_design)
+    client.plan_cache = PlanCache(capacity=2)
+    first, *others = SALES_WORKLOAD[:3]
+    planned = client.execute(first).planned
+    # Plans entered as ASTs file no text: they evict the first plan and
+    # leave its text entry behind.
+    for sql in others:
+        client.plan(normalize_query(parse(sql)))
+    stats = client.plan_cache.stats()
+    assert (stats.entries, stats.text_entries, stats.evictions) == (2, 1, 1)
+    planner_calls.clear()
+    before = lookups(client)
+    again = client.execute(first).planned
+    after = lookups(client)
+    assert (after[0] - before[0], after[1] - before[1]) == (0, 1)
+    assert len(planner_calls) == 1
+    assert again.plan.explain() == planned.plan.explain()
+    # The re-plan filed the text again: the next repeat is a text hit.
+    assert client.execute(first).planned is again
+
+
+def test_evicted_text_entries_stay_bounded():
+    cache = PlanCache(capacity=2)
+    for i in range(5):
+        cache.put((f"q{i}", "fp"), object(), text=(f"text {i}",))
+    stats = cache.stats()
+    assert (stats.entries, stats.text_entries) == (2, 2)
+    assert cache.get_text(("text 0",)) is None
+    assert cache.stats().misses == 0
+
+
+def test_client_and_service_share_text_entries(
+    pinned_provider, sales_design, normalize_calls
+):
+    client = make_client(pinned_provider, sales_design)
+    from_client, from_service = SALES_WORKLOAD[0], SALES_WORKLOAD[1]
+    client_plan = client.execute(from_client).planned
+    with client.service(workers=1) as service:
+        session = service.open_session()
+        service_plan = session.execute(from_service).planned
+        normalize_calls.clear()
+        before = lookups(client)
+        assert session.execute(from_client).planned is client_plan
+        assert client.execute(from_service).planned is service_plan
+        after = lookups(client)
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 0)
+    assert normalize_calls == []
+
+
+def test_repeated_prepared_execution_skips_normalization(
+    pinned_provider, sales_design, monkeypatch
+):
+    calls = counted(monkeypatch, service_module, "normalize_for_execution")
+    client = make_client(pinned_provider, sales_design)
+    template = "SELECT COUNT(*) FROM orders WHERE o_price > :p"
+    with client.service(workers=1) as service:
+        statement = service.prepare(template)
+        first = service.execute_prepared(statement, {"p": 700})
+        again = service.execute_prepared(statement, {"p": 700})
+        other = service.execute_prepared(statement, {"p": 900})
+        other_again = service.execute_prepared(statement, {"p": 900})
+    assert again.planned is first.planned
+    assert other_again.planned is other.planned
+    assert again.rows == first.rows == client.execute(template, {"p": 700}).rows
+    assert [args[1] for args in calls] == [{"p": 700}, {"p": 900}]
+
+
+# ---------------------------------------------------------------------------
+# Parameters the printer cannot print
+# ---------------------------------------------------------------------------
+
+
+def run_select(client, sql, params):
+    return client.execute(sql, params)
+
+
+def run_stream(client, sql, params):
+    return client.execute_iter(sql, params).drain()
+
+
+def run_service(client, sql, params):
+    with client.service(workers=1) as service:
+        return service.execute(sql, params)
+
+
+@pytest.mark.parametrize(
+    "value", [Decimal("3"), [1, 2], {"a": 1}], ids=["decimal", "list", "dict"]
+)
+@pytest.mark.parametrize(
+    "run,sql",
+    [
+        (run_select, "SELECT o_orderkey FROM orders WHERE o_qty > :q"),
+        (run_stream, "SELECT o_orderkey FROM orders WHERE o_qty > :q"),
+        (run_service, "SELECT o_orderkey FROM orders WHERE o_qty > :q"),
+        (run_select, "UPDATE orders SET o_qty = :q WHERE o_orderkey = 1"),
+    ],
+    ids=["execute", "execute_iter", "service", "update"],
+)
+def test_unprintable_param_raises_planning_error(
+    pinned_provider, sales_design, run, sql, value
+):
+    client = make_client(pinned_provider, sales_design)
+    name = type(value).__name__
+    for _ in range(2):
+        with pytest.raises(PlanningError, match=f"parameter :q has .* type {name}"):
+            run(client, sql, {"q": value})
+    assert client.plan_cache.stats().text_entries == 0

@@ -25,7 +25,7 @@ import threading
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, UnsupportedQueryError
 from repro.core import MonomiClient, normalize_query
 from repro.core.planner import PlannedQuery
 from repro.service import (
@@ -418,6 +418,22 @@ class TestPreparedExecution:
             want = sales_client.execute(template, {"p": 750.0})
             assert canonical(got.rows) == canonical(want.rows)
             assert service.stats().prepared_replans >= 1
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO orders VALUES "
+            "(999, 1, 100, 1, 0, DATE '1996-01-01', 'OPEN', 'x')",
+            "DELETE FROM orders WHERE o_orderkey = :k",
+        ],
+        ids=["insert", "delete"],
+    )
+    def test_prepare_refuses_dml_by_kind(self, sales_client, sql):
+        kind = sql.split()[0]
+        with sales_client.service(workers=1) as service:
+            with pytest.raises(UnsupportedQueryError, match=f"^{kind} statements"):
+                service.prepare(sql)
+            assert service.stats().prepared_statements == 0
 
     def test_unknown_statement_rejected(self, sales_client):
         with sales_client.service(workers=1) as service:
