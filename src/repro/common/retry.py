@@ -1,12 +1,21 @@
 """Retries and deadlines: the resilience layer's two shared primitives.
 
-Every component that crosses the client/server failure boundary — the
-SQLite backend's statement execution, the plan executor's block streams,
-the loader's bulk inserts, the service's query dispatch — retries
-*transient* errors through :func:`retry_call` under one
-:class:`RetryPolicy`, so backoff shape and attempt caps are decided
-exactly once.  The taxonomy is the one in :mod:`repro.common.errors`:
-only :class:`~repro.common.errors.TransientError` subclasses are retried;
+A transient fault is retried by exactly one loop, the one on the hop
+where it happened (the table in ``docs/fault-model.md``):
+
+* **client ↔ its backend handle** — the plan executor, the DML executor,
+  the loader and the maintained aggregates, each through
+  :func:`retry_call` (one request) or
+  :class:`~repro.engine.rowblock.ResilientStream` (one block stream);
+* **server ↔ its hosted store** — :class:`~repro.net.server.MonomiServer`
+  retries every WRITE and the open of every EXECUTE itself;
+* **coordinator ↔ shard** — :class:`~repro.server.sharded.ShardedBackend`
+  retries each shard's request or stream alone.
+
+Every loop runs under one :class:`RetryPolicy` shape and sleeps through
+:func:`backoff`, so backoff and attempt caps are decided exactly once.
+The taxonomy is the one in :mod:`repro.common.errors`: only
+:class:`~repro.common.errors.TransientError` subclasses are retried;
 everything else is fatal and propagates on the first attempt.
 
 :class:`Deadline` is the cancellation half: a monotonic-clock expiry
@@ -95,9 +104,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ConfigError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
+            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ConfigError("retry delays must be >= 0")
         if not 0 <= self.jitter <= 1:
@@ -105,9 +112,7 @@ class RetryPolicy:
 
     def delay(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff before retry ``attempt`` (1-based)."""
-        raw = min(
-            self.max_delay, self.base_delay * self.multiplier ** (attempt - 1)
-        )
+        raw = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
         if rng is None or self.jitter == 0:
             return raw
         return raw * (1 - self.jitter / 2 + self.jitter * rng.random())
@@ -120,6 +125,28 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 def is_transient(exc: BaseException) -> bool:
     """The taxonomy rule: only :class:`TransientError` subclasses retry."""
     return isinstance(exc, TransientError)
+
+
+def backoff(
+    policy: RetryPolicy,
+    attempt: int,
+    rng: random.Random | None,
+    deadline: Deadline | None,
+    cause: BaseException,
+) -> None:
+    """Sleep the policy's backoff before retry ``attempt``, capped by the
+    deadline's remaining time; raise :class:`DeadlineExceededError` (from
+    ``cause``) when the deadline has already passed."""
+    pause = policy.delay(attempt, rng)
+    if deadline is not None:
+        remaining = deadline.remaining()
+        if remaining <= 0:
+            raise DeadlineExceededError(
+                "deadline expired while retrying transient error"
+            ) from cause
+        pause = min(pause, remaining)
+    if pause > 0:
+        time.sleep(pause)
 
 
 def retry_call(
@@ -150,13 +177,4 @@ def retry_call(
                 raise
             if on_retry is not None:
                 on_retry(attempt, exc)
-            pause = policy.delay(attempt, rng)
-            if deadline is not None:
-                remaining = deadline.remaining()
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        "deadline expired while retrying transient error"
-                    ) from exc
-                pause = min(pause, remaining)
-            if pause > 0:
-                time.sleep(pause)
+            backoff(policy, attempt, rng, deadline, exc)

@@ -58,13 +58,14 @@ import random
 from repro.common.errors import ConfigError, DesignError, UnsupportedQueryError
 from repro.common.ledger import CostLedger
 from repro.common.retry import RetryPolicy, retry_call
-from repro.core.loader import EncryptedLoader, complete_design, insert_rows_idempotent
+from repro.core.loader import EncryptedLoader, complete_design
 from repro.core.rewrite import BindingContext, ServerRewriter
 from repro.core.schemes import Scheme
 from repro.core.typing import infer_type
 from repro.crypto.packing import PackedLayout
 from repro.engine.eval import EvalContext, Scope, compile_expr
 from repro.engine.executor import ResultSet
+from repro.server.backend import insert_rows_idempotent
 from repro.sql import ast, parse_expression
 from repro.storage.rowcodec import row_bytes
 
@@ -245,12 +246,7 @@ class DmlExecutor:
                 ]
         pairs = [(stored[i], new) for i, new in zip(matched, new_enc)]
         self._charge_rows(ledger, [new for _, new in pairs])
-        retry_call(
-            lambda: self.backend.replace_rows(stmt.table, pairs),
-            self.retry_policy,
-            rng=self._retry_rng,
-            on_retry=lambda _attempt, _exc: self._count_retry(ledger),
-        )
+        self._retrying(ledger, lambda: self.backend.replace_rows(stmt.table, pairs))
         for group, patch in zip(hom_groups, patches):
             self._apply_hom(group, patch, ledger)
         plain.replace_exact(list(zip(old_plain, new_plain)))
@@ -278,12 +274,7 @@ class DmlExecutor:
                     for group in hom_groups
                 ]
         self._charge_rows(ledger, old_enc)
-        retry_call(
-            lambda: self.backend.delete_rows(stmt.table, old_enc),
-            self.retry_policy,
-            rng=self._retry_rng,
-            on_retry=lambda _attempt, _exc: self._count_retry(ledger),
-        )
+        self._retrying(ledger, lambda: self.backend.delete_rows(stmt.table, old_enc))
         for group, patch in zip(hom_groups, patches):
             self._apply_hom(group, patch, ledger)
         plain.delete_exact(old_plain)
@@ -334,12 +325,7 @@ class DmlExecutor:
             from_items=(ast.TableName(table_name),),
             where=pushed,
         )
-        result = retry_call(
-            lambda: self.backend.execute(query),
-            self.retry_policy,
-            rng=self._retry_rng,
-            on_retry=lambda _attempt, _exc: self._count_retry(ledger),
-        )
+        result = self._retrying(ledger, lambda: self.backend.execute(query))
         stored = [tuple(row) for row in result.rows]
         ledger.server_bytes_scanned += self.backend.table_bytes(table_name)
         ledger.add_transfer(result.byte_size(), self.network)
@@ -449,6 +435,16 @@ class DmlExecutor:
     @staticmethod
     def _count_retry(ledger: CostLedger) -> None:
         ledger.retries += 1
+
+    def _retrying(self, ledger: CostLedger, call):
+        """Run one backend call under the client hop's retry loop, counting
+        each retry in ``ledger``."""
+        return retry_call(
+            call,
+            self.retry_policy,
+            rng=self._retry_rng,
+            on_retry=lambda _attempt, _exc: self._count_retry(ledger),
+        )
 
     def _notify(self, table: str, inserted, deleted) -> None:
         for listener in self.listeners:
@@ -595,7 +591,8 @@ class DmlExecutor:
             ct_bytes * (len(patch["updates"]) + len(patch["appended"])),
             self.network,
         )
-        retry_call(
+        self._retrying(
+            ledger,
             lambda: self.backend.hom_apply(
                 group.file_name,
                 updates=patch["updates"],
@@ -603,7 +600,4 @@ class DmlExecutor:
                 num_rows=patch["num_rows"],
                 token=token,
             ),
-            self.retry_policy,
-            rng=self._retry_rng,
-            on_retry=lambda _attempt, _exc: self._count_retry(ledger),
         )

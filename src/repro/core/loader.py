@@ -20,13 +20,8 @@ import os
 import random
 from typing import Iterable
 
-from repro.common.errors import (
-    ConfigError,
-    DesignError,
-    LoadJournalError,
-    PlanningError,
-)
-from repro.common.retry import RetryPolicy, retry_call
+from repro.common.errors import DesignError, LoadJournalError, PlanningError
+from repro.common.retry import RetryPolicy
 from repro.core.design import EncEntry, HomGroup, PhysicalDesign, normalize_expr
 from repro.core.encset import _flatten
 from repro.core.loadjournal import LoadJournal
@@ -38,72 +33,13 @@ from repro.crypto.packing import PackedLayout
 from repro.engine.catalog import Database
 from repro.engine.eval import EvalContext, Scope, compile_expr
 from repro.engine.schema import ColumnDef, TableSchema
+from repro.server.backend import insert_rows_idempotent
 from repro.sql import ast, parse_expression
 
 ROW_ID_COLUMN = "row_id"
 
 #: Rows per committed insert on the journaled (crash-safe) load path.
 DEFAULT_LOAD_BATCH_ROWS = 256
-
-
-def insert_rows_idempotent(
-    backend, table_name: str, rows: list[tuple], policy: RetryPolicy, rng,
-    on_retry=None,
-) -> None:
-    """Insert ``rows`` exactly once, surviving faults on *either* side of
-    the apply.
-
-    A transient error can strike before the server applied anything — a
-    plain retry is then safe — or **after** it committed (the lost-ack
-    fault): a plain retry would double-insert the whole batch.  Each
-    attempt therefore re-reads the backend's row count against the
-    watermark captured before the first attempt and sends only what is
-    actually missing:
-
-    * delta == len(rows): the previous attempt fully applied; done.
-    * delta == 0: nothing landed; send the full batch.
-    * 0 < delta < len(rows): a partial apply.  Backends whose batch
-      commit is a prefix of the request (``supports_prefix_resume``)
-      resume from ``rows[delta:]``; for non-prefix backends (sharded:
-      per-bucket commits) the committed subset is unknowable from a
-      count, so this raises a fatal :class:`ConfigError` instead of
-      silently corrupting the table — the caller must rebuild.
-
-    Backends without ``row_count`` fall back to the plain retry (their
-    transactional insert makes delta-tracking unnecessary only if no
-    fault can strike after commit; third-party callers keep the old
-    contract).
-    """
-    rows = list(rows)
-    if not rows:
-        return
-    try:
-        watermark = backend.row_count(table_name)
-    except ConfigError:
-        watermark = None
-
-    def attempt() -> None:
-        to_send = rows
-        if watermark is not None:
-            delta = backend.row_count(table_name) - watermark
-            if delta == len(rows):
-                return  # Fully applied; only the ack was lost.
-            if delta:
-                if not getattr(backend, "supports_prefix_resume", True):
-                    raise ConfigError(
-                        f"insert into {table_name!r} partially applied "
-                        f"({delta} of {len(rows)} rows) on a backend "
-                        "without prefix commits; cannot resume safely"
-                    )
-                if not 0 < delta < len(rows):
-                    raise ConfigError(
-                        f"table {table_name!r} shrank or overshot during "
-                        f"a retried insert (delta {delta} of {len(rows)})"
-                    )
-                to_send = rows[delta:]
-        backend.insert_rows(table_name, to_send)
-
-    retry_call(attempt, policy, rng=rng, on_retry=on_retry)
 
 
 def complete_design(design: PhysicalDesign, plain_db: Database) -> PhysicalDesign:
@@ -265,9 +201,7 @@ class EncryptedLoader:
         fingerprint = f"{self.plain_db.name}:{design.fingerprint()}"
         journal.begin(fingerprint)
         for table_name in sorted(self.plain_db.tables):
-            self._load_table_journaled(
-                backend, table_name, design, journal, batch_rows
-            )
+            self._load_table_journaled(backend, table_name, design, journal, batch_rows)
         journal.note_load_done()
         return backend
 

@@ -33,17 +33,18 @@ thread to coordinate.
 
 Resilient execution
 -------------------
-Server calls cross the failure boundary, so both execution paths retry
+Server calls cross the failure boundary, and the executor is the
+client hop's one retry loop for queries: both execution paths retry
 :class:`~repro.common.errors.TransientError` under the executor's
 :class:`~repro.common.retry.RetryPolicy`.  The materializing path simply
 re-runs ``backend.execute``; the streaming path resumes through
-:class:`_ResilientStream`, which re-opens the (deterministic) server
-stream and fast-forwards past the rows it already delivered — so
-delivered rows are never repeated and never lost.  The invariant, pinned
-by the fault tests: under *any* fault schedule the primary ledger totals
-(transfer bytes, scan bytes, round trips) are byte-identical to a
-fault-free run; retried and abandoned work accrues separately in
-``ledger.retries`` / ``ledger.retry_bytes``.  A
+:class:`~repro.engine.rowblock.ResilientStream`, which re-opens the
+(deterministic) server stream and fast-forwards past the rows it already
+delivered — so delivered rows are never repeated and never lost.  The
+invariant, pinned by the fault tests: under *any* fault schedule the
+primary ledger totals (transfer bytes, scan bytes, round trips) are
+byte-identical to a fault-free run; retried and abandoned work accrues
+separately in ``ledger.retries`` / ``ledger.retry_bytes``.  A
 :class:`~repro.common.retry.Deadline` passed to :meth:`execute` /
 :meth:`execute_iter` is checked at every block boundary, turning runaway
 queries into a typed :class:`~repro.common.errors.DeadlineExceededError`
@@ -58,14 +59,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.common.errors import (
-    ConfigError,
-    DeadlineExceededError,
-    ExecutionError,
-    TransientError,
-)
+from repro.common.errors import ConfigError, ExecutionError
 from repro.common.ledger import CostLedger, DiskModel, NetworkModel
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.core.encdata import CryptoProvider
@@ -76,6 +72,7 @@ from repro.engine.executor import Executor, ResultSet, is_streamable
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
+    ResilientStream,
     RowBlock,
     blocks_from_rows,
     result_header_bytes,
@@ -115,168 +112,6 @@ def _deadline_checked(
     for block in blocks:
         deadline.check("query stream")
         yield block
-
-
-class _ResilientStream:
-    """A re-openable view of one deterministic server block stream.
-
-    Duck-types :class:`~repro.engine.rowblock.BlockStream` (``columns``,
-    ``stats``, iteration, ``close``) so the plan executor's block loop is
-    oblivious to faults.  When a pull raises a
-    :class:`~repro.common.errors.TransientError`, the abandoned attempt
-    is accounted (its scan bytes plus one result header go to the
-    stream's ``retry_bytes``), the stream re-opens through the same
-    factory, and iteration **fast-forwards** past the ``delivered`` rows
-    the consumer already holds — re-pulled-and-skipped row payloads also
-    go to ``retry_bytes``.  Server scans are deterministic (same query,
-    same snapshot, same order), and block payload bytes are
-    block-boundary-independent, so the blocks the consumer sees — and
-    every primary ledger charge made from them — are byte-identical to a
-    fault-free run.
-
-    The retry budget counts *faults without progress*: any attempt that
-    delivers at least one new row resets it, so a long stream under a
-    constant fault rate still completes — permanent failure needs
-    ``max_attempts`` consecutive faults with zero rows in between.
-
-    Counters (``retries``, ``retry_bytes``) are folded into the ledger by
-    the plan executor once iteration ends; this class never touches the
-    ledger itself.
-    """
-
-    def __init__(
-        self,
-        open_stream: Callable[[], BlockStream],
-        policy: RetryPolicy,
-        deadline: Deadline | None,
-        rng: random.Random,
-    ) -> None:
-        self._open_stream = open_stream
-        self._policy = policy
-        self._deadline = deadline
-        self._rng = rng
-        self._stream: BlockStream | None = None
-        self._gen: Iterator[RowBlock] | None = None
-        self.columns: list[str] = []
-        self.delivered = 0
-        self.retries = 0
-        self.retry_bytes = 0
-
-    @property
-    def stats(self):
-        """The *final* attempt's stats (abandoned attempts went to
-        ``retry_bytes``); scan accounting is static, so this matches the
-        fault-free charge exactly."""
-        return self._stream.stats if self._stream is not None else None
-
-    def open(self) -> None:
-        """Open the initial stream, retrying transient open failures.
-
-        Failed opens charge no retry bytes: the server produced nothing
-        (pre-call faults and statement errors happen before any scan
-        output exists)."""
-
-        def note(attempt: int, exc: BaseException) -> None:
-            self.retries += 1
-
-        self._stream = retry_call(
-            self._open_stream,
-            self._policy,
-            deadline=self._deadline,
-            rng=self._rng,
-            on_retry=note,
-        )
-        self.columns = list(self._stream.columns)
-
-    def __iter__(self) -> Iterator[RowBlock]:
-        if self._gen is None:
-            self._gen = self._blocks()
-        return self._gen
-
-    def close(self) -> None:
-        if self._gen is not None:
-            self._gen.close()
-        elif self._stream is not None:
-            self._stream.close()
-
-    # -- internals -----------------------------------------------------------
-
-    def _abandon(self) -> None:
-        """Account and drop the current attempt after a mid-stream fault."""
-        stream = self._stream
-        if stream is None:
-            return
-        stream.close()
-        stats = stream.stats
-        if stats is not None:
-            self.retry_bytes += stats.bytes_scanned
-        self.retry_bytes += result_header_bytes(stream.columns)
-        self._stream = None
-
-    def _backoff(self, faults: int, cause: BaseException) -> None:
-        pause = self._policy.delay(faults, self._rng)
-        if self._deadline is not None:
-            remaining = self._deadline.remaining()
-            if remaining <= 0:
-                raise DeadlineExceededError(
-                    "deadline expired while resuming an interrupted stream"
-                ) from cause
-            pause = min(pause, remaining)
-        if pause > 0:
-            time.sleep(pause)
-
-    def _blocks(self) -> Iterator[RowBlock]:
-        faults = 0  # Consecutive faults with zero blocks received in between.
-        skip = 0  # Rows to fast-forward past on the current attempt.
-        try:
-            while True:
-                # Any block received this attempt counts as progress — a
-                # resume replays every delivered row through fresh fault
-                # draws, so judging progress by *new* rows would compound
-                # the failure probability with stream depth.  A block
-                # means the server is alive; the budget guards against a
-                # dead one (max_attempts faults with nothing received,
-                # probability rate**max_attempts per point).
-                received = 0
-                try:
-                    if self._stream is None:
-                        # Re-opens get the same retry budget as the
-                        # initial open: a pre-call fault on the reopen
-                        # request must not burn a stream-resume attempt.
-                        self.open()
-                    for block in self._stream:
-                        received += 1
-                        if self._deadline is not None:
-                            self._deadline.check("query stream")
-                        if skip >= len(block) > 0:
-                            skip -= len(block)
-                            self.retry_bytes += block.payload_bytes()
-                            continue
-                        if skip:
-                            dropped = RowBlock([c[:skip] for c in block.columns], skip)
-                            self.retry_bytes += dropped.payload_bytes()
-                            block = RowBlock(
-                                [c[skip:] for c in block.columns],
-                                len(block) - skip,
-                            )
-                            skip = 0
-                        self.delivered += len(block)
-                        yield block
-                    return
-                except TransientError as exc:
-                    self._abandon()
-                    if received > 0:
-                        faults = 1  # Progress was made: budget resets.
-                    else:
-                        faults += 1
-                    if faults >= self._policy.max_attempts:
-                        raise
-                    self.retries += 1
-                    self._backoff(faults, exc)
-                    skip = self.delivered
-        finally:
-            if self._stream is not None:
-                self._stream.close()
 
 
 class PlanExecutor:
@@ -467,7 +302,7 @@ class PlanExecutor:
                 **stream_kwargs,
             )
 
-        stream = _ResilientStream(
+        stream = ResilientStream(
             open_stream, self.retry_policy, deadline, self._retry_rng
         )
         with ledger.timing_server():

@@ -20,12 +20,19 @@ Byte accounting is designed so a stream of blocks charges **exactly**
 what the materializing path charges: ``ResultSet.byte_size()`` equals
 ``result_header_bytes(columns)`` plus the sum of every block's
 :meth:`payload_bytes` — the ledger equivalence tests assert this.
+
+:class:`ResilientStream` is the one stream-resume loop: the plan
+executor reads every server stream through it, and the sharded
+coordinator every shard stream.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import random
+from typing import Callable, Iterable, Iterator
 
+from repro.common.errors import TransientError
+from repro.common.retry import Deadline, RetryPolicy, backoff, retry_call
 from repro.storage.rowcodec import column_bytes
 
 #: Default block capacity (rows) used everywhere a caller does not choose.
@@ -157,3 +164,149 @@ class BlockStream:
         for block in self._blocks:
             rows.extend(block.rows())
         return rows
+
+
+class ResilientStream:
+    """A re-openable view of one deterministic server block stream.
+
+    Duck-types :class:`BlockStream` (``columns``, ``stats``, iteration,
+    ``close``) so a block consumer is oblivious to faults.  When a pull
+    raises a :class:`~repro.common.errors.TransientError`, the abandoned
+    attempt is accounted (its scan bytes plus one result header go to
+    ``retry_bytes``), the stream re-opens through the same factory, and
+    iteration **fast-forwards** past the ``delivered`` rows the consumer
+    already holds — re-pulled-and-skipped row payloads also go to
+    ``retry_bytes``.  Server scans are deterministic (same query, same
+    snapshot, same order), and block payload bytes are
+    block-boundary-independent, so the blocks the consumer sees — and
+    every primary ledger charge made from them — are byte-identical to a
+    fault-free run.
+
+    The retry budget counts *faults without progress*: any attempt that
+    receives at least one block resets it, so a long stream under a
+    constant fault rate still completes — permanent failure needs
+    ``max_attempts`` consecutive faults with nothing received in between.
+
+    Counters (``retries``, ``retry_bytes``) are for the consumer to fold
+    into its own accounting; this class never touches a ledger.
+    """
+
+    def __init__(
+        self,
+        open_stream: Callable[[], BlockStream],
+        policy: RetryPolicy,
+        deadline: Deadline | None,
+        rng: random.Random,
+    ) -> None:
+        self._open_stream = open_stream
+        self._policy = policy
+        self._deadline = deadline
+        self._rng = rng
+        self._stream: BlockStream | None = None
+        self._gen: Iterator[RowBlock] | None = None
+        self.columns: list[str] = []
+        self.delivered = 0
+        self.retries = 0
+        self.retry_bytes = 0
+
+    @property
+    def stats(self):
+        """The *final* attempt's stats (abandoned attempts went to
+        ``retry_bytes``); scan accounting is static, so this matches the
+        fault-free charge exactly."""
+        return self._stream.stats if self._stream is not None else None
+
+    def open(self) -> None:
+        """Open the stream, retrying transient open failures.
+
+        Failed opens charge no retry bytes: the server produced nothing
+        (pre-call faults and statement errors happen before any scan
+        output exists)."""
+
+        def note(attempt: int, exc: BaseException) -> None:
+            self.retries += 1
+
+        self._stream = retry_call(
+            self._open_stream,
+            self._policy,
+            deadline=self._deadline,
+            rng=self._rng,
+            on_retry=note,
+        )
+        self.columns = list(self._stream.columns)
+
+    def __iter__(self) -> Iterator[RowBlock]:
+        if self._gen is None:
+            self._gen = self._blocks()
+        return self._gen
+
+    def close(self) -> None:
+        if self._gen is not None:
+            self._gen.close()
+        elif self._stream is not None:
+            self._stream.close()
+
+    def _abandon(self) -> None:
+        """Account and drop the current attempt after a mid-stream fault."""
+        stream = self._stream
+        if stream is None:
+            return
+        stream.close()
+        stats = stream.stats
+        if stats is not None:
+            self.retry_bytes += stats.bytes_scanned
+        self.retry_bytes += result_header_bytes(stream.columns)
+        self._stream = None
+
+    def _blocks(self) -> Iterator[RowBlock]:
+        faults = 0  # Consecutive faults with zero blocks received in between.
+        skip = 0  # Rows to fast-forward past on the current attempt.
+        try:
+            while True:
+                # Any block received this attempt counts as progress — a
+                # resume replays every delivered row through fresh fault
+                # draws, so judging progress by *new* rows would compound
+                # the failure probability with stream depth.  A block
+                # means the server is alive; the budget guards against a
+                # dead one (max_attempts faults with nothing received,
+                # probability rate**max_attempts per point).
+                received = 0
+                try:
+                    if self._stream is None:
+                        # Every open gets the open's own retry budget: a
+                        # pre-call fault on the reopen request must not
+                        # burn a stream-resume attempt.
+                        self.open()
+                    for block in self._stream:
+                        received += 1
+                        if self._deadline is not None:
+                            self._deadline.check("query stream")
+                        if skip >= len(block) > 0:
+                            skip -= len(block)
+                            self.retry_bytes += block.payload_bytes()
+                            continue
+                        if skip:
+                            dropped = RowBlock([c[:skip] for c in block.columns], skip)
+                            self.retry_bytes += dropped.payload_bytes()
+                            block = RowBlock(
+                                [c[skip:] for c in block.columns],
+                                len(block) - skip,
+                            )
+                            skip = 0
+                        self.delivered += len(block)
+                        yield block
+                    return
+                except TransientError as exc:
+                    self._abandon()
+                    if received > 0:
+                        faults = 1  # Progress was made: budget resets.
+                    else:
+                        faults += 1
+                    if faults >= self._policy.max_attempts:
+                        raise
+                    self.retries += 1
+                    backoff(self._policy, faults, self._rng, self._deadline, exc)
+                    skip = self.delivered
+        finally:
+            if self._stream is not None:
+                self._stream.close()

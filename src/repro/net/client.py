@@ -16,10 +16,12 @@ Design points:
   it.
 * **Typed transience.**  Socket death at any point maps to
   :class:`~repro.common.errors.ConnectionLostError` (transient) and
-  ERROR frames decode to their in-process exception types, so the PR 6
-  resilience layer — ``retry_call`` around materialized requests,
-  ``_ResilientStream`` resume around streams — drives reconnects with no
-  network-specific code.
+  ERROR frames decode to their in-process exception types, so the
+  client hop's one retry loop — ``retry_call`` around a request,
+  :class:`~repro.engine.rowblock.ResilientStream` resume around a stream
+  — drives reconnects with no network-specific code.  Faults of the
+  hosted store are retried by the server before they reach the wire,
+  except in the middle of a stream.
 * **Catalog from HELLO.**  Table heap sizes and packed-ciphertext file
   metadata arrive in the handshake; the cost model and planner read them
   through the normal ``table_bytes()`` / ``ciphertext_store`` surface.

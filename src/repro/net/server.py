@@ -16,6 +16,15 @@ by the kernel's socket buffers instead of a queue.  Between blocks the
 server polls the connection for a CANCEL frame, so a client closing its
 stream early releases the server cursor promptly.
 
+Retries: the server is the one retry loop on the server ↔ hosted-store
+hop.  It retries the store's transient faults itself, under the
+constant :data:`HOST_RETRY` policy: every WRITE (inside the write lock)
+and the open of every EXECUTE (before the first frame is sent, under the
+request's deadline).  A client then retries only faults on the wire and
+at its own end.  A fault in the middle of a stream is relayed typed,
+since blocks already sent cannot be taken back; the client's stream
+resume handles it.  ``stats()["retries"]`` counts the server's retries.
+
 Fault injection: pass ``chaos=(seed, rate)`` to wrap the hosted backend
 in the PR 6 :class:`~repro.server.chaos.FaultInjectingBackend` (or set
 ``MONOMI_CHAOS`` — the server arms it like any other client of the
@@ -39,7 +48,7 @@ from repro.common.errors import (
     WireError,
 )
 from repro.common.ledger import CostLedger, NetworkModel
-from repro.common.retry import Deadline
+from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
@@ -47,12 +56,15 @@ from repro.engine.rowblock import (
     result_header_bytes,
 )
 from repro.net import wire
-from repro.server.backend import ServerBackend, as_backend
+from repro.server.backend import ServerBackend, as_backend, insert_rows_idempotent
 from repro.server.chaos import FaultInjectingBackend, maybe_wrap_chaos
 from repro.sql import ast
 
 #: Cap on prepared statements one session may hold.
 MAX_PREPARED_PER_SESSION = 4096
+
+#: Retry policy for the hosted store's transient faults.
+HOST_RETRY = RetryPolicy()
 
 
 class _DropConnection(Exception):
@@ -119,6 +131,7 @@ class MonomiServer:
         self._connections: dict[int, tuple[socket.socket, threading.Thread]] = {}
         self._connections_total = 0
         self._drops_injected = 0
+        self._retries = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -196,6 +209,7 @@ class MonomiServer:
                 "connections_open": len(self._connections),
                 "sessions": len(sessions),
                 "drops_injected": self._drops_injected,
+                "retries": self._retries,
             }
         body["queries"] = sum(s.queries for s in sessions)
         body["blocks_sent"] = sum(s.blocks_sent for s in sessions)
@@ -370,15 +384,43 @@ class MonomiServer:
         session.prepared[statement_id] = query
         wire.send_message(sock, wire.PREPARE, {"statement": statement_id})
 
+    def _retrying(self, call, deadline: Deadline | None = None):
+        """Run one call on the hosted store, retrying its transient faults."""
+        return retry_call(
+            call, HOST_RETRY, deadline=deadline, on_retry=self._count_retry
+        )
+
+    def _count_retry(self, _attempt: int, _exc: BaseException) -> None:
+        with self._lock:
+            self._retries += 1
+
     def _apply_write(self, view: ServerBackend, body: dict) -> dict:
-        """Dispatch one WRITE body to the backend write surface."""
+        """Apply one WRITE body, retrying the hosted store's transient faults.
+
+        Runs under the write lock, so no other write lands between two
+        attempts.  An insert goes through the row-count watermark, so a
+        lost ack does not store the rows twice.  Every other op is retried
+        as it is: deletes and replaces match exact stored tuples, a hom
+        patch carries the frame's token, and the rest only read.
+        """
+        if body.get("op") == "insert":
+            rows = [tuple(r) for r in body.get("rows") or []]
+            insert_rows_idempotent(
+                view,
+                body.get("table"),
+                rows,
+                HOST_RETRY,
+                None,
+                on_retry=self._count_retry,
+            )
+            return {"count": len(rows)}
+        return self._retrying(lambda: self._write_once(view, body))
+
+    def _write_once(self, view: ServerBackend, body: dict) -> dict:
+        """Dispatch one non-insert WRITE body to the backend write surface."""
         op = body.get("op")
         table = body.get("table")
         file_name = body.get("file")
-        if op == "insert":
-            rows = [tuple(r) for r in body.get("rows") or []]
-            view.insert_rows(table, rows)
-            return {"count": len(rows)}
         if op == "delete":
             rows = [tuple(r) for r in body.get("rows") or []]
             return {"count": view.delete_rows(table, rows)}
@@ -482,7 +524,9 @@ class MonomiServer:
             query = self._resolve_query(session, body)
             if deadline is not None:
                 deadline.check("query")
-            stream, streamed = self._open_stream(session.view, query, body)
+            stream, streamed = self._retrying(
+                lambda: self._open_stream(session.view, query, body), deadline
+            )
         except ReproError as exc:
             session.errors_sent += 1
             wire.send_message(sock, wire.ERROR, wire.encode_error(exc))

@@ -25,11 +25,13 @@ output backend-independent.
 from __future__ import annotations
 
 import inspect
+import random
 import threading
 from abc import ABC, abstractmethod
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.common.errors import ConfigError
+from repro.common.retry import RetryPolicy, retry_call
 from repro.engine.executor import ExecStats, ResultSet
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, blocks_from_rows
 from repro.engine.schema import TableSchema
@@ -62,7 +64,7 @@ class ServerBackend(ABC):
     #: *prefix* of the requested rows.  True for single-store backends
     #: (their batch insert is transactional, so the committed count is 0
     #: or everything); the sharded backend commits per routed bucket and
-    #: sets this False, telling the idempotent-retry helper that a
+    #: sets this False, telling :func:`insert_rows_idempotent` that a
     #: row-count delta cannot be resumed by slicing the batch.
     supports_prefix_resume: bool = True
 
@@ -143,12 +145,8 @@ class ServerBackend(ABC):
         public = file.public_key
         for index, factor in updates:
             if not 0 <= index < len(file.ciphertexts):
-                raise ConfigError(
-                    f"hom_apply index {index} outside file {file_name!r}"
-                )
-            file.ciphertexts[index] = public.add(
-                file.ciphertexts[index], factor
-            )
+                raise ConfigError(f"hom_apply index {index} outside file {file_name!r}")
+            file.ciphertexts[index] = public.add(file.ciphertexts[index], factor)
         appended = list(appended)
         if appended:
             file.ciphertexts.extend(appended)
@@ -488,6 +486,72 @@ def supports_deadline(backend: ServerBackend) -> bool:
         ):
             return False
     return True
+
+
+def insert_rows_idempotent(
+    backend: ServerBackend,
+    table_name: str,
+    rows: list[tuple],
+    policy: RetryPolicy,
+    rng: random.Random | None,
+    on_retry: Callable[[int, BaseException], None] | None = None,
+) -> None:
+    """Insert ``rows`` exactly once, surviving faults on *either* side of
+    the apply.
+
+    A transient error can strike before the server applied anything — a
+    plain retry is then safe — or **after** it committed (the lost-ack
+    fault): a plain retry would double-insert the whole batch.  Each
+    attempt therefore re-reads the backend's row count against the
+    watermark captured before the first attempt and sends only what is
+    actually missing:
+
+    * delta == len(rows): the previous attempt fully applied; done.
+    * delta == 0: nothing landed; send the full batch.
+    * 0 < delta < len(rows): a partial apply.  Backends whose batch
+      commit is a prefix of the request (``supports_prefix_resume``)
+      resume from ``rows[delta:]``; for non-prefix backends (sharded:
+      per-bucket commits) the committed subset is unknowable from a
+      count, so this raises a fatal :class:`ConfigError` instead of
+      silently corrupting the table — the caller must rebuild.
+
+    The watermark assumes no other writer inserts into the table between
+    attempts: the loader and the DML executor write alone, the server
+    holds its write lock, and the sharded coordinator sends each bucket
+    to one shard.  Backends without ``row_count`` fall back to the plain
+    retry (their transactional insert makes delta-tracking unnecessary
+    only if no fault can strike after commit).
+    """
+    rows = list(rows)
+    if not rows:
+        return
+    try:
+        watermark = backend.row_count(table_name)
+    except ConfigError:
+        watermark = None
+
+    def attempt() -> None:
+        to_send = rows
+        if watermark is not None:
+            delta = backend.row_count(table_name) - watermark
+            if delta == len(rows):
+                return  # Fully applied; only the ack was lost.
+            if delta:
+                if not getattr(backend, "supports_prefix_resume", True):
+                    raise ConfigError(
+                        f"insert into {table_name!r} partially applied "
+                        f"({delta} of {len(rows)} rows) on a backend "
+                        "without prefix commits; cannot resume safely"
+                    )
+                if not 0 < delta < len(rows):
+                    raise ConfigError(
+                        f"table {table_name!r} shrank or overshot during "
+                        f"a retried insert (delta {delta} of {len(rows)})"
+                    )
+                to_send = rows[delta:]
+        backend.insert_rows(table_name, to_send)
+
+    retry_call(attempt, policy, rng=rng, on_retry=on_retry)
 
 
 def as_backend(server: object) -> ServerBackend:

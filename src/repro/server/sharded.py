@@ -47,11 +47,15 @@ Scan-byte accounting is computed by the coordinator from the logical
 ciphertext-store read window, exactly the serial engine's static
 accounting — so the ledger never sees the shard topology.
 
-Faults on one shard retry per the PR 6 taxonomy without disturbing the
-others: materialized fan-out retries each shard's request independently
-(:func:`~repro.common.retry.retry_call`), and the streaming fan-out
-re-opens only the faulted shard's stream, fast-forwarding past rows it
-already delivered.
+The coordinator is the one retry loop on the coordinator ↔ shard hop:
+a fault on one shard retries that shard alone.  A request retries through
+:func:`~repro.common.retry.retry_call`; a bucket of an insert through
+:func:`~repro.server.backend.insert_rows_idempotent`, so a lost ack never
+stores the bucket twice; a stream through
+:class:`~repro.engine.rowblock.ResilientStream`, which re-opens only the
+faulted shard's stream and fast-forwards past the rows it already
+delivered.  Deletes and replaces match exact stored tuples, ordinal
+included, so a retried one never touches a row twice.
 """
 
 from __future__ import annotations
@@ -62,11 +66,10 @@ import os
 import queue
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.common.errors import ConfigError, TransientError
+from repro.common.errors import ConfigError
 from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.aggregates import HomAgg
@@ -75,11 +78,16 @@ from repro.engine.executor import ExecStats, Executor, ResultSet
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
+    ResilientStream,
     blocks_from_rows,
     rechunk_rows,
 )
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.server.backend import ServerBackend, supports_deadline
+from repro.server.backend import (
+    ServerBackend,
+    insert_rows_idempotent,
+    supports_deadline,
+)
 from repro.sql import ast
 from repro.storage.rowcodec import encode_value, row_bytes
 
@@ -285,7 +293,7 @@ class ShardedBackend(ServerBackend):
 
     #: Bucket commits are per shard, not a prefix of the request order:
     #: a partially applied insert cannot be resumed by slicing the batch
-    #: (see the idempotent-insert helper in ``core.loader``).
+    #: (see ``insert_rows_idempotent`` in ``server.backend``).
     supports_prefix_resume = False
 
     def __init__(
@@ -419,25 +427,22 @@ class ShardedBackend(ServerBackend):
             bucket_bytes[target] += row_bytes(row)
             buckets[target].append(tuple(row) + (ordinal,))
             ordinal += 1
-        # Per-shard inserts retry independently so a transient fault on
-        # one shard never leaves the batch half-routed: by the time this
-        # method returns (or raises a fatal error on first attempt), no
-        # sibling shard holds rows a caller-level retry would duplicate.
-        # The ordinal watermark and byte accounting advance per committed
-        # bucket — not once at the end — so a failure on a later bucket
-        # cannot leave `next_ordinal` below ordinals an earlier bucket
-        # already committed (a caller-level retry would then mint
+        # Per-shard inserts retry independently, each bucket exactly once
+        # (a shard that committed but lost its ack is not sent the bucket
+        # again).  The ordinal watermark and byte accounting advance per
+        # committed bucket — not once at the end — so a failure on a later
+        # bucket cannot leave `next_ordinal` below ordinals an earlier
+        # bucket already committed (a caller-level retry would then mint
         # duplicate `__shard_ord` values for the surviving rows).
         for index, bucket in enumerate(buckets):
             if not bucket:
                 continue
-            shard = self.shards[index]
-            retry_call(
-                lambda shard=shard, bucket=bucket: shard.insert_rows(
-                    table_name, bucket
-                ),
+            insert_rows_idempotent(
+                self.shards[index],
+                table_name,
+                bucket,
                 self.retry_policy,
-                rng=self._retry_rng(),
+                self._retry_rng(),
             )
             meta.next_ordinal = max(meta.next_ordinal, bucket[-1][-1] + 1)
             meta.logical_bytes += bucket_bytes[index]
@@ -507,8 +512,8 @@ class ShardedBackend(ServerBackend):
             where=where,
         )
         pairs: list[tuple[int, tuple]] = []
-        for index, shard in enumerate(self.shards):
-            for row in shard.execute(scan).rows:
+        for index in range(len(self.shards)):
+            for row in self._shard_execute(index, scan, None, None).rows:
                 pairs.append((index, tuple(row)))
         pairs.sort(key=lambda pair: pair[1][-1])
         return pairs
@@ -537,14 +542,7 @@ class ShardedBackend(ServerBackend):
         for index, batch in enumerate(batches):
             if not batch:
                 continue
-            shard = self.shards[index]
-            retry_call(
-                lambda shard=shard, batch=batch: shard.delete_rows(
-                    table_name, batch
-                ),
-                self.retry_policy,
-                rng=self._retry_rng(),
-            )
+            self._on_shard(lambda: self.shards[index].delete_rows(table_name, batch))
             # The matched rows are gone once the shard call converges —
             # a faulted-then-retried attempt may report a smaller count
             # for rows the first attempt already removed, so accounting
@@ -580,14 +578,7 @@ class ShardedBackend(ServerBackend):
         for index, batch in enumerate(batches):
             if not batch:
                 continue
-            shard = self.shards[index]
-            retry_call(
-                lambda shard=shard, batch=batch: shard.replace_rows(
-                    table_name, batch
-                ),
-                self.retry_policy,
-                rng=self._retry_rng(),
-            )
+            self._on_shard(lambda: self.shards[index].replace_rows(table_name, batch))
             replaced += len(batch)
             meta.logical_bytes += deltas[index]
         return replaced
@@ -736,8 +727,12 @@ class ShardedBackend(ServerBackend):
                 return shard.execute(query, params=params, deadline=deadline)
             return shard.execute(query, params=params)
 
+        return self._on_shard(attempt, deadline)
+
+    def _on_shard(self, call, deadline: Deadline | None = None):
+        """Run one request on one shard, retrying that shard alone."""
         return retry_call(
-            attempt, self.retry_policy, deadline=deadline, rng=self._retry_rng()
+            call, self.retry_policy, deadline=deadline, rng=self._retry_rng()
         )
 
     def _fan_execute(
@@ -1266,7 +1261,7 @@ class ShardedBackend(ServerBackend):
 
         def producer(index: int, out: queue.Queue) -> None:
             try:
-                for chunk in self._resilient_shard_rows(
+                for chunk in self._shard_rows(
                     index, shard_query, params, block_rows, deadline, stop
                 ):
                     if not queue_put_bounded(out, ("rows", chunk), stop):
@@ -1329,7 +1324,7 @@ class ShardedBackend(ServerBackend):
         blocks = rechunk_rows(merged_chunks(), width, block_rows, stats)
         return BlockStream(columns, blocks, stats)
 
-    def _resilient_shard_rows(
+    def _shard_rows(
         self,
         index: int,
         shard_query: ast.Select,
@@ -1338,68 +1333,28 @@ class ShardedBackend(ServerBackend):
         deadline: Deadline | None,
         stop: threading.Event,
     ) -> Iterator[list[tuple]]:
-        """One shard's rows as chunks, resuming through transient faults.
-
-        Mirrors the plan executor's stream-resume discipline: a fault
-        re-opens this shard's stream (the others are untouched), skips
-        the rows already delivered downstream, and the attempt budget
-        counts only consecutive faults with zero blocks received.
-        """
-        shard = self.shards[index]
-        policy = self.retry_policy
-        rng = self._retry_rng()
-        delivered = 0
-        failures = 0
-        while True:
-            got_block = False
-            try:
-                stream = self._open_shard_stream(
-                    index, shard_query, params, block_rows, deadline
-                )
-                try:
-                    skip = delivered
-                    for block in stream:
-                        got_block = True
-                        rows = block.rows()
-                        if skip:
-                            if skip >= len(rows):
-                                skip -= len(rows)
-                                continue
-                            rows = rows[skip:]
-                            skip = 0
-                        delivered += len(rows)
-                        yield rows
-                        if stop.is_set():
-                            return
-                finally:
-                    stream.close()
-                return
-            except TransientError:
-                failures = 0 if got_block else failures + 1
-                if failures >= policy.max_attempts:
-                    raise
-                pause = policy.delay(failures, rng)
-                if deadline is not None:
-                    deadline.check(f"shard {index} stream retry")
-                    pause = min(pause, max(0.0, deadline.remaining()))
-                if pause > 0:
-                    time.sleep(pause)
-
-    def _open_shard_stream(
-        self,
-        index: int,
-        shard_query: ast.Select,
-        params: dict[str, object] | None,
-        block_rows: int,
-        deadline: Deadline | None,
-    ) -> BlockStream:
+        """One shard's rows as chunks; a fault re-opens this shard's
+        stream alone (the others are untouched)."""
         shard = self.shards[index]
         kwargs: dict[str, object] = {}
         if deadline is not None and self._shard_deadline[index]:
             kwargs["deadline"] = deadline
-        return shard.execute_stream(
-            shard_query, params=params, block_rows=block_rows, **kwargs
+
+        def open_stream() -> BlockStream:
+            return shard.execute_stream(
+                shard_query, params=params, block_rows=block_rows, **kwargs
+            )
+
+        stream = ResilientStream(
+            open_stream, self.retry_policy, deadline, self._retry_rng()
         )
+        try:
+            for block in stream:
+                yield block.rows()
+                if stop.is_set():
+                    return
+        finally:
+            stream.close()
 
     # -- lifecycle -----------------------------------------------------------
 

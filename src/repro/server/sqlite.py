@@ -158,8 +158,10 @@ def _is_busy_error(exc: sqlite3.Error) -> bool:
 
     These surface *after* the connection's own ``busy_timeout`` retries
     are exhausted, so translating them to
-    :class:`~repro.common.errors.BackendBusyError` hands the decision up
-    to the query-level retry layer instead of failing the query outright.
+    :class:`~repro.common.errors.BackendBusyError` hands the decision to
+    the retry loop of the hop that called the store — the client's, the
+    hosting server's or the sharded coordinator's — instead of failing
+    the query outright.
     """
     if not isinstance(exc, sqlite3.OperationalError):
         return False

@@ -30,10 +30,9 @@ entirely on the trusted client side, wrapping one
   literals under the cached plan (see :mod:`repro.service.prepared`); a
   repeated binding is a text-level hit in the statement's own cache.
 * **Resilience** — ``timeout=`` on submit arms a deadline at *submit*
-  time (queue wait counts against it), and a whole-query retry re-runs a
-  query whose transient fault escaped the executor's in-query recovery
-  (counted in ``stats().query_retries``; each attempt gets a fresh
-  ledger, so byte accounting stays identical to a fault-free run).
+  time (queue wait counts against it).  The service adds no retry loop:
+  each worker's executor is the client hop's one loop, and a transient
+  fault that exhausts its budget reaches the caller typed.
 
 Concurrency contract: results and ledger *byte counts* (transfer bytes,
 scanned bytes, round trips) of every query are identical to running the
@@ -62,14 +61,13 @@ byte-exact repeatability across reads is required.
 from __future__ import annotations
 
 import itertools
-import random
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError, UnsupportedQueryError
 from repro.common.ledger import CostLedger
-from repro.common.retry import Deadline, RetryPolicy, retry_call
+from repro.common.retry import Deadline
 from repro.core.client import MonomiClient, QueryOutcome
 from repro.core.normalize import normalize_dml, normalize_for_execution
 from repro.core.pexec import PlanExecutor
@@ -137,7 +135,6 @@ class ServiceStats:
     """Point-in-time service counters (``plan_cache`` is the client's)."""
 
     queries: int
-    query_retries: int
     sessions_opened: int
     prepared_statements: int
     prepared_fast_rebinds: int
@@ -180,24 +177,11 @@ class MonomiService:
     backend connections.
     """
 
-    def __init__(
-        self,
-        client: MonomiClient,
-        workers: int = DEFAULT_WORKERS,
-        retry_policy: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, client: MonomiClient, workers: int = DEFAULT_WORKERS) -> None:
         if workers < 1:
             raise ConfigError(f"service needs at least 1 worker, got {workers}")
         self._client = client
         self.workers = workers
-        # Whole-query retry: the executor already retries transient faults
-        # inside a query (stream re-open + fast-forward); this outer policy
-        # re-runs the *entire* query if one still escapes, on a fresh
-        # ledger, so a retried query's primary byte totals stay identical
-        # to a fault-free run.  One retry by default — each attempt is a
-        # full execution, and the inner layer has already burned its budget.
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=2)
-        self._retry_rng = random.Random(0x5EED)
         # Service-wide DML serialization: statements apply one at a time,
         # on a dedicated worker view (built lazily on first write).
         self._write_lock = threading.Lock()
@@ -213,7 +197,6 @@ class MonomiService:
         self._statements: dict[int, _StatementState] = {}
         self._sessions_opened = 0
         self._queries = 0
-        self._query_retries = 0
         self._fast_rebinds = 0
         self._replans = 0
         self._closed = False
@@ -357,7 +340,6 @@ class MonomiService:
         with self._state_lock:
             return ServiceStats(
                 queries=self._queries,
-                query_retries=self._query_retries,
                 sessions_opened=self._sessions_opened,
                 prepared_statements=len(self._statements),
                 prepared_fast_rebinds=self._fast_rebinds,
@@ -391,23 +373,7 @@ class MonomiService:
         deadline: Deadline | None = None,
     ) -> QueryOutcome:
         executor = self._worker_executor()
-
-        def attempt():
-            # Each attempt runs on a fresh ledger inside execute(), so the
-            # outcome's primary byte totals never include abandoned work.
-            return executor.execute(planned.plan, deadline=deadline)
-
-        def note_retry(exc: BaseException, attempts: int) -> None:
-            with self._state_lock:
-                self._query_retries += 1
-
-        result, ledger = retry_call(
-            attempt,
-            self.retry_policy,
-            deadline=deadline,
-            rng=self._retry_rng,
-            on_retry=note_retry,
-        )
+        result, ledger = executor.execute(planned.plan, deadline=deadline)
         session._absorb(ledger)
         with self._state_lock:
             self._queries += 1

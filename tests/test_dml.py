@@ -35,10 +35,9 @@ from repro.core import (
     normalize_query,
 )
 from repro.core.incagg import DEFAULT_SPLITS
-from repro.core.loader import insert_rows_idempotent
 from repro.core.schemes import Scheme
 from repro.engine import Database, Executor, schema
-from repro.server.backend import DelegatingView
+from repro.server.backend import DelegatingView, insert_rows_idempotent
 from repro.server.chaos import CHAOS_ENV, FaultInjectingBackend
 from repro.server.inmemory import InMemoryBackend
 from repro.server.sharded import ShardedBackend
@@ -159,9 +158,7 @@ def assert_workload_matches(client, oracle: Database) -> None:
     plain = Executor(oracle)
     for sql in SALES_WORKLOAD:
         expected = plain.execute(normalize_query(parse(sql)))
-        assert canonical(client.execute(sql).rows) == canonical(
-            expected.rows
-        ), sql
+        assert canonical(client.execute(sql).rows) == canonical(expected.rows), sql
     count = client.execute("SELECT COUNT(*) FROM orders").rows
     assert count == [(len(oracle.table("orders").rows),)]
 
@@ -201,9 +198,7 @@ class TestDmlFrontend:
         from repro.core import normalize_dml
 
         with pytest.raises(UnsupportedQueryError):
-            normalize_dml(
-                parse_statement("DELETE FROM t WHERE a LIKE '%x%y%'")
-            )
+            normalize_dml(parse_statement("DELETE FROM t WHERE a LIKE '%x%y%'"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +235,7 @@ class TestDmlOracle:
         for sql, params in DML_SCRIPT:
             client.execute(sql, params)
             apply_plain_dml(oracle, sql, params)
-            expected = Executor(oracle).execute(
-                normalize_query(parse(freshness_query))
-            )
+            expected = Executor(oracle).execute(normalize_query(parse(freshness_query)))
             assert canonical(client.execute(freshness_query).rows) == canonical(
                 expected.rows
             ), sql
@@ -307,9 +300,7 @@ class TestHomMaintenance:
         oracle = build_sales_db(NUM_ORDERS)
         run_script(client, oracle)
         dml = client.dml
-        plain, entries, exprs, hom_groups, enc_schema, scope = dml._layout(
-            "orders"
-        )
+        plain, entries, exprs, hom_groups, enc_schema, scope = dml._layout("orders")
         assert hom_groups, "sales design must pack hom groups for orders"
         stored, plain_rows = dml._fetch_decrypted(
             "orders", plain, entries, exprs, enc_schema, CostLedger()
@@ -317,9 +308,7 @@ class TestHomMaintenance:
         for group in hom_groups:
             file = client.backend.ciphertext_store.get(group.file_name)
             layout = file.layout
-            expected = [
-                [0] * len(group.expr_sqls) for _ in range(file.num_rows)
-            ]
+            expected = [[0] * len(group.expr_sqls) for _ in range(file.num_rows)]
             for full_row, values in zip(
                 stored, dml._group_values(group, plain_rows, scope)
             ):
@@ -371,9 +360,7 @@ class TestHomMaintenance:
         factor = provider.paillier_encrypt_batch([3])[0]
         for _ in range(3):  # a lost ack replays the same token
             backend.hom_apply("tok_probe", updates=[(0, factor)], token="t-1")
-        applied = provider.paillier_decrypt_batch(
-            backend.hom_read("tok_probe", [0])
-        )
+        applied = provider.paillier_decrypt_batch(backend.hom_read("tok_probe", [0]))
         assert applied == [8]
 
 
@@ -397,9 +384,7 @@ class TestMaintainedAggregates:
         expected = self._revenue(oracle)
         assert aggs.value("revenue") == expected
         assert sum(aggs.split_values("revenue")) == expected
-        assert aggs.value("neg_qty") == -sum(
-            r[3] for r in oracle.table("orders").rows
-        )
+        assert aggs.value("neg_qty") == -sum(r[3] for r in oracle.table("orders").rows)
         aggs.balance_now()
         assert aggs.value("revenue") == expected  # zero-sum by construction
         values = aggs.split_values("revenue")
@@ -488,9 +473,7 @@ class TestChaosOnWrite:
         assert stats["draws"] > 0
         assert_workload_matches(client, oracle)
 
-    def test_chaos_actually_fires_across_seeds(
-        self, monkeypatch, provider, dml_design
-    ):
+    def test_chaos_actually_fires_across_seeds(self, monkeypatch, provider, dml_design):
         """At least one of the CI seeds must inject faults on the write
         path, otherwise the convergence tests above prove nothing."""
         fired = 0
@@ -538,9 +521,7 @@ class _PassthroughView(DelegatingView):
         return self._parent.execute(query, params=params)
 
     def execute_stream(self, query, params=None, block_rows=None):
-        return self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
-        )
+        return self._parent.execute_stream(query, params=params, block_rows=block_rows)
 
 
 class _LostAck(_PassthroughView):
@@ -652,10 +633,8 @@ class TestShardedOrdinals:
             sharded.insert_rows("t", [(i,) for i in range(4)])
         # The caller treats the failed batch as lost and re-sends it.
         sharded.insert_rows("t", [(i,) for i in range(4)])
-        stored = (
-            shard0.database.table("t").rows
-            + flaky._parent.database.table("t").rows
-        )
+        kept = shard0.database.table("t").rows
+        stored = kept + flaky._parent.database.table("t").rows
         ordinals = [row[-1] for row in stored]
         assert len(ordinals) == len(set(ordinals)), ordinals
         schema_cols = [c.name for c in shard0.database.table("t").schema.columns]
@@ -713,9 +692,7 @@ class TestServiceDml:
                 t.join()
             assert not errors
             plain = Executor(oracle).execute(normalize_query(parse(query)))
-            assert canonical(service.execute(query).rows) == canonical(
-                plain.rows
-            )
+            assert canonical(service.execute(query).rows) == canonical(plain.rows)
 
 
 class TestRemoteDml:
@@ -743,9 +720,7 @@ class TestRemoteDml:
             finally:
                 remote.close()
 
-    def test_remote_chaos_write_convergence(
-        self, monkeypatch, provider, dml_design
-    ):
+    def test_remote_chaos_write_convergence(self, monkeypatch, provider, dml_design):
         from repro.net import MonomiServer
 
         host = make_client(provider, dml_design)
@@ -764,3 +739,59 @@ class TestRemoteDml:
                 assert_workload_matches(remote, oracle)
             finally:
                 remote.close()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_stacked_chaos_write_convergence(
+        self, monkeypatch, provider, dml_design, seed
+    ):
+        """Two chaos layers at CI's rates: the hosted store's at
+        ``(seed, 0.08)`` and the client's proxy at ``11:0.12``.  Each hop
+        retries its own faults, so no write spends one budget on both."""
+        from repro.net import MonomiServer
+
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        host = make_client(provider, dml_design)
+        oracle = build_sales_db(NUM_ORDERS)
+        with MonomiServer(host.backend, chaos=(seed, 0.08)) as server:
+            monkeypatch.setenv(CHAOS_ENV, "11:0.12")
+            remote = MonomiClient.connect(
+                server.address,
+                build_sales_db(NUM_ORDERS),
+                design=dml_design,
+                provider=provider,
+            )
+            try:
+                assert isinstance(remote.backend, FaultInjectingBackend)
+                run_script(remote, oracle)
+                assert_workload_matches(remote, oracle)
+            finally:
+                remote.close()
+            assert server.stats()["chaos"]["draws"] > 0
+
+    def test_server_retries_its_store_faults(self, monkeypatch, provider, dml_design):
+        """The server hop's loop: a client with no chaos of its own never
+        retries a write while the hosted store injects faults."""
+        from repro.net import MonomiServer
+
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        host = make_client(provider, dml_design)
+        oracle = build_sales_db(NUM_ORDERS)
+        with MonomiServer(host.backend, chaos=(11, 0.08)) as server:
+            remote = MonomiClient.connect(
+                server.address,
+                build_sales_db(NUM_ORDERS),
+                design=dml_design,
+                provider=provider,
+            )
+            try:
+                assert not isinstance(remote.backend, FaultInjectingBackend)
+                for sql, params in DML_SCRIPT:
+                    outcome = remote.execute(sql, params)
+                    assert outcome.rows == [(apply_plain_dml(oracle, sql, params),)]
+                    assert outcome.ledger.retries == 0, sql
+                stats = server.stats()
+                assert_workload_matches(remote, oracle)
+            finally:
+                remote.close()
+        assert stats["chaos"]["injected_errors"] > 0
+        assert stats["retries"] == stats["chaos"]["injected_errors"]

@@ -95,9 +95,7 @@ class TestRetryPrimitives:
             return "ok"
 
         policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
-        out = retry_call(
-            flaky, policy, on_retry=lambda a, e: retried.append(a)
-        )
+        out = retry_call(flaky, policy, on_retry=lambda a, e: retried.append(a))
         assert out == "ok"
         assert calls["n"] == 3
         assert retried == [1, 2]
@@ -186,9 +184,7 @@ class TestChaosProxy:
         runs = []
         for _ in range(2):
             client = _chaos_client(sales_client, seed=5, rate=0.3)
-            rows = [
-                canonical(client.execute(q).rows) for q in SALES_WORKLOAD[:2]
-            ]
+            rows = [canonical(client.execute(q).rows) for q in SALES_WORKLOAD[:2]]
             runs.append((rows, client.backend.stats()))
         if chaos_from_env() is None:
             assert runs[0] == runs[1]
@@ -283,16 +279,20 @@ class TestDeadlines:
 class _FlakyView(DelegatingView):
     """Fails the first N query calls with a transient error, then heals.
 
-    N greater than the executor's per-query retry budget forces the
-    failure to escape one whole execution, exercising the *service's*
-    outer whole-query retry.
+    Worker views share one state, so ``calls`` counts every query call
+    that reached the backend, from any view.
     """
 
     def __init__(self, parent, failures: int, state: dict | None = None):
         super().__init__(parent)
-        self._state = state if state is not None else {"left": failures}
+        self._state = state if state is not None else {"left": failures, "calls": 0}
+
+    @property
+    def calls(self) -> int:
+        return self._state["calls"]
 
     def _maybe_fail(self) -> None:
+        self._state["calls"] += 1
         if self._state["left"] > 0:
             self._state["left"] -= 1
             raise InjectedFaultError("flaky backend")
@@ -305,56 +305,62 @@ class _FlakyView(DelegatingView):
 
     def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         self._maybe_fail()
-        return self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
-        )
+        return self._parent.execute_stream(query, params=params, block_rows=block_rows)
 
     def worker_view(self):
         return _FlakyView(self._parent.worker_view(), 0, state=self._state)
 
 
+def _flaky_client(sales_client, failures: int) -> tuple[MonomiClient, _FlakyView]:
+    """A client over the fixture's store whose first ``failures`` query
+    calls fault.  Chaos CI pre-wraps the fixture's backend; the flaky view
+    sits on the real one, so its faults are the only ones."""
+    base = sales_client.backend
+    while isinstance(base, FaultInjectingBackend):
+        base = base._parent
+    flaky = _FlakyView(base, failures)
+    client = MonomiClient(
+        sales_client.plain_db,
+        sales_client.design,
+        sales_client.provider,
+        flaky,
+        sales_client.flags,
+        sales_client.network,
+        sales_client.disk,
+    )
+    return client, flaky
+
+
 class TestServiceResilience:
-    def test_whole_query_retry_counts_and_recovers(
-        self, sales_client, monkeypatch
-    ):
+    """The service adds no retry loop: the worker's executor is the client
+    hop's one loop, with the executor's budget of 5 attempts."""
+
+    def test_faults_within_the_budget_recover(self, sales_client, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         reference = sales_client.execute(SALES_WORKLOAD[0])
-        # 5 consecutive failures exhaust the executor's inner budget
-        # (max_attempts=5) exactly once; call 6 succeeds on the service's
-        # second whole-query attempt.
-        flaky = _FlakyView(sales_client.backend, failures=5)
-        client = MonomiClient(
-            sales_client.plain_db,
-            sales_client.design,
-            sales_client.provider,
-            flaky,
-            sales_client.flags,
-            sales_client.network,
-            sales_client.disk,
-        )
+        client, _ = _flaky_client(sales_client, failures=4)
         with MonomiService(client, workers=1) as service:
             outcome = service.execute(SALES_WORKLOAD[0])
-            assert canonical(outcome.rows) == canonical(reference.rows)
-            assert _primary(outcome.ledger) == _primary(reference.ledger)
-            assert service.stats().query_retries == 1
+        assert canonical(outcome.rows) == canonical(reference.rows)
+        assert _primary(outcome.ledger) == _primary(reference.ledger)
+        assert outcome.ledger.retries == 4
+
+    def test_exhausted_budget_is_not_retried_again(self, sales_client, monkeypatch):
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        client, flaky = _flaky_client(sales_client, failures=5)
+        with MonomiService(client, workers=1) as service:
+            with pytest.raises(InjectedFaultError):
+                service.execute(SALES_WORKLOAD[0])
+        assert flaky.calls == 5
 
     def test_retry_budget_exhaustion_raises_typed_error(
         self, sales_client, monkeypatch
     ):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
-        flaky = _FlakyView(sales_client.backend, failures=10**6)
-        client = MonomiClient(
-            sales_client.plain_db,
-            sales_client.design,
-            sales_client.provider,
-            flaky,
-            sales_client.flags,
-            sales_client.network,
-            sales_client.disk,
-        )
+        client, _ = _flaky_client(sales_client, failures=10**6)
         fast = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         client.executor.retry_policy = fast
-        with MonomiService(client, workers=1, retry_policy=fast) as service:
+        with MonomiService(client, workers=1) as service:
             with pytest.raises(InjectedFaultError):
                 service.execute(SALES_WORKLOAD[0])
 
@@ -363,13 +369,6 @@ class TestServiceResilience:
             future = service.submit(SALES_WORKLOAD[0], timeout=1e-6)
             with pytest.raises(DeadlineExceededError):
                 future.result()
-
-    def test_stats_expose_query_retries_field(self, sales_client):
-        with MonomiService(sales_client, workers=1) as service:
-            service.execute(SALES_WORKLOAD[0])
-            stats = service.stats()
-            assert stats.queries == 1
-            assert stats.query_retries == 0
 
 
 # -- the load journal ---------------------------------------------------------
@@ -453,13 +452,9 @@ class TestCrashSafeLoad:
                 ) == _server_column(resumed, entry.table, entry.column_name)
         assert reference.total_bytes == resumed.total_bytes
 
-    def test_journaled_load_equals_plain_load(
-        self, sales_client, provider, tmp_path
-    ):
+    def test_journaled_load_equals_plain_load(self, sales_client, provider, tmp_path):
         reference = self._reference_backend(sales_client, provider, tmp_path)
-        backend = make_backend(
-            "sqlite", name="j", path=str(tmp_path / "journaled.db")
-        )
+        backend = make_backend("sqlite", name="j", path=str(tmp_path / "journaled.db"))
         EncryptedLoader(sales_client.plain_db, provider).load_into(
             backend,
             sales_client.design,
@@ -591,13 +586,9 @@ class TestCrashSafeLoad:
         if not completed.hom_groups:
             pytest.skip("sales design carries no homomorphic groups")
         journal_dir = tmp_path / "journal"
-        first = make_backend(
-            "sqlite", name="a", path=str(tmp_path / "first.db")
-        )
+        first = make_backend("sqlite", name="a", path=str(tmp_path / "first.db"))
         loader = EncryptedLoader(sales_db, provider)
-        loader.load_into(
-            first, sales_client.design, journal=journal_dir, batch_rows=64
-        )
+        loader.load_into(first, sales_client.design, journal=journal_dir, batch_rows=64)
         saved = [
             e["file"] for e in LoadJournal(journal_dir).events
             if e["event"] == "hom_saved"
@@ -608,9 +599,7 @@ class TestCrashSafeLoad:
             raise AssertionError("Paillier packing ran again on resume")
 
         monkeypatch.setattr(provider, "paillier_encrypt_batch", no_paillier)
-        second = make_backend(
-            "sqlite", name="b", path=str(tmp_path / "second.db")
-        )
+        second = make_backend("sqlite", name="b", path=str(tmp_path / "second.db"))
         EncryptedLoader(sales_db, provider).load_into(
             second, sales_client.design, journal=journal_dir, batch_rows=64
         )
@@ -622,9 +611,7 @@ class TestCrashSafeLoad:
         self, sales_client, sales_db, provider, tmp_path
     ):
         journal_dir = tmp_path / "journal"
-        backend = make_backend(
-            "sqlite", name="a", path=str(tmp_path / "a.db")
-        )
+        backend = make_backend("sqlite", name="a", path=str(tmp_path / "a.db"))
         loader = EncryptedLoader(sales_db, provider)
         loader.load_into(
             backend, sales_client.design, journal=journal_dir, batch_rows=64

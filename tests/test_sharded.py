@@ -356,6 +356,18 @@ class TestChaosOneShard:
         assert wrapped.execute(SCAN).rows == ROWS
         assert chaotic.stats()["draws"] > 0
 
+    def test_insert_survives_shard_lost_ack(self):
+        # Seed 7 loses the ack of a bucket the shard has committed: the
+        # coordinator must not send that bucket again.
+        sharded = make_sharded_backend("memory", 2, name="lost_ack_load")
+        chaotic = FaultInjectingBackend(sharded.shards[0], 7, 0.3)
+        wrapped = sharded.with_shards([chaotic, sharded.shards[1]])
+        wrapped.create_table(SCHEMA)
+        wrapped.insert_rows("t1", ROWS)
+        assert wrapped.row_count("t1") == len(ROWS)
+        assert wrapped.execute(SCAN).rows == ROWS
+        assert chaotic.stats()["injected_errors"] > 0
+
 
 class TestTopology:
     def test_with_shards_count_mismatch_raises(self):
