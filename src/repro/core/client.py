@@ -33,7 +33,6 @@ from repro.core.cost import MonomiCostModel
 from repro.core.design import PhysicalDesign, TechniqueFlags
 from repro.core.designer import Designer, DesignResult
 from repro.core.encdata import CryptoProvider
-from repro.core.encset import Unit
 from repro.core.loader import EncryptedLoader, complete_design, join_key_indexes
 from repro.core.normalize import (
     normalize_dml,
@@ -536,14 +535,6 @@ class MonomiClient:
             self.plan_cache.put(key, planned, text)
         return planned, False
 
-    def plan_with_units(
-        self, query: ast.Select, units: tuple[Unit, ...]
-    ) -> PlannedQuery:
-        """Plan a *normalized* query under a fixed unit choice (the prepared
-        re-bind fallback), on the current planner; never cached here."""
-        with self._plan_lock:
-            return self.planner.plan_with_units(query, units)
-
     # -- concurrent service ------------------------------------------------------
 
     def service(self, workers: int = 4) -> "MonomiService":
@@ -551,9 +542,10 @@ class MonomiClient:
 
         Serves N sessions at once on a worker thread pool: per-worker
         backend connections, per-session cost ledgers, and a
-        prepared-statement API.  Sessions plan through :meth:`plan`, so
-        the service and this client share one plan cache.  Single-session
-        code keeps using :meth:`execute` unchanged.  See
+        prepared-statement API.  Sessions and prepared statements plan
+        through :meth:`plan`, so the service and this client share one plan
+        cache and run one plan per statement text.  Single-session code
+        keeps using :meth:`execute` unchanged.  See
         :class:`repro.service.MonomiService`.
         """
         from repro.service import MonomiService

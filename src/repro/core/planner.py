@@ -99,30 +99,6 @@ class Planner:
             raise PlanningError("query has no feasible plan under this design")
         return PlannedQuery(*best, tried, subsets)
 
-    def plan_with_units(
-        self, query: ast.Select, units: tuple[Unit, ...]
-    ) -> PlannedQuery:
-        """Plan with a fixed unit subset, skipping the power-set search.
-
-        The prepared-statement path uses this to re-plan a parameterized
-        query under the unit choice its first execution already paid the
-        full enumeration for: only Algorithm 1 and literal encryption
-        re-run, pricing exactly one candidate.  Falls back to the empty
-        subset (ship-everything) when the cached units no longer yield a
-        feasible plan for the new literals (e.g. an OPE constant out of
-        domain).
-        """
-        query = expand_stars(query, self.schemas)
-        plan = self._plan_with(query, tuple(units))
-        if plan is None and units:
-            units = ()
-            plan = self._plan_with(query, ())
-        if plan is None:
-            raise PlanningError("query has no feasible plan under this design")
-        return PlannedQuery(
-            plan, self.cost_model.plan_cost(plan), tuple(units), 1
-        )
-
     def _plan_with(self, query: ast.Select, subset: tuple[Unit, ...]) -> SplitPlan | None:
         candidate = build_candidate(self._base, subset, self.flags, loaded=self.design)
         return self._plan_on(query, candidate)

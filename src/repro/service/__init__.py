@@ -7,21 +7,15 @@ entry point::
         session = service.open_session()
         outcome = session.execute("SELECT ...")
 
-The plan cache the sessions share is the client's
-(:mod:`repro.core.plancache`); it is re-exported here.
+The plan cache the sessions and prepared statements share is the
+client's (:mod:`repro.core.plancache`); it is re-exported here.
 """
 
 from repro.core.plancache import PlanCache, PlanCacheStats, plan_cache_key
-from repro.service.prepared import (
-    PreparedPlan,
-    PreparedStatement,
-    RebindError,
-    rebind_plan,
-    substitution_safety,
-)
 from repro.service.service import (
     DEFAULT_WORKERS,
     MonomiService,
+    PreparedStatement,
     ServiceSession,
     ServiceStats,
 )
@@ -31,12 +25,8 @@ __all__ = [
     "MonomiService",
     "PlanCache",
     "PlanCacheStats",
-    "PreparedPlan",
     "PreparedStatement",
-    "RebindError",
     "ServiceSession",
     "ServiceStats",
     "plan_cache_key",
-    "rebind_plan",
-    "substitution_safety",
 ]

@@ -25,10 +25,11 @@ entirely on the trusted client side, wrapping one
   skips normalization and the rewriter/splitter/planner here too, and the
   other way round (the client's hit/miss counters in
   :meth:`MonomiService.stats`).
-* **Prepared statements** — :meth:`MonomiService.prepare` /
-  :meth:`MonomiService.execute_prepared` re-encrypt only the parameter
-  literals under the cached plan (see :mod:`repro.service.prepared`); a
-  repeated binding is a text-level hit in the statement's own cache.
+* **Prepared statements** — :meth:`MonomiService.prepare` parses and
+  registers a ``:name`` template once; :meth:`MonomiService.execute_prepared`
+  runs a binding through :meth:`MonomiService.submit`, so it gets the very
+  plan ``execute`` of the same text and parameters gets: a repeated binding
+  is a text-level hit, a fresh one a single-flight miss in the one cache.
 * **Resilience** — ``timeout=`` on submit arms a deadline at *submit*
   time (queue wait counts against it).  The service adds no retry loop:
   each worker's executor is the client hop's one loop, and a transient
@@ -44,9 +45,9 @@ across 8 concurrent sessions.
 service route to the client's encrypted DML executor, serialized by a
 service-wide write lock (DML never runs concurrently with DML) and bound
 to a worker view, so each backend operation is atomic against concurrent
-readers.  The plan and prepared-statement caches stay *valid* across DML:
-they memoize plans, never results, a plan re-scans live tables on every
-execution, and the one statistic a plan embeds is sound for any value
+readers.  The plan cache stays *valid* across DML: it memoizes plans,
+never results, a plan re-scans live tables on every execution, and the
+one statistic a plan embeds is sound for any value
 (the argument is written once, on :meth:`MonomiClient.plan
 <repro.core.client.MonomiClient.plan>`).  Only the cached cost
 *estimates* go stale (they snapshot table sizes at plan time), which
@@ -69,24 +70,11 @@ from repro.common.errors import ConfigError, UnsupportedQueryError
 from repro.common.ledger import CostLedger
 from repro.common.retry import Deadline
 from repro.core.client import MonomiClient, QueryOutcome
-from repro.core.normalize import normalize_dml, normalize_for_execution
+# Not called here; kept because the e2e tracer wraps this module's name.
+from repro.core.normalize import normalize_dml, normalize_for_execution  # noqa: F401
 from repro.core.pexec import PlanExecutor
-from repro.core.plancache import (
-    PlanCache,
-    PlanCacheStats,
-    TextKey,
-    plan_cache_key,
-    text_cache_key,
-)
+from repro.core.plancache import PlanCacheStats, TextKey
 from repro.core.planner import PlannedQuery
-from repro.service.prepared import (
-    PreparedPlan,
-    PreparedStatement,
-    RebindError,
-    param_sites,
-    rebind_plan,
-    substitution_safety,
-)
 from repro.sql import ast, parse_statement, to_sql
 
 DEFAULT_WORKERS = 4
@@ -137,35 +125,16 @@ class ServiceStats:
     queries: int
     sessions_opened: int
     prepared_statements: int
-    prepared_fast_rebinds: int
-    prepared_replans: int
     workers: int
     plan_cache: PlanCacheStats
 
 
-#: Bound on each prepared statement's private plan memo (distinct
-#: parameter bindings kept hot per statement).
-STATEMENT_PLAN_CACHE_SIZE = 64
+@dataclass(frozen=True)
+class PreparedStatement:
+    """Opaque handle returned by :meth:`MonomiService.prepare`."""
 
-
-class _StatementState:
-    """Mutable per-prepared-statement state (anchor plan, build lock).
-
-    Prepared plans live in a per-statement cache, *never* in the client's
-    shared plan cache: a re-bound plan keeps its anchor's split shape,
-    which a fresh optimizer run for the same literals might not pick —
-    publishing it to the shared cache would let a later ``execute`` of
-    the identical SQL text return different ledger bytes than serial
-    client execution, breaking the service's byte-identical contract.
-    (The anchor itself is a full plan, so it comes from and goes to the
-    shared cache like any ad-hoc statement.)
-    """
-
-    def __init__(self, statement: PreparedStatement) -> None:
-        self.statement = statement
-        self.entry: PreparedPlan | None = None
-        self.lock = threading.Lock()
-        self.plans = PlanCache(STATEMENT_PLAN_CACHE_SIZE)
+    statement_id: int
+    sql: str
 
 
 class MonomiService:
@@ -194,11 +163,9 @@ class MonomiService:
         self._views: list = []
         self._session_ids = itertools.count(1)
         self._statement_ids = itertools.count(1)
-        self._statements: dict[int, _StatementState] = {}
+        self._statements: set[PreparedStatement] = set()
         self._sessions_opened = 0
         self._queries = 0
-        self._fast_rebinds = 0
-        self._replans = 0
         self._closed = False
         # Internal fallback for session-less submits; not a user session,
         # so it does not count toward stats().sessions_opened.
@@ -285,7 +252,8 @@ class MonomiService:
         """Parse a ``:name``-parameterized template into a reusable handle.
 
         Only a SELECT can be prepared: DML raises
-        :class:`~repro.common.errors.UnsupportedQueryError`.
+        :class:`~repro.common.errors.UnsupportedQueryError`.  A binding is
+        planned by the client's plan cache, like any statement.
         """
         self._ensure_open()
         template = parse_statement(sql) if isinstance(sql, str) else sql
@@ -294,13 +262,10 @@ class MonomiService:
             raise UnsupportedQueryError(
                 f"{kind} statements cannot be prepared; use execute()"
             )
-        names = tuple(sorted(param_sites(template)))
         text = sql if isinstance(sql, str) else to_sql(sql)
         with self._state_lock:
-            statement = PreparedStatement(
-                next(self._statement_ids), text, template, names
-            )
-            self._statements[statement.statement_id] = _StatementState(statement)
+            statement = PreparedStatement(next(self._statement_ids), text)
+            self._statements.add(statement)
         return statement
 
     def submit_prepared(
@@ -310,18 +275,15 @@ class MonomiService:
         session: ServiceSession | None = None,
         timeout: float | None = None,
     ) -> Future:
+        """:meth:`submit` of the statement's text: the same plan-cache
+        lookup, hence the same plan, as an ad-hoc statement."""
         self._ensure_open()
-        state = self._statements.get(statement.statement_id)
-        if state is None:
+        if statement not in self._statements:
             raise ConfigError(
                 f"unknown prepared statement #{statement.statement_id} "
                 "(prepared on another service?)"
             )
-        target = session or self._default_session
-        deadline = Deadline.after(timeout) if timeout is not None else None
-        return self._pool.submit(
-            self._run_prepared, state, target, dict(params or {}), deadline
-        )
+        return self.submit(statement.sql, params, session, timeout)
 
     def execute_prepared(
         self,
@@ -342,8 +304,6 @@ class MonomiService:
                 queries=self._queries,
                 sessions_opened=self._sessions_opened,
                 prepared_statements=len(self._statements),
-                prepared_fast_rebinds=self._fast_rebinds,
-                prepared_replans=self._replans,
                 workers=self.workers,
                 plan_cache=self._client.plan_cache.stats(),
             )
@@ -427,53 +387,3 @@ class MonomiService:
         with self._state_lock:
             self._queries += 1
         return QueryOutcome(result, ledger, None)
-
-    def _run_prepared(
-        self,
-        state: _StatementState,
-        session: ServiceSession,
-        params: dict[str, object],
-        deadline: Deadline | None = None,
-    ) -> QueryOutcome:
-        if deadline is not None:
-            deadline.check("prepared query (queued)")
-        text = text_cache_key(state.statement.sql, params)
-        planned = state.plans.get_text(text)
-        if planned is None:
-            normalized = normalize_for_execution(state.statement.template, params)
-            key = plan_cache_key(normalized, self._client.design_fingerprint)
-            planned = state.plans.get(key, text)
-            if planned is None:
-                planned = self._prepared_plan(state, normalized, params)
-                state.plans.put(key, planned, text)
-        return self._finish(session, planned, deadline)
-
-    def _prepared_plan(
-        self,
-        state: _StatementState,
-        normalized: ast.Select,
-        params: dict[str, object],
-    ) -> PlannedQuery:
-        """First execution plans fully and anchors; later ones re-bind."""
-        with state.lock:
-            entry = state.entry
-            if entry is None:
-                planned = self._client.plan(normalized)
-                state.entry = PreparedPlan(
-                    planned,
-                    dict(params),
-                    substitution_safety(state.statement.template, normalized, params),
-                )
-                return planned
-        try:
-            planned = rebind_plan(entry, self._client.provider, params)
-            with self._state_lock:
-                self._fast_rebinds += 1
-            return planned
-        except RebindError:
-            planned = self._client.plan_with_units(
-                normalized, entry.planned.chosen_units
-            )
-            with self._state_lock:
-                self._replans += 1
-            return planned

@@ -197,15 +197,9 @@ def test_prepared_statements_over_remote(sales_client, sales_client_remote):
         "WHERE o_price > :p GROUP BY o_custkey"
     )
     values = (300, 900, 2500)
-    # Reference: the same prepared path, in-process.  (Prepared re-binds
-    # run the generic plan, whose ledger differs from ad-hoc's
-    # specialized plan — so ad-hoc is not the comparison point.)
-    with sales_client.service(workers=2) as service:
-        statement = service.prepare(template)
-        references = {
-            value: service.execute_prepared(statement, {"p": value})
-            for value in values
-        }
+    references = {
+        value: sales_client.execute(template, {"p": value}) for value in values
+    }
     with sales_client_remote.service(workers=2) as service:
         statement = service.prepare(template)
         for value in values:

@@ -40,7 +40,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.client as client_module
-import repro.service.service as service_module
 from repro.common.errors import ParseError, PlanningError, UnsupportedQueryError
 from repro.core import (
     CryptoProvider,
@@ -544,7 +543,7 @@ def test_client_and_service_share_text_entries(
 def test_repeated_prepared_execution_skips_normalization(
     pinned_provider, sales_design, monkeypatch
 ):
-    calls = counted(monkeypatch, service_module, "normalize_for_execution")
+    calls = counted(monkeypatch, client_module, "normalize_for_execution")
     client = make_client(pinned_provider, sales_design)
     template = "SELECT COUNT(*) FROM orders WHERE o_price > :p"
     with client.service(workers=1) as service:
