@@ -18,12 +18,18 @@ best split differs from an earlier binding's.
 from __future__ import annotations
 
 import datetime
+import decimal
 import random
 import threading
 
 import pytest
 
-from repro.common.errors import ConfigError, UnsupportedQueryError
+from repro.common.errors import (
+    ConfigError,
+    ParseError,
+    PlanningError,
+    UnsupportedQueryError,
+)
 from repro.core import MonomiClient, normalize_query
 from repro.core.planner import PlannedQuery
 from repro.service import (
@@ -373,6 +379,134 @@ class TestPreparedExecution:
         with sales_client.service(workers=1) as other:
             with pytest.raises(ConfigError):
                 other.execute_prepared(foreign, {"p": 1})
+
+    def test_closed_service_refuses_prepared_work(self, sales_client):
+        service = sales_client.service(workers=1)
+        statement = service.prepare(PRICE_TEMPLATE)
+        service.close()
+        with pytest.raises(ConfigError, match="closed"):
+            service.prepare(PRICE_TEMPLATE)
+        with pytest.raises(ConfigError, match="closed"):
+            service.submit_prepared(statement, {"p": 1})
+
+    def test_prepare_rejects_malformed_template(self, sales_client):
+        with sales_client.service(workers=1) as service:
+            with pytest.raises(ParseError):
+                service.prepare("SELECT FROM orders WHERE o_price > :p")
+            assert service.stats().prepared_statements == 0
+
+    def test_prepared_ast_template_runs_its_printed_text(self, sales_client):
+        """A parsed template is registered under its printed SQL, and a
+        binding shares the plan of the source text's binding."""
+        template = parse(PRICE_TEMPLATE)
+        with sales_client.service(workers=2) as service:
+            statement = service.prepare(template)
+            assert statement.sql == to_sql(template)
+            got = service.execute_prepared(statement, {"p": 650})
+            want = sales_client.execute(PRICE_TEMPLATE, {"p": 650})
+            assert got.planned is want.planned
+            assert canonical(got.rows) == canonical(want.rows)
+            assert ledger_bytes(got.ledger) == ledger_bytes(want.ledger)
+
+    def test_prepared_binding_reuses_the_clients_plan(self, sales_client):
+        """A binding ``client.execute`` already planned is one counted hit
+        in the shared cache and never reaches the planner."""
+        params = {"p": 1234}
+        want = sales_client.execute(PRICE_TEMPLATE, params)
+        planner_calls = 0
+        original_plan = sales_client.planner.plan
+
+        def counting_plan(query):
+            nonlocal planner_calls
+            planner_calls += 1
+            return original_plan(query)
+
+        sales_client.planner.plan = counting_plan
+        try:
+            with sales_client.service(workers=2) as service:
+                statement = service.prepare(PRICE_TEMPLATE)
+                before = service.stats().plan_cache
+                got = service.execute_prepared(statement, params)
+                after = service.stats().plan_cache
+        finally:
+            sales_client.planner.plan = original_plan
+        assert planner_calls == 0
+        assert got.planned is want.planned
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert canonical(got.rows) == canonical(want.rows)
+        assert ledger_bytes(got.ledger) == ledger_bytes(want.ledger)
+
+    def test_concurrent_fresh_binding_plans_once(self, sales_client):
+        """Racing workers on one unseen binding share a single plan."""
+        planner_calls = 0
+        original_plan = sales_client.planner.plan
+
+        def counting_plan(query):
+            nonlocal planner_calls  # Serialized by the client's plan lock.
+            planner_calls += 1
+            return original_plan(query)
+
+        sales_client.planner.plan = counting_plan
+        sales_client.plan_cache.clear()
+        try:
+            with sales_client.service(workers=4) as service:
+                statement = service.prepare(PRICE_TEMPLATE)
+                futures = [
+                    service.submit_prepared(statement, {"p": 1717})
+                    for _ in range(8)
+                ]
+                outcomes = [f.result(timeout=60) for f in futures]
+        finally:
+            sales_client.planner.plan = original_plan
+        assert planner_calls == 1
+        assert len({id(o.planned) for o in outcomes}) == 1
+        want = sales_client.execute(PRICE_TEMPLATE, {"p": 1717})
+        for outcome in outcomes:
+            assert outcome.planned is want.planned
+            assert canonical(outcome.rows) == canonical(want.rows)
+            assert ledger_bytes(outcome.ledger) == ledger_bytes(want.ledger)
+
+    def test_prepared_binding_charges_its_session(self, sales_client):
+        with sales_client.service(workers=2) as service:
+            statement = service.prepare(PRICE_TEMPLATE)
+            session = service.open_session()
+            outcomes = [
+                service.execute_prepared(statement, {"p": v}, session=session)
+                for v in (300, 1500)
+            ]
+            assert session.queries_run == 2
+            assert session.ledger.transfer_bytes == sum(
+                o.ledger.transfer_bytes for o in outcomes
+            )
+            assert session.ledger.round_trips == sum(
+                o.ledger.round_trips for o in outcomes
+            )
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({}, "unbound parameter :p"),
+            ({"q": 1}, "unbound parameter :p"),
+            ({"p": decimal.Decimal("1")}, "unsupported type Decimal"),
+        ],
+        ids=["unbound", "misnamed", "unprintable"],
+    )
+    def test_bad_binding_raises_at_submit_like_execute(
+        self, sales_client, params, message
+    ):
+        """A binding ``client.execute`` refuses raises the same error from
+        ``submit_prepared`` itself, on the caller's thread, and leaves the
+        plan cache and the query count untouched."""
+        with pytest.raises(PlanningError, match=message):
+            sales_client.execute(PRICE_TEMPLATE, params)
+        with sales_client.service(workers=1) as service:
+            statement = service.prepare(PRICE_TEMPLATE)
+            before = service.stats().plan_cache
+            with pytest.raises(PlanningError, match=message):
+                service.submit_prepared(statement, params)
+            after = service.stats()
+            assert after.plan_cache == before
+            assert after.queries == 0
 
 
 # ---------------------------------------------------------------------------
