@@ -20,15 +20,16 @@ Row routing happens at load time: ``insert_rows`` assigns each row a
 global ordinal (a hidden ``__shard_ord`` column appended to every shard
 table) and routes it by the hash of its DET shard key — or by ordinal
 when the schema has no DET column.  The ordinal is the merge fence:
-every gather path re-establishes the exact serial row order by merging
-on it, so plaintext rows, block boundaries, and ledger byte counts are
-**shard-count-invariant** (N=1 is byte-identical to the serial
-reference).
+every gather path re-establishes the exact serial row order by sorting
+or merging on it, so plaintext rows, block boundaries, and ledger byte
+counts are **shard-count-invariant** (N=1 is byte-identical to the
+serial reference).
 
 Query execution classifies the server query into four gather modes:
 
-* **scan** — streamable scan: fan out with per-shard LIMIT, k-way merge
-  on ordinal (`heapq.merge`), trim the global LIMIT;
+* **scan** — streamable scan: fan out with per-shard LIMIT, one sort of
+  the concatenated shard rows on the (globally unique) ordinal, trim the
+  global LIMIT;
 * **ordered** — ORDER BY (OPE keys): per-shard top-k with the ordinal as
   final tiebreak, k-way sorted merge with the engine's exact NULL
   ordering per direction;
@@ -39,8 +40,12 @@ Query execution classifies the server query into four gather modes:
   recombine by ciphertext multiplication inside
   :class:`~repro.engine.aggregates.HomAgg` over the merged row ids;
 * **general** — joins, DISTINCT, subqueries: gather the referenced
-  partitioned tables (ordinal-merged, so relation order is serial) into
-  the coordinator and run the unmodified engine there.
+  partitioned tables (ordinal-sorted, so relation order is serial) into
+  the coordinator and run the unmodified engine there.  For a comma or
+  inner join of base tables each named once, with no subquery and no
+  ``*``, each shard scan returns only the columns the query names and
+  applies the WHERE conjuncts that read that table alone; any other
+  shape gathers whole tables.
 
 Scan-byte accounting is computed by the coordinator from the logical
 (pre-ordinal) table sizes — one heap read per table occurrence plus the
@@ -67,6 +72,7 @@ import queue
 import random
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigError
@@ -74,7 +80,7 @@ from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.aggregates import HomAgg
 from repro.engine.catalog import Database
-from repro.engine.executor import ExecStats, Executor, ResultSet
+from repro.engine.executor import ExecStats, Executor, ResultSet, _mentioned_names
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
@@ -211,13 +217,19 @@ def merge_sorted_rows(
         yield row
 
 
-def merge_scan_rows(
+def sort_by_ordinal(
     shard_rows: Sequence[Iterable[tuple]],
     ordinal_slot: int,
     limit: int | None = None,
-) -> Iterator[tuple]:
-    """Ordinal-only merge: the serial scan order of a partitioned table."""
-    return merge_sorted_rows(shard_rows, (), ordinal_slot, limit)
+) -> list[tuple]:
+    """The serial scan order of a partitioned table, ordinal kept: one sort
+    of the concatenated shard rows.  Ordinals are globally unique, so this
+    is the order the k-way ordinal merge gives, without a key per row."""
+    rows: list[tuple] = []
+    for chunk in shard_rows:
+        rows.extend(chunk)
+    rows.sort(key=itemgetter(ordinal_slot))
+    return rows if limit is None else rows[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +266,8 @@ class _Unsupported(Exception):
 
 
 def _subqueries_anywhere(query: ast.Select) -> bool:
+    """Whether a subquery appears in any expression slot of ``query``
+    (FROM items are the caller's to check)."""
     exprs: list[ast.Expr] = [item.expr for item in query.items]
     exprs.extend(query.group_by)
     exprs.extend(o.expr for o in query.order_by)
@@ -261,11 +275,37 @@ def _subqueries_anywhere(query: ast.Select) -> bool:
         exprs.append(query.where)
     if query.having is not None:
         exprs.append(query.having)
-    if any(ast.find_subqueries(e) for e in exprs):
-        return True
-    return any(
-        not isinstance(ref, ast.TableName) for ref in query.from_items
-    )
+    return any(ast.find_subqueries(e) for e in exprs)
+
+
+def _join_tables(refs: Sequence[ast.TableRef]) -> list[ast.TableName] | None:
+    """The base tables of a comma or inner join, or None for any other
+    FROM: a FROM subquery, an outer join, a subquery in an ON condition."""
+    tables: list[ast.TableName] = []
+    for ref in refs:
+        if isinstance(ref, ast.TableName):
+            tables.append(ref)
+            continue
+        if not isinstance(ref, ast.Join) or ref.kind != "inner":
+            return None
+        if ref.condition is not None and ast.find_subqueries(ref.condition):
+            return None
+        inner = _join_tables((ref.left, ref.right))
+        if inner is None:
+            return None
+        tables.extend(inner)
+    return tables
+
+
+def _unqualified(expr: ast.Expr) -> ast.Expr:
+    """``expr`` with every column qualifier dropped (for a one-table scan)."""
+
+    def strip(node: ast.Expr) -> ast.Expr:
+        if isinstance(node, ast.Column) and node.table is not None:
+            return ast.Column(node.name)
+        return node
+
+    return ast.transform(expr, strip)
 
 
 def _resolve_aliases(query: ast.Select, expr: ast.Expr) -> ast.Expr:
@@ -793,10 +833,8 @@ class ShardedBackend(ServerBackend):
     ) -> list[tuple]:
         shard_query = self._scan_query(query)
         results = self._fan_execute(shard_query, params, deadline)
-        merged = merge_scan_rows(
-            [r.rows for r in results], len(query.items), query.limit
-        )
-        return [row[:-1] for row in merged]
+        rows = sort_by_ordinal([r.rows for r in results], len(query.items), query.limit)
+        return [row[:-1] for row in rows]
 
     # -- mode: ordered -------------------------------------------------------
 
@@ -1170,26 +1208,79 @@ class ShardedBackend(ServerBackend):
 
     # -- mode: general gather ------------------------------------------------
 
+    def _gather_shape(
+        self, query: ast.Select
+    ) -> dict[str, tuple[tuple[ColumnDef, ...], ast.Expr | None]]:
+        """Per partitioned table the query reads: the columns to gather and
+        the WHERE its shards' scan applies.
+
+        For a comma or inner join of base tables, each named once, with no
+        subquery and no ``*``: the columns of each table whose names the
+        query mentions anywhere, and the WHERE conjuncts whose every column
+        resolves to that table alone, qualifiers stripped.  A name the
+        query mentions is gathered from every table that has it, so the
+        engine resolves (or finds ambiguous) exactly what it would over
+        the full tables; it re-applies each pushed conjunct, which only
+        narrows its input the way its own pre-join pushdown does.  Any
+        other shape gathers every column and no filter.
+        """
+        names = self._partitioned_in(query)
+        shape = {name: (self._tables[name].schema.columns, None) for name in names}
+        tables = _join_tables(query.from_items)
+        if tables is None or _subqueries_anywhere(query):
+            return shape
+        mentioned = _mentioned_names(query)
+        if mentioned is None or len({ref.name for ref in tables}) != len(tables):
+            return shape
+        schemas: dict[str, TableSchema] = {}
+        for ref in tables:
+            if ref.binding in schemas or not self.has_table(ref.name):
+                return shape
+            meta = self._tables.get(ref.name)
+            schemas[ref.binding] = (
+                meta.schema if meta is not None else self._db.table(ref.name).schema
+            )
+
+        def owner(column: ast.Column) -> str | None:
+            if column.table is None:
+                candidates = list(schemas.values())
+            else:
+                candidates = [schemas.get(column.table)]
+            homes = [s.name for s in candidates if s and s.has_column(column.name)]
+            return homes[0] if len(homes) == 1 else None
+
+        pushed: dict[str, list[ast.Expr]] = {name: [] for name in names}
+        for conjunct in ast.conjuncts(query.where):
+            owners = {owner(column) for column in ast.find_columns(conjunct)}
+            home = owners.pop() if len(owners) == 1 else None
+            if home in pushed:
+                pushed[home].append(_unqualified(conjunct))
+        for name in names:
+            columns = tuple(
+                c for c in self._tables[name].schema.columns if c.name in mentioned
+            )
+            shape[name] = (columns, ast.conjoin(pushed[name]))
+        return shape
+
     def _gather_rows(
         self,
         table_name: str,
         deadline: Deadline | None,
+        columns: tuple[ColumnDef, ...],
+        where: ast.Expr | None,
+        params: dict[str, object] | None,
     ) -> list[tuple]:
-        """All rows of one partitioned table, in serial (ordinal) order,
-        ordinal stripped."""
-        meta = self._tables[table_name]
+        """The ``columns`` of one partitioned table's rows that pass
+        ``where``, in serial (ordinal) order, ordinal stripped."""
         scan = ast.Select(
-            items=tuple(
-                ast.SelectItem(ast.Column(c.name))
-                for c in meta.shard_schema.columns
-            ),
+            items=tuple(ast.SelectItem(ast.Column(c.name)) for c in columns)
+            + (ast.SelectItem(ast.Column(ORDINAL_COLUMN)),),
             from_items=(ast.TableName(table_name),),
+            where=where,
         )
-        results = self._fan_execute(scan, None, deadline)
-        merged = merge_scan_rows(
-            [r.rows for r in results], len(meta.shard_schema.columns) - 1
-        )
-        return [row[:-1] for row in merged]
+        results = self._fan_execute(scan, params, deadline)
+        rows = sort_by_ordinal([r.rows for r in results], len(columns))
+        return [row[:-1] for row in rows]
 
     def _execute_general(
         self,
@@ -1197,22 +1288,20 @@ class ShardedBackend(ServerBackend):
         params: dict[str, object] | None,
         deadline: Deadline | None,
     ) -> ResultSet:
-        """Gather referenced partitioned tables into the coordinator and
-        run the unmodified engine there — exact for every query shape,
-        at full-gather cost (joins, DISTINCT, subqueries are rare in
-        server halves; the planner pushes selective work down first)."""
-        names = self._partitioned_in(query)
+        """Gather what the query reads of each partitioned table into the
+        coordinator and run the unmodified engine there: exact for every
+        query shape.  Each scratch table holds only the gathered columns
+        and charges the table's logical bytes, as the serial scan does."""
         with self._gather_lock:
             created: list[str] = []
             try:
-                for name in names:
-                    rows = self._gather_rows(name, deadline)
-                    table = self._db.create_table(self._tables[name].schema)
+                for name, (columns, where) in self._gather_shape(query).items():
+                    rows = self._gather_rows(name, deadline, columns, where, params)
+                    table = self._db.create_table(TableSchema(name, columns))
                     created.append(name)
                     table.rows = rows
                     table.total_bytes = self._tables[name].logical_bytes
-                result = self._executor.execute(query, params=params)
-                return result
+                return self._executor.execute(query, params=params)
             finally:
                 for name in created:
                     self._db.drop_table(name)
@@ -1402,9 +1491,9 @@ __all__ = [
     "DirectedKey",
     "ShardedBackend",
     "make_sharded_backend",
-    "merge_scan_rows",
     "merge_sorted_rows",
     "resolve_shards",
     "route_hash",
     "shards_from_env",
+    "sort_by_ordinal",
 ]

@@ -5,7 +5,8 @@ Four families, mirroring the merge paths in
 
 * the k-way sorted merge reproduces the serial engine's exact ORDER BY
   semantics (ties, duplicates, NULLs-last ascending / NULLs-first
-  descending, uneven and empty shards);
+  descending, uneven and empty shards), and the one-sort ordinal order
+  equals the ordinal-only merge;
 * Paillier partial sums recombine by ciphertext multiplication to the
   single-store reference;
 * DET group keys merge exactly: same groups, same first-encounter
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.paillier import generate_keypair
 from repro.engine.executor import _SortKey
 from repro.server import make_backend, make_sharded_backend
-from repro.server.sharded import DirectedKey, merge_sorted_rows
+from repro.server.sharded import DirectedKey, merge_sorted_rows, sort_by_ordinal
 from repro.sql import ast
 from repro.engine.schema import schema
 
@@ -116,6 +117,19 @@ class TestSortedMerge:
             shard.sort(key=shard_sort_key)
         merged = list(merge_sorted_rows(shards, key_slots, width, limit))
         assert merged == serial_order(tagged, directions)[:limit]
+
+    @given(merge_cases(), st.one_of(st.none(), st.integers(0, 10)))
+    @settings(max_examples=100, deadline=None)
+    def test_ordinal_sort_equals_ordinal_merge(self, case, limit):
+        # The scan and general gathers sort the concatenated shard rows by
+        # ordinal instead of k-way merging them: the same total order,
+        # because ordinals are unique.
+        width, _, rows, shard_count, assignment = case
+        shards = [[] for _ in range(shard_count)]
+        for ordinal, (row, target) in enumerate(zip(rows, assignment)):
+            shards[target].append(row + (ordinal,))
+        merged = list(merge_sorted_rows(shards, (), width, limit))
+        assert sort_by_ordinal(shards, width, limit) == merged
 
     def test_directed_key_null_rules(self):
         # Ascending: every value < NULL; descending: NULL < every value.

@@ -44,14 +44,12 @@ ROWS = [
 SCHEMA = schema("t1", ("k_det", "any"), ("v", "any"), ("label", "text"))
 
 
-def build_pair(kind: str, shards: int, rows=ROWS, shard_keys=None):
+def build_pair(kind: str, shards: int, rows=ROWS, shard_keys=None, serial_kind=None):
     """A sharded backend and its serial twin, loaded identically."""
-    sharded = make_sharded_backend(
-        kind, shards, name="sh", shard_keys=shard_keys
-    )
+    sharded = make_sharded_backend(kind, shards, name="sh", shard_keys=shard_keys)
     sharded.create_table(SCHEMA)
     sharded.insert_rows("t1", rows)
-    serial = make_backend(kind, name="ref")
+    serial = make_backend(serial_kind or kind, name="ref")
     serial.create_table(SCHEMA)
     serial.insert_rows("t1", rows)
     return sharded, serial
@@ -285,6 +283,228 @@ class TestBackendEquivalence:
         result = sharded.execute(SCAN)
         assert ORDINAL_COLUMN not in result.columns
         assert all(len(row) == 3 for row in result.rows)
+
+
+# Join partners for the general gather: t2 shares only the join key with
+# t1; t3 also has a column named ``v``, like t1.
+T2 = schema("t2", ("k_det", "any"), ("w", "any"))
+T2_ROWS = [(i % 7, i * 100) for i in range(7)]
+T3 = schema("t3", ("k_det", "any"), ("v", "any"))
+T3_ROWS = [(i % 7, i * 10) for i in range(7)]
+
+
+def build_join_pair(kind: str, shards: int, serial_kind=None):
+    sharded, serial = build_pair(kind, shards, serial_kind=serial_kind)
+    for backend in (sharded, serial):
+        for table, rows in ((T2, T2_ROWS), (T3, T3_ROWS)):
+            backend.create_table(table)
+            backend.insert_rows(table.name, rows)
+    return sharded, serial
+
+
+def qcol(table, name):
+    return ast.Column(name, table)
+
+
+def gt(left, right):
+    return ast.BinOp(">", left, right)
+
+
+def conj(*parts):
+    return ast.conjoin(parts)
+
+
+def spy_shard_scans(sharded, monkeypatch):
+    """Record every query the coordinator sends to a shard's execute."""
+    seen: list[ast.Select] = []
+    for shard in sharded.shards:
+
+        def spy(query, params=None, _inner=shard.execute, **kwargs):
+            seen.append(query)
+            return _inner(query, params=params, **kwargs)
+
+        monkeypatch.setattr(shard, "execute", spy)
+    return seen
+
+
+def scans_of(seen, table):
+    return [q for q in seen if q.from_items == (ast.TableName(table),)]
+
+
+class TestGeneralGather:
+    """Joins and DISTINCT gather only the columns the query names and
+    push each one-table WHERE conjunct to that table's shards; any other
+    shape gathers whole tables.  Either way rows and ledger bytes equal
+    the serial reference."""
+
+    pytestmark = pytest.mark.parametrize(
+        "kind,shards", [("memory", 2), ("memory", 3), ("sqlite", 2)]
+    )
+
+    def test_alias_qualified_conjunct(self, kind, shards):
+        sharded, serial = build_join_pair(kind, shards)
+        query = ast.Select(
+            items=(item(qcol("a", "label")), item(qcol("b", "w"))),
+            from_items=(ast.TableName("t1", "a"), ast.TableName("t2", "b")),
+            where=conj(
+                ast.BinOp("=", qcol("a", "k_det"), qcol("b", "k_det")),
+                gt(qcol("a", "v"), ast.Literal(30)),
+            ),
+            order_by=(ast.OrderItem(qcol("a", "label")),),
+        )
+        assert_equivalent(sharded, serial, query)
+
+    def test_bound_param_in_pushed_conjunct(self, kind, shards):
+        sharded, serial = build_join_pair(kind, shards)
+        query = ast.Select(
+            items=(item(qcol("t1", "label")), item(col("w"))),
+            from_items=(
+                ast.Join(
+                    ast.TableName("t1"),
+                    ast.TableName("t2"),
+                    "inner",
+                    ast.BinOp("=", qcol("t1", "k_det"), qcol("t2", "k_det")),
+                ),
+            ),
+            where=conj(gt(col("v"), ast.Param("lo")), gt(col("w"), ast.Param("w_lo"))),
+            order_by=(ast.OrderItem(qcol("t1", "label")),),
+        )
+        for params in ({"lo": 120, "w_lo": 100}, {"lo": 0, "w_lo": -1}):
+            assert_equivalent(sharded, serial, query, params=params)
+
+    def test_name_in_two_tables_is_not_pushed(self, kind, shards, monkeypatch):
+        # SQLite refuses the ambiguous ``v``; the coordinator's engine
+        # applies it to the first relation that has it, as the serial
+        # in-memory engine does.  Pushed to t3's shards it would drop
+        # every t3 row below 30 and change the result.
+        sharded, serial = build_join_pair(kind, shards, serial_kind="memory")
+        seen = spy_shard_scans(sharded, monkeypatch)
+        query = ast.Select(
+            items=(item(qcol("t1", "label")), item(qcol("t3", "v"), "v3")),
+            from_items=(ast.TableName("t1"), ast.TableName("t3")),
+            where=conj(
+                ast.BinOp("=", qcol("t1", "k_det"), qcol("t3", "k_det")),
+                gt(col("v"), ast.Literal(30)),
+            ),
+            order_by=(ast.OrderItem(qcol("t1", "label")),),
+        )
+        got = assert_equivalent(sharded, serial, query)
+        assert got.rows
+        assert all(scan.where is None for scan in seen)
+
+    def test_left_join_gathers_whole_tables(self, kind, shards, monkeypatch):
+        sharded, serial = build_join_pair(kind, shards)
+        seen = spy_shard_scans(sharded, monkeypatch)
+        query = ast.Select(
+            items=(item(qcol("t1", "label")), item(qcol("t2", "w"))),
+            from_items=(
+                ast.Join(
+                    ast.TableName("t1"),
+                    ast.TableName("t2"),
+                    "left",
+                    conj(
+                        ast.BinOp("=", qcol("t1", "k_det"), qcol("t2", "k_det")),
+                        gt(qcol("t2", "w"), ast.Literal(300)),
+                    ),
+                ),
+            ),
+            where=ast.IsNull(qcol("t2", "w")),
+            order_by=(ast.OrderItem(qcol("t1", "label")),),
+        )
+        got = assert_equivalent(sharded, serial, query)
+        assert 0 < len(got.rows) < len(ROWS)
+        for table, schema_ in (("t1", SCHEMA), ("t2", T2)):
+            (scan,) = set(scans_of(seen, table))
+            assert scan.where is None
+            assert [i.expr.name for i in scan.items] == [
+                *schema_.column_names,
+                ORDINAL_COLUMN,
+            ]
+
+    def test_subquery_gathers_whole_tables(self, kind, shards, monkeypatch):
+        # On one shard the subquery would see only that shard's t2 rows.
+        sharded, serial = build_join_pair(kind, shards)
+        seen = spy_shard_scans(sharded, monkeypatch)
+        lowest = ast.Select(
+            items=(item(ast.FuncCall("min", (col("w"),))),),
+            from_items=(ast.TableName("t2"),),
+            where=gt(col("w"), ast.Literal(0)),
+        )
+        query = ast.Select(
+            items=(item(col("label")),),
+            from_items=(ast.TableName("t1"),),
+            where=gt(col("v"), ast.ScalarSubquery(lowest)),
+            distinct=True,
+        )
+        got = assert_equivalent(sharded, serial, query)
+        assert 0 < len(got.rows) < len(ROWS)
+        assert all(scan.where is None for scan in seen)
+
+    def test_self_join(self, kind, shards, monkeypatch):
+        sharded, serial = build_join_pair(kind, shards)
+        seen = spy_shard_scans(sharded, monkeypatch)
+        query = ast.Select(
+            items=(item(qcol("a", "label"), "la"), item(qcol("b", "label"), "lb")),
+            from_items=(ast.TableName("t1", "a"), ast.TableName("t1", "b")),
+            where=conj(
+                ast.BinOp("=", qcol("a", "k_det"), qcol("b", "k_det")),
+                gt(qcol("a", "v"), ast.Literal(200)),
+                ast.BinOp("<", qcol("b", "v"), ast.Literal(20)),
+            ),
+            order_by=(ast.OrderItem(col("la")), ast.OrderItem(col("lb"))),
+        )
+        got = assert_equivalent(sharded, serial, query)
+        assert got.rows
+        assert all(scan.where is None for scan in seen)
+
+    def test_single_table_distinct(self, kind, shards, monkeypatch):
+        sharded, serial = build_join_pair(kind, shards)
+        seen = spy_shard_scans(sharded, monkeypatch)
+        query = ast.Select(
+            items=(item(col("k_det")),),
+            from_items=(ast.TableName("t1"),),
+            where=gt(col("v"), ast.Literal(30)),
+            distinct=True,
+            order_by=(ast.OrderItem(col("k_det")),),
+        )
+        assert_equivalent(sharded, serial, query)
+        (scan,) = set(seen)
+        assert [i.expr.name for i in scan.items] == ["k_det", "v", ORDINAL_COLUMN]
+        assert scan.where == query.where
+
+    def test_join_scan_carries_named_columns_and_pushed_conjunct(
+        self, kind, shards, monkeypatch
+    ):
+        # Pins the projected, filtered gather: a silent fallback to the
+        # whole-table gather fails here, not only in a benchmark.
+        sharded, serial = build_join_pair(kind, shards)
+        seen = spy_shard_scans(sharded, monkeypatch)
+        query = ast.Select(
+            items=(item(col("w")), item(ast.FuncCall("count", star=True), "n")),
+            from_items=(ast.TableName("t1"), ast.TableName("t2")),
+            where=conj(
+                ast.BinOp("=", qcol("t1", "k_det"), qcol("t2", "k_det")),
+                gt(qcol("t1", "v"), ast.Literal(30)),
+            ),
+            group_by=(col("w"),),
+            order_by=(ast.OrderItem(col("w")),),
+        )
+        assert_equivalent(sharded, serial, query)
+        assert len(seen) == 2 * shards
+        (t1_scan,) = set(scans_of(seen, "t1"))
+        assert [i.expr.name for i in t1_scan.items] == [
+            "k_det",
+            "v",
+            ORDINAL_COLUMN,
+        ]
+        assert t1_scan.where == gt(col("v"), ast.Literal(30))
+        (t2_scan,) = set(scans_of(seen, "t2"))
+        assert [i.expr.name for i in t2_scan.items] == [
+            "k_det",
+            "w",
+            ORDINAL_COLUMN,
+        ]
+        assert t2_scan.where is None
 
 
 class TestStreaming:
