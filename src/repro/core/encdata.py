@@ -19,8 +19,11 @@ key.  Design choices that mirror the paper's prototype:
   repeated (de)cryptions (§8.1 uses a 512-entry decryption cache).  Four
   LRU caches, each bounded by ``cache_size`` so long-running loads cannot
   grow memory without limit: plaintext→ciphertext for ``det_encrypt`` and
-  ``ope_encrypt``, ``(sql_type, ciphertext)``→plaintext for
-  ``det_decrypt`` and ``ope_decrypt``.  A decrypt cache never needs
+  ``ope_encrypt``, and ciphertext→plaintext for ``det_decrypt`` and
+  ``ope_decrypt``.  A decrypt cache is one table per SQL type under the
+  one bound (:class:`~repro.common.lru.PartitionedLRU`), keyed by the bare
+  ciphertext, so a lookup builds no per-value key and one integer
+  decrypts under each type it is presented with.  A decrypt cache never needs
   invalidating under DML (the schemes are fixed permutations per key, so
   a rewritten cell arrives as a different ciphertext), stores a plaintext
   only after its decrypt succeeded, and reveals nothing: it lives with
@@ -35,10 +38,12 @@ paths are element-wise identical to the scalar ones (property-tested),
 including ``None`` passthrough; they exist because columnar loading and
 client-side result decryption are throughput-bound (§8, Fig. 7).
 
-The OPE and FFX batch paths go further than loop hoisting: LRU misses are
-**deduplicated per batch** (a low-cardinality column decrypts each value
-once per RowBlock; ``det_decrypt_batch`` deduplicates before it even asks
-the LRU) and handed to the ciphers' own column APIs —
+The decrypt batch paths probe the **whole column** in one C-level pass
+(:meth:`~repro.common.lru.LRUCache.get_many`) before anything else, so a
+warm column is a ``map`` of the SQL type's table and nothing per value in
+Python.  Only the misses are **deduplicated** (a low-cardinality column
+decrypts each value once per RowBlock) and handed to the ciphers' own
+column APIs, as the encrypt batch paths' per-type miss buckets are —
 :meth:`~repro.crypto.ope.OpeCipher.decrypt_batch`'s shared-tree descent
 computes every shared tree pivot once per batch, and
 :meth:`~repro.crypto.ffx.FFXInteger.decrypt_batch` loops Feistel rounds
@@ -51,13 +56,15 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_right
+from itertools import compress, repeat
+from operator import is_
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - cost.py imports this module
     from repro.core.cost import DecryptionProfile
 
 from repro.common.errors import CryptoError, DomainError
-from repro.common.lru import CacheStats, LRUCache
+from repro.common.lru import CacheStats, LRUCache, PartitionedLRU
 from repro.crypto.det import DetCipher
 from repro.crypto.ffx import FFXInteger
 from repro.crypto.ope import DEFAULT_PIVOT_CACHE, OpeCipher
@@ -168,8 +175,8 @@ class CryptoProvider:
         self.cache_size = cache_size
         self._det_cache = LRUCache(cache_size)
         self._ope_cache = LRUCache(cache_size)
-        self._ope_dec_cache = LRUCache(cache_size)
-        self._det_dec_cache = LRUCache(cache_size)
+        self._ope_dec_cache = PartitionedLRU(cache_size)
+        self._det_dec_cache = PartitionedLRU(cache_size)
         if decryption_profile is not None:
             self._decryption_profile = decryption_profile
 
@@ -323,13 +330,12 @@ class CryptoProvider:
     def det_decrypt(self, ciphertext: object, sql_type: str) -> object:
         if ciphertext is None:
             return None
-        key = (sql_type, ciphertext)
-        cached = self._det_dec_cache.get(key)
+        cached = self._det_dec_cache.get(sql_type, ciphertext)
         if cached is None:
             # Stored only once the decrypt succeeded: a corrupt ciphertext
             # raises every time it is presented.
             cached = self._det_decrypt_uncached(ciphertext, sql_type)
-            self._det_dec_cache.put(key, cached)
+            self._det_dec_cache.put(sql_type, ciphertext, cached)
         return cached
 
     def _det_decrypt_uncached(self, ciphertext: object, sql_type: str) -> object:
@@ -350,31 +356,22 @@ class CryptoProvider:
     def det_decrypt_batch(self, ciphertexts: Sequence, sql_type: str) -> list:
         """Element-wise :meth:`det_decrypt` with one type dispatch.
 
-        The column deduplicates first, so the decrypt LRU is consulted
-        once per distinct ciphertext; the misses ride the FFX column APIs
-        (text partitions into per-length FFX columns plus the wide-block
-        fallback) and are stored once the whole column decrypted.
+        The whole column probes the decrypt cache first, in one C-level
+        pass (:meth:`PartitionedLRU.get_many`), so a warm column returns
+        without any per-value Python work.  Only the misses deduplicate;
+        they ride the FFX column APIs (text partitions into per-length FFX
+        columns plus the wide-block fallback) and are stored once the
+        whole column decrypted.
         """
         if not isinstance(ciphertexts, list):
             ciphertexts = list(ciphertexts)
-        get = self._det_dec_cache.get
-        # ciphertext -> plaintext for this column; None maps to None.
-        plains: dict = dict.fromkeys(ciphertexts)
-        misses = []
-        for ciphertext in plains:
-            if ciphertext is not None:
-                cached = get((sql_type, ciphertext))
-                if cached is None:
-                    misses.append(ciphertext)
-                else:
-                    plains[ciphertext] = cached
-        if misses:
-            put = self._det_dec_cache.put
-            decrypted = self._det_decrypt_column(misses, sql_type)
-            for ciphertext, plain in zip(misses, decrypted):
-                put((sql_type, ciphertext), plain)
-                plains[ciphertext] = plain
-        return [plains[ciphertext] for ciphertext in ciphertexts]
+        out, misses = self._det_dec_cache.get_many(sql_type, ciphertexts)
+        if not misses:
+            return out
+        missed = _distinct_misses(ciphertexts, out)
+        plains = self._det_decrypt_column(missed, sql_type)
+        self._det_dec_cache.put_many(sql_type, missed, plains)
+        return _fill_misses(ciphertexts, out, missed, plains)
 
     def _det_decrypt_column(self, ciphertexts: list, sql_type: str) -> list:
         """Decrypt distinct, non-``None`` ciphertexts of one SQL type."""
@@ -490,12 +487,11 @@ class CryptoProvider:
     def ope_decrypt(self, ciphertext: int | None, sql_type: str) -> object:
         if ciphertext is None:
             return None
-        key = (sql_type, ciphertext)
-        cached = self._ope_dec_cache.get(key)
+        cached = self._ope_dec_cache.get(sql_type, ciphertext)
         if cached is not None:
             return cached
         plain = self._ope_decrypt_uncached(ciphertext, sql_type)
-        self._ope_dec_cache.put(key, plain)
+        self._ope_dec_cache.put(sql_type, ciphertext, plain)
         return plain
 
     def _ope_decrypt_uncached(self, ciphertext: int, sql_type: str) -> object:
@@ -515,30 +511,19 @@ class CryptoProvider:
     def ope_decrypt_batch(self, ciphertexts: Sequence, sql_type: str) -> list:
         """Element-wise :meth:`ope_decrypt` over a column.
 
-        Cache misses deduplicate per batch and ride the shared-tree
+        Probes the whole column first, like :meth:`det_decrypt_batch`;
+        the deduplicated misses ride the shared-tree
         :meth:`OpeCipher.decrypt_batch`, the client-side hot path for
         range-query post-processing.
         """
         if not isinstance(ciphertexts, list):
             ciphertexts = list(ciphertexts)
-        get = self._ope_dec_cache.get
-        put = self._ope_dec_cache.put
-        out: list = [None] * len(ciphertexts)
-        miss_idx: list[int] = []
-        miss_cts: list[int] = []
-        for idx, ciphertext in enumerate(ciphertexts):
-            if ciphertext is None:
-                continue
-            cached = get((sql_type, ciphertext))
-            if cached is not None:
-                out[idx] = cached
-                continue
-            miss_idx.append(idx)
-            miss_cts.append(ciphertext)
-        if not miss_idx:
+        out, misses = self._ope_dec_cache.get_many(sql_type, ciphertexts)
+        if not misses:
             return out
+        missed = _distinct_misses(ciphertexts, out)
         if sql_type in ("int", "bool"):
-            plains: list = self._ope_int.decrypt_batch(miss_cts)
+            plains: list = self._ope_int.decrypt_batch(missed)
             if sql_type == "bool":
                 plains = [bool(p) for p in plains]
         elif sql_type == "date":
@@ -546,21 +531,19 @@ class CryptoProvider:
             delta = datetime.timedelta
             plains = [
                 epoch + delta(days=p)
-                for p in self._ope_date.decrypt_batch(miss_cts)
+                for p in self._ope_date.decrypt_batch(missed)
             ]
         elif sql_type == "text":
             plains = [
                 raw_int.to_bytes(_STR_PREFIX_BYTES, "big")
                 .rstrip(b"\x00")
                 .decode("utf-8", errors="replace")
-                for raw_int in self._ope_str.decrypt_batch(miss_cts)
+                for raw_int in self._ope_str.decrypt_batch(missed)
             ]
         else:
             raise DomainError(f"OPE cannot decrypt type {sql_type!r}")
-        for idx, ciphertext, plain in zip(miss_idx, miss_cts, plains):
-            put((sql_type, ciphertext), plain)
-            out[idx] = plain
-        return out
+        self._ope_dec_cache.put_many(sql_type, missed, plains)
+        return _fill_misses(ciphertexts, out, missed, plains)
 
     # -- RND ---------------------------------------------------------------------
 
@@ -674,6 +657,22 @@ class CryptoProvider:
         if scheme == "plain":
             return list(ciphertexts)
         raise DomainError(f"no direct decryption for scheme {scheme!r}")
+
+
+def _distinct_misses(ciphertexts: list, probed: list) -> list:
+    """The distinct non-``None`` ciphertexts whose probe came back empty."""
+    missed = dict.fromkeys(compress(ciphertexts, map(is_, probed, repeat(None))))
+    missed.pop(None, None)
+    return list(missed)
+
+
+def _fill_misses(ciphertexts: list, probed: list, missed: list, plains: list) -> list:
+    """``probed`` with every miss replaced by its decryption."""
+    get = dict(zip(missed, plains)).get
+    return [
+        plain if plain is not None else get(ciphertext)
+        for ciphertext, plain in zip(ciphertexts, probed)
+    ]
 
 
 def _short_text_length(ciphertext: int) -> int:
