@@ -16,7 +16,7 @@ A column asks a table once: :meth:`LRUCache.get_many` probes every key
 with one C-level ``map`` of the dict's ``get`` and refreshes the hits'
 recency with one C-level ``deque(map(move_to_end, ...), 0)``, so a warm
 column costs no Python bytecode per value.  :meth:`LRUCache.put_many`
-stores a batch of misses the same way whenever it cannot evict.  Both
+stores a batch of misses with one :meth:`~LRUCache.put` per key.  Both
 equal the same sequence of :meth:`~LRUCache.get`/:meth:`~LRUCache.put`
 calls: values, counters, entries and eviction order.
 """
@@ -141,33 +141,28 @@ class LRUCache:
         except KeyError:  # Evicted by a concurrent put.
             pass
         if len(data) > self._capacity:
-            self._evict()
+            self._evict(self._capacity)
 
     def put_many(self, keys: list, values: list) -> None:
-        """Element-wise :meth:`put` of ``zip(keys, values)``.
+        """Element-wise :meth:`put` of ``zip(keys, values)``."""
+        for key, value in zip(keys, values):
+            self.put(key, value)
 
-        A batch that cannot evict is one ``update`` plus one C-level
-        recency pass; one that may evict (or holds a ``None`` key) takes
-        the per-key path, so evictions interleave with the inserts
-        exactly as the ``put`` sequence would.
+    def _evict(self, limit: int) -> int:
+        """Drop least recently used entries until at most ``limit`` remain.
+
+        Returns how many this call dropped.
         """
         data = self._data
-        if len(data) + len(keys) > self._capacity or None in keys:
-            for key, value in zip(keys, values):
-                self.put(key, value)
-            return
-        data.update(zip(keys, values))
-        _touch(data.move_to_end, iter(keys))
-        self._evict()  # Only if concurrent puts overfilled the table.
-
-    def _evict(self) -> None:
-        data = self._data
-        while len(data) > self._capacity:
+        dropped = 0
+        while len(data) > limit:
             try:
                 data.popitem(last=False)
-                self.evictions += 1
             except KeyError:  # Another thread already evicted.
                 break
+            dropped += 1
+        self.evictions += dropped
+        return dropped
 
     def clear(self) -> None:
         """Drop entries (counters survive — they describe lifetime traffic)."""
@@ -204,7 +199,7 @@ class PartitionedLRU:
     :class:`LRUCache`'s.
     """
 
-    __slots__ = ("_tables", "_capacity", "evictions")
+    __slots__ = ("_tables", "_capacity")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -212,7 +207,6 @@ class PartitionedLRU:
         # Least recently touched table first.
         self._tables: OrderedDict[object, LRUCache] = OrderedDict()
         self._capacity = capacity
-        self.evictions = 0
 
     def _table(self, part: object) -> LRUCache:
         tables = self._tables
@@ -242,14 +236,7 @@ class PartitionedLRU:
         for table in tables:
             if excess <= 0:
                 return
-            popitem = table._data.popitem
-            while excess > 0:
-                try:
-                    popitem(last=False)
-                except KeyError:  # Empty, or emptied by another thread.
-                    break
-                self.evictions += 1
-                excess -= 1
+            excess -= table._evict(max(len(table) - excess, 0))
 
     def clear(self) -> None:
         """Drop every table's entries (counters survive)."""
@@ -259,16 +246,12 @@ class PartitionedLRU:
     def __len__(self) -> int:
         return sum(map(len, list(self._tables.values())))
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def stats(self) -> CacheStats:
         tables = list(self._tables.values())
         return CacheStats(
             hits=sum(table.hits for table in tables),
             misses=sum(table.misses for table in tables),
-            evictions=self.evictions + sum(table.evictions for table in tables),
+            evictions=sum(table.evictions for table in tables),
             entries=sum(map(len, tables)),
             capacity=self._capacity,
         )

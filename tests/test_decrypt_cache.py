@@ -140,6 +140,19 @@ class TestPartitionedLRU:
         cache.clear()
         assert len(cache) == 0 and cache.stats().hits == 5
 
+    def test_overflow_drains_stale_tables_in_turn(self):
+        cache = PartitionedLRU(3)
+        cache.put_many("a", [1], ["a1"])
+        cache.put_many("b", [1, 2], ["b1", "b2"])
+        cache.put_many("c", [1, 2, 3], ["c1", "c2", "c3"])
+        # "a" empties, then "b" empties, in one shrink.
+        assert cache.get_many("c", [1, 2, 3]) == (["c1", "c2", "c3"], 0)
+        assert len(cache) == 3 and cache.stats().evictions == 3
+        cache.put("a", 9, "a9")  # Empty "b" gives nothing; "c" gives its LRU.
+        assert cache.get_many("c", [1, 2, 3]) == ([None, "c2", "c3"], 1)
+        assert cache.get("a", 9) == "a9"
+        assert len(cache) == 3 and cache.stats().evictions == 4
+
     def test_one_partition_is_one_lru(self):
         cache = PartitionedLRU(2)
         cache.put("int", "a", 1)
