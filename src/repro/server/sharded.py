@@ -47,6 +47,12 @@ Query execution classifies the server query into four gather modes:
   applies the WHERE conjuncts that read that table alone; any other
   shape gathers whole tables.
 
+A query runs on its caller's thread: the materialized fan-out asks the
+shards in turn, and a streamed scan or ORDER BY pulls each shard's
+stream straight into the k-way merge as the consumer pulls blocks.  A
+permanent error on one shard is raised before the next shard is asked,
+and closing the merged stream closes every shard's stream.
+
 Scan-byte accounting is computed by the coordinator from the logical
 (pre-ordinal) table sizes — one heap read per table occurrence plus the
 ciphertext-store read window, exactly the serial engine's static
@@ -68,15 +74,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import queue
 import random
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.parallel import queue_put_bounded
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.aggregates import HomAgg
 from repro.engine.catalog import Database
@@ -107,9 +112,6 @@ ORDINAL_COLUMN = "__shard_ord"
 #: Scratch table name the partial-aggregation finalizer materializes
 #: merged groups into (lives in a throwaway scratch Database).
 _GROUPS_TABLE = "__sharded_groups"
-
-#: Per-shard bounded prefetch queue depth for the streaming fan-out.
-_STREAM_QUEUE_BLOCKS = 4
 
 
 def shards_from_env() -> int:
@@ -608,9 +610,9 @@ class ShardedBackend(ServerBackend):
         deltas = [0] * len(self.shards)
         for index, full in self._gathered_rows(table_name, meta, pending):
             logical = full[:-1]
-            queue = pending.get(logical)
-            if queue:
-                new = queue.pop(0)
+            waiting = pending.get(logical)
+            if waiting:
+                new = waiting.pop(0)
                 new_full = tuple(new) + (full[-1],)
                 batches[index].append((full, new_full))
                 deltas[index] += row_bytes(tuple(new)) - row_bytes(logical)
@@ -781,36 +783,11 @@ class ShardedBackend(ServerBackend):
         params: dict[str, object] | None,
         deadline: Deadline | None,
     ) -> list[ResultSet]:
-        """Run one query on every shard concurrently; per-shard retries."""
-        count = len(self.shards)
-        if count == 1:
-            return [self._shard_execute(0, query, params, deadline)]
-        results: list[ResultSet | None] = [None] * count
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        def run(index: int) -> None:
-            try:
-                results[index] = self._shard_execute(
-                    index, query, params, deadline
-                )
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=run, args=(i,), name=f"shard-exec-{i}", daemon=True
-            )
-            for i in range(count)
+        """Run one query on every shard in turn; per-shard retries."""
+        return [
+            self._shard_execute(index, query, params, deadline)
+            for index in range(len(self.shards))
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
 
     # -- mode: scan ----------------------------------------------------------
 
@@ -1331,9 +1308,9 @@ class ShardedBackend(ServerBackend):
         deadline: Deadline | None,
         mode: str,
     ) -> BlockStream:
-        """True scatter-gather streaming: one bounded-queue prefetch
-        producer per shard, k-way merge in the consumer, serial block
-        boundaries via :func:`rechunk_rows`."""
+        """Scatter-gather streaming on the consumer's thread: each shard's
+        stream feeds the k-way merge directly, serial block boundaries via
+        :func:`rechunk_rows`."""
         if mode == "ordered":
             shard_query, key_slots = self._ordered_query(query)
         else:
@@ -1346,47 +1323,15 @@ class ShardedBackend(ServerBackend):
             if self.has_table(name):
                 stats.bytes_scanned += self.table_bytes(name)
         columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        stop = threading.Event()
-
-        def producer(index: int, out: queue.Queue) -> None:
-            try:
-                for chunk in self._shard_rows(
-                    index, shard_query, params, block_rows, deadline, stop
-                ):
-                    if not queue_put_bounded(out, ("rows", chunk), stop):
-                        return
-                queue_put_bounded(out, ("end", None), stop)
-            except BaseException as exc:
-                queue_put_bounded(out, ("error", exc), stop)
-
-        queues: list[queue.Queue] = []
-        threads: list[threading.Thread] = []
-        for index in range(len(self.shards)):
-            out: queue.Queue = queue.Queue(maxsize=_STREAM_QUEUE_BLOCKS)
-            thread = threading.Thread(
-                target=producer,
-                args=(index, out),
-                name=f"shard-stream-{index}",
-                daemon=True,
-            )
-            queues.append(out)
-            threads.append(thread)
-
-        def queue_rows(out: queue.Queue) -> Iterator[tuple]:
-            while True:
-                kind, payload = out.get()
-                if kind == "end":
-                    return
-                if kind == "error":
-                    raise payload
-                yield from payload
 
         def merged_chunks() -> Iterator[list[tuple]]:
+            sources = [
+                self._shard_rows(index, shard_query, params, block_rows, deadline)
+                for index in range(len(self.shards))
+            ]
             try:
-                for thread in threads:
-                    thread.start()
                 merged = merge_sorted_rows(
-                    [queue_rows(out) for out in queues],
+                    [chain.from_iterable(source) for source in sources],
                     key_slots,
                     ordinal_slot,
                     query.limit,
@@ -1402,13 +1347,8 @@ class ShardedBackend(ServerBackend):
                 if chunk:
                     yield chunk
             finally:
-                stop.set()
-                for out in queues:  # Unblock producers stuck on put().
-                    while True:
-                        try:
-                            out.get_nowait()
-                        except queue.Empty:
-                            break
+                for source in sources:
+                    source.close()
 
         blocks = rechunk_rows(merged_chunks(), width, block_rows, stats)
         return BlockStream(columns, blocks, stats)
@@ -1420,7 +1360,6 @@ class ShardedBackend(ServerBackend):
         params: dict[str, object] | None,
         block_rows: int,
         deadline: Deadline | None,
-        stop: threading.Event,
     ) -> Iterator[list[tuple]]:
         """One shard's rows as chunks; a fault re-opens this shard's
         stream alone (the others are untouched)."""
@@ -1440,8 +1379,6 @@ class ShardedBackend(ServerBackend):
         try:
             for block in stream:
                 yield block.rows()
-                if stop.is_set():
-                    return
         finally:
             stream.close()
 

@@ -5,8 +5,7 @@ the sharded scatter-gather — must produce the same plaintext rows in the
 same order and the same ledger byte counts as the plain serial path; only
 wall-clock time may differ.  These tests pin that contract, plus the
 :class:`ConfigError` cases where a requested mode cannot be honored and
-must fail loudly instead of silently degrading, and the bounded queue put
-the shard coordinator's stream producers use.  A client whose provider
+must fail loudly instead of silently degrading.  A client whose provider
 holds the same keys by another route — a fresh provider from the master
 key, a pickled clone, a pinned decryption profile — must match the
 reference client's rows, ledger bytes, load sizes and plan choices.
@@ -15,13 +14,11 @@ reference client's rows, ledger bytes, load sizes and plan choices.
 from __future__ import annotations
 
 import pickle
-import queue
 import threading
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.parallel import queue_put_bounded
 from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_query
 from repro.core.cost import DecryptionProfiler
 from repro.engine import schema
@@ -47,58 +44,6 @@ PARALLEL_WORKLOAD = [
 
 def ledger_bytes(ledger) -> tuple:
     return (ledger.transfer_bytes, ledger.server_bytes_scanned, ledger.round_trips)
-
-
-# ---------------------------------------------------------------------------
-# Bounded queue put
-# ---------------------------------------------------------------------------
-
-
-def _put_in_thread(out: queue.Queue, item, stop: threading.Event):
-    """Run ``queue_put_bounded`` on a thread; its result lands in a list."""
-    result: list = []
-    thread = threading.Thread(
-        target=lambda: result.append(queue_put_bounded(out, item, stop))
-    )
-    thread.start()
-    return thread, result
-
-
-class TestQueuePutBounded:
-    def test_puts_when_there_is_room(self):
-        out: queue.Queue = queue.Queue(maxsize=1)
-        assert queue_put_bounded(out, "a", threading.Event()) is True
-        assert out.get_nowait() == "a"
-
-    def test_waits_for_room_then_delivers_in_order(self):
-        out: queue.Queue = queue.Queue(maxsize=1)
-        out.put("first")
-        thread, result = _put_in_thread(out, "second", threading.Event())
-        thread.join(timeout=0.2)
-        assert thread.is_alive() and result == []  # Blocked on the full queue.
-        assert out.get(timeout=5) == "first"
-        thread.join(timeout=5)
-        assert result == [True]
-        assert out.get_nowait() == "second"
-
-    def test_gives_up_on_a_full_queue_once_stopped(self):
-        out: queue.Queue = queue.Queue(maxsize=1)
-        out.put("first")
-        stop = threading.Event()
-        thread, result = _put_in_thread(out, "second", stop)
-        thread.join(timeout=0.2)
-        assert thread.is_alive()
-        stop.set()  # A consumer that closed early never drains the queue.
-        thread.join(timeout=5)
-        assert not thread.is_alive() and result == [False]
-        assert out.get_nowait() == "first" and out.empty()
-
-    def test_stopped_producer_never_puts(self):
-        out: queue.Queue = queue.Queue(maxsize=1)
-        stop = threading.Event()
-        stop.set()
-        assert queue_put_bounded(out, "a", stop) is False
-        assert out.empty()
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,21 @@ a single shard.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ExecutionError
 from repro.core import MonomiClient
 from repro.engine.schema import schema
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.server import (
     FaultInjectingBackend,
     ShardedBackend,
     make_backend,
     make_sharded_backend,
 )
+from repro.server.backend import DelegatingView
 from repro.server.sharded import (
     ORDINAL_COLUMN,
     resolve_shards,
@@ -528,12 +532,138 @@ class TestStreaming:
         rows = [row for block in got for row in block.rows()]
         assert rows == serial.execute(GROUPED).rows
 
-    def test_early_close_releases_producers(self):
+
+class _CountedStream(BlockStream):
+    """A shard's block stream that tells its recorder when it closes."""
+
+    def __init__(self, inner: BlockStream, recorder: "_RecordingShard") -> None:
+        super().__init__(inner.columns, inner, inner.stats)
+        self._inner = inner
+        self._recorder = recorder
+
+    def close(self) -> None:
+        self._recorder.closed.add(id(self))
+        self._inner.close()
+
+
+class _RecordingShard(DelegatingView):
+    """A shard that records the thread of every query it answers and the
+    streams it opens and closes; ``fail`` makes every query raise it."""
+
+    def __init__(self, parent, fail: BaseException | None = None) -> None:
+        super().__init__(parent)
+        self.fail = fail
+        self.threads: list[int] = []
+        self.opened: set[int] = set()
+        self.closed: set[int] = set()
+
+    def _called(self) -> None:
+        self.threads.append(threading.get_ident())
+        if self.fail is not None:
+            raise self.fail
+
+    def execute(self, query, params=None):
+        self._called()
+        result = self._parent.execute(query, params=params)
+        self.last_stats = self._parent.last_stats
+        return result
+
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+        self._called()
+        inner = self._parent.execute_stream(query, params=params, block_rows=block_rows)
+        stream = _CountedStream(inner, self)
+        self.opened.add(id(stream))
+        return stream
+
+
+def recorded(sharded, fail_first: BaseException | None = None):
+    """``sharded`` over recording views of its shards; the first one
+    raises ``fail_first`` on every query when it is given."""
+    views = [
+        _RecordingShard(shard, fail_first if index == 0 else None)
+        for index, shard in enumerate(sharded.shards)
+    ]
+    return sharded.with_shards(views), views
+
+
+def assert_every_stream_closed(views):
+    for view in views:
+        assert len(view.opened) == 1 and view.closed == view.opened
+
+
+JOIN = ast.Select(
+    items=(item(qcol("a", "label")), item(qcol("b", "w"))),
+    from_items=(ast.TableName("t1", "a"), ast.TableName("t2", "b")),
+    where=ast.BinOp("=", qcol("a", "k_det"), qcol("b", "k_det")),
+    order_by=(ast.OrderItem(qcol("a", "label")),),
+)
+
+
+class TestCallersThread:
+    """One query runs on its caller's thread: the coordinator asks its
+    shards in turn and merges their streams where they are pulled, and
+    every shard stream it opens is closed however the merge ends."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [SCAN, ORDERED, GROUPED, JOIN],
+        ids=["scan", "ordered", "grouped", "join"],
+    )
+    def test_fan_out_calls_every_shard_on_callers_thread(self, query):
+        sharded, serial = build_join_pair("memory", 3)
+        wrapped, views = recorded(sharded)
+        assert_equivalent(wrapped, serial, query)
+        me = threading.get_ident()
+        for view in views:
+            assert view.threads and set(view.threads) == {me}
+
+    @pytest.mark.parametrize("query", [SCAN, ORDERED], ids=["scan", "ordered"])
+    def test_drained_stream_runs_on_callers_thread(self, query):
+        sharded, serial = build_pair("memory", 3)
+        wrapped, views = recorded(sharded)
+        rows = wrapped.execute_stream(query, block_rows=4).drain_rows()
+        assert rows == serial.execute(query).rows
+        for view in views:
+            assert set(view.threads) == {threading.get_ident()}
+        assert_every_stream_closed(views)
+
+    def test_close_after_first_block_closes_every_shard_stream(self):
         sharded, _ = build_pair("memory", 3)
-        stream = sharded.execute_stream(SCAN, block_rows=4)
-        first = next(iter(stream))
-        assert first.num_rows == 4
-        stream.close()  # Must not hang on the producer queues.
+        wrapped, views = recorded(sharded)
+        stream = wrapped.execute_stream(SCAN, block_rows=4)
+        assert next(iter(stream)).num_rows == 4
+        stream.close()
+        assert_every_stream_closed(views)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ast.Select(items=SCAN.items, from_items=SCAN.from_items, limit=5),
+            ORDERED,
+        ],
+        ids=["scan", "ordered"],
+    )
+    def test_limit_ending_the_merge_closes_every_shard_stream(self, query):
+        sharded, serial = build_pair("memory", 3)
+        wrapped, views = recorded(sharded)
+        rows = wrapped.execute_stream(query, block_rows=2).drain_rows()
+        assert rows == serial.execute(query).rows
+        assert len(rows) == query.limit
+        assert_every_stream_closed(views)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_permanent_error_on_first_shard_stops_the_fan_out(self, streamed):
+        error = ExecutionError("shard 0 refuses")
+        sharded, _ = build_pair("memory", 2)
+        wrapped, views = recorded(sharded, fail_first=error)
+        with pytest.raises(ExecutionError) as raised:
+            if streamed:
+                wrapped.execute_stream(SCAN, block_rows=4).drain_rows()
+            else:
+                wrapped.execute(SCAN)
+        assert raised.value is error
+        assert len(views[0].threads) == 1  # Not transient: no retry.
+        assert views[1].threads == []
 
 
 class TestChaosOneShard:

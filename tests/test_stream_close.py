@@ -4,9 +4,10 @@ A consumer that stops pulling (residual LIMIT, application error, user
 cancel) closes the :class:`~repro.core.client.QueryStream`.  That close
 must propagate down the whole pipeline — shard merge, server cursors,
 the wire — and leave no thread running, on every backend, sharded,
-remote or neither, and leave the client fit for its next query.  An
-unsharded stream never starts a thread at all: its server blocks are
-pulled on the caller's thread.  The scan-byte accounting contract from
+remote or neither, and leave the client fit for its next query.  A
+stream never starts a thread at all, sharded or not: its server blocks,
+and every shard's blocks the coordinator merges, are pulled on the
+caller's thread.  The scan-byte accounting contract from
 the streaming PR also holds: the full scan footprint is charged whether
 or not the stream was drained.
 """
@@ -71,10 +72,9 @@ def backend_client(request, sales_client, sales_client_sqlite):
 
 
 class TestMidStreamClose:
-    def test_unsharded_stream_runs_on_callers_thread(self, each_backend_client):
-        each_backend_client.execute(STREAM_SQL)
+    def test_stream_runs_on_callers_thread(self, backend_client):
         baseline = set(threading.enumerate())
-        stream = each_backend_client.execute_iter(STREAM_SQL, block_rows=16)
+        stream = backend_client.execute_iter(STREAM_SQL, block_rows=16)
         blocks = iter(stream)
         next(blocks)
         next(blocks)
