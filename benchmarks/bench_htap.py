@@ -20,8 +20,8 @@ Phases in the JSON payload:
 * ``mixed``      — per-backend wall-clock split into insert / update /
                    delete / analytics buckets;
 * ``maintained`` — read latency of the maintained aggregate (one
-                   ``hom_read`` of the split vector) vs the scanning
-                   encrypted SUM query.
+                   ``hom_read`` of the split vector, folded mod n² and
+                   decrypted once) vs the scanning encrypted SUM query.
 
 Writes ``BENCH_PR10.json`` (repo root by default).  Run:
 

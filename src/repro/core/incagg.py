@@ -13,7 +13,9 @@ records (:data:`DEFAULT_SPLITS` unless the registry is given another);
 each delta lands on a randomly chosen split, so concurrent writers
 contend on ``1/N`` of the records.  The aggregate's value is the sum of
 all splits, which any reader recovers with one ``hom_read`` of the split
-vector and one decryption per split.
+vector, one fold of it (the product of the split ciphertexts mod ``n²``,
+which is ``E(Σ residues mod n)``) and one decryption, whatever ``splits``
+is.
 
 Splits drift apart under skewed workloads (one split absorbs most
 deltas), which does not affect correctness but concentrates future
@@ -24,8 +26,8 @@ ones — the total is invariant by construction), and
 background thread.
 
 Negative totals ride the modular complement: each split holds an
-arbitrary mod-``n`` residue, the client sums the decrypted residues
-mod ``n`` and re-centers (``v > n/2  →  v − n``).
+arbitrary mod-``n`` residue, the fold adds them mod ``n``, and the client
+re-centers the one decrypted total (``v > n/2  →  v − n``).
 
 Registration writes the initial split vector through
 ``add_ciphertext_file``, so it needs a backend that accepts bulk-load
@@ -163,12 +165,14 @@ class MaintainedAggregates:
     # -- reads -----------------------------------------------------------------
 
     def value(self, name: str) -> int:
-        """Decrypt and sum every split (re-centering mod-n residues)."""
+        """Fold the split vector into one ciphertext, decrypt it once and
+        re-center the mod-n total."""
         with self._lock:
             agg = self._get(name)
-            residues = self._split_residues(agg)
-            n = self.provider.paillier_public.n
-            total = sum(residues) % n
+            public = self.provider.paillier_public
+            folded = public.add_many(self._read_splits(agg))
+            (total,) = self.provider.paillier_decrypt_batch([folded])
+            n = public.n
             return total - n if total > n // 2 else total
 
     def split_values(self, name: str) -> list[int]:
@@ -261,13 +265,15 @@ class MaintainedAggregates:
             )
         return value
 
-    def _split_residues(self, agg: _Registered) -> list[int]:
-        ciphertexts = retry_call(
+    def _read_splits(self, agg: _Registered) -> list[int]:
+        return retry_call(
             lambda: self.backend.hom_read(agg.file_name, list(range(agg.splits))),
             self.retry_policy,
             rng=self._retry_rng,
         )
-        return self.provider.paillier_decrypt_batch(ciphertexts)
+
+    def _split_residues(self, agg: _Registered) -> list[int]:
+        return self.provider.paillier_decrypt_batch(self._read_splits(agg))
 
     def _apply(self, agg: _Registered, patches: list[tuple[int, int]]) -> None:
         """Multiply ``E(delta mod n)`` into the chosen splits, exactly once."""

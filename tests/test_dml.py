@@ -15,11 +15,14 @@ are shared and must not be mutated.
 from __future__ import annotations
 
 import datetime
+import itertools
 import random
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import (
     ConfigError,
@@ -373,8 +376,13 @@ class TestMaintainedAggregates:
     def _revenue(self, db: Database) -> int:
         return sum(r[2] * r[3] for r in db.table("orders").rows)
 
-    def test_tracks_dml_and_balances(self, provider, dml_design):
-        client = make_client(provider, dml_design)
+    @pytest.mark.parametrize(
+        "backend,shards",
+        [("memory", None), ("sqlite", None), ("memory", 2)],
+        ids=["memory", "sqlite", "sharded2"],
+    )
+    def test_tracks_dml_and_balances(self, provider, dml_design, backend, shards):
+        client = make_client(provider, dml_design, backend=backend, shards=shards)
         oracle = build_sales_db(NUM_ORDERS)
         aggs = MaintainedAggregates(client, splits=4, seed=7)
         aggs.register("revenue", "orders", "o_price * o_qty")
@@ -442,6 +450,79 @@ class TestMaintainedAggregates:
         assert aggs.splits == expected
         assert len(aggs.split_values("revenue")) == expected
         assert aggs.value("revenue") == self._revenue(build_sales_db(NUM_ORDERS))
+
+    @pytest.mark.parametrize("splits", [1, 4, 7])
+    def test_read_is_one_decryption(self, monkeypatch, provider, dml_design, splits):
+        """value() folds the split vector mod n² and decrypts one
+        ciphertext, whatever the split count; split_values() still
+        decrypts every split."""
+        client = make_client(provider, dml_design)
+        oracle = build_sales_db(NUM_ORDERS)
+        aggs = MaintainedAggregates(client, splits=splits, seed=7)
+        aggs.register("revenue", "orders", "o_price * o_qty")
+        batches: list[int] = []
+        decrypt = provider.paillier_decrypt_batch
+
+        def spy(ciphertexts):
+            batches.append(len(ciphertexts))
+            return decrypt(ciphertexts)
+
+        def check_reads():
+            expected = self._revenue(oracle)
+            batches.clear()
+            assert aggs.value("revenue") == expected
+            assert batches == [1]
+            batches.clear()
+            assert sum(aggs.split_values("revenue")) == expected
+            assert batches == [splits]
+
+        monkeypatch.setattr(provider, "paillier_decrypt_batch", spy)
+        run_script(client, oracle)
+        check_reads()
+        aggs.balance_now()
+        check_reads()
+
+    def test_fold_equals_per_split_sum(self, provider, dml_design):
+        """Patch streams through ``_apply`` — negative deltas, |delta| up
+        to 2**100, a total forced across zero — read back as the signed
+        sum of the deltas, by the fold and by the per-split sum alike."""
+        client = make_client(provider, dml_design)
+        aggs = MaintainedAggregates(client, splits=5, seed=3)
+        names = itertools.count()
+        delta = st.integers(-(2**100), 2**100)
+        split = st.integers(0, aggs.splits - 1)
+
+        @settings(max_examples=50, deadline=None)
+        @given(st.lists(st.tuples(split, delta), min_size=1, max_size=8), split)
+        def check(patches, last_split):
+            name = f"p{next(names)}"
+            aggs.register(name, "orders", "0 * o_qty")
+            agg = aggs._get(name)
+            # A closing delta flips the total's sign, so it crosses zero.
+            total = sum(d for _, d in patches)
+            patches = patches + [(last_split, -2 * total + (1 if total < 0 else -1))]
+            running = 0
+            for split, d in patches:
+                aggs._apply(agg, [(split, d)])
+                running += d
+                assert aggs.value(name) == running
+            assert (total < 0) != (running < 0)
+            assert sum(aggs.split_values(name)) == running
+
+        check()
+
+    def test_fold_recenters_at_half_n(self, provider, dml_design):
+        """The folded total re-centers exactly as the per-split sum did:
+        a residue of n // 2 reads n // 2, one more reads -(n // 2)."""
+        client = make_client(provider, dml_design)
+        aggs = MaintainedAggregates(client, splits=3, seed=1)
+        n = provider.paillier_public.n
+        aggs.register("half", "orders", "0 * o_qty")
+        aggs._apply(aggs._get("half"), [(0, n // 4), (2, n // 2 - n // 4)])
+        assert aggs.value("half") == n // 2
+        aggs.register("over", "orders", "0 * o_qty")
+        aggs._apply(aggs._get("over"), [(0, n // 2), (1, 1)])
+        assert aggs.value("over") == -(n // 2)
 
 
 # ---------------------------------------------------------------------------
