@@ -102,7 +102,7 @@ def build_clients(num_orders: int, paillier_bits: int):
     provider = CryptoProvider(MASTER_KEY, paillier_bits=paillier_bits)
     design = pinned_design(db, provider)
 
-    def make(backend: str, shards: int | None):
+    def make(backend: str, shards: int = 1):
         return MonomiClient.setup(
             build_sales_db(num_orders),
             SALES_WORKLOAD,
@@ -115,8 +115,8 @@ def build_clients(num_orders: int, paillier_bits: int):
         )
 
     clients = {
-        "memory": make("memory", None),
-        "sqlite": make("sqlite", None),
+        "memory": make("memory"),
+        "sqlite": make("sqlite"),
         "memory-x2": make("memory", 2),
     }
     return clients, make
@@ -251,7 +251,7 @@ def bench_mixed(clients, num_orders: int, cycles: int, seed: int):
 
 def bench_maintained(make, num_orders: int, cycles: int, seed: int, repeats: int):
     """Maintained split-counter reads vs the scanning encrypted SUM."""
-    client = make("memory", None)  # fresh: the mixed phase mutated the others
+    client = make("memory")  # fresh: the mixed phase mutated the others
     oracle = build_sales_db(num_orders)
     run_mixed(client, oracle, cycles, seed)  # warm state drifted from load
     aggs = MaintainedAggregates(client, splits=4, seed=seed)

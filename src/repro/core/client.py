@@ -50,8 +50,6 @@ from repro.server import (
     as_backend,
     make_backend,
     make_sharded_backend,
-    maybe_wrap_chaos,
-    resolve_shards,
 )
 from repro.server.inmemory import InMemoryBackend
 from repro.sql import ast, parse, parse_statement
@@ -124,10 +122,7 @@ class MonomiClient:
         self.plain_db = plain_db
         self.design = design
         self.provider = provider
-        # MONOMI_CHAOS=seed:rate transparently interposes the fault
-        # injection proxy here — after the load, before any query — which
-        # turns every suite driven through a client into a chaos suite.
-        self.backend = maybe_wrap_chaos(as_backend(server_db))
+        self.backend = as_backend(server_db)
         self.flags = flags
         self.network = network
         self.disk = disk
@@ -234,7 +229,7 @@ class MonomiClient:
         det_default: bool = True,
         backend: str | ServerBackend = "memory",
         provider: CryptoProvider | None = None,
-        shards: int | None = None,
+        shards: int = 1,
         shard_keys: dict[str, str | None] | None = None,
     ) -> "MonomiClient":
         """Design (unless ``design`` is given), encrypt, load, and index.
@@ -251,10 +246,10 @@ class MonomiClient:
         hence plan choice) identical across clients — the cross-backend
         equivalence harness relies on this.
 
-        ``shards`` (default from ``MONOMI_SHARDS``) partitions the
-        encrypted tables across that many fresh backends of the chosen
-        kind behind a :class:`~repro.server.ShardedBackend`; rows and
-        ledger byte counts are shard-count-invariant.  ``shard_keys``
+        ``shards`` (default 1) partitions the encrypted tables across
+        that many fresh backends of the chosen kind behind a
+        :class:`~repro.server.ShardedBackend`; rows and ledger byte
+        counts are shard-count-invariant.  ``shard_keys``
         overrides the per-table routing column (``None`` value =
         replicate that table to the coordinator).  Both are ignored when
         a pre-built backend instance is passed.
@@ -280,11 +275,10 @@ class MonomiClient:
             design = design_result.design
         loader = EncryptedLoader(plain_db, provider)
         if isinstance(backend, str):
-            shard_count = resolve_shards(shards)
-            if shard_count > 1 or shard_keys:
+            if shards != 1 or shard_keys:
                 backend = make_sharded_backend(
                     backend,
-                    shard_count,
+                    shards,
                     name=f"{plain_db.name}_enc",
                     shard_keys=shard_keys,
                 )

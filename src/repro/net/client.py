@@ -279,12 +279,11 @@ class _RemoteBlockIterator:
                 # Drain without the query deadline: cancellation is
                 # cooperative cleanup, bounded by the socket timeout.
                 ftype, body = self._conn.recv()
-                if ftype == wire.LEDGER:
-                    self._stats.bytes_scanned = body.get("bytes_scanned", 0)
+                if ftype in (wire.LEDGER, wire.ERROR):
+                    # A fault the server hit before it saw the CANCEL ends
+                    # the stream with ERROR, which carries the scan too.
+                    self._stats.bytes_scanned = body.get("bytes_scanned") or 0
                     self._stats.rows_output = body.get("rows_output", 0)
-                    self._backend._checkin(self._conn)
-                    return
-                if ftype == wire.ERROR:
                     self._backend._checkin(self._conn)
                     return
                 if ftype != wire.BLOCK:

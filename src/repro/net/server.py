@@ -26,12 +26,11 @@ since blocks already sent cannot be taken back; the client's stream
 resume handles it.  ``stats()["retries"]`` counts the server's retries.
 
 Fault injection: pass ``chaos=(seed, rate)`` to wrap the hosted backend
-in the PR 6 :class:`~repro.server.chaos.FaultInjectingBackend` (or set
-``MONOMI_CHAOS`` — the server arms it like any other client of the
-backend), and ``drop_rate``/``drop_seed`` to sever connections abruptly
-after a block send — the failure mode only a real socket has, which the
-client maps to a transient :class:`ConnectionLostError` and resumes
-across a reconnect.
+in a :class:`~repro.server.chaos.FaultInjectingBackend` (or host one
+that is wrapped already), and ``drop_rate``/``drop_seed`` to sever
+connections abruptly after a block send — the failure mode only a real
+socket has, which the client maps to a transient
+:class:`ConnectionLostError` and resumes across a reconnect.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.engine.rowblock import (
 )
 from repro.net import wire
 from repro.server.backend import ServerBackend, as_backend, insert_rows_idempotent
-from repro.server.chaos import FaultInjectingBackend, maybe_wrap_chaos
+from repro.server.chaos import FaultInjectingBackend
 from repro.sql import ast
 
 #: Cap on prepared statements one session may hold.
@@ -103,10 +102,7 @@ class MonomiServer:
     ) -> None:
         base = as_backend(backend)
         if chaos is not None:
-            seed, rate = chaos
-            base = FaultInjectingBackend(base, seed=seed, rate=rate)
-        else:
-            base = maybe_wrap_chaos(base)
+            base = FaultInjectingBackend(base, *chaos)
         self.backend = base
         self._host = host
         self._port = port

@@ -9,21 +9,9 @@ fresh backends behind the scatter-gather coordinator.
 from __future__ import annotations
 
 from repro.server.backend import ServerBackend, as_backend
-from repro.server.chaos import (
-    CHAOS_ENV,
-    FaultInjectingBackend,
-    chaos_from_env,
-    maybe_wrap_chaos,
-    parse_chaos,
-)
+from repro.server.chaos import FaultInjectingBackend
 from repro.server.inmemory import InMemoryBackend
-from repro.server.sharded import (
-    SHARDS_ENV,
-    ShardedBackend,
-    make_sharded_backend,
-    resolve_shards,
-    shards_from_env,
-)
+from repro.server.sharded import ShardedBackend, make_sharded_backend
 from repro.server.sqlite import SQLiteBackend
 
 BACKEND_KINDS = ("memory", "sqlite")
@@ -40,19 +28,12 @@ def make_backend(kind: str, name: str = "server", **options) -> ServerBackend:
 
 __all__ = [
     "BACKEND_KINDS",
-    "CHAOS_ENV",
-    "SHARDS_ENV",
     "FaultInjectingBackend",
     "InMemoryBackend",
     "SQLiteBackend",
     "ServerBackend",
     "ShardedBackend",
     "as_backend",
-    "chaos_from_env",
     "make_backend",
     "make_sharded_backend",
-    "maybe_wrap_chaos",
-    "parse_chaos",
-    "resolve_shards",
-    "shards_from_env",
 ]

@@ -18,9 +18,10 @@ is the *invariant*, not the schedule: whatever faults land, a query
 either returns byte-identical results to a fault-free run or raises a
 typed error.
 
-Enable it globally with ``MONOMI_CHAOS=seed:rate`` (e.g. ``7:0.05``):
-:class:`~repro.core.client.MonomiClient` wraps its backend after
-loading, which turns the whole equivalence suite into a chaos suite.
+Arming is always explicit: wrap a backend yourself, or pass
+``chaos=(seed, rate)`` to :class:`~repro.net.MonomiServer`.  The test
+suites' ``--chaos`` option wraps every client they build, which turns
+the whole equivalence suite into a chaos suite.
 
 Failure-probability design note: injection is a Bernoulli draw per
 *point* (one per request, one per streamed block), so long streams see
@@ -36,7 +37,6 @@ rates CI runs.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -52,40 +52,9 @@ from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
 from repro.server.backend import DelegatingView, ServerBackend
 from repro.sql import ast
 
-#: Environment variable that arms chaos globally: ``"seed:rate"``.
-CHAOS_ENV = "MONOMI_CHAOS"
-
 #: Upper bound on one injected latency spike (seconds) — large enough to
 #: perturb scheduling, small enough that chaos CI stays fast.
 _MAX_LATENCY_SPIKE = 0.005
-
-
-def parse_chaos(spec: str) -> tuple[int, float]:
-    """Parse a ``"seed:rate"`` chaos spec into ``(seed, rate)``."""
-    seed_text, sep, rate_text = spec.partition(":")
-    if not sep:
-        raise ConfigError(
-            f"{CHAOS_ENV} must look like 'seed:rate' (e.g. '7:0.05'), "
-            f"got {spec!r}"
-        )
-    try:
-        seed = int(seed_text)
-        rate = float(rate_text)
-    except ValueError:
-        raise ConfigError(
-            f"{CHAOS_ENV} must be 'int:float', got {spec!r}"
-        ) from None
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"{CHAOS_ENV} rate must be in [0, 1], got {rate}")
-    return seed, rate
-
-
-def chaos_from_env() -> tuple[int, float] | None:
-    """The ``MONOMI_CHAOS`` spec, parsed, or None when chaos is off."""
-    raw = os.environ.get(CHAOS_ENV)
-    if raw is None or raw == "":
-        return None
-    return parse_chaos(raw)
 
 
 class _ChaosCore:
@@ -97,6 +66,8 @@ class _ChaosCore:
     """
 
     def __init__(self, seed: int, rate: float) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"chaos rate must be in [0, 1], got {rate}")
         self.seed = seed
         self.rate = rate
         self._rng = random.Random(seed)
@@ -318,12 +289,3 @@ class FaultInjectingBackend(DelegatingView):
                 yield block
         finally:
             parent_stream.close()
-
-
-def maybe_wrap_chaos(backend: ServerBackend) -> ServerBackend:
-    """Wrap ``backend`` per ``MONOMI_CHAOS`` (idempotent; no-op when unset)."""
-    spec = chaos_from_env()
-    if spec is None or isinstance(backend, FaultInjectingBackend):
-        return backend
-    seed, rate = spec
-    return FaultInjectingBackend(backend, seed=seed, rate=rate)

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import random
 import threading
 from dataclasses import dataclass, field
@@ -102,9 +101,6 @@ from repro.server.backend import (
 from repro.sql import ast
 from repro.storage.rowcodec import encode_value, row_bytes
 
-#: Environment variable: shard count applied by ``MonomiClient.setup``.
-SHARDS_ENV = "MONOMI_SHARDS"
-
 #: Hidden per-row global ordinal appended to every shard table: the merge
 #: fence that re-establishes serial row order above the shards.
 ORDINAL_COLUMN = "__shard_ord"
@@ -112,29 +108,6 @@ ORDINAL_COLUMN = "__shard_ord"
 #: Scratch table name the partial-aggregation finalizer materializes
 #: merged groups into (lives in a throwaway scratch Database).
 _GROUPS_TABLE = "__sharded_groups"
-
-
-def shards_from_env() -> int:
-    """The ``MONOMI_SHARDS`` count (>= 1), or 1 when unset."""
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or raw == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SHARDS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"{SHARDS_ENV} must be >= 1, got {count}")
-    return count
-
-
-def resolve_shards(shards: int | None) -> int:
-    """Explicit count wins; otherwise ``MONOMI_SHARDS``; otherwise 1."""
-    if shards is None:
-        return shards_from_env()
-    if shards < 1:
-        raise ConfigError(f"shards must be >= 1, got {shards}")
-    return shards
 
 
 def route_hash(value: object) -> int:
@@ -1424,13 +1397,10 @@ def make_sharded_backend(
 
 __all__ = [
     "ORDINAL_COLUMN",
-    "SHARDS_ENV",
     "DirectedKey",
     "ShardedBackend",
     "make_sharded_backend",
     "merge_sorted_rows",
-    "resolve_shards",
     "route_hash",
-    "shards_from_env",
     "sort_by_ordinal",
 ]

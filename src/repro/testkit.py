@@ -14,7 +14,10 @@ import random
 import threading
 import time
 
+from repro.common.errors import ConfigError
+from repro.core.client import MonomiClient
 from repro.engine import Database, schema
+from repro.server.chaos import FaultInjectingBackend
 
 MASTER_KEY = b"test-master-key-0123456789abcdef"
 
@@ -150,6 +153,38 @@ def canonical(rows) -> list[str]:
             tuple(round(v, 6) if isinstance(v, float) else v for v in row)
         )
     return sorted(str(r) for r in out)
+
+
+def parse_chaos(spec: str) -> tuple[int, float]:
+    """Parse a ``"seed:rate"`` chaos spec (e.g. ``"7:0.05"``)."""
+    seed, sep, rate = spec.partition(":")
+    try:
+        if not sep:
+            raise ValueError(spec)
+        return int(seed), float(rate)
+    except ValueError:
+        msg = f"chaos must be 'seed:rate' (e.g. '7:0.05'), got {spec!r}"
+        raise ConfigError(msg) from None
+
+
+def with_chaos(client: MonomiClient, seed: int, rate: float) -> MonomiClient:
+    """``client``'s twin over the same store behind exactly one chaos
+    proxy, at ``(seed, rate)``: proxies already around the store are
+    peeled off first.  A twin of a ``connect()`` client shares its
+    connection (close either one)."""
+    store = client.backend
+    while isinstance(store, FaultInjectingBackend):
+        store = store._parent
+    return MonomiClient(
+        client.plain_db,
+        client.design,
+        client.provider,
+        FaultInjectingBackend(store, seed=seed, rate=rate),
+        client.flags,
+        client.network,
+        client.disk,
+        client.design_result,
+    )
 
 
 def extra_threads(baseline: set, timeout: float = 5.0) -> list:

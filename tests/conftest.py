@@ -4,15 +4,106 @@ Expensive artifacts (Paillier keys, encrypted loads, TPC-H generation) are
 session-scoped; tests must not mutate them.  The data builders and
 comparison helpers live in :mod:`repro.testkit` so the benchmark harness
 can share them without cross-conftest imports.
+
+Two options re-run whole suites as a matrix (CI's shard and chaos legs):
+
+* ``--shards=N`` sets up every client that names a backend kind and no
+  ``shards=`` of its own over N shards;
+* ``--chaos=seed:rate`` arms a :class:`FaultInjectingBackend` around
+  every client's backend and every hosted store not armed already.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
 
 import pytest
 
 from repro.core import CryptoProvider, MonomiClient
 from repro.engine import Database, Executor
-from repro.testkit import MASTER_KEY, SALES_WORKLOAD, build_sales_db
+from repro.net import MonomiServer
+from repro.server import FaultInjectingBackend, as_backend
+from repro.testkit import MASTER_KEY, SALES_WORKLOAD, build_sales_db, parse_chaos
+
+
+def pytest_addoption(parser):
+    group = parser.getgroup("monomi", "MONOMI suite matrix")
+    group.addoption(
+        "--shards",
+        type=int,
+        default=1,
+        metavar="N",
+        help="set up clients that name a backend kind over N shards",
+    )
+    group.addoption(
+        "--chaos",
+        default=None,
+        metavar="SEED:RATE",
+        help="arm a chaos proxy around every client backend and hosted store",
+    )
+
+
+def _rewrite_arguments(mp: pytest.MonkeyPatch, owner, name: str, edit) -> None:
+    """Patch ``owner.name`` so ``edit`` may rewrite the arguments a call
+    passed (a dict keyed by parameter name) before the original runs."""
+    original = inspect.getattr_static(owner, name)
+    is_classmethod = isinstance(original, classmethod)
+    func = original.__func__ if is_classmethod else original
+    signature = inspect.signature(func)
+
+    @functools.wraps(func)
+    def patched(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        edit(bound.arguments)
+        return func(*bound.args, **bound.kwargs)
+
+    mp.setattr(owner, name, classmethod(patched) if is_classmethod else patched)
+
+
+@pytest.fixture(scope="session")
+def chaos_spec(pytestconfig) -> tuple[int, float] | None:
+    """The ``--chaos`` ``(seed, rate)``, or None when the run is fault-free."""
+    spec = pytestconfig.getoption("chaos")
+    return None if spec is None else parse_chaos(spec)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def suite_matrix(pytestconfig, chaos_spec):
+    """Apply ``--shards`` and ``--chaos`` to every client and server the
+    suites build, through the explicit arguments ``src/`` already has.
+
+    A call that picks its own shard count or a backend instance keeps it;
+    a store that is a chaos proxy already (a test's own, or the hosted
+    backend of a client armed here) is never wrapped twice, and a server
+    given its own ``chaos=`` wraps as asked.
+    """
+    shards = pytestconfig.getoption("shards")
+
+    def shard(arguments):
+        kind = arguments.get("backend", "memory")
+        if "shards" not in arguments and isinstance(kind, str):
+            arguments["shards"] = shards
+
+    def arm(key):
+        def edit(arguments):
+            store = arguments[key]
+            chosen = arguments.get("chaos") is not None  # MonomiServer(chaos=...)
+            if not chosen and not isinstance(store, FaultInjectingBackend):
+                seed, rate = chaos_spec
+                arguments[key] = FaultInjectingBackend(
+                    as_backend(store), seed=seed, rate=rate
+                )
+
+        return edit
+
+    with pytest.MonkeyPatch.context() as mp:
+        if shards != 1:
+            _rewrite_arguments(mp, MonomiClient, "setup", shard)
+        if chaos_spec is not None:
+            _rewrite_arguments(mp, MonomiClient, "__init__", arm("server_db"))
+            _rewrite_arguments(mp, MonomiServer, "__init__", arm("backend"))
+        yield
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +168,6 @@ def sales_server(sales_client):
     byte-identical between them — that is the invariant most of the
     network suite asserts.
     """
-    from repro.net import MonomiServer
-
     with MonomiServer(sales_client.backend) as server:
         yield server
 

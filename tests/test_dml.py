@@ -41,7 +41,6 @@ from repro.core.incagg import DEFAULT_SPLITS
 from repro.core.schemes import Scheme
 from repro.engine import Database, Executor, schema
 from repro.server.backend import DelegatingView, insert_rows_idempotent
-from repro.server.chaos import CHAOS_ENV, FaultInjectingBackend
 from repro.server.inmemory import InMemoryBackend
 from repro.server.sharded import ShardedBackend
 from repro.sql import ast, parse, parse_statement, to_sql
@@ -51,6 +50,7 @@ from repro.testkit import (
     apply_plain_dml,
     build_sales_db,
     canonical,
+    with_chaos,
 )
 
 #: Small enough that a full client build stays ~1 s, large enough that the
@@ -135,6 +135,7 @@ def dml_design(provider):
 
 
 def make_client(provider, design, backend="memory", shards=None):
+    """``shards=None`` leaves the shard count to ``--shards``."""
     return MonomiClient.setup(
         build_sales_db(NUM_ORDERS),
         SALES_WORKLOAD,
@@ -144,7 +145,7 @@ def make_client(provider, design, backend="memory", shards=None):
         provider=provider,
         design=design,
         backend=backend,
-        shards=shards,
+        **({} if shards is None else {"shards": shards}),
     )
 
 
@@ -543,34 +544,32 @@ class TestChaosOnWrite:
         ids=["mem-s3", "mem-s11", "mem-s42", "sqlite-s11", "sharded2-s11"],
     )
     def test_faulted_writes_converge_to_fault_free_state(
-        self, monkeypatch, provider, dml_design, backend, shards, seed
+        self, provider, dml_design, backend, shards, seed
     ):
-        monkeypatch.setenv(CHAOS_ENV, f"{seed}:0.15")
-        client = make_client(provider, dml_design, backend=backend, shards=shards)
-        assert isinstance(client.backend, FaultInjectingBackend)
+        client = with_chaos(
+            make_client(provider, dml_design, backend=backend, shards=shards),
+            seed,
+            0.15,
+        )
         oracle = build_sales_db(NUM_ORDERS)
         run_script(client, oracle)
         stats = client.backend.stats()
         assert stats["draws"] > 0
         assert_workload_matches(client, oracle)
 
-    def test_chaos_actually_fires_across_seeds(self, monkeypatch, provider, dml_design):
+    def test_chaos_actually_fires_across_seeds(self, provider, dml_design):
         """At least one of the CI seeds must inject faults on the write
         path, otherwise the convergence tests above prove nothing."""
         fired = 0
         for seed in (3, 11, 42):
-            monkeypatch.setenv(CHAOS_ENV, f"{seed}:0.15")
-            client = make_client(provider, dml_design)
+            client = with_chaos(make_client(provider, dml_design), seed, 0.15)
             oracle = build_sales_db(NUM_ORDERS)
             run_script(client, oracle)
             fired += client.backend.stats()["injected_errors"]
         assert fired > 0
 
-    def test_maintained_aggregate_survives_chaos(
-        self, monkeypatch, provider, dml_design
-    ):
-        monkeypatch.setenv(CHAOS_ENV, "11:0.15")
-        client = make_client(provider, dml_design)
+    def test_maintained_aggregate_survives_chaos(self, provider, dml_design):
+        client = with_chaos(make_client(provider, dml_design), 11, 0.15)
         oracle = build_sales_db(NUM_ORDERS)
         aggs = MaintainedAggregates(client, splits=4, seed=5)
         aggs.register("rev", "orders", "o_price * o_qty")
@@ -801,71 +800,76 @@ class TestRemoteDml:
             finally:
                 remote.close()
 
-    def test_remote_chaos_write_convergence(self, monkeypatch, provider, dml_design):
+    def test_remote_chaos_write_convergence(self, provider, dml_design):
         from repro.net import MonomiServer
 
         host = make_client(provider, dml_design)
         oracle = build_sales_db(NUM_ORDERS)
         with MonomiServer(host.backend) as server:
-            monkeypatch.setenv(CHAOS_ENV, "11:0.12")
-            remote = MonomiClient.connect(
-                server.address,
-                build_sales_db(NUM_ORDERS),
-                design=dml_design,
-                provider=provider,
+            remote = with_chaos(
+                MonomiClient.connect(
+                    server.address,
+                    build_sales_db(NUM_ORDERS),
+                    design=dml_design,
+                    provider=provider,
+                ),
+                11,
+                0.12,
             )
             try:
-                assert isinstance(remote.backend, FaultInjectingBackend)
                 run_script(remote, oracle)
                 assert_workload_matches(remote, oracle)
             finally:
                 remote.close()
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_stacked_chaos_write_convergence(
-        self, monkeypatch, provider, dml_design, seed
-    ):
+    def test_stacked_chaos_write_convergence(self, provider, dml_design, seed):
         """Two chaos layers at CI's rates: the hosted store's at
         ``(seed, 0.08)`` and the client's proxy at ``11:0.12``.  Each hop
         retries its own faults, so no write spends one budget on both."""
         from repro.net import MonomiServer
 
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        host = make_client(provider, dml_design)
+        host = with_chaos(make_client(provider, dml_design), seed, 0.08)
         oracle = build_sales_db(NUM_ORDERS)
-        with MonomiServer(host.backend, chaos=(seed, 0.08)) as server:
-            monkeypatch.setenv(CHAOS_ENV, "11:0.12")
-            remote = MonomiClient.connect(
-                server.address,
-                build_sales_db(NUM_ORDERS),
-                design=dml_design,
-                provider=provider,
+        with MonomiServer(host.backend) as server:
+            remote = with_chaos(
+                MonomiClient.connect(
+                    server.address,
+                    build_sales_db(NUM_ORDERS),
+                    design=dml_design,
+                    provider=provider,
+                ),
+                11,
+                0.12,
             )
             try:
-                assert isinstance(remote.backend, FaultInjectingBackend)
                 run_script(remote, oracle)
                 assert_workload_matches(remote, oracle)
             finally:
                 remote.close()
             assert server.stats()["chaos"]["draws"] > 0
 
-    def test_server_retries_its_store_faults(self, monkeypatch, provider, dml_design):
+    def test_server_retries_its_store_faults(self, provider, dml_design):
         """The server hop's loop: a client with no chaos of its own never
         retries a write while the hosted store injects faults."""
         from repro.net import MonomiServer
 
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        host = make_client(provider, dml_design)
+        host = with_chaos(make_client(provider, dml_design), 11, 0.08)
         oracle = build_sales_db(NUM_ORDERS)
-        with MonomiServer(host.backend, chaos=(11, 0.08)) as server:
-            remote = MonomiClient.connect(
-                server.address,
-                build_sales_db(NUM_ORDERS),
-                design=dml_design,
-                provider=provider,
+        with MonomiServer(host.backend) as server:
+            # A rate-0 proxy injects nothing: the store's faults are the
+            # only ones, also under --chaos.
+            remote = with_chaos(
+                MonomiClient.connect(
+                    server.address,
+                    build_sales_db(NUM_ORDERS),
+                    design=dml_design,
+                    provider=provider,
+                ),
+                11,
+                0.0,
             )
             try:
-                assert not isinstance(remote.backend, FaultInjectingBackend)
                 for sql, params in DML_SCRIPT:
                     outcome = remote.execute(sql, params)
                     assert outcome.rows == [(apply_plain_dml(oracle, sql, params),)]

@@ -159,6 +159,7 @@ def pushdown_design(provider):
 
 
 def make_client(provider, design, backend="memory", shards=None):
+    """``shards=None`` leaves the shard count to ``--shards``."""
     return MonomiClient.setup(
         build_sales_db(NUM_ORDERS),
         SALES_WORKLOAD,
@@ -168,7 +169,7 @@ def make_client(provider, design, backend="memory", shards=None):
         provider=provider,
         design=design,
         backend=backend,
-        shards=shards,
+        **({} if shards is None else {"shards": shards}),
     )
 
 

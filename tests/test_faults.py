@@ -35,18 +35,11 @@ from repro.core.loader import EncryptedLoader, complete_design
 from repro.core.loadjournal import LoadJournal
 from repro.core.schemes import Scheme
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS
-from repro.server import (
-    CHAOS_ENV,
-    FaultInjectingBackend,
-    chaos_from_env,
-    make_backend,
-    maybe_wrap_chaos,
-    parse_chaos,
-)
+from repro.server import FaultInjectingBackend, make_backend
 from repro.server.backend import DelegatingView
 from repro.service import MonomiService
 from repro.sql import parse
-from repro.testkit import SALES_WORKLOAD, canonical
+from repro.testkit import SALES_WORKLOAD, canonical, parse_chaos, with_chaos
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,19 +50,6 @@ def _primary(ledger) -> tuple[int, int, int]:
         ledger.transfer_bytes,
         ledger.server_bytes_scanned,
         ledger.round_trips,
-    )
-
-
-def _chaos_client(base: MonomiClient, seed: int, rate: float) -> MonomiClient:
-    """A client identical to ``base`` but talking through a chaos proxy."""
-    return MonomiClient(
-        base.plain_db,
-        base.design,
-        base.provider,
-        FaultInjectingBackend(base.backend, seed=seed, rate=rate),
-        base.flags,
-        base.network,
-        base.disk,
     )
 
 
@@ -162,55 +142,46 @@ class TestRetryPrimitives:
 class TestChaosProxy:
     def test_parse_chaos(self):
         assert parse_chaos("7:0.05") == (7, 0.05)
-        for bad in ("7", "x:0.1", "7:nope", "7:1.5", "7:-0.1"):
+        for bad in ("7", "x:0.1", "7:nope", ""):
             with pytest.raises(ConfigError):
                 parse_chaos(bad)
 
-    def test_env_wrap_is_armed_and_idempotent(self, sales_client, monkeypatch):
-        # Chaos CI pre-wraps the fixture's backend; peel down to the real one
-        # so the wrap-exactly-once property is tested from a clean base.
-        base = sales_client.backend
-        while isinstance(base, FaultInjectingBackend):
-            base = base._parent
-        monkeypatch.setenv(CHAOS_ENV, "9:0.25")
-        wrapped = maybe_wrap_chaos(base)
-        assert isinstance(wrapped, FaultInjectingBackend)
-        assert wrapped.kind == f"chaos({base.kind})"
-        assert maybe_wrap_chaos(wrapped) is wrapped
-        monkeypatch.delenv(CHAOS_ENV)
-        assert maybe_wrap_chaos(base) is base
+    @pytest.mark.parametrize("rate", [1.5, -0.2, 7.0, float("nan")])
+    @pytest.mark.parametrize("arm", ["proxy", "server"])
+    def test_explicit_rate_out_of_range_is_rejected(self, arm, rate):
+        from repro.net import MonomiServer
+
+        with pytest.raises(ConfigError, match="rate must be in"):
+            if arm == "proxy":
+                FaultInjectingBackend(make_backend("memory"), seed=1, rate=rate)
+            else:
+                MonomiServer(make_backend("memory"), chaos=(1, rate))
 
     def test_same_seed_replays_the_same_schedule(self, sales_client):
         runs = []
         for _ in range(2):
-            client = _chaos_client(sales_client, seed=5, rate=0.3)
+            client = with_chaos(sales_client, seed=5, rate=0.3)
             rows = [canonical(client.execute(q).rows) for q in SALES_WORKLOAD[:2]]
             runs.append((rows, client.backend.stats()))
-        if chaos_from_env() is None:
-            assert runs[0] == runs[1]
-        else:
-            # Under chaos CI the env-level proxy inside `sales_client` keeps
-            # drawing from its own schedule across our two runs, shifting the
-            # outer proxy's draw counts; rows must still replay identically.
-            assert runs[0][0] == runs[1][0]
+        assert runs[0] == runs[1]
         assert runs[0][1]["draws"] > 0
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_chaos_equivalence(self, each_backend_client, seed):
+    def test_chaos_equivalence(self, each_backend_client, seed, chaos_spec):
         """Rows and primary ledger bytes are identical under chaos."""
         base = each_backend_client
-        client = _chaos_client(base, seed=seed, rate=0.2)
+        client = with_chaos(base, seed=seed, rate=0.2)
         for sql in SALES_WORKLOAD[:3]:
             reference = base.execute(sql)
             outcome = client.execute(sql)
             assert canonical(outcome.rows) == canonical(reference.rows)
             assert _primary(outcome.ledger) == _primary(reference.ledger)
-            if chaos_from_env() is None:
+            if chaos_spec is None:
                 assert reference.ledger.retries == 0
         assert client.backend.stats()["draws"] > 0
 
     def test_retries_are_accounted_outside_primary_totals(self, sales_client):
-        client = _chaos_client(sales_client, seed=1, rate=0.35)
+        client = with_chaos(sales_client, seed=1, rate=0.35)
         total_retries = 0
         for sql in SALES_WORKLOAD:
             reference = sales_client.execute(sql)
@@ -223,18 +194,66 @@ class TestChaosProxy:
         assert total_retries > 0
 
     def test_rate_zero_injects_nothing(self, sales_client):
-        client = _chaos_client(sales_client, seed=1, rate=0.0)
+        client = with_chaos(sales_client, seed=1, rate=0.0)
         outcome = client.execute(SALES_WORKLOAD[0])
         reference = sales_client.execute(SALES_WORKLOAD[0])
         assert canonical(outcome.rows) == canonical(reference.rows)
         stats = client.backend.stats()
         assert stats["injected_errors"] == 0
         assert stats["truncations"] == 0
-        if chaos_from_env() is None:
-            # An env-level chaos proxy underneath can still cause retries;
-            # only the rate-0 proxy under test is asserted silent above.
-            assert outcome.ledger.retries == 0
-            assert outcome.ledger.retry_bytes == 0
+        assert outcome.ledger.retries == 0
+        assert outcome.ledger.retry_bytes == 0
+
+
+# -- no environment knobs -----------------------------------------------------
+
+
+def test_environment_configures_nothing(monkeypatch):
+    """``src/`` reads no ``MONOMI_*`` variable: with both old knobs set, a
+    client sets up unsharded with no chaos proxy, and a server hosts its
+    store unwrapped.  It runs in a fresh interpreter, because ``--shards``
+    and ``--chaos`` patch the builders in this one."""
+    monkeypatch.setenv("MONOMI_SHARDS", "4")
+    monkeypatch.setenv("MONOMI_CHAOS", "7:0.5")
+    monkeypatch.setenv("PYTHONPATH", str(REPO_ROOT / "src"))
+    child = textwrap.dedent(
+        """
+        from repro.core import MonomiClient
+        from repro.net import MonomiServer
+        from repro.server import InMemoryBackend
+        from repro.testkit import MASTER_KEY, SALES_WORKLOAD, build_sales_db
+
+        client = MonomiClient.setup(
+            build_sales_db(40),
+            SALES_WORKLOAD[:1],
+            master_key=MASTER_KEY,
+            paillier_bits=256,
+        )
+        assert type(client.backend) is InMemoryBackend, client.backend.kind
+        server = MonomiServer(client.backend)
+        assert server.backend is client.backend, server.backend.kind
+        assert "chaos" not in server.stats()
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_chaos_option_arms_each_client_once(chaos_spec, sales_client, sales_server):
+    """``--chaos`` arms the suites' clients, and a server hosting an armed
+    store does not arm it again; without the option nothing is armed."""
+    store = sales_client.backend
+    assert isinstance(store, FaultInjectingBackend) == (chaos_spec is not None)
+    assert sales_server.backend is store
+    if chaos_spec is not None:
+        assert (store.stats()["seed"], store.stats()["rate"]) == chaos_spec
+        assert not isinstance(store._parent, FaultInjectingBackend)
 
 
 # -- deadlines at the client API ----------------------------------------------
@@ -313,8 +332,9 @@ class _FlakyView(DelegatingView):
 
 def _flaky_client(sales_client, failures: int) -> tuple[MonomiClient, _FlakyView]:
     """A client over the fixture's store whose first ``failures`` query
-    calls fault.  Chaos CI pre-wraps the fixture's backend; the flaky view
-    sits on the real one, so its faults are the only ones."""
+    calls fault, and no others: the flaky view sits on the bare store
+    (any chaos proxy peeled off), under a rate-0 proxy that injects
+    nothing and keeps ``--chaos`` from arming this client."""
     base = sales_client.backend
     while isinstance(base, FaultInjectingBackend):
         base = base._parent
@@ -323,7 +343,7 @@ def _flaky_client(sales_client, failures: int) -> tuple[MonomiClient, _FlakyView
         sales_client.plain_db,
         sales_client.design,
         sales_client.provider,
-        flaky,
+        FaultInjectingBackend(flaky, rate=0.0),
         sales_client.flags,
         sales_client.network,
         sales_client.disk,
@@ -335,8 +355,7 @@ class TestServiceResilience:
     """The service adds no retry loop: the worker's executor is the client
     hop's one loop, with the executor's budget of 5 attempts."""
 
-    def test_faults_within_the_budget_recover(self, sales_client, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    def test_faults_within_the_budget_recover(self, sales_client):
         reference = sales_client.execute(SALES_WORKLOAD[0])
         client, _ = _flaky_client(sales_client, failures=4)
         with MonomiService(client, workers=1) as service:
@@ -345,18 +364,14 @@ class TestServiceResilience:
         assert _primary(outcome.ledger) == _primary(reference.ledger)
         assert outcome.ledger.retries == 4
 
-    def test_exhausted_budget_is_not_retried_again(self, sales_client, monkeypatch):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    def test_exhausted_budget_is_not_retried_again(self, sales_client):
         client, flaky = _flaky_client(sales_client, failures=5)
         with MonomiService(client, workers=1) as service:
             with pytest.raises(InjectedFaultError):
                 service.execute(SALES_WORKLOAD[0])
         assert flaky.calls == 5
 
-    def test_retry_budget_exhaustion_raises_typed_error(
-        self, sales_client, monkeypatch
-    ):
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+    def test_retry_budget_exhaustion_raises_typed_error(self, sales_client):
         client, _ = _flaky_client(sales_client, failures=10**6)
         fast = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
         client.executor.retry_policy = fast
@@ -509,7 +524,6 @@ class TestCrashSafeLoad:
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env.pop(CHAOS_ENV, None)
         proc = subprocess.run(
             [sys.executable, "-c", child, str(design_file), str(db_file),
              str(journal_dir)],

@@ -26,7 +26,6 @@ from repro.core import CryptoProvider, MonomiClient, normalize_query
 from repro.engine import schema
 from repro.net import MonomiServer, RemoteBackend, parse_address, wire
 from repro.server import make_backend
-from repro.server.chaos import chaos_from_env
 from repro.sql import parse
 from repro.ssb import generate as ssb_generate, ssb_queries
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD, canonical
@@ -128,11 +127,9 @@ def test_remote_catalog_matches_in_process(sales_client, sales_client_remote):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    chaos_from_env() is not None,
-    reason="aborted chaos attempts land in the server session ledger",
-)
-def test_server_session_ledger_matches_client(sales_client):
+def test_server_session_ledger_matches_client(sales_client, chaos_spec):
+    if chaos_spec is not None:
+        pytest.skip("aborted chaos attempts land in the server session ledger")
     # A dedicated single-connection client so exactly one server session
     # accumulates the whole run.
     with MonomiServer(sales_client.backend) as server:

@@ -20,8 +20,9 @@ from repro.common.errors import (
     TransientError,
 )
 from repro.core import MonomiClient
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.net import MonomiServer, RemoteBackend
-from repro.server.chaos import chaos_from_env
+from repro.server.backend import DelegatingView
 from repro.testkit import SALES_WORKLOAD, canonical
 
 CHAOS_SEEDS = (3, 11, 42)
@@ -67,7 +68,7 @@ def references(sales_client):
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_server_chaos_is_byte_identical(seed, sales_client, references):
+def test_server_chaos_is_byte_identical(seed, sales_client, references, chaos_spec):
     with MonomiServer(
         sales_client.backend, chaos=(seed, CHAOS_RATE)
     ) as server:
@@ -84,7 +85,7 @@ def test_server_chaos_is_byte_identical(seed, sales_client, references):
     chaos = stats["chaos"]
     faults = chaos["injected_errors"] + chaos["truncations"]
     assert chaos["draws"] > 0
-    if chaos_from_env() is None:
+    if chaos_spec is None:
         # Every server-injected fault was retried exactly once, by one
         # hop: the server retries a fault at a request's open itself, and
         # a fault mid-stream crosses the wire as one typed transient the
@@ -124,12 +125,57 @@ def test_permanent_faults_surface_the_in_process_type(sales_client):
         client.close()
 
 
+class _FaultAfterFirstBlock(DelegatingView):
+    """A hosted store whose streams fault right after their first block."""
+
+    def execute(self, query, params=None):
+        result = self._parent.execute(query, params=params)
+        self.last_stats = self._parent.last_stats
+        return result
+
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+        stream = self._parent.execute_stream(
+            query, params=params, block_rows=block_rows
+        )
+
+        def blocks():
+            try:
+                yield next(iter(stream))
+                raise InjectedFaultError("injected fault after the first block")
+            finally:
+                stream.close()
+
+        return BlockStream(stream.columns, blocks(), stream.stats)
+
+    def worker_view(self):
+        return _FaultAfterFirstBlock(self._parent.worker_view())
+
+
+def test_close_charges_the_scan_when_the_server_faulted_first(sales_client):
+    # When the server hits the fault before it reads the client's CANCEL,
+    # the close drains an ERROR frame instead of LEDGER: the stream must
+    # still charge the full scan, as an undisturbed close does.  Which
+    # frame comes first is a race, so the close runs five times.
+    sql = "SELECT o_orderkey, o_price FROM orders"
+    want = sales_client.execute(sql).ledger.server_bytes_scanned
+    with MonomiServer(_FaultAfterFirstBlock(sales_client.backend)) as server:
+        client = remote_client(sales_client, server, pool_size=1)
+        for _ in range(5):
+            stream = client.execute_iter(sql, block_rows=16)
+            next(iter(stream))
+            stream.close()
+            assert stream.ledger.server_bytes_scanned == want
+        errors_sent = server.stats()["errors_sent"]
+        client.close()
+    assert errors_sent > 0
+
+
 # ---------------------------------------------------------------------------
 # Severed connections: the failure mode only a real socket has
 # ---------------------------------------------------------------------------
 
 
-def test_dropped_connections_are_byte_identical(sales_client, references):
+def test_dropped_connections_are_byte_identical(sales_client, references, chaos_spec):
     with MonomiServer(
         sales_client.backend, drop_rate=0.25, drop_seed=7
     ) as server:
@@ -146,7 +192,7 @@ def test_dropped_connections_are_byte_identical(sales_client, references):
         drops = server.stats()["drops_injected"]
         client.close()
     assert drops > 0  # The schedule actually severed connections.
-    if chaos_from_env() is None:
+    if chaos_spec is None:
         assert total_retries == drops
         # A severed stream abandons a started attempt: its redone bytes
         # land in retry accounting, never in primary totals.

@@ -98,6 +98,7 @@ def sales_design(pinned_provider):
 
 
 def make_client(provider, design=None, backend="memory", shards=None):
+    """``shards=None`` leaves the shard count to ``--shards``."""
     return MonomiClient.setup(
         build_sales_db(NUM_ORDERS),
         SALES_WORKLOAD,
@@ -107,7 +108,7 @@ def make_client(provider, design=None, backend="memory", shards=None):
         provider=provider,
         design=design,
         backend=backend,
-        shards=shards,
+        **({} if shards is None else {"shards": shards}),
     )
 
 

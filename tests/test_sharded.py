@@ -24,11 +24,7 @@ from repro.server import (
     make_sharded_backend,
 )
 from repro.server.backend import DelegatingView
-from repro.server.sharded import (
-    ORDINAL_COLUMN,
-    resolve_shards,
-    route_hash,
-)
+from repro.server.sharded import ORDINAL_COLUMN, route_hash
 from repro.sql import ast
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD, canonical
 
@@ -736,16 +732,6 @@ class TestTopology:
         resumed.insert_rows("t1", [(99, 1, "tail")])
         assert resumed.execute(SCAN).rows[-1] == (99, 1, "tail")
 
-    def test_resolve_shards_env(self, monkeypatch):
-        monkeypatch.delenv("MONOMI_SHARDS", raising=False)
-        assert resolve_shards(None) == 1
-        monkeypatch.setenv("MONOMI_SHARDS", "4")
-        assert resolve_shards(None) == 4
-        assert resolve_shards(2) == 2  # Explicit beats env.
-        monkeypatch.setenv("MONOMI_SHARDS", "zero")
-        with pytest.raises(ConfigError):
-            resolve_shards(None)
-
     def test_route_hash_is_process_stable(self):
         # Routing must not depend on Python's salted hash().
         assert route_hash(42) == route_hash(42)
@@ -830,19 +816,20 @@ class TestClientEquivalence:
         finally:
             client.close()
 
-    def test_setup_reads_shards_env(
-        self, monkeypatch, sales_db, provider, sales_client
-    ):
-        monkeypatch.setenv("MONOMI_SHARDS", "2")
-        client = MonomiClient.setup(
-            sales_db,
-            SALES_WORKLOAD,
-            master_key=MASTER_KEY,
-            paillier_bits=384,
-            space_budget=2.5,
-            provider=provider,
-            design=sales_client.design,
-        )
+    def test_setup_shards_a_backend_kind(self, sales_db, provider, sales_client):
+        def setup(shards):
+            return MonomiClient.setup(
+                sales_db,
+                SALES_WORKLOAD,
+                master_key=MASTER_KEY,
+                paillier_bits=384,
+                space_budget=2.5,
+                provider=provider,
+                design=sales_client.design,
+                shards=shards,
+            )
+
+        client = setup(2)
         backend = client.backend
         while hasattr(backend, "_parent"):
             backend = backend._parent
@@ -850,6 +837,21 @@ class TestClientEquivalence:
         assert len(backend.shards) == 2
         query = SALES_WORKLOAD[0]
         assert client.execute(query).rows == sales_client.execute(query).rows
+        with pytest.raises(ConfigError, match="shards must be >= 1"):
+            setup(0)
+
+    def test_shards_option_reaches_the_suite_clients(self, pytestconfig, sales_client):
+        """``--shards=N`` sets up the suites' clients that name a backend
+        kind over N shards; without it they run over one store."""
+        store = sales_client.backend
+        while hasattr(store, "_parent"):
+            store = store._parent
+        shards = pytestconfig.getoption("shards")
+        if shards == 1:
+            assert not isinstance(store, ShardedBackend)
+        else:
+            assert isinstance(store, ShardedBackend)
+            assert len(store.shards) == shards
 
 
 # ---------------------------------------------------------------------------
