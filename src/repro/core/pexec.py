@@ -8,10 +8,14 @@ Runs a :class:`~repro.core.plan.SplitPlan` against the untrusted server:
    (charging measured server CPU + modeled disk time for bytes scanned),
    charge modeled network time for the intermediate result's exact bytes,
    then decrypt every output column on the client per its DecryptSpec
-   (charging measured client CPU), unnesting grp() lists when the plan
-   says so;
+   (charging measured client CPU); a grp() output stays one list per
+   server group, in a ``list`` column of the staged relation;
 3. run the residual query over the decrypted virtual tables with the same
-   relational engine, on the trusted side.
+   relational engine, on the trusted side.  An ``[unnest]`` relation is
+   never exploded into one row per list element: the engine's aggregation
+   folds its list columns where they are (see
+   :func:`~repro.engine.executor._nested_groups`), so each server row is
+   one client group's worth of values.
 
 :meth:`PlanExecutor.execute_iter` streams
 :class:`~repro.engine.rowblock.RowBlock` batches end-to-end, and
@@ -19,12 +23,13 @@ Runs a :class:`~repro.core.plan.SplitPlan` against the untrusted server:
 the plan is one RemoteRelation whose residual is stream-shaped (scan →
 filter → project → limit over that relation, no subqueries), blocks flow
 server scan → per-block decrypt (through the ``*_decrypt_batch`` APIs) →
-per-block unnest → residual operators without ever staging a full table;
-peak client memory is O(block).  Any other plan shape runs the
-materializing path (:meth:`PlanExecutor._run`) and re-blocks its result
-(one blocking operator at the root).  A stream-shaped plan run through
-the materializing path returns identical rows and identical ledger byte
-counts — the streaming equivalence tests assert this.
+residual operators without ever staging a full table; peak client memory
+is O(block).  Any other plan shape runs the materializing path
+(:meth:`PlanExecutor._run`) and re-blocks its result (one blocking
+operator at the root); an ``[unnest]`` plan always does, because its
+residual aggregates.  A stream-shaped plan run through the materializing
+path returns identical rows and identical ledger byte counts — the
+streaming equivalence tests assert this.
 
 A streamed plan runs on its caller's thread as one sequence per block:
 pull the server block, charge its transfer, decrypt it, hand it to the
@@ -56,7 +61,6 @@ three cost components (§6.4) for every benchmark to aggregate.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from typing import Iterator
@@ -243,7 +247,7 @@ class PlanExecutor:
     ) -> Iterator[RowBlock]:
         server_params, residual_params = self._bind_subplans(plan, ledger, deadline)
         source = self._stream_remote(
-            relation, out_names, server_params, ledger, block_rows, deadline
+            relation, server_params, ledger, block_rows, deadline
         )
         if plan.residual is None:
             yield from source
@@ -280,13 +284,12 @@ class PlanExecutor:
     def _stream_remote(
         self,
         relation: RemoteRelation,
-        out_names: list[str],
         server_params: dict[str, object],
         ledger: CostLedger,
         block_rows: int,
         deadline: Deadline | None,
     ) -> Iterator[RowBlock]:
-        """Server scan → network → per-block decrypt → per-block unnest."""
+        """Server scan → network → per-block decrypt."""
         specs = relation.specs
         # Deadline-capable backends (the network client) enforce expiry
         # inside the request itself — pass it through when supported.
@@ -326,9 +329,6 @@ class PlanExecutor:
                     out = RowBlock(
                         self._decrypt_columns(specs, block.columns), len(block)
                     )
-                    if relation.unnest:
-                        rows = _unnest_rows(out_names, out.rows(), specs)
-                        out = RowBlock.from_rows(rows, len(out_names))
                 yield out
         finally:
             # Runs on exhaustion AND on early termination (residual LIMIT):
@@ -396,13 +396,11 @@ class PlanExecutor:
                 )
             elif isinstance(relation, ClientRelation):
                 inner = self._run(relation.plan, ledger, deadline)
-                columns, rows = list(inner.columns), inner.rows
+                columns = [ColumnDef(c, "any") for c in inner.columns]
+                rows = inner.rows
             else:
                 raise ExecutionError(f"unknown relation {relation!r}")
-            schema = TableSchema(
-                name=relation.alias,
-                columns=tuple(ColumnDef(c, "any") for c in columns),
-            )
+            schema = TableSchema(name=relation.alias, columns=tuple(columns))
             table = client_db.create_table(schema)
             table.rows = rows  # Trusted side: skip re-validation for speed.
 
@@ -423,7 +421,9 @@ class PlanExecutor:
         server_params: dict[str, object],
         ledger: CostLedger,
         deadline: Deadline | None = None,
-    ) -> tuple[list[str], list[tuple]]:
+    ) -> tuple[list[ColumnDef], list[tuple]]:
+        """Run the relation's server query and decrypt its result: one row
+        per server row, each grp() output a ``list`` column."""
         execute_kwargs: dict[str, object] = {}
         if deadline is not None and supports_deadline(self.backend):
             execute_kwargs["deadline"] = deadline
@@ -452,9 +452,12 @@ class PlanExecutor:
         ledger.add_transfer(result.byte_size(), self.network)
 
         with ledger.timing_client():
-            columns, rows = self._decrypt_rows(relation, result)
-            if relation.unnest:
-                rows = _unnest_rows(columns, rows, relation.specs)
+            _, rows = self._decrypt_rows(relation, result)
+        columns = [
+            ColumnDef(name, "list" if spec.kind == "grp" else "any")
+            for spec in relation.specs
+            for name in spec.output_names
+        ]
         return columns, rows
 
     def _decrypt_rows(
@@ -561,36 +564,3 @@ class PlanExecutor:
                 saw_any = True
             out_rows.append(totals if saw_any else [None] * width)
         return [list(column) for column in zip(*out_rows)]
-
-
-def _unnest_rows(
-    columns: list[str], rows: list[tuple], specs: list[DecryptSpec]
-) -> list[tuple]:
-    """Explode grp() list columns back into one row per group element,
-    replicating per-group scalars (hom sums, keys, counts)."""
-    list_positions: list[int] = []
-    position = 0
-    for spec in specs:
-        for _ in spec.output_names:
-            if spec.kind == "grp":
-                list_positions.append(position)
-            position += 1
-    if not list_positions:
-        return rows
-    is_list = frozenset(list_positions)
-    out: list[tuple] = []
-    for row in rows:
-        length = len(row[list_positions[0]])
-        if any(len(row[i]) != length for i in list_positions):
-            raise ExecutionError("misaligned grp() lists in one group")
-        # Transpose the group: zip stops at the lists' common length, the
-        # scalars repeat beside them.
-        out.extend(
-            zip(
-                *[
-                    value if i in is_list else itertools.repeat(value)
-                    for i, value in enumerate(row)
-                ]
-            )
-        )
-    return out

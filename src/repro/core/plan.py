@@ -20,10 +20,12 @@ A :class:`SplitPlan` is what MONOMI's planner hands the client library:
   times" plans.
 
 ``unnest`` on a RemoteRelation marks GROUP()-mode results: the server
-grouped and shipped whole groups' values via the ``grp()`` UDF; the client
-explodes each group back into rows before re-aggregating exactly (the
-LocalGroupBy path), while homomorphic or plain aggregates ride along as
-per-group scalars.
+grouped and shipped whole groups' values via the ``grp()`` UDF, and the
+client re-aggregates them exactly (the LocalGroupBy path), while
+homomorphic or plain aggregates ride along as per-group scalars.  The
+client never explodes the lists back into rows: each decrypted list is a
+``list`` column of the staged relation, which the engine's aggregation
+folds element by element.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class DecryptSpec:
         virtual column per packed expression (``hom_output_names``), each
         divided out of the packed slot sums;
       * ``grp``   — a grp() list: decrypt each element with ``elem_kind``;
-        list-valued until unnesting.
+        list-valued (a ``list`` column of the staged relation).
     """
 
     kind: str

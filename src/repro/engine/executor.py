@@ -33,6 +33,11 @@ streaming layer over the same machinery:
   column at a time through :meth:`Aggregate.fold`; arbitrary key and
   aggregate expressions in SELECT / HAVING / ORDER BY, DISTINCT, ORDER BY
   with alias references, and LIMIT;
+* a table with ``list`` columns (the client's staged grp() results, one
+  row per server group) groups as the rows its lists stand for, one per
+  list element, without building them: each argument column is the
+  group's lists concatenated, per-group scalars repeat once per element
+  (:func:`_nested_groups`);
 * correlated subqueries re-execute per outer row (uncorrelated ones are
   cached by the evaluator).
 
@@ -60,7 +65,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from repro.common.errors import ExecutionError
 from repro.engine.aggregates import make_aggregate
@@ -704,6 +709,16 @@ class Executor:
         exprs.extend(o.expr for o in query.order_by)
         return exprs
 
+    def _list_positions(self, query: ast.Select) -> tuple[int, ...]:
+        """Where the relation ``query`` groups has ``list`` columns: only a
+        FROM of one table, the client's staged grp() results, has any."""
+        if len(query.from_items) != 1:
+            return ()
+        ref = query.from_items[0]
+        if not isinstance(ref, ast.TableName):
+            return ()
+        return self.db.table(ref.name).schema.list_positions
+
     def _group_and_project(
         self,
         query: ast.Select,
@@ -718,37 +733,19 @@ class Executor:
                 if call not in seen:
                     seen.add(call)
                     agg_calls.append(call)
-        # Compile each distinct aggregate argument once per query (Q1 sums
-        # and averages the same three columns).
-        arg_fns: dict[ast.Expr, object] = {}
-        for call in agg_calls:
-            for arg in call.args:
-                if arg not in arg_fns:
-                    arg_fns[arg] = compile_expr(arg, relation.scope, ctx, outer)
-        # Partition first (groups in first-seen order, rows in input order,
-        # the first row the representative) ...
-        rows = relation.rows
-        if query.group_by:
-            key_fn = _key_fn(query.group_by, relation.scope, ctx, outer)
-            partitions: dict[object, list[tuple]] = defaultdict(list)
-            for key, row in zip(map(key_fn, rows), rows):
-                partitions[key].append(row)
-            members = list(partitions.values())
-        elif rows:
-            members = [rows]
+        lists = self._list_positions(query)
+        if lists:
+            groups = _nested_groups(query, agg_calls, relation, lists, ctx, outer)
         else:
-            # Aggregate over empty input: one row of aggregate identities.
-            members = [[]]
-        # ... then fold each group one argument column at a time.
+            groups = _row_groups(query, agg_calls, relation, ctx, outer)
+        # Fold each group one argument column at a time.
         store = self.db.ciphertext_store
         output: list[tuple[tuple, dict]] = []
-        for group_rows in members:
-            columns = {arg: list(map(fn, group_rows)) for arg, fn in arg_fns.items()}
+        for inputs, rep_row in groups:
             agg_values = {}
-            for call in agg_calls:
+            for call, columns in zip(agg_calls, inputs):
                 agg = make_aggregate(call.name, call.distinct, store)
-                # COUNT(*) has no argument: it counts a constant.
-                agg.fold([columns[a] for a in call.args] or [[1] * len(group_rows)])
+                agg.fold(columns)
                 agg_values[call] = agg.finalize()
             group_ctx = EvalContext(
                 params=ctx.params,
@@ -757,7 +754,6 @@ class Executor:
                 aggregate_values=agg_values,
                 _subquery_cache=ctx._subquery_cache,
             )
-            rep_row = group_rows[0] if group_rows else None
             env = Env(relation.scope, rep_row, outer) if rep_row is not None else None
             values = tuple(evaluate(item.expr, env, group_ctx) for item in query.items)
             aliases = {
@@ -1334,6 +1330,174 @@ def _key_fn(keys: list[ast.Expr], scope: Scope, ctx: EvalContext, outer):
     if len(keys) == 1:
         return compile_expr(keys[0], scope, ctx, outer)
     return _row_tuple([compile_expr(key, scope, ctx, outer) for key in keys])
+
+
+def _row_groups(
+    query: ast.Select,
+    agg_calls: list[ast.FuncCall],
+    relation: _Relation,
+    ctx: EvalContext,
+    outer: Env | None,
+):
+    """Each group's fold inputs (one list of argument columns per call in
+    ``agg_calls``) and representative row: rows partitioned by the GROUP
+    BY keys, groups in first-seen order, rows in input order, the first
+    row the representative.  No GROUP BY is one group, empty input too
+    (one row of aggregate identities)."""
+    # Compile each distinct aggregate argument once per query (Q1 sums
+    # and averages the same three columns).
+    arg_fns: dict[ast.Expr, object] = {}
+    for call in agg_calls:
+        for arg in call.args:
+            if arg not in arg_fns:
+                arg_fns[arg] = compile_expr(arg, relation.scope, ctx, outer)
+    rows = relation.rows
+    members = [rows]
+    if query.group_by:
+        key_fn = _key_fn(query.group_by, relation.scope, ctx, outer)
+        partitions: dict[object, list[tuple]] = defaultdict(list)
+        for key, row in zip(map(key_fn, rows), rows):
+            partitions[key].append(row)
+        members = list(partitions.values())
+    for group_rows in members:
+        columns = {arg: list(map(fn, group_rows)) for arg, fn in arg_fns.items()}
+        # COUNT(*) has no argument: it counts a constant.
+        inputs = [
+            [columns[a] for a in call.args] or [[1] * len(group_rows)]
+            for call in agg_calls
+        ]
+        yield inputs, (group_rows[0] if group_rows else None)
+
+
+def _nested_groups(
+    query: ast.Select,
+    agg_calls: list[ast.FuncCall],
+    relation: _Relation,
+    lists: tuple[int, ...],
+    ctx: EvalContext,
+    outer: Env | None,
+):
+    """:func:`_row_groups` over rows whose ``lists`` columns hold lists:
+    the client's staged grp() results, one row per server group.
+
+    A row stands for its *element rows*, as many as its lists have
+    elements (every list of a row has one length, else "misaligned"):
+    element row ``i`` takes item ``i`` of each list and the row's other
+    columns as they are.  Groups, their order, and each fold input's
+    values in their order are those of grouping the element rows, which
+    are built only where an expression has to read one:
+
+    * a bare list column's input is its lists concatenated in row order;
+    * an argument that reads columns but no list column (a per-group
+      scalar the server computed: a key, a hom sum, a count) is evaluated
+      once per row and repeated once per element, except under MIN or
+      MAX, which fold each row's own value: the server's one row of empty
+      lists for an ungrouped query over no input keeps its COUNT of 0;
+    * any other argument, and a GROUP BY key that reads a list column,
+      is evaluated on each row's element rows.
+
+    Keys that read no list column partition whole rows, and a row with no
+    elements starts no group; a key that reads a list column splits a row
+    into one piece per key its elements take.
+    """
+    scope, rows = relation.scope, relation.rows
+    lengths = list(map(len, map(operator.itemgetter(lists[0]), rows)))
+    for position in lists[1:]:
+        if list(map(len, map(operator.itemgetter(position), rows))) != lengths:
+            raise ExecutionError("misaligned grp() lists in one group")
+    is_list = frozenset(lists)
+    width = len(scope.columns)
+
+    def reads_lists(expr: ast.Expr) -> bool:
+        # A subquery may correlate to any column: read it per element.
+        return bool(ast.find_subqueries(expr)) or any(
+            _scope_index(scope, column) in is_list for column in ast.find_columns(expr)
+        )
+
+    def reads_columns(expr: ast.Expr) -> bool:
+        return any(
+            _scope_index(scope, column) is not None
+            for column in ast.find_columns(expr)
+        )
+
+    def elements(row: tuple, sel: list[int] | None) -> list[tuple]:
+        parts = [row[i] if i in is_list else repeat(row[i]) for i in range(width)]
+        out = list(zip(*parts))
+        return out if sel is None else [out[i] for i in sel]
+
+    # A group is a list of pieces ⟨row, element count, element indices⟩;
+    # None for the indices means all of the row's elements.
+    members: list[list[tuple]] = [[(row, n, None) for row, n in zip(rows, lengths)]]
+    if query.group_by:
+        key_fn = _key_fn(query.group_by, scope, ctx, outer)
+        partitions: dict[object, list[tuple]] = defaultdict(list)
+        if any(map(reads_lists, query.group_by)):
+            for row in rows:
+                split: dict[object, list[int]] = defaultdict(list)
+                for i, key in enumerate(map(key_fn, elements(row, None))):
+                    split[key].append(i)
+                whole = len(split) == 1
+                for key, sel in split.items():
+                    partitions[key].append((row, len(sel), None if whole else sel))
+        else:
+            for key, row, n in zip(map(key_fn, rows), rows, lengths):
+                if n:
+                    partitions[key].append((row, n, None))
+        members = list(partitions.values())
+
+    picks: dict[ast.Expr, int] = {}  # Bare list columns.
+    per_element: dict[ast.Expr, object] = {}  # Read on element rows.
+    per_row: dict[ast.Expr, object] = {}  # Read once per row.
+    repeated: set[ast.Expr] = set()  # Folded per element by some call.
+    for call in agg_calls:
+        for arg in call.args:
+            if call.name not in ("min", "max"):
+                repeated.add(arg)
+            if arg in picks or arg in per_element or arg in per_row:
+                continue
+            if isinstance(arg, ast.Column) and _scope_index(scope, arg) in is_list:
+                picks[arg] = _scope_index(scope, arg)
+            elif reads_lists(arg) or not reads_columns(arg):
+                per_element[arg] = compile_expr(arg, scope, ctx, outer)
+            else:
+                per_row[arg] = compile_expr(arg, scope, ctx, outer)
+    for pieces in members:
+        columns: dict[ast.Expr, list] = {}
+        for arg, p in picks.items():
+            columns[arg] = list(
+                chain.from_iterable(
+                    row[p] if sel is None else [row[p][i] for i in sel]
+                    for row, _, sel in pieces
+                )
+            )
+        for arg, fn in per_element.items():
+            columns[arg] = [
+                fn(element) for row, _, sel in pieces for element in elements(row, sel)
+            ]
+        row_values: dict[ast.Expr, list] = {}
+        for arg, fn in per_row.items():
+            values = row_values[arg] = [fn(row) for row, _, _ in pieces]
+            if arg in repeated:
+                counts = [n for _, n, _ in pieces]
+                columns[arg] = list(chain.from_iterable(map(repeat, values, counts)))
+        size = sum(n for _, n, _ in pieces)
+        inputs = []
+        for call in agg_calls:
+            if not call.args:
+                inputs.append([[1] * size])
+            elif call.name in ("min", "max"):
+                inputs.append([row_values.get(a, columns.get(a)) for a in call.args])
+            else:
+                inputs.append([columns[a] for a in call.args])
+        rep_row = None
+        for row, n, sel in pieces:
+            if n:
+                i = 0 if sel is None else sel[0]
+                rep_row = tuple(
+                    [row[c][i] if c in is_list else row[c] for c in range(width)]
+                )
+                break
+        yield inputs, rep_row
 
 
 def _null_keys(keys, width: int) -> list:

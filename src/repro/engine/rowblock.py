@@ -45,9 +45,9 @@ class RowBlock:
     ``columns[i]`` is the list of values for output column ``i``; every
     column holds ``num_rows`` values.  Capacity is nominal: producers
     emit blocks of at most their configured size, but consumers must not
-    assume it (unnesting grp() lists can legally grow a block).  Blocks
-    are read-only: a column list may be shared with the block it was
-    picked from, or with another column of the same block.
+    assume it (a block may come from a producer configured with another
+    size).  Blocks are read-only: a column list may be shared with the
+    block it was picked from, or with another column of the same block.
     """
 
     __slots__ = ("columns", "num_rows")

@@ -2,7 +2,10 @@
 
 Types are deliberately few: the paper converts DECIMAL to integers for both
 plaintext and encrypted runs (§8.1), and ciphertexts appear as ``bytes``
-(DET), ``int`` (OPE / FFX / row ids), or ``tagset`` (SEARCH).
+(DET), ``int`` (OPE / FFX / row ids), or ``tagset`` (SEARCH).  A ``list``
+column exists only on the trusted client: it holds one decrypted ``grp()``
+list per server group, and the engine's aggregation folds it element by
+element.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.common.errors import CatalogError
 
 VALID_TYPES = frozenset(
-    {"int", "float", "text", "date", "bool", "bytes", "tagset", "any"}
+    {"int", "float", "text", "date", "bool", "bytes", "tagset", "list", "any"}
 )
 
 _PYTHON_TYPES = {
@@ -24,6 +27,7 @@ _PYTHON_TYPES = {
     "bool": (bool,),
     "bytes": (bytes,),
     "tagset": (frozenset,),
+    "list": (list,),
 }
 
 
@@ -52,6 +56,8 @@ class TableSchema:
     columns: tuple[ColumnDef, ...]
     primary_key: tuple[str, ...] = ()
     _index: dict = field(default_factory=dict, compare=False, repr=False)
+    #: Positions of the ``list`` columns, in schema order.
+    list_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen: dict[str, int] = {}
@@ -63,6 +69,8 @@ class TableSchema:
             if key not in seen:
                 raise CatalogError(f"primary key column {key!r} not in {self.name!r}")
         self._index.update(seen)
+        lists = tuple(i for i, col in enumerate(self.columns) if col.type == "list")
+        object.__setattr__(self, "list_positions", lists)
 
     def column_index(self, name: str) -> int:
         try:

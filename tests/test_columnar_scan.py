@@ -262,8 +262,8 @@ def test_source_blocks_are_never_written():
 
 
 def test_output_blocks_recut_from_oversized_source_blocks():
-    """Source blocks can exceed the output capacity (grp() unnesting):
-    the driver still emits full blocks but the last."""
+    """Source blocks can exceed the output capacity (a producer cut them
+    at a larger size): the driver still emits full blocks but the last."""
     rows = [(i, i % 3) for i in range(23)]
     source = BlockStream(["i", "z"], [RowBlock.from_rows(rows, 2)])
     query = parse("SELECT i FROM z WHERE z <> 1")

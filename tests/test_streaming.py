@@ -27,8 +27,6 @@ from repro.core import (
     PlanExecutor,
     normalize_query,
 )
-from repro.core.plan import DecryptSpec
-from repro.core.pexec import _unnest_rows
 from repro.common.ledger import CostLedger, NetworkModel
 from repro.engine import (
     BlockStream,
@@ -237,7 +235,7 @@ def test_sqlite_stream_closes_cursor_on_early_exit():
 # ---------------------------------------------------------------------------
 
 # Sales-shaped plans covering every plan family: fully-pushed scans,
-# residual filters, grp() unnest re-aggregation, hom SUM, multi-round-trip
+# residual filters, grp() list re-aggregation, hom SUM, multi-round-trip
 # IN sets, scalar subplans, ORDER BY + LIMIT, and FROM-subqueries.
 STREAM_VS_MAT_QUERIES = SALES_WORKLOAD + [
     "SELECT o_orderkey, o_price FROM orders WHERE o_price > 2500",
@@ -470,60 +468,3 @@ def test_streaming_peak_memory_is_bounded():
     assert stream_large < stream_small + 256 * 1024
     # And streaming stays far below the materialized footprint.
     assert stream_large * 5 < mat_large
-
-
-# ---------------------------------------------------------------------------
-# Satellite: unnest hot loop
-# ---------------------------------------------------------------------------
-
-
-class TestUnnestRows:
-    SPECS = [
-        DecryptSpec(kind="plain", output_name="k"),
-        DecryptSpec(kind="grp", output_name="v", elem_kind="det"),
-        DecryptSpec(kind="grp", output_name="w", elem_kind="det"),
-    ]
-
-    def test_explodes_groups_and_replicates_scalars(self):
-        rows = [(1, [10, 11], [20, 21]), (2, [30], [40])]
-        out = _unnest_rows(["k", "v", "w"], rows, self.SPECS)
-        assert out == [(1, 10, 20), (1, 11, 21), (2, 30, 40)]
-
-    def test_empty_groups_vanish(self):
-        assert _unnest_rows(["k", "v", "w"], [(1, [], [])], self.SPECS) == []
-
-    def test_misaligned_groups_rejected(self):
-        with pytest.raises(ExecutionError):
-            _unnest_rows(["k", "v", "w"], [(1, [10], [20, 21])], self.SPECS)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 9),
-                st.lists(st.integers(), max_size=4),
-                st.lists(st.integers(), max_size=4),
-            ),
-            max_size=6,
-        )
-    )
-    def test_matches_the_cell_by_cell_transpose(self, rows):
-        def reference():
-            out = []
-            for key, left, right in rows:
-                if len(left) != len(right):
-                    raise ExecutionError("misaligned grp() lists in one group")
-                out.extend((key, left[i], right[i]) for i in range(len(left)))
-            return out
-
-        try:
-            expected = reference()
-        except ExecutionError:
-            with pytest.raises(ExecutionError, match="misaligned"):
-                _unnest_rows(["k", "v", "w"], rows, self.SPECS)
-        else:
-            assert _unnest_rows(["k", "v", "w"], rows, self.SPECS) == expected
-
-    def test_no_list_columns_is_identity(self):
-        specs = [DecryptSpec(kind="plain", output_name="k")]
-        rows = [(1,), (2,)]
-        assert _unnest_rows(["k"], rows, specs) is rows
