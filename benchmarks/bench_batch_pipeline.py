@@ -40,7 +40,7 @@ from repro.core.loader import (
     server_column_type,
 )
 from repro.core.pexec import PlanExecutor
-from repro.core.plan import DecryptSpec, RemoteRelation
+from repro.core.plan import DecryptSpec
 from repro.core.typing import infer_type
 from repro.crypto.packing import PackedLayout
 from repro.engine.aggregates import HomAggResult
@@ -329,7 +329,6 @@ def bench_client_decrypt(provider, num_rows: int, results: dict) -> None:
         ),
     ]
     result = ResultSet([spec.output_name or "hom" for spec in specs], server_rows)
-    relation = RemoteRelation(alias="bench", query=None, specs=specs)
 
     provider.reset_crypto_caches()
     start = time.perf_counter()
@@ -338,8 +337,10 @@ def bench_client_decrypt(provider, num_rows: int, results: dict) -> None:
 
     executor = PlanExecutor(Database("bench_server"), provider)
     provider.reset_crypto_caches()
+    batch_columns = [name for spec in specs for name in spec.output_names]
     start = time.perf_counter()
-    batch_columns, batch_rows = executor._decrypt_rows(relation, result)
+    in_columns = list(zip(*result.rows))
+    batch_rows = list(zip(*executor._decrypt_columns(specs, in_columns)))
     batch_seconds = time.perf_counter() - start
 
     assert batch_columns == scalar_columns

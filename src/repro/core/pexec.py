@@ -25,11 +25,12 @@ filter → project → limit over that relation, no subqueries), blocks flow
 server scan → per-block decrypt (through the ``*_decrypt_batch`` APIs) →
 residual operators without ever staging a full table; peak client memory
 is O(block).  Any other plan shape runs the materializing path
-(:meth:`PlanExecutor._run`) and re-blocks its result (one blocking
-operator at the root); an ``[unnest]`` plan always does, because its
-residual aggregates.  A stream-shaped plan run through the materializing
-path returns identical rows and identical ledger byte counts — the
-streaming equivalence tests assert this.
+(:meth:`PlanExecutor._run`), which stages each remote relation by
+draining the same decrypted stream, and re-blocks its result (one
+blocking operator at the root); an ``[unnest]`` plan always does,
+because its residual aggregates.  A stream-shaped plan run through the
+materializing path returns identical rows and identical ledger byte
+counts — the streaming equivalence tests assert this.
 
 A streamed plan runs on its caller's thread as one sequence per block:
 pull the server block, charge its transfer, decrypt it, hand it to the
@@ -39,11 +40,13 @@ thread to coordinate.
 Resilient execution
 -------------------
 Server calls cross the failure boundary, and the executor is the
-client hop's one retry loop for queries: both execution paths retry
+client hop's one retry loop for queries.  Every remote read, streamed or
+staged for the materializing path, is one
+:meth:`~repro.server.backend.ServerBackend.execute_stream` pulled by
+:meth:`PlanExecutor._stream_remote`, which retries
 :class:`~repro.common.errors.TransientError` under the executor's
-:class:`~repro.common.retry.RetryPolicy`.  The materializing path simply
-re-runs ``backend.execute``; the streaming path resumes through
-:class:`~repro.engine.rowblock.ResilientStream`, which re-opens the
+:class:`~repro.common.retry.RetryPolicy` through
+:class:`~repro.engine.rowblock.ResilientStream`: it re-opens the
 (deterministic) server stream and fast-forwards past the rows it already
 delivered — so delivered rows are never repeated and never lost.  The
 invariant, pinned by the fault tests: under *any* fault schedule the
@@ -67,7 +70,7 @@ from typing import Iterator
 
 from repro.common.errors import ConfigError, ExecutionError
 from repro.common.ledger import CostLedger, DiskModel, NetworkModel
-from repro.common.retry import Deadline, RetryPolicy, retry_call
+from repro.common.retry import Deadline, RetryPolicy
 from repro.core.encdata import CryptoProvider
 from repro.core.plan import ClientRelation, DecryptSpec, RemoteRelation, SplitPlan
 from repro.engine.aggregates import HomAggResult
@@ -136,6 +139,9 @@ class PlanExecutor:
         self.disk = disk or DiskModel()
         self.block_rows = block_rows
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        # Deadline-capable backends (the network client) enforce expiry
+        # inside the request itself: the deadline is passed through to them.
+        self._pass_deadline = supports_deadline(self.backend)
         # Backoff jitter draws from a fixed-seed RNG so a given fault
         # schedule replays with identical retry timing (and never
         # perturbs any other randomness in the process).
@@ -291,10 +297,8 @@ class PlanExecutor:
     ) -> Iterator[RowBlock]:
         """Server scan → network → per-block decrypt."""
         specs = relation.specs
-        # Deadline-capable backends (the network client) enforce expiry
-        # inside the request itself — pass it through when supported.
         stream_kwargs: dict[str, object] = {}
-        if deadline is not None and supports_deadline(self.backend):
+        if deadline is not None and self._pass_deadline:
             stream_kwargs["deadline"] = deadline
 
         def open_stream() -> BlockStream:
@@ -311,6 +315,7 @@ class PlanExecutor:
         with ledger.timing_server():
             stream.open()
         if len(specs) != len(stream.columns):
+            stream.close()
             raise ExecutionError(
                 f"decrypt spec count {len(specs)} != result columns "
                 f"{len(stream.columns)}"
@@ -422,72 +427,27 @@ class PlanExecutor:
         ledger: CostLedger,
         deadline: Deadline | None = None,
     ) -> tuple[list[ColumnDef], list[tuple]]:
-        """Run the relation's server query and decrypt its result: one row
-        per server row, each grp() output a ``list`` column."""
-        execute_kwargs: dict[str, object] = {}
-        if deadline is not None and supports_deadline(self.backend):
-            execute_kwargs["deadline"] = deadline
-
-        def attempt() -> ResultSet:
-            with ledger.timing_server():
-                return self.backend.execute(
-                    relation.query, params=server_params, **execute_kwargs
-                )
-
-        def note(attempt_no: int, exc: BaseException) -> None:
-            # Abandoned materialized attempts charge no retry bytes: a
-            # failed execute produced no result and reports no scan.
-            ledger.retries += 1
-
-        result = retry_call(
-            attempt,
-            self.retry_policy,
-            deadline=deadline,
-            rng=self._retry_rng,
-            on_retry=note,
-        )
-        bytes_scanned = self.backend.last_stats.bytes_scanned
-        ledger.server_bytes_scanned += bytes_scanned
-        ledger.server_seconds += self.disk.read_seconds(bytes_scanned)
-        ledger.add_transfer(result.byte_size(), self.network)
-
-        with ledger.timing_client():
-            _, rows = self._decrypt_rows(relation, result)
+        """The relation's decrypted server stream, drained: one row per
+        server row, each grp() output a ``list`` column."""
         columns = [
             ColumnDef(name, "list" if spec.kind == "grp" else "any")
             for spec in relation.specs
             for name in spec.output_names
         ]
-        return columns, rows
-
-    def _decrypt_rows(
-        self, relation: RemoteRelation, result: ResultSet
-    ) -> tuple[list[str], list[tuple]]:
-        """Columnar client decryption (the Fig. 7 hot path).
-
-        The result set is transposed so each server output column decrypts
-        as one batch — a single scheme/type dispatch per
-        :class:`DecryptSpec` instead of one per value, with packed Paillier
-        ciphertexts gathered column-wide into one CRT-batched decryption.
-        The streaming path calls the same :meth:`_decrypt_columns` per
-        RowBlock (already column-major — no transpose needed).
-        """
-        specs = relation.specs
-        if len(specs) != len(result.columns):
-            raise ExecutionError(
-                f"decrypt spec count {len(specs)} != result columns "
-                f"{len(result.columns)}"
-            )
-        columns: list[str] = []
-        for spec in specs:
-            columns.extend(spec.output_names)
-        if not result.rows:
-            return columns, []
-        out_columns = self._decrypt_columns(specs, list(zip(*result.rows)))
-        return columns, list(zip(*out_columns))
+        values: list[list] = [[] for _ in columns]
+        blocks = self._stream_remote(
+            relation, server_params, ledger, self.block_rows, deadline
+        )
+        for block in blocks:
+            for column, block_column in zip(values, block.columns):
+                column.extend(block_column)
+        return columns, list(zip(*values))
 
     def _decrypt_columns(self, specs: list[DecryptSpec], in_columns) -> list[list]:
-        """Decrypt server output columns into client virtual columns."""
+        """Decrypt server output columns into client virtual columns (the
+        Fig. 7 hot path): one scheme/type dispatch per :class:`DecryptSpec`
+        and block, packed Paillier ciphertexts gathered column-wide into one
+        CRT-batched decryption."""
         out_columns: list[list] = []
         for spec, in_column in zip(specs, in_columns):
             out_columns.extend(self._decrypt_column(spec, in_column))

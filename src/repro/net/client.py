@@ -17,9 +17,9 @@ Design points:
 * **Typed transience.**  Socket death at any point maps to
   :class:`~repro.common.errors.ConnectionLostError` (transient) and
   ERROR frames decode to their in-process exception types, so the
-  client hop's one retry loop — ``retry_call`` around a request,
-  :class:`~repro.engine.rowblock.ResilientStream` resume around a stream
-  — drives reconnects with no network-specific code.  Faults of the
+  client hop's one retry loop — ``retry_call`` around a write,
+  :class:`~repro.engine.rowblock.ResilientStream` resume around every
+  read — drives reconnects with no network-specific code.  Faults of the
   hosted store are retried by the server before they reach the wire,
   except in the middle of a stream.
 * **Catalog from HELLO.**  Table heap sizes and packed-ciphertext file
@@ -47,7 +47,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.retry import Deadline
-from repro.engine.executor import ExecStats, ResultSet
+from repro.engine.executor import ExecStats
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
 from repro.net import wire
 from repro.server.backend import ServerBackend
@@ -561,68 +561,6 @@ class RemoteBackend(ServerBackend):
         body["query"] = query
         return body
 
-    def execute(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None = None,
-        deadline: Deadline | None = None,
-    ) -> ResultSet:
-        conn = self._checkout()
-        try:
-            request: dict = {"stream": False}
-            if params:
-                request["params"] = params
-            if deadline is not None:
-                deadline.check("query")
-                request["timeout"] = deadline.remaining()
-            self._query_body(conn, query, request)
-            conn.send(wire.EXECUTE, request)
-            columns: list[str] | None = None
-            rows: list[tuple] = []
-            stats = ExecStats()
-            while True:
-                ftype, body = conn.recv(deadline)
-                if ftype == wire.BLOCK:
-                    # Local protocol-violation checks destroy the
-                    # connection before raising: unknown bytes may still
-                    # be in flight, so it must not return to the pool.
-                    if "data" in body:
-                        if columns is None:
-                            conn.destroy()
-                            raise FramingError("data BLOCK before the header")
-                        try:
-                            block = _decode_block(body, len(columns))
-                        except ReproError:
-                            conn.destroy()
-                            raise
-                        rows.extend(block.rows())
-                    else:
-                        columns = body.get("columns")
-                        if type(columns) is not list:
-                            conn.destroy()
-                            raise wire.CodecError("malformed header BLOCK")
-                elif ftype == wire.LEDGER:
-                    stats.bytes_scanned = body.get("bytes_scanned", 0)
-                    stats.rows_output = body.get("rows_output", 0)
-                    break
-                elif ftype == wire.ERROR:
-                    raise wire.decode_error(body)
-                else:
-                    conn.destroy()
-                    raise FramingError(
-                        f"unexpected {wire.FRAME_NAMES[ftype]} frame in an "
-                        "execute response"
-                    )
-            if columns is None:
-                conn.destroy()
-                raise FramingError("response ended without a result header")
-        except BaseException:
-            self._discard_or_checkin(conn)
-            raise
-        self._checkin(conn)
-        self.last_stats = stats
-        return ResultSet(columns, rows)
-
     def _discard_or_checkin(self, conn: _Connection) -> None:
         """After a failed request: a dead connection is destroyed; a live
         one (typed ERROR response — the protocol state is clean) pools."""
@@ -642,7 +580,7 @@ class RemoteBackend(ServerBackend):
     ) -> BlockStream:
         conn = self._checkout()
         try:
-            request: dict = {"stream": True, "block_rows": block_rows}
+            request: dict = {"block_rows": block_rows}
             if params:
                 request["params"] = params
             if deadline is not None:

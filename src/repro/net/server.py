@@ -51,7 +51,6 @@ from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.rowblock import (
     DEFAULT_BLOCK_ROWS,
     BlockStream,
-    blocks_from_rows,
     result_header_bytes,
 )
 from repro.net import wire
@@ -480,14 +479,13 @@ class MonomiServer:
 
     def _open_stream(
         self, view: ServerBackend, query: ast.Select, body: dict
-    ) -> tuple[BlockStream, bool]:
-        """The backend call for one EXECUTE.  Returns (stream, streamed).
+    ) -> BlockStream:
+        """The backend call for one EXECUTE.
 
         ``block_rows`` comes from the peer: anything but a positive
         integer is refused (a negative one would re-block the result into
         zero rows).
         """
-        params = body.get("params")
         block_rows = body.get("block_rows")
         if block_rows is None:
             block_rows = DEFAULT_BLOCK_ROWS
@@ -495,16 +493,9 @@ class MonomiServer:
             raise ConfigError(
                 f"block_rows must be a positive integer, got {block_rows!r}"
             )
-        if body.get("stream", True):
-            stream = view.execute_stream(query, params=params, block_rows=block_rows)
-            return stream, True
-        result = view.execute(query, params=params)
-        stream = BlockStream(
-            result.columns,
-            blocks_from_rows(result.rows, len(result.columns), block_rows),
-            view.last_stats,
+        return view.execute_stream(
+            query, params=body.get("params"), block_rows=block_rows
         )
-        return stream, False
 
     def _handle_execute(
         self,
@@ -520,7 +511,7 @@ class MonomiServer:
             query = self._resolve_query(session, body)
             if deadline is not None:
                 deadline.check("query")
-            stream, streamed = self._retrying(
+            stream = self._retrying(
                 lambda: self._open_stream(session.view, query, body), deadline
             )
         except ReproError as exc:
@@ -529,16 +520,15 @@ class MonomiServer:
             return
 
         ledger = session.ledger
-        header_bytes = result_header_bytes(stream.columns)
-        payload_total = 0
         cancelled = False
         try:
             wire.send_message(sock, wire.BLOCK, {"columns": stream.columns})
-            if streamed:
-                # Streamed accounting, the client's rules exactly: one
-                # round trip, then header + per-block payload bytes.
-                ledger.begin_round_trip(self._network)
-                ledger.add_block_transfer(header_bytes, self._network)
+            # The client's accounting rules exactly: one round trip, then
+            # header + per-block payload bytes.
+            ledger.begin_round_trip(self._network)
+            ledger.add_block_transfer(
+                result_header_bytes(stream.columns), self._network
+            )
             iterator = iter(stream)
             while True:
                 if deadline is not None:
@@ -550,16 +540,13 @@ class MonomiServer:
                 block = next(iterator, None)
                 if block is None:
                     break
-                payload = block.payload_bytes()
                 wire.send_message(
                     sock,
                     wire.BLOCK,
                     {"data": block.columns, "rows": block.num_rows},
                 )
                 session.blocks_sent += 1
-                payload_total += payload
-                if streamed:
-                    ledger.add_block_transfer(payload, self._network)
+                ledger.add_block_transfer(block.payload_bytes(), self._network)
                 self._maybe_drop()
         except ReproError as exc:
             # Typed failure mid-stream (injected chaos, engine error,
@@ -580,10 +567,6 @@ class MonomiServer:
         scanned = stats.bytes_scanned if stats is not None else 0
         rows_output = stats.rows_output if stats is not None else 0
         ledger.server_bytes_scanned += scanned
-        if not streamed:
-            # Materialized accounting: one add_transfer of the whole
-            # result image (header + rows), as the client charges it.
-            ledger.add_transfer(header_bytes + payload_total, self._network)
         wire.send_message(
             sock,
             wire.LEDGER,

@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 from repro.common.errors import ConfigError
 from repro.common.retry import RetryPolicy, retry_call
 from repro.engine.executor import ExecStats, ResultSet
-from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, blocks_from_rows
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.engine.schema import TableSchema
 from repro.sql import ast
 from repro.storage.ciphertext_store import CiphertextFile, CiphertextStore
@@ -229,19 +229,6 @@ class ServerBackend(ABC):
     # -- query execution ------------------------------------------------------
 
     @abstractmethod
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        """Run one server-side query; update :attr:`last_stats`.
-
-        ``params`` carries DET-encrypted IN sets for the multi-round-trip
-        plans (consumed by ``in_set``).  The returned :class:`ResultSet`
-        holds *logical* values — big OPE/DET integers as Python ints,
-        ``grp()`` results as tuples, ``hom_agg`` results as
-        :class:`~repro.engine.aggregates.HomAggResult` — regardless of how
-        the backend represents them at rest.
-        """
-
     def execute_stream(
         self,
         query: ast.Select,
@@ -250,22 +237,36 @@ class ServerBackend(ABC):
     ) -> BlockStream:
         """Run one server query, yielding column-major RowBlocks.
 
-        Same logical values and accounting as :meth:`execute`: the
-        stream's ``stats`` carries the scan bytes (final once the stream
-        is exhausted or closed), and the sum of block payloads plus the
-        result header equals the materialized ``ResultSet.byte_size()``.
-        This base implementation materializes and re-blocks — correct for
-        any backend; engines with incremental cursors override it to keep
-        peak memory bounded by the block size.
+        This is the one read call of the seam.  ``params`` carries
+        DET-encrypted IN sets for the multi-round-trip plans (consumed by
+        ``in_set``).  Blocks hold *logical* values — big OPE/DET integers
+        as Python ints, ``grp()`` results as tuples, ``hom_agg`` results
+        as :class:`~repro.engine.aggregates.HomAggResult` — regardless of
+        how the backend represents them at rest.  The stream's ``stats``
+        carries the scan bytes (final once the stream is exhausted or
+        closed), and the result header plus the sum of block payloads is
+        the result's ``ResultSet.byte_size()``.  Engines with incremental
+        cursors keep peak memory bounded by the block size; a blocking
+        result may materialize and re-block.
 
         Contract: ciphertext-file reads (``hom_agg``) accrue on a
         backend-global counter windowed per stream, so streams of
         hom-reading queries must be consumed one at a time for exact
         scan-byte accounting; interleaving plain scans is fine.
         """
-        result = self.execute(query, params=params)
-        blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
-        return BlockStream(result.columns, blocks, self.last_stats)
+
+    def execute(
+        self, query: ast.Select, params: dict[str, object] | None = None
+    ) -> ResultSet:
+        """:meth:`execute_stream` drained into one :class:`ResultSet`;
+        :attr:`last_stats` is the finished stream's."""
+        stream = self.execute_stream(query, params=params)
+        try:
+            rows = stream.drain_rows()
+        finally:
+            stream.close()
+        self.last_stats = stream.stats
+        return ResultSet(stream.columns, rows)
 
     # -- concurrent service access -------------------------------------------
 
@@ -304,8 +305,9 @@ class DelegatingView(ServerBackend):
 
     Loading and introspection pass through to the parent backend (views
     share its storage; the loader runs before the service serves), and
-    each view owns its ``last_stats``.  Subclasses define how queries
-    execute — that is the only thing worker views differ in.
+    each view owns its ``last_stats``.  Subclasses define
+    ``execute_stream`` — how queries execute is the only thing worker
+    views differ in.
     """
 
     def __init__(self, parent: ServerBackend) -> None:
@@ -391,9 +393,10 @@ class LockScopedView(DelegatingView):
     Each view carries its own ``last_stats`` (the parent's per-query
     mutable state is captured under the lock before another worker can
     overwrite it), so concurrent sessions read back exactly the stats of
-    their own queries.  Streamed queries materialize under the lock and
-    re-block — holding the backend lock for as long as a consumer cares
-    to keep a cursor open would let one slow session starve every other.
+    their own queries.  A query's parent stream is drained under the
+    lock and its blocks handed on — holding the backend lock for as long
+    as a consumer cares to keep a cursor open would let one slow session
+    starve every other.
     """
 
     def __init__(self, parent: ServerBackend, lock: threading.Lock) -> None:
@@ -446,46 +449,38 @@ class LockScopedView(DelegatingView):
                 token=token,
             )
 
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        with self._lock:
-            result = self._parent.execute(query, params=params)
-            self.last_stats = self._parent.last_stats
-        return result
-
     def execute_stream(
         self,
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
     ) -> BlockStream:
-        result = self.execute(query, params=params)
-        blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
-        return BlockStream(result.columns, blocks, self.last_stats)
+        with self._lock:
+            stream = self._parent.execute_stream(
+                query, params=params, block_rows=block_rows
+            )
+            try:
+                blocks = list(stream)
+            finally:
+                stream.close()
+        self.last_stats = stream.stats
+        return BlockStream(stream.columns, blocks, stream.stats)
 
 
 def supports_deadline(backend: ServerBackend) -> bool:
-    """True when both ``execute`` and ``execute_stream`` accept a
-    ``deadline`` kwarg.
+    """True when ``execute_stream`` accepts a ``deadline`` kwarg.
 
     Deadline-capable backends (the network client) enforce the expiry
     inside the request itself — socket-timeout capping, server-side
     block-boundary checks — instead of only between blocks on the caller
-    side.  The executor checks here and passes the deadline through when
-    it can; backends without the parameter keep the caller-side checks
-    only, same as before.
+    side.  Callers check once per backend and pass the deadline through
+    when it can; backends without the parameter keep the caller-side
+    checks only.
     """
-    for method_name in ("execute", "execute_stream"):
-        signature = inspect.signature(getattr(type(backend), method_name))
-        if "deadline" in signature.parameters:
-            continue
-        if not any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        ):
-            return False
-    return True
+    parameters = inspect.signature(type(backend).execute_stream).parameters
+    return "deadline" in parameters or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+    )
 
 
 def insert_rows_idempotent(

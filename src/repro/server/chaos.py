@@ -47,7 +47,6 @@ from repro.common.errors import (
     InjectedFaultError,
     TruncatedStreamError,
 )
-from repro.engine.executor import ResultSet
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
 from repro.server.backend import DelegatingView, ServerBackend
 from repro.sql import ast
@@ -144,7 +143,8 @@ class FaultInjectingBackend(DelegatingView):
 
     Injection points (each a Bernoulli draw at the configured rate):
 
-    * **before** ``execute`` / ``execute_stream`` and every write
+    * **before** every ``execute_stream`` (``execute`` drains one) and
+      every write
       (``insert_rows`` / ``delete_rows`` / ``replace_rows`` /
       ``hom_apply``) — a transient :class:`InjectedFaultError`, as if
       the request never reached the server (no server work is wasted,
@@ -248,14 +248,6 @@ class FaultInjectingBackend(DelegatingView):
             token=token,
         )
         self._core.decide_after(f"hom_apply({file_name!r})")
-
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        self._core.decide_call("execute")
-        result = self._parent.execute(query, params=params)
-        self.last_stats = self._parent.last_stats
-        return result
 
     def execute_stream(
         self,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.engine.catalog import Database
-from repro.engine.executor import ExecStats, Executor, ResultSet
+from repro.engine.executor import ExecStats, Executor
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.engine.schema import TableSchema
 from repro.server.backend import ServerBackend
@@ -73,13 +73,6 @@ class InMemoryBackend(ServerBackend):
         self.database.table(schema.name)
 
     # -- query execution ------------------------------------------------------
-
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        result = self.executor.execute(query, params=params)
-        self.last_stats = self.executor.last_stats
-        return result
 
     def execute_stream(
         self,

@@ -27,9 +27,9 @@ serial reference).
 
 Query execution classifies the server query into four gather modes:
 
-* **scan** — streamable scan: fan out with per-shard LIMIT, one sort of
-  the concatenated shard rows on the (globally unique) ordinal, trim the
-  global LIMIT;
+* **scan** — streamable scan: fan out with per-shard LIMIT, k-way merge
+  of the shard streams on the (globally unique) ordinal, trim the global
+  LIMIT;
 * **ordered** — ORDER BY (OPE keys): per-shard top-k with the ordinal as
   final tiebreak, k-way sorted merge with the engine's exact NULL
   ordering per direction;
@@ -47,9 +47,10 @@ Query execution classifies the server query into four gather modes:
   applies the WHERE conjuncts that read that table alone; any other
   shape gathers whole tables.
 
-A query runs on its caller's thread: the materialized fan-out asks the
-shards in turn, and a streamed scan or ORDER BY pulls each shard's
-stream straight into the k-way merge as the consumer pulls blocks.  A
+Every mode is one :meth:`ShardedBackend.execute_stream` and runs on its
+caller's thread: a scan or ORDER BY pulls each shard's stream straight
+into the k-way merge as the consumer pulls blocks, and the blocking
+modes read the shards in turn before re-blocking their result.  A
 permanent error on one shard is raised before the next shard is asked,
 and closing the merged stream closes every shard's stream.
 
@@ -59,10 +60,10 @@ ciphertext-store read window, exactly the serial engine's static
 accounting — so the ledger never sees the shard topology.
 
 The coordinator is the one retry loop on the coordinator ↔ shard hop:
-a fault on one shard retries that shard alone.  A request retries through
-:func:`~repro.common.retry.retry_call`; a bucket of an insert through
-:func:`~repro.server.backend.insert_rows_idempotent`, so a lost ack never
-stores the bucket twice; a stream through
+a fault on one shard retries that shard alone.  A delete or replace
+retries through :func:`~repro.common.retry.retry_call`; a bucket of an
+insert through :func:`~repro.server.backend.insert_rows_idempotent`, so a
+lost ack never stores the bucket twice; every read through
 :class:`~repro.engine.rowblock.ResilientStream`, which re-opens only the
 faulted shard's stream and fast-forwards past the rows it already
 delivered.  Deletes and replaces match exact stored tuples, ordinal
@@ -193,9 +194,7 @@ def merge_sorted_rows(
 
 
 def sort_by_ordinal(
-    shard_rows: Sequence[Iterable[tuple]],
-    ordinal_slot: int,
-    limit: int | None = None,
+    shard_rows: Sequence[Iterable[tuple]], ordinal_slot: int
 ) -> list[tuple]:
     """The serial scan order of a partitioned table, ordinal kept: one sort
     of the concatenated shard rows.  Ordinals are globally unique, so this
@@ -204,7 +203,7 @@ def sort_by_ordinal(
     for chunk in shard_rows:
         rows.extend(chunk)
     rows.sort(key=itemgetter(ordinal_slot))
-    return rows if limit is None else rows[:limit]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +526,8 @@ class ShardedBackend(ServerBackend):
             where=where,
         )
         pairs: list[tuple[int, tuple]] = []
-        for index in range(len(self.shards)):
-            for row in self._shard_execute(index, scan, None, None).rows:
-                pairs.append((index, tuple(row)))
+        for index, rows in enumerate(self._fan_rows(scan, None, None)):
+            pairs.extend((index, row) for row in rows)
         pairs.sort(key=lambda pair: pair[1][-1])
         return pairs
 
@@ -690,75 +688,31 @@ class ShardedBackend(ServerBackend):
             return "ordered", None
         return "scan", None
 
-    def execute(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None = None,
-        deadline: Deadline | None = None,
-    ) -> ResultSet:
-        mode, plan = self._classify(query)
-        if mode == "local":
-            result = self._executor.execute(query, params=params)
-            self.last_stats = self._executor.last_stats
-            return result
+    def _scan_stats(self, query: ast.Select) -> ExecStats:
+        """Static scan accounting, identical to the serial engine: one
+        logical heap read per table occurrence, charged up front."""
         stats = ExecStats()
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        store = self._db.ciphertext_store
-        store_start = store.bytes_read
-        if mode == "general":
-            result = self._execute_general(query, params, deadline)
-            self.last_stats = self._executor.last_stats
-            return result
-        # Static scan accounting, identical to the serial engine: one
-        # logical heap read per table occurrence, charged up front, plus
-        # whatever the merge reads from the ciphertext store.
         for name in ast.table_occurrences(query):
             if self.has_table(name):
                 stats.bytes_scanned += self.table_bytes(name)
-        if mode == "partial":
-            rows = self._execute_partial(plan, params, deadline)
-        elif mode == "ordered":
-            rows = self._execute_ordered(query, params, deadline)
-        else:
-            rows = self._execute_scan(query, params, deadline)
-        stats.bytes_scanned += store.bytes_read - store_start
-        stats.rows_output = len(rows)
-        self.last_stats = stats
-        return ResultSet(columns, rows)
+        return stats
 
     # -- fan-out primitives --------------------------------------------------
 
-    def _shard_execute(
-        self,
-        index: int,
-        query: ast.Select,
-        params: dict[str, object] | None,
-        deadline: Deadline | None,
-    ) -> ResultSet:
-        shard = self.shards[index]
+    def _on_shard(self, call):
+        """Run one write on one shard, retrying that shard alone."""
+        return retry_call(call, self.retry_policy, rng=self._retry_rng())
 
-        def attempt() -> ResultSet:
-            if deadline is not None and self._shard_deadline[index]:
-                return shard.execute(query, params=params, deadline=deadline)
-            return shard.execute(query, params=params)
-
-        return self._on_shard(attempt, deadline)
-
-    def _on_shard(self, call, deadline: Deadline | None = None):
-        """Run one request on one shard, retrying that shard alone."""
-        return retry_call(
-            call, self.retry_policy, deadline=deadline, rng=self._retry_rng()
-        )
-
-    def _fan_execute(
+    def _fan_rows(
         self,
         query: ast.Select,
         params: dict[str, object] | None,
         deadline: Deadline | None,
-    ) -> list[ResultSet]:
-        """Run one query on every shard in turn; per-shard retries."""
+    ) -> list[list[tuple]]:
+        """Every shard's rows for one query, asking the shards in turn;
+        each read resumes on its own shard (:meth:`_shard_rows`)."""
         return [
-            self._shard_execute(index, query, params, deadline)
+            list(chain.from_iterable(self._shard_rows(index, query, params, deadline)))
             for index in range(len(self.shards))
         ]
 
@@ -774,17 +728,6 @@ class ShardedBackend(ServerBackend):
             where=query.where,
             limit=query.limit,
         )
-
-    def _execute_scan(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None,
-        deadline: Deadline | None,
-    ) -> list[tuple]:
-        shard_query = self._scan_query(query)
-        results = self._fan_execute(shard_query, params, deadline)
-        rows = sort_by_ordinal([r.rows for r in results], len(query.items), query.limit)
-        return [row[:-1] for row in rows]
 
     # -- mode: ordered -------------------------------------------------------
 
@@ -829,23 +772,6 @@ class ShardedBackend(ServerBackend):
             limit=query.limit,
         )
         return shard_query, key_slots
-
-    def _execute_ordered(
-        self,
-        query: ast.Select,
-        params: dict[str, object] | None,
-        deadline: Deadline | None,
-    ) -> list[tuple]:
-        shard_query, key_slots = self._ordered_query(query)
-        results = self._fan_execute(shard_query, params, deadline)
-        width = len(query.items)
-        merged = merge_sorted_rows(
-            [r.rows for r in results],
-            key_slots,
-            len(shard_query.items) - 1,
-            query.limit,
-        )
-        return [row[:width] for row in merged]
 
     # -- mode: partial aggregation ------------------------------------------
 
@@ -1008,12 +934,11 @@ class ShardedBackend(ServerBackend):
         params: dict[str, object] | None,
         deadline: Deadline | None,
     ) -> list[tuple]:
-        results = self._fan_execute(plan.shard_query, params, deadline)
         key_count = plan.key_count
         groups: dict[tuple, list[list[tuple]]] = {}
         order: list[tuple] = []
-        for result in results:
-            for row in result.rows:
+        for rows in self._fan_rows(plan.shard_query, params, deadline):
+            for row in rows:
                 marker = tuple(
                     tuple(v) if isinstance(v, list) else v
                     for v in row[:key_count]
@@ -1228,8 +1153,7 @@ class ShardedBackend(ServerBackend):
             from_items=(ast.TableName(table_name),),
             where=where,
         )
-        results = self._fan_execute(scan, params, deadline)
-        rows = sort_by_ordinal([r.rows for r in results], len(columns))
+        rows = sort_by_ordinal(self._fan_rows(scan, params, deadline), len(columns))
         return [row[:-1] for row in rows]
 
     def _execute_general(
@@ -1265,13 +1189,31 @@ class ShardedBackend(ServerBackend):
         block_rows: int = DEFAULT_BLOCK_ROWS,
         deadline: Deadline | None = None,
     ) -> BlockStream:
+        """Dispatch on the gather mode: a scan or ORDER BY streams through
+        the k-way merge; every other mode is blocking, so it materializes
+        and re-blocks."""
         mode, plan = self._classify(query)
         if mode in ("scan", "ordered"):
             return self._stream_merged(query, params, block_rows, deadline, mode)
-        # Blocking gathers materialize and re-block.
-        result = self.execute(query, params=params, deadline=deadline)
-        blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
-        return BlockStream(result.columns, blocks, self.last_stats)
+        if mode == "partial":
+            stats = self._scan_stats(query)
+            store = self._db.ciphertext_store
+            store_start = store.bytes_read
+            rows = self._execute_partial(plan, params, deadline)
+            # Plus whatever the merge read from the ciphertext store.
+            stats.bytes_scanned += store.bytes_read - store_start
+            stats.rows_output = len(rows)
+            columns = [item.output_name(i) for i, item in enumerate(query.items)]
+        else:
+            if mode == "general":
+                result = self._execute_general(query, params, deadline)
+            else:
+                result = self._executor.execute(query, params=params)
+            stats = self._executor.last_stats
+            columns, rows = result.columns, result.rows
+        self.last_stats = stats
+        blocks = blocks_from_rows(rows, len(columns), block_rows)
+        return BlockStream(columns, blocks, stats)
 
     def _stream_merged(
         self,
@@ -1290,16 +1232,12 @@ class ShardedBackend(ServerBackend):
             shard_query, key_slots = self._scan_query(query), []
         width = len(query.items)
         ordinal_slot = len(shard_query.items) - 1
-        stats = ExecStats()
-        self.last_stats = stats
-        for name in ast.table_occurrences(query):
-            if self.has_table(name):
-                stats.bytes_scanned += self.table_bytes(name)
+        stats = self.last_stats = self._scan_stats(query)
         columns = [item.output_name(i) for i, item in enumerate(query.items)]
 
         def merged_chunks() -> Iterator[list[tuple]]:
             sources = [
-                self._shard_rows(index, shard_query, params, block_rows, deadline)
+                self._shard_rows(index, shard_query, params, deadline, block_rows)
                 for index in range(len(self.shards))
             ]
             try:
@@ -1331,8 +1269,8 @@ class ShardedBackend(ServerBackend):
         index: int,
         shard_query: ast.Select,
         params: dict[str, object] | None,
-        block_rows: int,
         deadline: Deadline | None,
+        block_rows: int = DEFAULT_BLOCK_ROWS,
     ) -> Iterator[list[tuple]]:
         """One shard's rows as chunks; a fault re-opens this shard's
         stream alone (the others are untouched)."""

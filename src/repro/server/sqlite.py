@@ -414,13 +414,12 @@ class SQLiteBackend(ServerBackend):
     ``sqlite3``'s per-connection statement cache (raised to
     ``_CACHED_STATEMENTS``) then skips re-preparing repeated SQL — the
     common case for round-trip plans and benchmark loops, where the same
-    server query text runs many times.  Streamed queries
-    (:meth:`execute_stream`) each get their own cursor with ``arraysize``
+    server query text runs many times.  Each query
+    (:meth:`execute_stream`) gets its own cursor with ``arraysize``
     tuned to the block size, so overlapping streams keep distinct result
-    sets — but scan *accounting* windows the backend-global ciphertext
-    read counter, so streams whose queries read ciphertext files
-    (``hom_agg``) must be consumed one at a time for exact byte charges
-    (the plan executor always does).
+    sets.  A query that reads ciphertext files (``hom_agg``) runs to
+    completion under the store lock instead, because its scan accounting
+    windows the backend-global ciphertext read counter.
     """
 
     kind = "sqlite"
@@ -800,64 +799,40 @@ class SQLiteBackend(ServerBackend):
             if name in self._table_bytes
         )
 
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        result, stats = self._execute_on(self.connection, query, params)
-        self.last_stats = stats
-        return result
-
     def _execute_on(
         self,
         conn: sqlite3.Connection,
         query: ast.Select,
         params: dict[str, object] | None,
     ) -> tuple[ResultSet, ExecStats]:
-        """Run one query on ``conn``, returning its result and stats.
+        """Run one ciphertext-store-reading (``hom_agg``) query on
+        ``conn`` to completion, returning its result and stats.
 
-        Queries that read the ciphertext store (``hom_agg``) run under
-        the backend's store lock so the global bytes-read window is
-        exclusively theirs; every other query skips both the lock and the
-        window, which is what lets per-worker connections execute
-        concurrently with exact per-query accounting.
+        It runs under the backend's store lock, so the global bytes-read
+        window is exclusively its own; store-free queries stream through
+        :meth:`_stream_on` and skip both the lock and the window, which is
+        what lets per-worker connections execute concurrently with exact
+        per-query accounting.
         """
         bound, sql_text, bind = self._prepare(query, params)
-        if _reads_ciphertext_store(bound):
-            with self._store_lock:
-                return self._run_bound(
-                    conn, query, bound, sql_text, bind, window_store=True
-                )
-        return self._run_bound(
-            conn, query, bound, sql_text, bind, window_store=False
-        )
-
-    def _run_bound(
-        self,
-        conn: sqlite3.Connection,
-        query: ast.Select,
-        bound: ast.Select,
-        sql_text: str,
-        bind: dict,
-        window_store: bool,
-    ) -> tuple[ResultSet, ExecStats]:
-        stats = ExecStats()
         store = self.ciphertext_store
-        read_start = store.bytes_read if window_store else 0
-        try:
-            cursor = conn.execute(sql_text, bind)
-            raw_rows = cursor.fetchall()
-        except sqlite3.Error as exc:
-            raise _translate_sqlite_error(exc, sql_text) from exc
-        rows = [
-            tuple(decode_sqlite_value(v, store) for v in row) for row in raw_rows
-        ]
+        with self._store_lock:
+            read_start = store.bytes_read
+            try:
+                raw_rows = conn.execute(sql_text, bind).fetchall()
+            except sqlite3.Error as exc:
+                raise _translate_sqlite_error(exc, sql_text) from exc
+            rows = [
+                tuple(decode_sqlite_value(v, store) for v in row)
+                for row in raw_rows
+            ]
+            scanned = store.bytes_read - read_start
         rows = _restore_grp_identities(_grp_positions(bound), rows)
         columns = [item.output_name(i) for i, item in enumerate(query.items)]
-        scanned = self._static_scan_bytes(bound)
-        if window_store:
-            scanned += store.bytes_read - read_start
-        stats.bytes_scanned = scanned
-        stats.rows_output = len(rows)
+        stats = ExecStats(
+            bytes_scanned=self._static_scan_bytes(bound) + scanned,
+            rows_output=len(rows),
+        )
         return ResultSet(columns, rows), stats
 
     def execute_stream(
@@ -867,24 +842,11 @@ class SQLiteBackend(ServerBackend):
         block_rows: int = DEFAULT_BLOCK_ROWS,
     ) -> BlockStream:
         """Stream the query through a ``fetchmany`` cursor, one block at a
-        time — the server never materializes the full result set.
+        time — the server never materializes a store-free result set.
 
-        Static scan bytes are charged when the stream is created;
-        ciphertext-store reads made by ``hom_agg`` accrue as the SQLite VM
-        steps and fold into ``stats.bytes_scanned`` when the stream ends
-        (exhausted or closed), so drained totals match :meth:`execute`.
+        Static scan bytes are charged when the stream is created, so
+        ``stats`` is final from the start.
         """
-        if _reads_ciphertext_store(query):
-            # Same policy as the worker views: hom accounting needs an
-            # exclusive store-counter window, which a consumer-paced
-            # cursor cannot hold — materialize under the store lock
-            # (execute takes it) and re-block.  Hom queries are grouped
-            # aggregates, so their results are small either way.
-            result = self.execute(query, params=params)
-            blocks = blocks_from_rows(
-                result.rows, len(result.columns), block_rows
-            )
-            return BlockStream(result.columns, blocks, self.last_stats)
         stream = self._stream_on(self.connection, query, params, block_rows)
         self.last_stats = stream.stats
         return stream
@@ -898,12 +860,22 @@ class SQLiteBackend(ServerBackend):
     ) -> BlockStream:
         """Serial ``fetchmany`` streaming over an explicit connection.
 
-        Only store-free queries reach this path (hom_agg queries
-        materialize under the store lock in ``execute_stream``), so the
-        global bytes-read counter is never consulted here — concurrent
-        hom readers on other connections can never leak bytes into this
-        stream's accounting.
+        A query that reads the ciphertext store (``hom_agg``) runs to
+        completion under the store lock instead (:meth:`_execute_on`) and
+        re-blocks: its accounting needs an exclusive store-counter window
+        for the whole execution, which a consumer-paced cursor cannot hold
+        without letting one slow session block every hom reader.  Hom
+        queries are grouped aggregates, so their results are small either
+        way.  IN-set inlining only injects literal lists — it can never
+        add or remove a hom_agg call — so the raw query answers the check.
+        Every other query never consults the global bytes-read counter, so
+        concurrent hom readers on other connections cannot leak bytes into
+        its accounting.
         """
+        if _reads_ciphertext_store(query):
+            result, stats = self._execute_on(conn, query, params)
+            blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
+            return BlockStream(result.columns, blocks, stats)
         stats = ExecStats()
         bound, sql_text, bind = self._prepare(query, params)
         store = self.ciphertext_store
@@ -972,33 +944,13 @@ class _SQLiteWorkerView(DelegatingView):
         super().__init__(parent)
         self.connection = parent._worker_connection()
 
-    def execute(
-        self, query: ast.Select, params: dict[str, object] | None = None
-    ) -> ResultSet:
-        result, stats = self._parent._execute_on(self.connection, query, params)
-        self.last_stats = stats
-        return result
-
     def execute_stream(
         self,
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
     ) -> BlockStream:
-        parent = self._parent
-        # IN-set inlining only injects literal lists — it can never add or
-        # remove a hom_agg call — so the raw query answers the check.
-        if _reads_ciphertext_store(query):
-            # Exact hom accounting needs an exclusive counter window for
-            # the whole execution, so materialize under the store lock
-            # (holding it for a consumer-paced stream would let one slow
-            # session block every hom reader) and re-block.
-            result = self.execute(query, params=params)
-            blocks = blocks_from_rows(
-                result.rows, len(result.columns), block_rows
-            )
-            return BlockStream(result.columns, blocks, self.last_stats)
-        stream = parent._stream_on(self.connection, query, params, block_rows)
+        stream = self._parent._stream_on(self.connection, query, params, block_rows)
         self.last_stats = stream.stats
         return stream
 

@@ -597,9 +597,6 @@ _FAST = RetryPolicy(max_attempts=4, base_delay=0.0005, max_delay=0.002)
 class _PassthroughView(DelegatingView):
     """DelegatingView leaves query execution abstract; delegate it too."""
 
-    def execute(self, query, params=None):
-        return self._parent.execute(query, params=params)
-
     def execute_stream(self, query, params=None, block_rows=None):
         return self._parent.execute_stream(query, params=params, block_rows=block_rows)
 

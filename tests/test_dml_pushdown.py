@@ -38,6 +38,7 @@ from repro.crypto.paillier import (
 from repro.crypto.prf import PRFStream
 from repro.engine import Database, Executor, schema
 from repro.engine.eval import EvalContext, compile_expr
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.server.backend import DelegatingView
 from repro.server.inmemory import InMemoryBackend
 from repro.server.sharded import ShardedBackend
@@ -375,10 +376,13 @@ class _Recorder(DelegatingView):
             token=token,
         )
 
-    def execute(self, query, params=None):
-        result = self._parent.execute(query, params=params)
-        self.fetches.append((query, [tuple(row) for row in result.rows]))
-        return result
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+        stream = self._parent.execute_stream(
+            query, params=params, block_rows=block_rows
+        )
+        blocks = list(stream)
+        self.fetches.append((query, [row for block in blocks for row in block.rows()]))
+        return BlockStream(stream.columns, blocks, stream.stats)
 
     def replace_rows(self, table_name, pairs):
         pairs = list(pairs)
@@ -623,14 +627,15 @@ class TestShardedGather:
         sharded, shards = self._sharded()
         seen: list[int] = []
         for shard in shards:
-            original = shard.execute
+            original = shard.execute_stream
 
-            def execute(query, params=None, original=original):
-                result = original(query, params=params)
-                seen.append(len(result.rows))
-                return result
+            def execute_stream(query, params=None, original=original, **kwargs):
+                stream = original(query, params=params, **kwargs)
+                blocks = list(stream)
+                seen.append(sum(map(len, blocks)))
+                return BlockStream(stream.columns, blocks, stream.stats)
 
-            shard.execute = execute
+            shard.execute_stream = execute_stream
         sharded.delete_rows("t", [(2, 20)])
         assert sum(seen) == 2  # The two k = 2 rows, not all five.
 

@@ -316,12 +316,6 @@ class _FlakyView(DelegatingView):
             self._state["left"] -= 1
             raise InjectedFaultError("flaky backend")
 
-    def execute(self, query, params=None):
-        self._maybe_fail()
-        result = self._parent.execute(query, params=params)
-        self.last_stats = self._parent.last_stats
-        return result
-
     def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         self._maybe_fail()
         return self._parent.execute_stream(query, params=params, block_rows=block_rows)

@@ -357,7 +357,7 @@ class TestHostilePeers:
     def test_execute_before_hello_gets_typed_error(self, sales_server):
         sock = self._raw_connection(sales_server)
         try:
-            sock.sendall(wire.encode_message(wire.EXECUTE, {"stream": False}))
+            sock.sendall(wire.encode_message(wire.EXECUTE, {"block_rows": 64}))
             frame = self._read_reply(sock)
             assert frame is not None
             ftype, payload = frame

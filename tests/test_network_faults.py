@@ -128,11 +128,6 @@ def test_permanent_faults_surface_the_in_process_type(sales_client):
 class _FaultAfterFirstBlock(DelegatingView):
     """A hosted store whose streams fault right after their first block."""
 
-    def execute(self, query, params=None):
-        result = self._parent.execute(query, params=params)
-        self.last_stats = self._parent.last_stats
-        return result
-
     def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         stream = self._parent.execute_stream(
             query, params=params, block_rows=block_rows

@@ -22,7 +22,7 @@ from repro.common.errors import ConfigError
 from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_query
 from repro.core.cost import DecryptionProfiler
 from repro.engine import schema
-from repro.engine.executor import ResultSet
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, blocks_from_rows
 from repro.server import make_backend, make_sharded_backend
 from repro.server.backend import ServerBackend
 from repro.sql import parse
@@ -139,7 +139,8 @@ class TestScanPaths:
 
 
 class _MaterializingBackend(ServerBackend):
-    """A third-party-style backend with no native streaming override."""
+    """A third-party-style backend with no incremental cursor: its one read
+    method runs the query to completion and re-blocks the rows."""
 
     kind = "thirdparty"
 
@@ -163,10 +164,11 @@ class _MaterializingBackend(ServerBackend):
     def table_bytes(self, table_name):
         return self.inner.table_bytes(table_name)
 
-    def execute(self, query, params=None) -> ResultSet:
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         result = self.inner.execute(query, params=params)
         self.last_stats = self.inner.last_stats
-        return result
+        blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
+        return BlockStream(result.columns, blocks, self.last_stats)
 
 
 class TestConfigErrors:
@@ -177,8 +179,9 @@ class TestConfigErrors:
         assert rows == backend.execute(query).rows
 
     def test_non_native_backend_blocking_root_materializes(self):
-        """The base stream materializes and re-blocks a blocking root, so
-        a backend without native streaming still streams every shape."""
+        """A backend whose one read method materializes and re-blocks
+        streams every shape at the block size asked for, and the base
+        ``execute`` drains those blocks back into the same rows."""
         backend = _MaterializingBackend(_scan_backend("memory"))
         blocking = normalize_query(
             parse("SELECT c, COUNT(*) FROM big GROUP BY c")

@@ -121,15 +121,15 @@ class TestSortedMerge:
     @given(merge_cases(), st.one_of(st.none(), st.integers(0, 10)))
     @settings(max_examples=100, deadline=None)
     def test_ordinal_sort_equals_ordinal_merge(self, case, limit):
-        # The scan and general gathers sort the concatenated shard rows by
-        # ordinal instead of k-way merging them: the same total order,
-        # because ordinals are unique.
+        # The general gather sorts the concatenated shard rows by ordinal
+        # instead of k-way merging them: the same total order, because
+        # ordinals are unique.
         width, _, rows, shard_count, assignment = case
         shards = [[] for _ in range(shard_count)]
         for ordinal, (row, target) in enumerate(zip(rows, assignment)):
             shards[target].append(row + (ordinal,))
         merged = list(merge_sorted_rows(shards, (), width, limit))
-        assert sort_by_ordinal(shards, width, limit) == merged
+        assert sort_by_ordinal(shards, width)[:limit] == merged
 
     def test_directed_key_null_rules(self):
         # Ascending: every value < NULL; descending: NULL < every value.

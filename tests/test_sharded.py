@@ -315,15 +315,15 @@ def conj(*parts):
 
 
 def spy_shard_scans(sharded, monkeypatch):
-    """Record every query the coordinator sends to a shard's execute."""
+    """Record every query the coordinator sends to a shard."""
     seen: list[ast.Select] = []
     for shard in sharded.shards:
 
-        def spy(query, params=None, _inner=shard.execute, **kwargs):
+        def spy(query, params=None, _inner=shard.execute_stream, **kwargs):
             seen.append(query)
             return _inner(query, params=params, **kwargs)
 
-        monkeypatch.setattr(shard, "execute", spy)
+        monkeypatch.setattr(shard, "execute_stream", spy)
     return seen
 
 
@@ -557,12 +557,6 @@ class _RecordingShard(DelegatingView):
         self.threads.append(threading.get_ident())
         if self.fail is not None:
             raise self.fail
-
-    def execute(self, query, params=None):
-        self._called()
-        result = self._parent.execute(query, params=params)
-        self.last_stats = self._parent.last_stats
-        return result
 
     def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
         self._called()

@@ -71,12 +71,6 @@ class _Recorder(DelegatingView):
         self.indexed.append((table_name, columns))
         self._parent.create_indexes(table_name, columns)
 
-    def execute(self, query, params=None):
-        self.queries.append((query, params))
-        result = self._parent.execute(query, params=params)
-        self.last_stats = self._parent.last_stats
-        return result
-
     def execute_stream(self, query, params=None, **kwargs):
         self.queries.append((query, params))
         return self._parent.execute_stream(query, params=params, **kwargs)
@@ -237,8 +231,8 @@ ROWS = [(i % 5, bytes([i])) for i in range(20)]
 class _Passthrough(DelegatingView):
     """A plain ``DelegatingView``: only execution is its own."""
 
-    def execute(self, query, params=None):
-        return self._parent.execute(query, params=params)
+    def execute_stream(self, query, params=None, **kwargs):
+        return self._parent.execute_stream(query, params=params, **kwargs)
 
 
 class _LockProbe(_Recorder):

@@ -19,7 +19,15 @@ import threading
 
 import pytest
 
+from repro.common.errors import ExecutionError
+from repro.common.ledger import CostLedger
+from repro.core import normalize_query
 from repro.core.client import MonomiClient
+from repro.core.pexec import PlanExecutor
+from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
+from repro.net import MonomiServer, RemoteBackend
+from repro.server.backend import DelegatingView
+from repro.sql import parse
 from repro.testkit import MASTER_KEY, SALES_WORKLOAD
 from repro.testkit import extra_threads as _extra_threads
 
@@ -165,3 +173,78 @@ class TestMidStreamClose:
         outcome = stream.drain()
         assert outcome.rows == reference.rows
         assert outcome.ledger.transfer_bytes == reference.ledger.transfer_bytes
+
+
+# ---------------------------------------------------------------------------
+# A server result the plan cannot decrypt still closes its stream
+# ---------------------------------------------------------------------------
+
+
+class _ClosedStream(BlockStream):
+    """A stream that tells its view when it is closed."""
+
+    def __init__(self, view, inner: BlockStream, columns, blocks) -> None:
+        super().__init__(columns, blocks, inner.stats)
+        self._view = view
+        self._inner = inner
+
+    def close(self) -> None:
+        self._view.closed += 1
+        self._inner.close()
+
+
+class _ExtraColumn(DelegatingView):
+    """Answers every query with one column more than it asked for, and
+    counts the streams it opens and the ones closed."""
+
+    def __init__(self, parent) -> None:
+        super().__init__(parent)
+        self.opened = 0
+        self.closed = 0
+
+    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+        inner = self._parent.execute_stream(
+            query, params=params, block_rows=block_rows
+        )
+        self.opened += 1
+        blocks = (RowBlock([*b.columns, [0] * len(b)], len(b)) for b in inner)
+        return _ClosedStream(self, inner, [*inner.columns, "extra"], blocks)
+
+    def worker_view(self):
+        return _ExtraColumn(self._parent.worker_view())
+
+
+#: The two ways a plan reads a remote relation.
+READS = {
+    "streamed": lambda executor, plan: executor.execute_iter(plan).drain(),
+    "materialized": lambda executor, plan: executor._run(plan, CostLedger()),
+}
+
+
+class TestColumnCountMismatch:
+    """A server result with a column the plan has no decrypt spec for is
+    refused, and the refused stream is closed: the server's cursor and,
+    over TCP, the connection are released before the error surfaces."""
+
+    @pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+    def test_inner_stream_is_closed(self, sales_client, read):
+        plan = sales_client.plan(normalize_query(parse(STREAM_SQL))).plan
+        view = _ExtraColumn(sales_client.backend)
+        executor = PlanExecutor(view, sales_client.provider)
+        with pytest.raises(ExecutionError, match="decrypt spec count"):
+            read(executor, plan)
+        assert view.opened == 1
+        assert view.closed == 1
+
+    @pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+    def test_connection_returns_to_the_pool(self, sales_client, read):
+        plan = sales_client.plan(normalize_query(parse(STREAM_SQL))).plan
+        with MonomiServer(_ExtraColumn(sales_client.backend)) as server:
+            remote = RemoteBackend(server.address, pool_size=1)
+            try:
+                executor = PlanExecutor(remote, sales_client.provider)
+                with pytest.raises(ExecutionError, match="decrypt spec count"):
+                    read(executor, plan)
+                assert remote.open_connections() == 1
+            finally:
+                remote.close()

@@ -39,8 +39,12 @@ from repro.engine import (
     result_header_bytes,
     schema,
 )
-from repro.server import make_backend
+from repro.crypto.packing import PackedLayout
+from repro.crypto.paillier import generate_keypair
+from repro.net import MonomiServer, RemoteBackend
+from repro.server import FaultInjectingBackend, make_backend, make_sharded_backend
 from repro.sql import parse
+from repro.storage.ciphertext_store import CiphertextFile
 from repro.ssb import generate as ssb_generate, ssb_queries
 from repro.tpch import generate as tpch_generate, tpch_queries
 
@@ -191,31 +195,101 @@ def test_engine_source_requires_streamable_query(engine_db):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.fixture(scope="module")
+def hom_ciphertexts():
+    """A packed-Paillier file's key, layout and ciphertexts: ``x = a``
+    for row ids 0..99, the rows of the seam's table ``t``."""
+    public, _ = generate_keypair(256, seed=b"seam-hom")
+    layout = PackedLayout(
+        column_bits=(16,), pad_bits=8, plaintext_bits=public.plaintext_bits
+    )
+    step = layout.rows_per_ciphertext
+    ciphertexts = [
+        public.encrypt(layout.encode_rows([[i] for i in range(start, start + step)]))
+        for start in range(0, 100, step)
+    ]
+    return public, layout, ciphertexts
+
+
+def _load_seam(store, hom_ciphertexts) -> None:
+    public, layout, ciphertexts = hom_ciphertexts
+    store.create_table(schema("t", ("a", "int"), ("b", "int")))
+    store.insert_rows("t", [(i, i % 5) for i in range(100)])
+    store.create_table(schema("u", ("k", "int"), ("w", "int")))
+    store.insert_rows("u", [(k, 10 * k) for k in range(4)])
+    store.add_ciphertext_file(
+        CiphertextFile(
+            name="t_hom",
+            public_key=public,
+            layout=layout,
+            column_names=("x",),
+            ciphertexts=list(ciphertexts),
+            num_rows=100,
+        )
+    )
+
+
+#: Every reader at the server seam.
+SEAM_KINDS = [
+    "memory",
+    "sqlite",
+    "sqlite-worker-view",
+    "memory-lock-scoped-view",
+    "chaos-rate-0",
+    "sharded-2",
+    "remote",
+]
+
+
+@pytest.fixture
+def seam(request, hom_ciphertexts):
+    """A loaded reader of the kind ``request.param`` names."""
+    kind = request.param
+    if kind == "sharded-2":
+        store = make_sharded_backend("memory", 2)
+    else:
+        store = make_backend("sqlite" if kind.startswith("sqlite") else "memory")
+    _load_seam(store, hom_ciphertexts)
+    if kind == "remote":
+        # A rate-0 proxy: the hosted store stays fault-free under --chaos.
+        with MonomiServer(FaultInjectingBackend(store, rate=0.0)) as server:
+            remote = RemoteBackend(server.address, pool_size=1)
+            yield remote
+            remote.close()
+        return
+    if kind.endswith("view"):
+        yield store.worker_view()
+    elif kind == "chaos-rate-0":
+        yield FaultInjectingBackend(store, rate=0.0)
+    else:
+        yield store
+
+
+@pytest.mark.parametrize("seam", SEAM_KINDS, indirect=True)
 @pytest.mark.parametrize(
     "sql",
     [
         "SELECT a, b FROM t WHERE a > 40",
         "SELECT b, SUM(a) FROM t GROUP BY b ORDER BY b",
         "SELECT a FROM t WHERE a > 9999",  # Empty result: zero blocks.
+        "SELECT a, b FROM t WHERE a > 10 ORDER BY b DESC, a LIMIT 17",
+        "SELECT b, hom_agg('t_hom', a) FROM t GROUP BY b ORDER BY b",
+        "SELECT t.a, u.w FROM t, u WHERE t.b = u.k AND t.a < 30 ORDER BY t.a",
     ],
 )
-def test_backend_stream_matches_execute(kind, sql):
-    backend = make_backend(kind)
-    backend.create_table(schema("t", ("a", "int"), ("b", "int")))
-    backend.insert_rows("t", [(i, i % 5) for i in range(100)])
+def test_backend_stream_matches_execute(seam, sql):
+    """``execute`` is ``execute_stream`` drained: on every reader at the
+    seam the same columns, rows and final stats."""
     query = normalize_query(parse(sql))
-    expected = backend.execute(query)
-    expected_stats = (
-        backend.last_stats.bytes_scanned,
-        backend.last_stats.rows_output,
-    )
-    stream = backend.execute_stream(query, block_rows=8)
+    expected = seam.execute(query)
+    expected_stats = (seam.last_stats.bytes_scanned, seam.last_stats.rows_output)
+    stream = seam.execute_stream(query, block_rows=8)
     assert stream.columns == expected.columns
     blocks = list(stream)
     assert all(len(b) <= 8 for b in blocks)
     assert [r for b in blocks for r in b.rows()] == expected.rows
     assert (stream.stats.bytes_scanned, stream.stats.rows_output) == expected_stats
+    assert expected_stats[0] > 0
 
 
 def test_sqlite_stream_closes_cursor_on_early_exit():

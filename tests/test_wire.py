@@ -179,7 +179,7 @@ class TestValueRoundTrip:
 class TestFrameRoundTrip:
     BODIES = {
         wire.HELLO: {"client": "monomi", "version": wire.VERSION},
-        wire.EXECUTE: {"stream": True, "block_rows": 64},
+        wire.EXECUTE: {"block_rows": 64},
         wire.PREPARE: {"query": None},
         wire.BLOCK: {"data": [[1, 2], ["a", "b"]], "rows": 2},
         wire.LEDGER: {"bytes_scanned": 123, "rows_output": 2},
