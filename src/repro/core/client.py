@@ -369,9 +369,7 @@ class MonomiClient:
     def close(self) -> None:
         """Release client-held backend resources (network connections for
         remote backends; a no-op for in-process ones)."""
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
+        self.backend.close()
 
     # -- runtime -----------------------------------------------------------------
 

@@ -85,7 +85,7 @@ from repro.engine.rowblock import (
     result_header_bytes,
 )
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.server.backend import ServerBackend, as_backend, supports_deadline
+from repro.server.backend import ServerBackend, as_backend
 from repro.sql import ast
 
 class PlanStream:
@@ -139,9 +139,6 @@ class PlanExecutor:
         self.disk = disk or DiskModel()
         self.block_rows = block_rows
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        # Deadline-capable backends (the network client) enforce expiry
-        # inside the request itself: the deadline is passed through to them.
-        self._pass_deadline = supports_deadline(self.backend)
         # Backoff jitter draws from a fixed-seed RNG so a given fault
         # schedule replays with identical retry timing (and never
         # perturbs any other randomness in the process).
@@ -297,16 +294,13 @@ class PlanExecutor:
     ) -> Iterator[RowBlock]:
         """Server scan → network → per-block decrypt."""
         specs = relation.specs
-        stream_kwargs: dict[str, object] = {}
-        if deadline is not None and self._pass_deadline:
-            stream_kwargs["deadline"] = deadline
 
         def open_stream() -> BlockStream:
             return self.backend.execute_stream(
                 relation.query,
                 params=server_params,
                 block_rows=block_rows,
-                **stream_kwargs,
+                deadline=deadline,
             )
 
         stream = ResilientStream(

@@ -292,9 +292,7 @@ class MonomiServer:
             pass  # Peer vanished; nothing to report to.
         finally:
             if session is not None:
-                close_view = getattr(session.view, "close", None)
-                if close_view is not None:
-                    close_view()
+                session.view.close()
             try:
                 sock.close()
             except OSError:

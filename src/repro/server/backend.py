@@ -24,14 +24,13 @@ output backend-independent.
 
 from __future__ import annotations
 
-import inspect
 import random
 import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable
 
 from repro.common.errors import ConfigError
-from repro.common.retry import RetryPolicy, retry_call
+from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.executor import ExecStats, ResultSet
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
 from repro.engine.schema import TableSchema
@@ -234,6 +233,7 @@ class ServerBackend(ABC):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         """Run one server query, yielding column-major RowBlocks.
 
@@ -248,6 +248,13 @@ class ServerBackend(ABC):
         the result's ``ResultSet.byte_size()``.  Engines with incremental
         cursors keep peak memory bounded by the block size; a blocking
         result may materialize and re-block.
+
+        ``deadline`` is the query's.  A backend that can enforce it
+        inside the request does: the network client caps its socket
+        waits and the server checks it per block, and the sharded
+        coordinator hands it to each shard.  An in-process store ignores
+        it; the caller's :class:`~repro.engine.rowblock.ResilientStream`
+        checks it between blocks.
 
         Contract: ciphertext-file reads (``hom_agg``) accrue on a
         backend-global counter windowed per stream, so streams of
@@ -267,6 +274,16 @@ class ServerBackend(ABC):
             stream.close()
         self.last_stats = stream.stats
         return ResultSet(stream.columns, rows)
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release what this backend or view holds (connections, sockets).
+
+        A no-op here: an in-process store holds nothing to release.
+        Owners (the client, the service, the network server, the shard
+        coordinator) call it unconditionally.
+        """
 
     # -- concurrent service access -------------------------------------------
 
@@ -454,10 +471,11 @@ class LockScopedView(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         with self._lock:
             stream = self._parent.execute_stream(
-                query, params=params, block_rows=block_rows
+                query, params=params, block_rows=block_rows, deadline=deadline
             )
             try:
                 blocks = list(stream)
@@ -465,22 +483,6 @@ class LockScopedView(DelegatingView):
                 stream.close()
         self.last_stats = stream.stats
         return BlockStream(stream.columns, blocks, stream.stats)
-
-
-def supports_deadline(backend: ServerBackend) -> bool:
-    """True when ``execute_stream`` accepts a ``deadline`` kwarg.
-
-    Deadline-capable backends (the network client) enforce the expiry
-    inside the request itself — socket-timeout capping, server-side
-    block-boundary checks — instead of only between blocks on the caller
-    side.  Callers check once per backend and pass the deadline through
-    when it can; backends without the parameter keep the caller-side
-    checks only.
-    """
-    parameters = inspect.signature(type(backend).execute_stream).parameters
-    return "deadline" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 def insert_rows_idempotent(

@@ -47,6 +47,7 @@ from repro.common.errors import (
     InjectedFaultError,
     TruncatedStreamError,
 )
+from repro.common.retry import Deadline
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
 from repro.server.backend import DelegatingView, ServerBackend
 from repro.sql import ast
@@ -192,16 +193,14 @@ class FaultInjectingBackend(DelegatingView):
         return FaultInjectingBackend(self._parent.worker_view(), core=self._core)
 
     def close(self) -> None:
-        """Release the wrapped view/backend's resources, when it has any.
+        """Release the wrapped view/backend's resources.
 
         Without this delegation, closing a service whose worker views are
         chaos-wrapped would silently leak the underlying views' SQLite
-        connections (and a remote backend's sockets): the service looks
-        for ``close`` on the view it was handed, which is the wrapper.
+        connections (and a remote backend's sockets): the service closes
+        the view it was handed, which is the wrapper.
         """
-        close = getattr(self._parent, "close", None)
-        if close is not None:
-            close()
+        self._parent.close()
 
     # -- faulted paths -------------------------------------------------------
 
@@ -254,10 +253,11 @@ class FaultInjectingBackend(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         self._core.decide_call("execute_stream")
         parent_stream = self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
+            query, params=params, block_rows=block_rows, deadline=deadline
         )
         blocks = self._faulted_blocks(parent_stream)
         return BlockStream(parent_stream.columns, blocks, parent_stream.stats)

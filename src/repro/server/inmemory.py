@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.common.retry import Deadline
 from repro.engine.catalog import Database
 from repro.engine.executor import ExecStats, Executor
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream
@@ -79,6 +80,7 @@ class InMemoryBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         stream = self.executor.execute_stream(
             query, params=params, block_rows=block_rows

@@ -94,11 +94,7 @@ from repro.engine.rowblock import (
     rechunk_rows,
 )
 from repro.engine.schema import ColumnDef, TableSchema
-from repro.server.backend import (
-    ServerBackend,
-    insert_rows_idempotent,
-    supports_deadline,
-)
+from repro.server.backend import ServerBackend, insert_rows_idempotent
 from repro.sql import ast
 from repro.storage.rowcodec import encode_value, row_bytes
 
@@ -340,7 +336,6 @@ class ShardedBackend(ServerBackend):
             self._shard_keys = dict(shard_keys or {})
             self._gather_lock = threading.Lock()
         self._executor = Executor(self._db)
-        self._shard_deadline = [supports_deadline(s) for s in self.shards]
 
     # -- topology ------------------------------------------------------------
 
@@ -1275,13 +1270,10 @@ class ShardedBackend(ServerBackend):
         """One shard's rows as chunks; a fault re-opens this shard's
         stream alone (the others are untouched)."""
         shard = self.shards[index]
-        kwargs: dict[str, object] = {}
-        if deadline is not None and self._shard_deadline[index]:
-            kwargs["deadline"] = deadline
 
         def open_stream() -> BlockStream:
             return shard.execute_stream(
-                shard_query, params=params, block_rows=block_rows, **kwargs
+                shard_query, params=params, block_rows=block_rows, deadline=deadline
             )
 
         stream = ResilientStream(
@@ -1296,11 +1288,9 @@ class ShardedBackend(ServerBackend):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release shard resources (pools, sockets) when shards have any."""
+        """Release shard resources (connections, sockets)."""
         for shard in self.shards:
-            close = getattr(shard, "close", None)
-            if close is not None:
-                close()
+            shard.close()
 
 
 @dataclass

@@ -55,6 +55,7 @@ from dataclasses import replace
 from typing import Iterable
 
 from repro.common.errors import BackendBusyError, EngineError, ExecutionError
+from repro.common.retry import Deadline
 from repro.crypto.search import TAG_BYTES
 from repro.engine.aggregates import GrpAgg, HomAgg, HomAggResult
 from repro.engine.eval import like_matches
@@ -840,6 +841,7 @@ class SQLiteBackend(ServerBackend):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         """Stream the query through a ``fetchmany`` cursor, one block at a
         time — the server never materializes a store-free result set.
@@ -949,6 +951,7 @@ class _SQLiteWorkerView(DelegatingView):
         query: ast.Select,
         params: dict[str, object] | None = None,
         block_rows: int = DEFAULT_BLOCK_ROWS,
+        deadline: Deadline | None = None,
     ) -> BlockStream:
         stream = self._parent._stream_on(self.connection, query, params, block_rows)
         self.last_stats = stream.stats

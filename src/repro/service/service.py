@@ -182,9 +182,7 @@ class MonomiService:
         with self._state_lock:
             views, self._views = self._views, []
         for view in views:
-            close = getattr(view, "close", None)
-            if close is not None:
-                close()
+            view.close()
 
     def __enter__(self) -> "MonomiService":
         return self

@@ -28,6 +28,7 @@ from repro.core import (
 from repro.core.candidates import base_design_for_plain
 from repro.core.loader import complete_design, join_key_indexes
 from repro.engine import Executor
+from repro.net.sharded import serve_shards
 from repro.server import InMemoryBackend, SQLiteBackend, make_backend
 from repro.server.sqlite import (
     BIG_MARK,
@@ -282,6 +283,42 @@ def test_ssb_backends_agree(ssb_pair, number):
     assert canonical(lite.rows) == canonical(expected.rows)
     assert mem.ledger.transfer_bytes == lite.ledger.transfer_bytes
     assert mem.ledger.server_bytes_scanned == lite.ledger.server_bytes_scanned
+
+
+def _ledger_bytes(ledger) -> tuple[int, int, int]:
+    return ledger.transfer_bytes, ledger.server_bytes_scanned, ledger.round_trips
+
+
+@pytest.mark.parametrize("suite", ["tpch", "ssb"])
+def test_two_shards_match_serial(request, suite):
+    """The TPC-H and SSB suites on two shards, in process and behind one
+    loopback server per shard, return the serial client's rows and
+    ledger byte counts, query by query."""
+    db, queries, memory, _ = request.getfixturevalue(f"{suite}_pair")
+    numbers = TPCH_NUMBERS if suite == "tpch" else SSB_NUMBERS
+    sharded = MonomiClient.setup(
+        db, [queries[n].sql for n in numbers], master_key=MASTER_KEY,
+        paillier_bits=384, space_budget=2.0, provider=memory.provider,
+        design=memory.design, shards=2,
+    )
+    backend = sharded.backend
+    while hasattr(backend, "_parent"):  # Unwrap chaos, if armed.
+        backend = backend._parent
+    with serve_shards(backend) as cluster:
+        remote = MonomiClient(
+            db, sharded.design, sharded.provider, cluster.backend,
+            sharded.flags, sharded.network, sharded.disk,
+        )
+        for number in numbers:
+            query = normalize_query(parse(queries[number].sql))
+            want = memory.execute(query)
+            for client in (sharded, remote):
+                got = client.execute(query)
+                assert canonical(got.rows) == canonical(want.rows), number
+                assert _ledger_bytes(got.ledger) == _ledger_bytes(want.ledger), (
+                    number
+                )
+        remote.close()
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,56 @@ class TestLoader:
         file = server.ciphertext_store.get(names[0])
         assert file.num_rows == small_db.table("orders").num_rows
         assert server.table("orders").schema.has_column("row_id")
+
+    def test_deterministic_columns_equal_per_value_encryption(
+        self, small_db, provider
+    ):
+        """Every DET and OPE column the columnar loader stores is exactly
+        the per-value encryption of the plaintext column."""
+        from repro.core import EncryptedLoader, complete_design
+
+        design = PhysicalDesign()
+        design.add("orders", "o_price", Scheme.OPE)
+        design.add("orders", "o_date", Scheme.OPE)
+        server = EncryptedLoader(small_db, provider).load(design)
+        # Per-value encryption must not read what the batch path cached.
+        provider.reset_crypto_caches()
+        checked = set()
+        for name, table in small_db.tables.items():
+            plain_names = table.schema.column_names
+            stored = server.table(name)
+            for entry in complete_design(design, small_db).table_entries(name):
+                if entry.scheme not in (Scheme.DET, Scheme.OPE):
+                    continue
+                if entry.expr_sql not in plain_names:
+                    continue
+                source = plain_names.index(entry.expr_sql)
+                target = stored.schema.column_names.index(entry.column_name)
+                expected = [
+                    provider.encrypt(row[source], entry.scheme.value)
+                    for row in table.rows
+                ]
+                got = [row[target] for row in stored.rows]
+                assert got == expected, (name, entry.column_name)
+                checked.add(entry.scheme)
+        assert checked == {Scheme.DET, Scheme.OPE}
+
+    def test_hom_file_decrypts_to_loaded_values(self, small_db, provider):
+        """A packed Paillier file decrypts, row by row, to the plaintext
+        values of its expressions in load order."""
+        from repro.core import EncryptedLoader, HomGroup
+
+        exprs = ("o_price", "o_qty", "o_price * o_qty")
+        design = PhysicalDesign()
+        design.add_hom_group(HomGroup("orders", exprs, 16))
+        server = EncryptedLoader(small_db, provider).load(design)
+        (name,) = server.ciphertext_store.names()
+        file = server.ciphertext_store.get(name)
+        per_ct = file.layout.rows_per_ciphertext
+        decrypted = provider.paillier_decrypt_batch(file.ciphertexts)
+        rows = []
+        for index, plaintext in enumerate(decrypted):
+            count = min(per_ct, file.num_rows - index * per_ct)
+            rows.extend(map(tuple, file.layout.decode_rows(plaintext, count)))
+        query = normalize_query(parse(f"SELECT {', '.join(exprs)} FROM orders"))
+        assert rows == Executor(small_db).execute(query).rows

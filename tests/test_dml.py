@@ -167,6 +167,10 @@ def assert_workload_matches(client, oracle: Database) -> None:
     assert count == [(len(oracle.table("orders").rows),)]
 
 
+def _ledger_bytes(ledger) -> tuple[int, int, int]:
+    return ledger.transfer_bytes, ledger.server_bytes_scanned, ledger.round_trips
+
+
 # ---------------------------------------------------------------------------
 # Frontend: parse / print / normalize / reject
 # ---------------------------------------------------------------------------
@@ -228,6 +232,36 @@ class TestDmlOracle:
         assert canonical(client.plain_db.table("orders").rows) == canonical(
             oracle.table("orders").rows
         )
+
+    def test_per_op_trace_is_identical_across_backends(self, provider, dml_design):
+        """Each statement's rows affected and ledger bytes, and the rows and
+        ledger bytes of an analytic probe right after it, are the same on
+        every backend and shard count: where the data lives never changes
+        what crosses the trust boundary."""
+        traces = {}
+        for backend, shards in [
+            ("memory", None),
+            ("sqlite", None),
+            ("memory", 2),
+            ("sqlite", 2),
+        ]:
+            client = make_client(provider, dml_design, backend=backend, shards=shards)
+            trace = []
+            for index, (sql, params) in enumerate(DML_SCRIPT):
+                outcome = client.execute(sql, params)
+                probe = client.execute(SALES_WORKLOAD[index % len(SALES_WORKLOAD)])
+                trace.append(
+                    (
+                        outcome.rows,
+                        _ledger_bytes(outcome.ledger),
+                        canonical(probe.rows),
+                        _ledger_bytes(probe.ledger),
+                    )
+                )
+            traces[backend, shards] = trace
+        reference = traces["memory", None]
+        for key, trace in traces.items():
+            assert trace == reference, key
 
     def test_insert_then_query_is_fresh_mid_script(self, provider, dml_design):
         client = make_client(provider, dml_design)
@@ -597,8 +631,10 @@ _FAST = RetryPolicy(max_attempts=4, base_delay=0.0005, max_delay=0.002)
 class _PassthroughView(DelegatingView):
     """DelegatingView leaves query execution abstract; delegate it too."""
 
-    def execute_stream(self, query, params=None, block_rows=None):
-        return self._parent.execute_stream(query, params=params, block_rows=block_rows)
+    def execute_stream(self, query, params=None, block_rows=None, deadline=None):
+        return self._parent.execute_stream(
+            query, params=params, block_rows=block_rows, deadline=deadline
+        )
 
 
 class _LostAck(_PassthroughView):

@@ -376,9 +376,11 @@ class _Recorder(DelegatingView):
             token=token,
         )
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         stream = self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
+            query, params=params, block_rows=block_rows, deadline=deadline
         )
         blocks = list(stream)
         self.fetches.append((query, [row for block in blocks for row in block.rows()]))

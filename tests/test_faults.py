@@ -291,6 +291,42 @@ class TestDeadlines:
         assert canonical(outcome.rows) == canonical(reference.rows)
         assert _primary(outcome.ledger) == _primary(reference.ledger)
 
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "remote"])
+    def test_deadline_through_a_forwarding_view(self, request, kind):
+        """A view that forwards its read keywords hands the deadline to
+        whatever store it wraps; every store takes it, so a timed query
+        through the view returns the bare client's rows and ledger."""
+        base = request.getfixturevalue(_CLIENT_FIXTURES[kind])
+        client = MonomiClient(
+            base.plain_db,
+            base.design,
+            base.provider,
+            _ForwardingView(base.backend),
+            base.flags,
+            base.network,
+            base.disk,
+        )
+        for sql in SALES_WORKLOAD:
+            reference = base.execute(sql)
+            outcome = client.execute(sql, timeout=30.0)
+            assert canonical(outcome.rows) == canonical(reference.rows), sql
+            assert _primary(outcome.ledger) == _primary(reference.ledger), sql
+
+
+_CLIENT_FIXTURES = {
+    "memory": "sales_client",
+    "sqlite": "sales_client_sqlite",
+    "remote": "sales_client_remote",
+}
+
+
+class _ForwardingView(DelegatingView):
+    """Passes every keyword of a read on to its parent, as a tracing or
+    recording wrapper does."""
+
+    def execute_stream(self, query, params=None, **kwargs):
+        return self._parent.execute_stream(query, params=params, **kwargs)
+
 
 # -- service-level resilience -------------------------------------------------
 
@@ -316,9 +352,13 @@ class _FlakyView(DelegatingView):
             self._state["left"] -= 1
             raise InjectedFaultError("flaky backend")
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         self._maybe_fail()
-        return self._parent.execute_stream(query, params=params, block_rows=block_rows)
+        return self._parent.execute_stream(
+            query, params=params, block_rows=block_rows, deadline=deadline
+        )
 
     def worker_view(self):
         return _FlakyView(self._parent.worker_view(), 0, state=self._state)

@@ -128,9 +128,11 @@ def test_permanent_faults_surface_the_in_process_type(sales_client):
 class _FaultAfterFirstBlock(DelegatingView):
     """A hosted store whose streams fault right after their first block."""
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         stream = self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
+            query, params=params, block_rows=block_rows, deadline=deadline
         )
 
         def blocks():

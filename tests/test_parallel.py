@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.retry import Deadline
 from repro.core import CryptoProvider, MonomiClient, PlanExecutor, normalize_query
 from repro.core.cost import DecryptionProfiler
 from repro.engine import schema
@@ -164,7 +165,9 @@ class _MaterializingBackend(ServerBackend):
     def table_bytes(self, table_name):
         return self.inner.table_bytes(table_name)
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         result = self.inner.execute(query, params=params)
         self.last_stats = self.inner.last_stats
         blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
@@ -194,14 +197,17 @@ class TestConfigErrors:
         )
 
     def test_narrow_signature_backend_streams_through_pexec(self, sales_client):
-        """A backend overriding execute_stream with only (query, params,
-        block_rows) — no deadline — runs through the plan executor."""
+        """A backend overriding execute_stream with the seam's signature
+        and a body that ignores the deadline runs through the plan
+        executor, with and without a deadline."""
         from repro.core.plan import DecryptSpec, RemoteRelation, SplitPlan
 
         class _NarrowBackend(_MaterializingBackend):
             kind = "narrow"
 
-            def execute_stream(self, query, params=None, block_rows=4096):
+            def execute_stream(
+                self, query, params=None, block_rows=4096, deadline=None
+            ):
                 return super().execute_stream(
                     query, params=params, block_rows=block_rows
                 )
@@ -219,9 +225,10 @@ class TestConfigErrors:
             ),
             residual=None,
         )
-        assert executor.execute_iter(plan).drain().rows == (
-            backend.execute(query).rows
-        )
+        expected = backend.execute(query).rows
+        assert executor.execute_iter(plan).drain().rows == expected
+        deadline = Deadline.after(30.0)
+        assert executor.execute_iter(plan, deadline=deadline).drain().rows == expected
 
     @pytest.mark.parametrize("block_rows", [0, -1])
     def test_nonpositive_block_rows_raises(self, sales_client, block_rows):

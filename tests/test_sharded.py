@@ -558,9 +558,13 @@ class _RecordingShard(DelegatingView):
         if self.fail is not None:
             raise self.fail
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         self._called()
-        inner = self._parent.execute_stream(query, params=params, block_rows=block_rows)
+        inner = self._parent.execute_stream(
+            query, params=params, block_rows=block_rows, deadline=deadline
+        )
         stream = _CountedStream(inner, self)
         self.opened.add(id(stream))
         return stream

@@ -202,9 +202,11 @@ class _ExtraColumn(DelegatingView):
         self.opened = 0
         self.closed = 0
 
-    def execute_stream(self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS):
+    def execute_stream(
+        self, query, params=None, block_rows=DEFAULT_BLOCK_ROWS, deadline=None
+    ):
         inner = self._parent.execute_stream(
-            query, params=params, block_rows=block_rows
+            query, params=params, block_rows=block_rows, deadline=deadline
         )
         self.opened += 1
         blocks = (RowBlock([*b.columns, [0] * len(b)], len(b)) for b in inner)
