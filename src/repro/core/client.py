@@ -266,12 +266,7 @@ class MonomiClient:
             designer = Designer(
                 plain_db, provider, flags, network, det_default=det_default
             )
-            if designer_mode == "ilp" and space_budget is not None:
-                design_result = designer.design_ilp(queries, space_budget)
-            elif designer_mode == "space_greedy" and space_budget is not None:
-                design_result = designer.design_space_greedy(queries, space_budget)
-            else:
-                design_result = designer.design_greedy(queries)
+            design_result = designer.design(queries, designer_mode, space_budget)
             design = design_result.design
         loader = EncryptedLoader(plain_db, provider)
         if isinstance(backend, str):
@@ -358,12 +353,7 @@ class MonomiClient:
             designer = Designer(
                 plain_db, provider, flags, network, det_default=det_default
             )
-            if designer_mode == "ilp" and space_budget is not None:
-                design = designer.design_ilp(queries, space_budget).design
-            elif designer_mode == "space_greedy" and space_budget is not None:
-                design = designer.design_space_greedy(queries, space_budget).design
-            else:
-                design = designer.design_greedy(queries).design
+            design = designer.design(queries, designer_mode, space_budget).design
         return cls(plain_db, design, provider, backend, flags, network, disk)
 
     def close(self) -> None:

@@ -212,6 +212,14 @@ class Designer:
                     keys.append(("pair", pair))
         return keys
 
+    def design(self, queries: list[ast.Select], mode: str, space_budget: float | None) -> DesignResult:
+        """``mode`` ``"ilp"`` or ``"space_greedy"`` under a budget; else greedy."""
+        if mode == "ilp" and space_budget is not None:
+            return self.design_ilp(queries, space_budget)
+        if mode == "space_greedy" and space_budget is not None:
+            return self.design_space_greedy(queries, space_budget)
+        return self.design_greedy(queries)
+
     # -- unconstrained designer (§6.2) ----------------------------------------------
 
     def design_greedy(self, queries: list[ast.Select]) -> DesignResult:

@@ -30,7 +30,9 @@ Design points:
 * **Prepared statements.**  A query AST seen ``prepare_threshold`` times
   on one connection is PREPAREd server-side and referenced by id from
   then on, so a repeated statement (its plan from the client's plan
-  cache) stops re-shipping identical (large) encrypted ASTs.
+  cache) stops re-shipping identical (large) encrypted ASTs.  The
+  statement's key is its wire encoding, memoized per query object, so a
+  repeat finds its id without re-encoding the AST.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.common.errors import (
     FramingError,
     ReproError,
 )
+from repro.common.lru import LRUCache
 from repro.common.retry import Deadline
 from repro.engine.executor import ExecStats
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
@@ -60,7 +63,8 @@ DEFAULT_POOL_SIZE = 8
 #: Executions of one query AST on one connection before it is PREPAREd.
 DEFAULT_PREPARE_THRESHOLD = 2
 
-#: Distinct query ASTs memoized per connection for the prepare path.
+#: Per connection: distinct query ASTs counted or PREPAREd, and query
+#: objects whose encoded key is kept.
 _PREPARE_MEMO_LIMIT = 512
 
 
@@ -143,7 +147,10 @@ class _Connection:
         self.decoder = wire.FrameDecoder(max_frame_bytes)
         self.alive = True
         self.hello: dict = {}
-        # encoded-query-bytes -> (times seen, statement id or None)
+        # id(query) -> (query, encoded-query-bytes): the entry holds the
+        # query, so its id cannot be reused while the entry lives.
+        self.query_keys = LRUCache(_PREPARE_MEMO_LIMIT)
+        # encoded-query-bytes -> times seen / statement id
         self.prepare_counts: dict[bytes, int] = {}
         self.prepared: dict[bytes, int] = {}
 
@@ -527,8 +534,19 @@ class RemoteBackend(ServerBackend):
         self, conn: _Connection, query: ast.Select, body: dict
     ) -> dict:
         """Attach ``query`` to a request — by prepared-statement id when
-        this connection has seen it enough times, inline otherwise."""
-        key = wire.encode_value(query)
+        this connection has seen it enough times, inline otherwise.
+
+        The statement key is the query's wire encoding, so equal
+        statements share one server statement id while ``Literal(1)`` and
+        ``Literal(1.0)`` (equal as AST values) do not.  It is encoded once
+        per query object: a repeated statement from the plan cache is the
+        same object and finds its key by identity.
+        """
+        memo = conn.query_keys.get(id(query))
+        if memo is None:
+            memo = (query, wire.encode_value(query))
+            conn.query_keys.put(id(query), memo)
+        key = memo[1]
         statement = conn.prepared.get(key)
         if statement is not None:
             body["statement"] = statement

@@ -51,10 +51,11 @@ import sqlite3
 import struct
 import threading
 import urllib.parse
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.common.errors import BackendBusyError, EngineError, ExecutionError
+from repro.common.lru import LRUCache
 from repro.common.retry import Deadline
 from repro.crypto.search import TAG_BYTES
 from repro.engine.aggregates import GrpAgg, HomAgg, HomAggResult
@@ -339,37 +340,39 @@ def _add_order_tiebreak(query: ast.Select) -> ast.Select:
     return replace(query, order_by=query.order_by + (tiebreak,))
 
 
-def _reads_ciphertext_store(query: ast.Select) -> bool:
-    """Does this query read packed-Paillier bytes (``hom_agg``) anywhere?
+def _called_functions(query: ast.Select) -> set[str]:
+    """Every function name ``query`` calls anywhere in its tree.
 
-    Such reads accrue on the backend-global ciphertext-store counter, so
-    queries that make them must hold the store lock for an exclusive
-    counter window; everything else (DET/OPE scans, ``grp``,
-    ``searchswp``) never touches the counter and runs fully concurrently
-    on per-worker connections.
+    Covers its expressions, FROM subqueries, joins (nested ones and their
+    ON conditions) and expression subqueries.  A read-only walk: it builds
+    no AST, so a statement-cache miss pays no rebuild for it.
     """
-    found = False
-
-    def check(expr: ast.Expr) -> ast.Expr:
-        nonlocal found
-        if isinstance(expr, ast.FuncCall) and expr.name == "hom_agg":
-            found = True
-        for sub in ast.find_subqueries(expr):
-            if _reads_ciphertext_store(sub):
-                found = True
-        return expr
-
-    query.map_expressions(lambda e: ast.transform(e, check))
-    for ref in query.from_items:
-        if isinstance(ref, ast.SubqueryRef) and _reads_ciphertext_store(ref.query):
-            found = True
-        if isinstance(ref, ast.Join):
-            for side in (ref.left, ref.right):
-                if isinstance(side, ast.SubqueryRef) and _reads_ciphertext_store(
-                    side.query
-                ):
-                    found = True
-    return found
+    names: set[str] = set()
+    pending = [query]
+    while pending:
+        select = pending.pop()
+        exprs = [item.expr for item in select.items]
+        exprs.extend(select.group_by)
+        exprs.extend(o.expr for o in select.order_by)
+        if select.where is not None:
+            exprs.append(select.where)
+        if select.having is not None:
+            exprs.append(select.having)
+        refs = list(select.from_items)
+        while refs:
+            ref = refs.pop()
+            if isinstance(ref, ast.SubqueryRef):
+                pending.append(ref.query)
+            elif isinstance(ref, ast.Join):
+                refs.extend((ref.left, ref.right))
+                if ref.condition is not None:
+                    exprs.append(ref.condition)
+        for expr in exprs:
+            names.update(
+                node.name for node in expr.walk() if isinstance(node, ast.FuncCall)
+            )
+            pending.extend(ast.find_subqueries(expr))
+    return names
 
 
 def _grp_positions(query: ast.Select) -> frozenset[int]:
@@ -403,6 +406,27 @@ def _restore_grp_identities(
     ]
 
 
+@dataclass(frozen=True)
+class _Statement:
+    """What no execution of one server query changes, compiled once.
+
+    ``sql_text`` is ``None`` when the query calls ``in_set``: its IN sets
+    come from each execution's parameters, so it is inlined and printed
+    per execution.  ``tables`` are the names, not the bytes: DML moves
+    ``table_bytes``, so static scan bytes are summed live.
+    """
+
+    query: ast.Select
+    #: Reads packed-Paillier bytes (``hom_agg``): such a query runs under
+    #: the store lock, because its scan accounting windows the
+    #: backend-global ciphertext-store counter.
+    reads_store: bool
+    sql_text: str | None
+    tables: tuple[str, ...]
+    grp_positions: frozenset[int]
+    columns: tuple[str, ...]
+
+
 # ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
@@ -411,12 +435,15 @@ def _restore_grp_identities(
 class SQLiteBackend(ServerBackend):
     """Encrypted tables in a real SQLite database (file or in-memory).
 
-    One connection serves every query for the backend's lifetime:
-    ``sqlite3``'s per-connection statement cache (raised to
-    ``_CACHED_STATEMENTS``) then skips re-preparing repeated SQL — the
-    common case for round-trip plans and benchmark loops, where the same
-    server query text runs many times.  Each query
-    (:meth:`execute_stream`) gets its own cursor with ``arraysize``
+    Each distinct server query is compiled once (:meth:`_compile`): its
+    store-read flag, SQLite SQL text, table occurrences, ``grp()``
+    positions and output names live in one bounded LRU of
+    ``_CACHED_STATEMENTS`` entries that the worker views share, keyed by
+    the query object's identity.  An execution then only binds its scalar
+    parameters, re-inlines IN sets (``in_set`` queries only) and sums the
+    live heap sizes.  ``sqlite3``'s per-connection statement cache (of
+    the same size) then skips re-preparing the repeated SQL text.  Each
+    query (:meth:`execute_stream`) gets its own cursor with ``arraysize``
     tuned to the block size, so overlapping streams keep distinct result
     sets.  A query that reads ciphertext files (``hom_agg``) runs to
     completion under the store lock instead, because its scan accounting
@@ -442,6 +469,9 @@ class SQLiteBackend(ServerBackend):
         self.last_stats = ExecStats()
         self.schemas: dict[str, TableSchema] = {}
         self._table_bytes: dict[str, int] = {}
+        # id(query) -> _Statement; thread-tolerant like every LRUCache (a
+        # racy double compile stores an identical statement).
+        self._statements = LRUCache(self._CACHED_STATEMENTS)
         # In-memory databases use a uniquely named shared-cache URI so the
         # service worker views' own connections see the same data; the
         # main connection below holds the database alive.  File-backed
@@ -778,33 +808,68 @@ class SQLiteBackend(ServerBackend):
 
     # -- query execution ------------------------------------------------------
 
+    def _compile(self, query: ast.Select) -> _Statement:
+        """The cached :class:`_Statement` of ``query``, compiled on a miss.
+
+        Keyed by the query object's identity, not its value: AST nodes are
+        frozen dataclasses, and ``Literal(1)``, ``Literal(1.0)`` and
+        ``Literal(True)`` compare and hash equal, so a value key would hand
+        one statement another's SQL.  The entry holds the query, so its
+        ``id`` cannot be reused while the entry lives.  A hit needs the
+        caller to pass the same object again, as the client's plan cache
+        and the TCP server's prepared statements do.  IN-set inlining only
+        injects literal lists, so the raw query answers every field but an
+        ``in_set`` query's SQL text.
+        """
+        statement = self._statements.get(id(query))
+        if statement is None:
+            calls = _called_functions(query)
+            sql_text = None
+            if "in_set" not in calls:
+                sql_text = to_sql(_add_order_tiebreak(query), dialect="sqlite")
+            statement = _Statement(
+                query=query,
+                reads_store="hom_agg" in calls,
+                sql_text=sql_text,
+                tables=tuple(ast.table_occurrences(query)),
+                grp_positions=_grp_positions(query),
+                columns=tuple(
+                    item.output_name(i) for i, item in enumerate(query.items)
+                ),
+            )
+            self._statements.put(id(query), statement)
+        return statement
+
     def _prepare(
         self, query: ast.Select, params: dict[str, object] | None
-    ) -> tuple[ast.Select, str, dict]:
-        """Bind IN sets, print SQLite SQL, and encode scalar parameters."""
-        bound = _inline_in_sets(query, params or {})
-        sql_text = to_sql(_add_order_tiebreak(bound), dialect="sqlite")
+    ) -> tuple[_Statement, str, dict]:
+        """Compile ``query`` (once), bind its IN sets, and encode its scalar
+        parameters: ``(statement, sql_text, bind)``."""
+        statement = self._compile(query)
+        params = params or {}
+        sql_text = statement.sql_text
+        if sql_text is None:
+            bound = _inline_in_sets(query, params)
+            sql_text = to_sql(_add_order_tiebreak(bound), dialect="sqlite")
         bind = {
             name: encode_sqlite_value(value)
-            for name, value in (params or {}).items()
+            for name, value in params.items()
             if not isinstance(value, (set, frozenset))
         }
-        return bound, sql_text, bind
+        return statement, sql_text, bind
 
-    def _static_scan_bytes(self, bound: ast.Select) -> int:
+    def _static_scan_bytes(self, statement: _Statement) -> int:
         # Static scan accounting over the same walk the engine uses
         # (ast.table_occurrences), so ledgers are backend-independent.
-        return sum(
-            self.table_bytes(name)
-            for name in ast.table_occurrences(bound)
-            if name in self._table_bytes
-        )
+        table_bytes = self._table_bytes
+        return sum(table_bytes.get(name, 0) for name in statement.tables)
 
     def _execute_on(
         self,
         conn: sqlite3.Connection,
-        query: ast.Select,
-        params: dict[str, object] | None,
+        statement: _Statement,
+        sql_text: str,
+        bind: dict,
     ) -> tuple[ResultSet, ExecStats]:
         """Run one ciphertext-store-reading (``hom_agg``) query on
         ``conn`` to completion, returning its result and stats.
@@ -815,7 +880,6 @@ class SQLiteBackend(ServerBackend):
         what lets per-worker connections execute concurrently with exact
         per-query accounting.
         """
-        bound, sql_text, bind = self._prepare(query, params)
         store = self.ciphertext_store
         with self._store_lock:
             read_start = store.bytes_read
@@ -828,13 +892,12 @@ class SQLiteBackend(ServerBackend):
                 for row in raw_rows
             ]
             scanned = store.bytes_read - read_start
-        rows = _restore_grp_identities(_grp_positions(bound), rows)
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
+        rows = _restore_grp_identities(statement.grp_positions, rows)
         stats = ExecStats(
-            bytes_scanned=self._static_scan_bytes(bound) + scanned,
+            bytes_scanned=self._static_scan_bytes(statement) + scanned,
             rows_output=len(rows),
         )
-        return ResultSet(columns, rows), stats
+        return ResultSet(list(statement.columns), rows), stats
 
     def execute_stream(
         self,
@@ -868,23 +931,19 @@ class SQLiteBackend(ServerBackend):
         for the whole execution, which a consumer-paced cursor cannot hold
         without letting one slow session block every hom reader.  Hom
         queries are grouped aggregates, so their results are small either
-        way.  IN-set inlining only injects literal lists — it can never
-        add or remove a hom_agg call — so the raw query answers the check.
-        Every other query never consults the global bytes-read counter, so
-        concurrent hom readers on other connections cannot leak bytes into
-        its accounting.
+        way.  Every other query never consults the global bytes-read
+        counter, so concurrent hom readers on other connections cannot leak
+        bytes into its accounting.
         """
-        if _reads_ciphertext_store(query):
-            result, stats = self._execute_on(conn, query, params)
+        statement, sql_text, bind = self._prepare(query, params)
+        if statement.reads_store:
+            result, stats = self._execute_on(conn, statement, sql_text, bind)
             blocks = blocks_from_rows(result.rows, len(result.columns), block_rows)
             return BlockStream(result.columns, blocks, stats)
-        stats = ExecStats()
-        bound, sql_text, bind = self._prepare(query, params)
+        stats = ExecStats(bytes_scanned=self._static_scan_bytes(statement))
         store = self.ciphertext_store
-        static_bytes = self._static_scan_bytes(bound)
-        stats.bytes_scanned = static_bytes
-        grp_positions = _grp_positions(bound)
-        columns = [item.output_name(i) for i, item in enumerate(query.items)]
+        grp_positions = statement.grp_positions
+        columns = list(statement.columns)
         cursor = conn.cursor()
         cursor.arraysize = block_rows
         try:

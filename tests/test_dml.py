@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import (
     ConfigError,
+    DesignError,
     InjectedFaultError,
     UnsupportedQueryError,
 )
@@ -400,6 +401,49 @@ class TestHomMaintenance:
             backend.hom_apply("tok_probe", updates=[(0, factor)], token="t-1")
         applied = provider.paillier_decrypt_batch(backend.hom_read("tok_probe", [0]))
         assert applied == [8]
+
+
+class TestHomWidthRefusals:
+    """Hom layouts are frozen at load: a write the packed ``o_price``
+    columns cannot hold raises ``DesignError`` and changes nothing — rows,
+    hom row space, the mirror and the hom SUM all stay as they were."""
+
+    PRICES = [row[2] for row in build_sales_db(NUM_ORDERS).table("orders").rows]
+    #: One bit wider than the largest ``o_price`` loaded.
+    WIDE = 1 << max(PRICES).bit_length()
+    REFUSED = [
+        "INSERT INTO orders VALUES "
+        f"(3001, 2, {WIDE}, 1, 0, DATE '1997-06-01', 'OPEN', 'too wide')",
+        "INSERT INTO orders VALUES "
+        "(3002, 2, -5, 1, 0, DATE '1997-06-01', 'OPEN', 'negative')",
+        "UPDATE orders SET o_price = o_price * 1000 WHERE o_orderkey <= 3",
+    ]
+
+    def _state(self, client, files):
+        return (
+            client.execute("SELECT COUNT(*) FROM orders").rows,
+            [client.backend.hom_file_info(f)["num_rows"] for f in files],
+            canonical(client.plain_db.table("orders").rows),
+            client.execute("SELECT SUM(o_price) FROM orders").rows,
+            canonical(client.execute("SELECT o_orderkey, o_price FROM orders").rows),
+        )
+
+    @pytest.mark.parametrize("sql", REFUSED, ids=["wide", "negative", "update"])
+    @pytest.mark.parametrize(
+        "backend,shards",
+        [("memory", None), ("sqlite", None), ("memory", 2)],
+        ids=["memory", "sqlite", "sharded2"],
+    )
+    def test_refused_write_changes_nothing(
+        self, provider, dml_design, backend, shards, sql
+    ):
+        client = make_client(provider, dml_design, backend=backend, shards=shards)
+        files = [g.file_name for g in client.dml._layout("orders")[3]]
+        assert any("o_price" in g.expr_sqls for g in dml_design.hom_groups)
+        before = self._state(client, files)
+        with pytest.raises(DesignError):
+            client.execute(sql)
+        assert self._state(client, files) == before
 
 
 # ---------------------------------------------------------------------------
