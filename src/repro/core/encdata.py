@@ -17,11 +17,13 @@ key.  Design choices that mirror the paper's prototype:
 * DET and OPE results are memoized per value in both directions —
   analytical columns repeat values heavily, and the paper likewise caches
   repeated (de)cryptions (§8.1 uses a 512-entry decryption cache).  Four
-  LRU caches, each bounded by ``cache_size`` so long-running loads cannot
-  grow memory without limit: plaintext→ciphertext for ``det_encrypt`` and
-  ``ope_encrypt``, and ciphertext→plaintext for ``det_decrypt`` and
-  ``ope_decrypt``.  A decrypt cache is one table per SQL type under the
-  one bound (:class:`~repro.common.lru.PartitionedLRU`), keyed by the bare
+  bounded caches, each holding at most ``cache_size`` entries so
+  long-running loads cannot grow memory without limit (a full one drops
+  its oldest entries first, and a hit writes nothing):
+  plaintext→ciphertext for ``det_encrypt`` and ``ope_encrypt``, and
+  ciphertext→plaintext for ``det_decrypt`` and ``ope_decrypt``.  A
+  decrypt cache is one table per SQL type under the one bound
+  (:class:`~repro.common.cache.PartitionedCache`), keyed by the bare
   ciphertext, so a lookup builds no per-value key and one integer
   decrypts under each type it is presented with.  A decrypt cache never needs
   invalidating under DML (the schemes are fixed permutations per key, so
@@ -39,7 +41,7 @@ including ``None`` passthrough; they exist because columnar loading and
 client-side result decryption are throughput-bound (§8, Fig. 7).
 
 The decrypt batch paths probe the **whole column** in one C-level pass
-(:meth:`~repro.common.lru.LRUCache.get_many`) before anything else, so a
+(:meth:`~repro.common.cache.BoundedCache.get_many`) before anything else, so a
 warm column is a ``map`` of the SQL type's table and nothing per value in
 Python.  Only the misses are **deduplicated** (a low-cardinality column
 decrypts each value once per RowBlock) and handed to the ciphers' own
@@ -64,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - cost.py imports this module
     from repro.core.cost import DecryptionProfile
 
 from repro.common.errors import CryptoError, DomainError
-from repro.common.lru import CacheStats, LRUCache, PartitionedLRU
+from repro.common.cache import BoundedCache, CacheStats, PartitionedCache
 from repro.crypto.det import DetCipher
 from repro.crypto.ffx import FFXInteger
 from repro.crypto.ope import DEFAULT_PIVOT_CACHE, OpeCipher
@@ -95,9 +97,6 @@ for _L in range(_SHORT_TEXT_BYTES + 1):
 DEFAULT_PAILLIER_BITS = 2048
 DEFAULT_CACHE_SIZE = 65536
 
-# LRUCache lives in repro.common.lru (the OPE pivot caches share it); it
-# stays importable from this module because callers and tests use it here.
-
 # Exact-type tag lookup: dict hit on type() beats the isinstance chain in
 # hot loops; _type_tag remains the fallback for subclasses.
 _TYPE_TAGS = {bool: "bool", int: "int", datetime.date: "date", str: "str"}
@@ -115,7 +114,7 @@ class CryptoProvider:
         pivot_cache_size: int = DEFAULT_PIVOT_CACHE,
         decryption_profile: DecryptionProfile | None = None,
     ) -> None:
-        """``pivot_cache_size`` bounds each OPE cipher's pivot LRU (0
+        """``pivot_cache_size`` bounds each OPE cipher's pivot cache (0
         disables pivot caching; descent still shares pivots per batch).
         ``decryption_profile`` fixes the per-scheme decryption costs the
         designer and planner price with, instead of timing them on first
@@ -173,10 +172,10 @@ class CryptoProvider:
         )
         self._paillier_pool: EncryptionPool | None = None
         self.cache_size = cache_size
-        self._det_cache = LRUCache(cache_size)
-        self._ope_cache = LRUCache(cache_size)
-        self._ope_dec_cache = PartitionedLRU(cache_size)
-        self._det_dec_cache = PartitionedLRU(cache_size)
+        self._det_cache = BoundedCache(cache_size)
+        self._ope_cache = BoundedCache(cache_size)
+        self._ope_dec_cache = PartitionedCache(cache_size)
+        self._det_dec_cache = PartitionedCache(cache_size)
         if decryption_profile is not None:
             self._decryption_profile = decryption_profile
 
@@ -188,7 +187,7 @@ class CryptoProvider:
         Mirrors the plan cache's ``PlanCache.stats()`` so benchmarks
         and operators can see how much work the value caches and the OPE
         pivot caches absorb.  Counters are advisory under concurrency
-        (see :mod:`repro.common.lru`); entries/capacity are exact.
+        (see :mod:`repro.common.cache`); entries/capacity are exact.
         """
         return {
             "det_encrypt": self._det_cache.stats(),
@@ -243,7 +242,7 @@ class CryptoProvider:
     def det_encrypt_batch(self, values: Sequence) -> list:
         """Element-wise :meth:`det_encrypt` over a column.
 
-        LRU misses bucket by type and ride the FFX column APIs (ints,
+        Cache misses bucket by type and ride the FFX column APIs (ints,
         dates, short texts loop Feistel rounds over the whole batch);
         wide texts fall back to the per-value CMC-style path.
         """
@@ -357,7 +356,7 @@ class CryptoProvider:
         """Element-wise :meth:`det_decrypt` with one type dispatch.
 
         The whole column probes the decrypt cache first, in one C-level
-        pass (:meth:`PartitionedLRU.get_many`), so a warm column returns
+        pass (:meth:`PartitionedCache.get_many`), so a warm column returns
         without any per-value Python work.  Only the misses deduplicate;
         they ride the FFX column APIs (text partitions into per-length FFX
         columns plus the wide-block fallback) and are stored once the
@@ -425,7 +424,7 @@ class CryptoProvider:
     def ope_encrypt_batch(self, values: Sequence) -> list:
         """Element-wise :meth:`ope_encrypt` over a column.
 
-        LRU misses bucket by type and descend the shared OPE tree once
+        Cache misses bucket by type and descend the shared OPE tree once
         per batch via :meth:`OpeCipher.encrypt_batch`, so repeated and
         clustered values pay for their common tree prefix once.
         """

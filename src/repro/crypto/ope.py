@@ -40,7 +40,7 @@ layer existed).  Two amortizations attack it:
   so visiting each rectangle once computes exactly what every per-value
   walk would.
 
-* A bounded LRU **pivot cache** keyed on the rectangle is consulted by
+* A bounded **pivot cache** keyed on the rectangle is consulted by
   scalar and batch paths alike.  Encryption and decryption walk the same
   implicit function, so they share it; because it lives on the (per
   column/type) cipher instance it also persists across queries — the top
@@ -57,7 +57,7 @@ from statistics import NormalDist
 from typing import Sequence
 
 from repro.common.errors import CryptoError, DomainError
-from repro.common.lru import CacheStats, LRUCache
+from repro.common.cache import BoundedCache, CacheStats
 from repro.crypto.prf import KeyedPRF, PRFStream, derive_key
 
 _EXACT_DOMAIN_LIMIT = 64
@@ -71,8 +71,8 @@ DEFAULT_PIVOT_CACHE = 32768
 # Rectangles with domain spans below this are one value's private descent
 # tail: they are cheap (exact sampler, memoized CDF tables), essentially
 # never shared across values or queries, and a column batch streams through
-# them in sorted order — LRU's worst case, which would evict the shared top
-# of the tree.  Only wider rectangles enter the pivot cache.
+# them in sorted order — a bounded cache's worst case, which would evict the
+# shared top of the tree.  Only wider rectangles enter the pivot cache.
 _PIVOT_CACHE_MIN_SPAN = _EXACT_DOMAIN_LIMIT
 
 
@@ -82,7 +82,7 @@ class OpeCipher:
     ``expansion_bits`` controls how much larger the ciphertext range is than
     the plaintext domain; the paper's OPE maps 32-bit plaintexts into
     64-bit ciphertexts, i.e. ~32 expansion bits.  ``pivot_cache_size``
-    bounds the per-cipher pivot LRU (0 disables caching).
+    bounds the per-cipher pivot cache (0 disables caching).
     """
 
     def __init__(
@@ -104,7 +104,7 @@ class OpeCipher:
         self._range_size = self._domain_size << expansion_bits
         self._key = derive_key(key, "ope", tweak)
         self._prf = KeyedPRF(self._key)
-        self._pivots = LRUCache(pivot_cache_size) if pivot_cache_size else None
+        self._pivots = BoundedCache(pivot_cache_size) if pivot_cache_size else None
 
     # -- public API ---------------------------------------------------------
 

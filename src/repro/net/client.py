@@ -48,7 +48,7 @@ from repro.common.errors import (
     FramingError,
     ReproError,
 )
-from repro.common.lru import LRUCache
+from repro.common.cache import BoundedCache
 from repro.common.retry import Deadline
 from repro.engine.executor import ExecStats
 from repro.engine.rowblock import DEFAULT_BLOCK_ROWS, BlockStream, RowBlock
@@ -149,7 +149,7 @@ class _Connection:
         self.hello: dict = {}
         # id(query) -> (query, encoded-query-bytes): the entry holds the
         # query, so its id cannot be reused while the entry lives.
-        self.query_keys = LRUCache(_PREPARE_MEMO_LIMIT)
+        self.query_keys = BoundedCache(_PREPARE_MEMO_LIMIT)
         # encoded-query-bytes -> times seen / statement id
         self.prepare_counts: dict[bytes, int] = {}
         self.prepared: dict[bytes, int] = {}

@@ -47,6 +47,10 @@ Query execution classifies the server query into four gather modes:
   applies the WHERE conjuncts that read that table alone; any other
   shape gathers whole tables.
 
+The mode and the shard queries it sends are built once per server query
+object (:meth:`ShardedBackend._shard_plan`), so a repeated query sends
+the same shard query objects and a SQLite shard compiles each once.
+
 Every mode is one :meth:`ShardedBackend.execute_stream` and runs on its
 caller's thread: a scan or ORDER BY pulls each shard's stream straight
 into the k-way merge as the consumer pulls blocks, and the blocking
@@ -81,6 +85,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from repro.common.cache import BoundedCache
 from repro.common.errors import ConfigError
 from repro.common.retry import Deadline, RetryPolicy, retry_call
 from repro.engine.aggregates import HomAgg
@@ -231,6 +236,25 @@ class _PartialPlan:
     needs_pairs: bool  # Any spec consuming the shared grp(ordinal) column.
 
 
+#: One partitioned table a general gather reads: name, columns, shard scan.
+_Gather = tuple[str, tuple[ColumnDef, ...], ast.Select]
+
+
+@dataclass(frozen=True)
+class _ShardPlan:
+    """What every execution of one server query reuses: its gather mode
+    and the shard queries it sends.  It holds the query, so the ``id`` the
+    memo is keyed by cannot be reused while the entry lives."""
+
+    query: ast.Select
+    mode: str  # local | scan | ordered | partial | general
+    partial: _PartialPlan | None = None
+    #: scan/ordered: the query every shard streams, and the merge keys.
+    shard_query: ast.Select | None = None
+    key_slots: tuple[tuple[int, bool], ...] = ()
+    gathers: tuple[_Gather, ...] = ()  # general
+
+
 class _Unsupported(Exception):
     """Internal: this query shape has no partial-aggregation recipe."""
 
@@ -306,6 +330,8 @@ class ShardedBackend(ServerBackend):
     #: (see ``insert_rows_idempotent`` in ``server.backend``).
     supports_prefix_resume = False
 
+    _CACHED_SHARD_PLANS = 256
+
     def __init__(
         self,
         shards: Sequence[ServerBackend],
@@ -330,11 +356,14 @@ class ShardedBackend(ServerBackend):
             self._tables = _shared._tables
             self._shard_keys = _shared._shard_keys
             self._gather_lock = _shared._gather_lock
+            self._shard_plans = _shared._shard_plans
         else:
             self._db = Database(f"{name}_coordinator")
             self._tables: dict[str, _ShardedTable] = {}
             self._shard_keys = dict(shard_keys or {})
             self._gather_lock = threading.Lock()
+            # id(query) -> _ShardPlan (see _shard_plan).
+            self._shard_plans = BoundedCache(self._CACHED_SHARD_PLANS)
         self._executor = Executor(self._db)
 
     # -- topology ------------------------------------------------------------
@@ -404,6 +433,7 @@ class ShardedBackend(ServerBackend):
         )
 
     def create_table(self, schema: TableSchema) -> None:
+        self._shard_plans.clear()  # Gather modes depend on the table set.
         if self._is_replicated(schema.name):
             self._db.create_table(schema)
             return
@@ -644,6 +674,7 @@ class ShardedBackend(ServerBackend):
                 meta.logical_bytes += row_bytes(row[:-1])
                 meta.next_ordinal = max(meta.next_ordinal, row[-1] + 1)
         self._tables[schema.name] = meta
+        self._shard_plans.clear()
 
     # -- query execution -----------------------------------------------------
 
@@ -653,6 +684,29 @@ class ShardedBackend(ServerBackend):
             if name in self._tables and name not in seen:
                 seen.append(name)
         return seen
+
+    def _shard_plan(self, query: ast.Select) -> _ShardPlan:
+        """The memoized :class:`_ShardPlan` of ``query``, built on a miss.
+
+        Keyed by the query object's identity, as SQLite's statement cache
+        is (equal AST values can differ in literal type), so a repeated
+        query sends the same shard query objects and a SQLite shard
+        compiles each once.  Creating or adopting a table drops the memo.
+        """
+        plan = self._shard_plans.get(id(query))
+        if plan is None:
+            mode, partial = self._classify(query)
+            if mode == "ordered":
+                shard_query, key_slots = self._ordered_query(query)
+                plan = _ShardPlan(query, mode, None, shard_query, key_slots)
+            elif mode == "scan":
+                plan = _ShardPlan(query, mode, None, self._scan_query(query))
+            elif mode == "general":
+                plan = _ShardPlan(query, mode, gathers=self._gather_scans(query))
+            else:
+                plan = _ShardPlan(query, mode, partial)
+            self._shard_plans.put(id(query), plan)
+        return plan
 
     def _classify(
         self, query: ast.Select
@@ -728,7 +782,7 @@ class ShardedBackend(ServerBackend):
 
     def _ordered_query(
         self, query: ast.Select
-    ) -> tuple[ast.Select, list[tuple[int, bool]]]:
+    ) -> tuple[ast.Select, tuple[tuple[int, bool], ...]]:
         """Shard query for an ORDER BY scan plus merge-key column slots.
 
         ORDER BY keys that already are items (by structural equality or
@@ -766,7 +820,7 @@ class ShardedBackend(ServerBackend):
             + (ast.OrderItem(ast.Column(ORDINAL_COLUMN)),),
             limit=query.limit,
         )
-        return shard_query, key_slots
+        return shard_query, tuple(key_slots)
 
     # -- mode: partial aggregation ------------------------------------------
 
@@ -1132,28 +1186,24 @@ class ShardedBackend(ServerBackend):
             shape[name] = (columns, ast.conjoin(pushed[name]))
         return shape
 
-    def _gather_rows(
-        self,
-        table_name: str,
-        deadline: Deadline | None,
-        columns: tuple[ColumnDef, ...],
-        where: ast.Expr | None,
-        params: dict[str, object] | None,
-    ) -> list[tuple]:
-        """The ``columns`` of one partitioned table's rows that pass
-        ``where``, in serial (ordinal) order, ordinal stripped."""
-        scan = ast.Select(
-            items=tuple(ast.SelectItem(ast.Column(c.name)) for c in columns)
-            + (ast.SelectItem(ast.Column(ORDINAL_COLUMN)),),
-            from_items=(ast.TableName(table_name),),
-            where=where,
-        )
-        rows = sort_by_ordinal(self._fan_rows(scan, params, deadline), len(columns))
-        return [row[:-1] for row in rows]
+    def _gather_scans(self, query: ast.Select) -> tuple[_Gather, ...]:
+        """Per partitioned table the query reads: its gathered columns and
+        the shard scan of them (:meth:`_gather_shape`), ordinal appended."""
+        gathers = []
+        for name, (columns, where) in self._gather_shape(query).items():
+            items = tuple(ast.SelectItem(ast.Column(c.name)) for c in columns)
+            scan = ast.Select(
+                items=items + (ast.SelectItem(ast.Column(ORDINAL_COLUMN)),),
+                from_items=(ast.TableName(name),),
+                where=where,
+            )
+            gathers.append((name, columns, scan))
+        return tuple(gathers)
 
     def _execute_general(
         self,
         query: ast.Select,
+        gathers: tuple[_Gather, ...],
         params: dict[str, object] | None,
         deadline: Deadline | None,
     ) -> ResultSet:
@@ -1164,11 +1214,13 @@ class ShardedBackend(ServerBackend):
         with self._gather_lock:
             created: list[str] = []
             try:
-                for name, (columns, where) in self._gather_shape(query).items():
-                    rows = self._gather_rows(name, deadline, columns, where, params)
+                for name, columns, scan in gathers:
+                    # Serial (ordinal) order, ordinal stripped.
+                    fanned = self._fan_rows(scan, params, deadline)
+                    rows = sort_by_ordinal(fanned, len(columns))
                     table = self._db.create_table(TableSchema(name, columns))
                     created.append(name)
-                    table.rows = rows
+                    table.rows = [row[:-1] for row in rows]
                     table.total_bytes = self._tables[name].logical_bytes
                 return self._executor.execute(query, params=params)
             finally:
@@ -1187,21 +1239,22 @@ class ShardedBackend(ServerBackend):
         """Dispatch on the gather mode: a scan or ORDER BY streams through
         the k-way merge; every other mode is blocking, so it materializes
         and re-blocks."""
-        mode, plan = self._classify(query)
+        plan = self._shard_plan(query)
+        mode = plan.mode
         if mode in ("scan", "ordered"):
-            return self._stream_merged(query, params, block_rows, deadline, mode)
+            return self._stream_merged(plan, params, block_rows, deadline)
         if mode == "partial":
             stats = self._scan_stats(query)
             store = self._db.ciphertext_store
             store_start = store.bytes_read
-            rows = self._execute_partial(plan, params, deadline)
+            rows = self._execute_partial(plan.partial, params, deadline)
             # Plus whatever the merge read from the ciphertext store.
             stats.bytes_scanned += store.bytes_read - store_start
             stats.rows_output = len(rows)
             columns = [item.output_name(i) for i, item in enumerate(query.items)]
         else:
             if mode == "general":
-                result = self._execute_general(query, params, deadline)
+                result = self._execute_general(query, plan.gathers, params, deadline)
             else:
                 result = self._executor.execute(query, params=params)
             stats = self._executor.last_stats
@@ -1212,19 +1265,15 @@ class ShardedBackend(ServerBackend):
 
     def _stream_merged(
         self,
-        query: ast.Select,
+        plan: _ShardPlan,
         params: dict[str, object] | None,
         block_rows: int,
         deadline: Deadline | None,
-        mode: str,
     ) -> BlockStream:
         """Scatter-gather streaming on the consumer's thread: each shard's
         stream feeds the k-way merge directly, serial block boundaries via
         :func:`rechunk_rows`."""
-        if mode == "ordered":
-            shard_query, key_slots = self._ordered_query(query)
-        else:
-            shard_query, key_slots = self._scan_query(query), []
+        query, shard_query, key_slots = plan.query, plan.shard_query, plan.key_slots
         width = len(query.items)
         ordinal_slot = len(shard_query.items) - 1
         stats = self.last_stats = self._scan_stats(query)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.common.errors import BackendBusyError, EngineError, ExecutionError
-from repro.common.lru import LRUCache
+from repro.common.cache import BoundedCache
 from repro.common.retry import Deadline
 from repro.crypto.search import TAG_BYTES
 from repro.engine.aggregates import GrpAgg, HomAgg, HomAggResult
@@ -437,7 +437,7 @@ class SQLiteBackend(ServerBackend):
 
     Each distinct server query is compiled once (:meth:`_compile`): its
     store-read flag, SQLite SQL text, table occurrences, ``grp()``
-    positions and output names live in one bounded LRU of
+    positions and output names live in one bounded cache of
     ``_CACHED_STATEMENTS`` entries that the worker views share, keyed by
     the query object's identity.  An execution then only binds its scalar
     parameters, re-inlines IN sets (``in_set`` queries only) and sums the
@@ -469,9 +469,9 @@ class SQLiteBackend(ServerBackend):
         self.last_stats = ExecStats()
         self.schemas: dict[str, TableSchema] = {}
         self._table_bytes: dict[str, int] = {}
-        # id(query) -> _Statement; thread-tolerant like every LRUCache (a
+        # id(query) -> _Statement; thread-tolerant like every BoundedCache (a
         # racy double compile stores an identical statement).
-        self._statements = LRUCache(self._CACHED_STATEMENTS)
+        self._statements = BoundedCache(self._CACHED_STATEMENTS)
         # In-memory databases use a uniquely named shared-cache URI so the
         # service worker views' own connections see the same data; the
         # main connection below holds the database alive.  File-backed

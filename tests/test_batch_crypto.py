@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.cache import BoundedCache
 from repro.core import CryptoProvider
 from repro.core.encdata import (
     _OFFSETS,
     _SHORT_TEXT_BYTES,
     DEFAULT_CACHE_SIZE,
     INT_BOUND,
-    LRUCache,
     _short_text_length,
 )
 from repro.common.errors import CryptoError, DomainError
@@ -202,7 +202,7 @@ _DET_COLUMNS = st.one_of(
 
 
 class TestDetDecryptCache:
-    """The ciphertext→plaintext LRU is transparent: whatever its state or
+    """The ciphertext→plaintext cache is transparent: whatever its state or
     size, scalar and batch decryption return the same column."""
 
     @settings(max_examples=60, deadline=None)
@@ -333,7 +333,9 @@ class TestRndSearchBatch:
         assert prov.encrypt_batch(values, "det") == prov.det_encrypt_batch(values)
         assert prov.encrypt_batch(values, "ope") == prov.ope_encrypt_batch(values)
         cts = prov.det_encrypt_batch(values)
-        assert prov.decrypt_batch(cts, "det", "int") == prov.det_decrypt_batch(cts, "int")
+        assert prov.decrypt_batch(cts, "det", "int") == prov.det_decrypt_batch(
+            cts, "int"
+        )
         assert prov.decrypt_batch(cts, "plain", "int") == list(cts)
 
 
@@ -460,14 +462,14 @@ class TestPeerProviders:
 
 
 class TestBoundedCaches:
-    def test_lru_evicts_least_recently_used(self):
-        cache = LRUCache(2)
+    def test_evicts_the_oldest_insert_first(self):
+        cache = BoundedCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
+        assert cache.get("a") == 1  # A hit does not save "a".
+        cache.put("c", 3)  # evicts "a", the oldest insert
+        assert cache.get("a") is None
+        assert cache.get("b") == 2 and cache.get("c") == 3
         assert len(cache) == 2
 
     def test_provider_caches_stay_bounded(self):

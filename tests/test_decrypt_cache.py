@@ -1,10 +1,12 @@
-"""Bulk LRU probes and the provider's per-type decrypt tables.
+"""Bulk cache probes and the provider's per-type decrypt tables.
 
-``LRUCache.get_many``/``put_many`` must be indistinguishable from the
-same sequence of ``get``/``put`` calls, the decrypt caches must keep the
-counter rule (one lookup per non-NULL ciphertext presented), the scalar
-and batch paths must share one table per SQL type, and the C-level bulk
-recency pass must stay exact under threads on a thrashing provider.
+``BoundedCache.get_many``/``put_many`` must be indistinguishable from the
+same sequence of ``get``/``put`` calls, a hit must write nothing (an
+overflow evicts the oldest insert, hit or not), a working set that fits
+must never be evicted once warm, the decrypt caches must keep the counter
+rule (one lookup per non-NULL ciphertext presented), the scalar and batch
+paths must share one table per SQL type, and eviction must stay exact
+under threads on a thrashing provider.
 """
 
 from __future__ import annotations
@@ -12,37 +14,72 @@ from __future__ import annotations
 import concurrent.futures
 import datetime
 import sys
-from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.lru import LRUCache, PartitionedLRU
+from repro.common.cache import BoundedCache, PartitionedCache
 from repro.core import CryptoProvider
 from repro.testkit import MASTER_KEY
 
 
-class _Recording(OrderedDict):
-    """An LRU table that remembers the keys it evicted, in order."""
+class _Recording(dict):
+    """A cache table that remembers the keys it evicted, in order."""
 
     def __init__(self) -> None:
         super().__init__()
         self.evicted: list = []
 
-    def popitem(self, last: bool = True):
-        key, value = super().popitem(last=last)
+    def __delitem__(self, key):
         self.evicted.append(key)
-        return key, value
+        super().__delitem__(key)
 
 
-def _recording_cache(capacity: int) -> LRUCache:
-    cache = LRUCache(capacity)
+class _WriteTrap(dict):
+    """A cache table that fails any write while ``armed``."""
+
+    armed = False
+
+    def _write(self) -> None:
+        assert not self.armed, "a hit wrote to the cache table"
+
+    def __setitem__(self, key, value):
+        self._write()
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self._write()
+        super().__delitem__(key)
+
+    def pop(self, *args):
+        self._write()
+        return super().pop(*args)
+
+    def popitem(self):
+        self._write()
+        return super().popitem()
+
+    def setdefault(self, *args):
+        self._write()
+        return super().setdefault(*args)
+
+    def update(self, *args, **kwargs):
+        self._write()
+        super().update(*args, **kwargs)
+
+    def clear(self):
+        self._write()
+        super().clear()
+
+
+def _recording_cache(capacity: int) -> BoundedCache:
+    cache = BoundedCache(capacity)
     cache._data = _Recording()
     return cache
 
 
-def _snapshot(cache: LRUCache) -> tuple:
+def _snapshot(cache: BoundedCache) -> tuple:
     stats = cache.stats()
     return (
         stats.hits,
@@ -60,6 +97,7 @@ _OPS = st.lists(st.tuples(st.sampled_from(["get", "put"]), _KEYS), max_size=12)
 class TestBulkEqualsSequence:
     @settings(max_examples=300, deadline=None)
     @given(capacity=st.integers(1, 8), ops=_OPS)
+    @example(capacity=1, ops=[("put", [0, 1, 0])])  # 0 returns after its eviction
     def test_get_many_and_put_many_equal_get_and_put(self, capacity, ops):
         bulk = _recording_cache(capacity)
         seq = _recording_cache(capacity)
@@ -78,7 +116,7 @@ class TestBulkEqualsSequence:
             assert len(bulk) == len(seq) <= capacity
 
     def test_none_is_never_a_key(self):
-        cache = LRUCache(4)
+        cache = BoundedCache(4)
         cache.put(None, "x")
         cache.put_many([None, 1], ["y", "one"])
         assert cache.get(None) is None
@@ -86,80 +124,131 @@ class TestBulkEqualsSequence:
         assert list(cache._data) == [1]
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_get_many_refreshes_only_hits(self):
-        cache = LRUCache(3)
+
+class TestHitsWriteNothing:
+    def test_warm_get_many_leaves_contents_and_order_unchanged(self):
+        cache = BoundedCache(3)
         cache.put_many(["a", "b", "c"], [1, 2, 3])
-        assert cache.get_many(["a", "x", "b"]) == ([1, None, 2], 1)
-        assert list(cache._data) == ["c", "a", "b"]
-        cache.put("d", 4)  # Evicts "c", the one key the probe did not touch.
-        assert list(cache._data) == ["a", "b", "d"]
+        before = list(cache._data.items())
+        assert cache.get_many(["c", "a", "x", "a", "b"]) == ([3, 1, None, 1, 2], 1)
+        assert cache.get("a") == 1 and cache.get("c") == 3
+        assert list(cache._data.items()) == before
+        cache.put("d", 4)  # Evicts "a", the oldest insert, though just hit.
+        assert list(cache._data) == ["b", "c", "d"]
+        assert cache.stats().evictions == 1
+
+    def test_hits_make_no_write_to_the_table(self):
+        cache = BoundedCache(4)
+        cache._data = _WriteTrap()
+        cache.put_many(["a", "b", "c"], [1, 2, 3])
+        cache._data.armed = True
+        assert cache.get_many(["c", "a", "b", "a"]) == ([3, 1, 2, 1], 0)
+        assert cache.get_many(["b", "zz", None]) == ([2, None, None], 1)
+        assert cache.get("a") == 1 and cache.get("zz") is None
+        assert (cache.hits, cache.misses) == (6, 2)
+
+    def test_partitioned_hits_keep_the_drain_order(self):
+        cache = PartitionedCache(4)
+        cache._table("int")._data = _WriteTrap()
+        cache.put_many("int", [1, 2], ["i1", "i2"])
+        cache.put_many("text", [1, 2], ["t1", "t2"])
+        cache._table("int")._data.armed = True
+        assert cache.get_many("int", [2, 1]) == (["i2", "i1"], 0)
+        assert cache.get("int", 2) == "i2"
+        cache._table("int")._data.armed = False
+        cache.put("bool", 3, True)  # "int" was written least recently.
+        assert cache.get_many("int", [1, 2]) == ([None, "i2"], 1)
+        assert cache.get_many("text", [1, 2]) == (["t1", "t2"], 0)
 
 
-class _EvictedMidProbe(OrderedDict):
-    """Drops ``victim`` just before its recency move, as a put on another
-    thread would between ``get_many``'s probe and its recency pass."""
+class TestWorkingSetThatFits:
+    """Once warm, a working set no larger than the capacity is never evicted."""
 
-    victim = None
+    def test_value_caches_serve_every_warm_pass(self):
+        ints = [i * 7919 % 1_000_003 for i in range(300)]
+        texts = [f"customer-{i:05d}" for i in range(100)]
+        # 400 DET values fill the DET caches exactly; OPE holds the 300 ints.
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256, cache_size=400)
 
-    def move_to_end(self, key, last=True):
-        if key == self.victim and key in self:
-            del self[key]
-        super().move_to_end(key, last=last)
+        def one_pass(order: slice) -> None:
+            det_int = prov.det_encrypt_batch(ints[order])
+            det_text = prov.det_encrypt_batch(texts[order])
+            ope_int = prov.ope_encrypt_batch(ints[order])
+            assert prov.det_decrypt_batch(det_text, "text") == texts[order]
+            assert prov.det_decrypt_batch(det_int, "int") == ints[order]
+            assert prov.ope_decrypt_batch(ope_int, "int") == ints[order]
+            scalar = [prov.det_decrypt(c, "int") for c in det_int[:50]]
+            assert scalar == ints[order][:50]
+
+        one_pass(slice(None))
+        cold = prov.cache_stats()
+        one_pass(slice(None))
+        one_pass(slice(None, None, -1))
+        warm = prov.cache_stats()
+        for name in ("det_encrypt", "det_decrypt", "ope_encrypt", "ope_decrypt"):
+            assert warm[name].evictions == cold[name].evictions == 0, name
+            assert warm[name].misses == cold[name].misses, name
+            assert warm[name].entries == cold[name].entries, name
+        assert warm["det_encrypt"].entries == warm["det_decrypt"].entries == 400
+
+    def test_full_ope_pivot_sweep_never_evicts(self):
+        # 24,000 distinct ints: with the span threshold, the rectangles
+        # their descent caches fit the default pivot cache.
+        values = [i * 7919 % 1_000_003 for i in range(24_000)]
+        prov = CryptoProvider(MASTER_KEY, paillier_bits=256)
+        cts = prov.ope_encrypt_batch(values)
+        prov._ope_dec_cache.clear()  # Value cache off; pivot cache kept.
+        warm = prov.cache_stats()["ope_pivots_int"]
+        assert prov.ope_decrypt_batch(cts, "int") == values
+        after = prov.cache_stats()["ope_pivots_int"]
+        assert after.evictions == warm.evictions == 0
+        assert after.misses == warm.misses
+        assert after.hits > warm.hits
+        assert 0 < after.entries <= after.capacity
 
 
-class TestConcurrentEviction:
-    def test_get_many_tolerates_a_key_evicted_mid_probe(self):
-        for keys in (["a", "b", "c"], ["a", "b", "x", "c"]):
-            cache = LRUCache(4)
-            cache._data = _EvictedMidProbe()
-            cache.put_many(["c", "b", "a"], [3, 2, 1])
-            cache.put("d", 4)
-            cache._data.victim = "b"
-            got, misses = cache.get_many(keys)
-            assert [v for v in got if v is not None] == [1, 2, 3]
-            assert misses == len(keys) - 3
-            # The moves after the evicted key still ran, in order.
-            assert list(cache._data) == ["d", "a", "c"]
-
-
-class TestPartitionedLRU:
+class TestPartitionedCache:
     def test_partitions_share_one_bound_and_stale_table_drains_first(self):
-        cache = PartitionedLRU(4)
+        cache = PartitionedCache(4)
         cache.put_many("int", [1, 2, 3], ["i1", "i2", "i3"])
         cache.put_many("text", [1, 2], ["t1", "t2"])
         assert len(cache) == 4
-        assert cache.get("int", 1) is None  # "int" was the stale table.
+        assert cache.get("int", 1) is None  # "int" was written least recently.
         assert cache.get_many("text", [1, 2]) == (["t1", "t2"], 0)
         assert cache.get_many("int", [2, 3]) == (["i2", "i3"], 0)
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.evictions) == (4, 1, 1)
         assert stats.entries == 4 and stats.capacity == 4
-        # "text" is now the least recently touched table.
+        # Reading "int" last did not make it the fresher table.
+        cache.put("text", 3, "t3")
+        assert cache.get_many("int", [2, 3]) == ([None, "i3"], 1)
+        # "int" is now the fresher table: writing it drains "text".
         cache.put("int", 4, "i4")
-        assert cache.get_many("text", [1, 2]) == ([None, "t2"], 1)
+        assert cache.get_many("text", [1, 2, 3]) == ([None, "t2", "t3"], 1)
         cache.clear()
-        assert len(cache) == 0 and cache.stats().hits == 5
+        assert len(cache) == 0 and cache.stats().hits == 7
 
     def test_overflow_drains_stale_tables_in_turn(self):
-        cache = PartitionedLRU(3)
+        cache = PartitionedCache(3)
         cache.put_many("a", [1], ["a1"])
         cache.put_many("b", [1, 2], ["b1", "b2"])
         cache.put_many("c", [1, 2, 3], ["c1", "c2", "c3"])
-        # "a" empties, then "b" empties, in one shrink.
+        # "a" empties, then "b" empties, in one drain.
         assert cache.get_many("c", [1, 2, 3]) == (["c1", "c2", "c3"], 0)
         assert len(cache) == 3 and cache.stats().evictions == 3
-        cache.put("a", 9, "a9")  # Empty "b" gives nothing; "c" gives its LRU.
+        cache.put("a", 9, "a9")  # Empty "b" gives nothing; "c" its oldest.
         assert cache.get_many("c", [1, 2, 3]) == ([None, "c2", "c3"], 1)
         assert cache.get("a", 9) == "a9"
         assert len(cache) == 3 and cache.stats().evictions == 4
 
-    def test_one_partition_is_one_lru(self):
-        cache = PartitionedLRU(2)
+    def test_one_partition_is_one_table(self):
+        cache = PartitionedCache(2)
         cache.put("int", "a", 1)
         cache.put("int", "b", 2)
         assert cache.get("int", "a") == 1
-        cache.put("int", "c", 3)  # Evicts "b" (LRU), as LRUCache would.
-        assert cache.get("int", "b") is None
+        cache.put("int", "c", 3)  # Evicts "a", the oldest insert, as one table would.
+        assert cache.get("int", "a") is None
+        assert cache.get("int", "b") == 2
         assert cache.stats().evictions == 1
 
 

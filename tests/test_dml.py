@@ -280,7 +280,7 @@ class TestDmlOracle:
             ), sql
 
     def test_update_is_visible_through_a_warm_decrypt_cache(self, provider, dml_design):
-        # The DET decrypt LRU maps ciphertext -> plaintext, so a rewritten
+        # The DET decrypt cache maps ciphertext -> plaintext, so a rewritten
         # cell arrives as a different ciphertext: nothing to invalidate.
         client = make_client(provider, dml_design)
         probe = "SELECT o_orderkey, o_price, o_status FROM orders WHERE o_orderkey = 7"

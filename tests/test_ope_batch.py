@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CryptoError
-from repro.common.lru import LRUCache
+from repro.common.cache import BoundedCache
 from repro.core.encdata import CryptoProvider
 from repro.crypto.ffx import FFXInteger
 from repro.crypto.ope import OpeCipher
@@ -231,27 +231,28 @@ class TestProviderBatchEquivalence:
                 assert plain == ints
 
 
-# -- LRU cache ----------------------------------------------------------------
+# -- Bounded cache ------------------------------------------------------------
 
 
-class TestLRUCacheStats:
+class TestBoundedCacheStats:
     def test_counters(self):
-        cache = LRUCache(2)
+        cache = BoundedCache(2)
         assert cache.get("a") is None
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1
-        cache.put("c", 3)  # Evicts "b" (LRU).
+        cache.put("c", 3)  # Evicts "a", the oldest insert, though just hit.
         stats = cache.stats()
         assert stats.misses == 1
         assert stats.hits == 1
         assert stats.evictions == 1
         assert stats.entries == 2
         assert stats.capacity == 2
-        assert cache.get("b") is None
+        assert cache.get("a") is None
+        assert cache.get("b") == 2
 
     def test_clear_keeps_counters(self):
-        cache = LRUCache(4)
+        cache = BoundedCache(4)
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
@@ -259,7 +260,7 @@ class TestLRUCacheStats:
         assert cache.stats().hits == 1
 
     def test_hit_rate(self):
-        cache = LRUCache(4)
+        cache = BoundedCache(4)
         cache.put("a", 1)
         cache.get("a")
         cache.get("missing")

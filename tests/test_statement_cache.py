@@ -333,3 +333,50 @@ def test_scan_bytes_after_insert_match_memory(provider, design, kind):
             got, want = client.execute(sql), memory.execute(sql)
             assert canonical(got.rows) == canonical(want.rows), sql
             assert ledger_bytes(got.ledger) == ledger_bytes(want.ledger), sql
+
+
+# ---------------------------------------------------------------------------
+# The shard coordinator sends each shard query once compiled
+# ---------------------------------------------------------------------------
+
+
+def shard_queries(coordinator) -> list[ast.Select]:
+    """Every shard query the coordinator's memo sends, in any mode."""
+    queries = []
+    for plan in coordinator._shard_plans._data.values():
+        if plan.shard_query is not None:
+            queries.append(plan.shard_query)
+        if plan.partial is not None:
+            queries.append(plan.partial.shard_query)
+        queries.extend(scan for _, _, scan in plan.gathers)
+    return queries
+
+
+def test_sqlite_shards_compile_each_shard_query_once(provider, design):
+    """A repeated server query sends the same shard query objects, so each
+    SQLite shard compiles each once; an INSERT between the repeats keeps
+    rows equal to the oracle and ledger bytes equal to the in-memory
+    backend's."""
+    insert = (
+        f"INSERT INTO orders VALUES ({NUM_ORDERS + 1}, 3, 420, 7, 2, "
+        "DATE '1996-03-14', 'OPEN', 'quick brown probe')"
+    )
+    oracle = build_sales_db(NUM_ORDERS)
+    memory = setup_client(provider, design, "memory")
+    kind = "sqlite-sharded2"
+    with open_client(kind, provider, design, faults=False) as (client, store):
+        for repeat in range(4):
+            if repeat == 2:
+                assert client.execute(insert).rows == memory.execute(insert).rows
+                apply_plain_dml(oracle, insert)
+            for sql in SALES_WORKLOAD:
+                got, want = client.execute(sql), memory.execute(sql)
+                assert canonical(got.rows) == oracle_rows(oracle, sql), sql
+                assert canonical(want.rows) == oracle_rows(oracle, sql), sql
+                assert ledger_bytes(got.ledger) == ledger_bytes(want.ledger), sql
+        sent = shard_queries(store)
+        assert len({id(q) for q in sent}) == len(sent) > 0
+        for shard in store.shards:
+            stats = bare(shard)._statements.stats()
+            assert stats.misses == stats.entries == len(sent)
+            assert stats.hits >= 3 * len(sent)
